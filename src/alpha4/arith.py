@@ -32,7 +32,6 @@ __all__ = [
     "memory_budget_mb",
     "primes_upto",
     "is_prime",
-    "next_prime_above",
     "build_spf_table",
     "factorize",
     "sigma_k",
@@ -118,14 +117,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def next_prime_above(n: int) -> int:
-    """Smallest prime strictly greater than n."""
-    k = max(n + 1, 2)
-    while not is_prime(k):
-        k += 1
-    return k
 
 
 # -- least-prime-factor tables ------------------------------------------

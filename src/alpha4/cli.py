@@ -21,7 +21,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import __version__, dickman, expsums, series, sieve, special, verify
-from .arith import build_spf_table, memory_budget_mb
+from .arith import build_spf_table
 from .bigreal import BigRealWithError
 from .errors import BudgetError, PreconditionError
 
@@ -32,17 +32,12 @@ SCHEMA = 1
 class RunConfig:
     """Knobs shared across commands (mostly via global flags)."""
 
-    precision_bits: int = 192
     budget_mb: int | None = None
     term_budget: int = 10**9
-    table_limit: int = 10**8
     preset: str = "desk"
     fmt: str = "json"
     seed: int = 0
     threads: int = max(1, os.cpu_count() or 1)
-
-    def resolved_budget_mb(self) -> int:
-        return self.budget_mb if self.budget_mb is not None else memory_budget_mb()
 
 
 # -- serialization -------------------------------------------------------------
@@ -337,9 +332,12 @@ def _params_for(args, cfg: RunConfig) -> sieve.ScaleParams:
 
 
 def _spf_for(params: sieve.ScaleParams, cfg: RunConfig):
+    """The least-factor table within the memory budget, or None: factorize
+    then falls back to trial division, and a note on stderr says so."""
     try:
         return build_spf_table(params.x + 3, budget_mb=cfg.budget_mb)
-    except BudgetError:
+    except BudgetError as exc:
+        print(f"note: {exc}; factoring by trial division", file=sys.stderr)
         return None
 
 
@@ -438,10 +436,6 @@ def cmd_verify_all(args, cfg: RunConfig) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
-def _fraction_arg(s: str):
-    return s  # coerced downstream; kept as str so exact forms survive
-
-
 class _SubParser(argparse.ArgumentParser):
     """Subcommand parser that accepts the global flags after the name.
 
@@ -466,7 +460,7 @@ def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
     p.add_argument("--format", choices=("json", "jsonl", "csv"), default=d if suppress else "json", dest="fmt")
     p.add_argument("--preset", choices=("desk", "paper"), default=d if suppress else "desk")
     p.add_argument("--seed", type=int, default=d if suppress else 0)
-    p.add_argument("--threads", type=int, default=d, help="worker processes for large sums")
+    p.add_argument("--threads", type=int, default=d, help="worker processes for the exact engine of expsum basic")
     p.add_argument("--budget-mb", type=int, default=d, help="memory budget (default: ALPHA4_BUDGET_MB or 512)")
 
 
@@ -546,8 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
     esub = pe.add_subparsers(dest="subcommand", required=True)
 
     p = esub.add_parser("basic", help="sum the single-variable phase")
-    p.add_argument("--A", type=_fraction_arg, required=True)
-    p.add_argument("--B", type=_fraction_arg, required=True)
+    p.add_argument("--A", required=True)
+    p.add_argument("--B", required=True)
     p.add_argument("--lo", type=int, default=0)
     p.add_argument("--hi", type=int, required=True)
     p.add_argument("--engine", choices=("exact", "mpf"), default=None)
@@ -568,8 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = esub.add_parser("weyl", help="differencing displays for a phase spec")
     p.add_argument("--kind", choices=("basic", "lemma61"), default="basic")
-    p.add_argument("--A", type=_fraction_arg, default=None)
-    p.add_argument("--B", type=_fraction_arg, default=None)
+    p.add_argument("--A", default=None)
+    p.add_argument("--B", default=None)
     p.add_argument("--h", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--r", type=int, default=None)

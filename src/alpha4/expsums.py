@@ -4,22 +4,28 @@ Phases come in three shapes: a quadratic-plus-inverse phase in a single
 variable, its restriction to an arithmetic progression n = v + r*l
 rewritten in the progression variable, and the linear inner phase left
 by double differencing. Coefficients are exact rationals in the
-arithmetic families and may be arbitrary reals (mpf) in the basic one.
+arithmetic families and may be arbitrary reals (mpf) in the basic one;
+each spec computes them once (PhaseSpec.coefficients).
 
-Summation is deterministic regardless of worker count: terms are split
-into fixed 4096-term chunks, each chunk is accumulated with compensated
-(Neumaier) addition, and chunk partials are combined by a fixed-order
-pairwise tree.
+Every exact sum goes through one core: _residues yields phase(n) mod 1
+as an exact rational, and _sum_e adds the unit vectors e(t) with
+compensated (Neumaier) addition. The exact engine of eval_phase streams
+residues in fixed 4096-term chunks, sums each chunk so, and combines the
+chunk partials by a fixed-order pairwise tree, so its result does not
+depend on the worker count. The Weyl inner sums S_k and S_{k,l} take
+differences of one residue table, and lemma61_ap_oracle feeds its own
+phase formula to the same sum.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -98,6 +104,39 @@ class PhaseSpec:
     @property
     def n_terms(self) -> int:
         return self.hi - self.lo
+
+    @cached_property
+    def coefficients(self) -> _Coefficients:
+        """The phase coefficients, computed once per spec.
+
+        basic:         A, B as given
+        lemma61:       A = h sigma_4(m)/m^2, B = A/m, lin = h m / r^4
+        lemma62_inner: A as for lemma61 and its slope C = C(l1, l2)
+        """
+        if self.kind == "basic":
+            return _Coefficients(self.A, self.B)
+        A = Fraction(self.h * self.sigma4_m, self.m**2)
+        if self.kind == "lemma61":
+            return _Coefficients(A, A / self.m, lin=Fraction(self.h * self.m, self.r**4))
+        return _Coefficients(A, C=_slope62(A, self.j, self.r, self.l1, self.l2))
+
+
+class _Coefficients(NamedTuple):
+    A: object
+    B: object = None
+    lin: Fraction | None = None
+    C: Fraction | None = None
+
+
+def _slope62(A: Fraction, j: int, r: int, l1: int, l2: int) -> Fraction:
+    """C(l1, l2) = A (2 j r^2 (l1 - l2) + r^-2 [(l1+j)^-2 - l1^-2 - (l2+j)^-2 + l2^-2])."""
+    if l1 < 1 or l2 < 1:
+        raise PreconditionError("l1, l2 must be >= 1")
+    return A * (
+        2 * j * r**2 * (l1 - l2)
+        + Fraction(1, r**2)
+        * (Fraction(1, (l1 + j) ** 2) - Fraction(1, l1**2) - Fraction(1, (l2 + j) ** 2) + Fraction(1, l2**2))
+    )
 
 
 def _coerce_real(x, name: str):
@@ -181,20 +220,16 @@ def make_lemma62_inner_phase(
 
 def coeff_A(spec: PhaseSpec):
     """The quadratic-term coefficient (h sigma_4(m)/m^2 for lemma61)."""
-    if spec.kind == "basic":
-        return spec.A
-    if spec.kind == "lemma61":
-        return Fraction(spec.h * spec.sigma4_m, spec.m**2)
-    raise PreconditionError("lemma62_inner has a single linear coefficient")
+    if spec.kind == "lemma62_inner":
+        raise PreconditionError("lemma62_inner has a single linear coefficient")
+    return spec.coefficients.A
 
 
 def coeff_B(spec: PhaseSpec):
     """The linear-term coefficient (h sigma_4(m)/m^3 for lemma61)."""
-    if spec.kind == "basic":
-        return spec.B
-    if spec.kind == "lemma61":
-        return Fraction(spec.h * spec.sigma4_m, spec.m**3)
-    raise PreconditionError("lemma62_inner has a single linear coefficient")
+    if spec.kind == "lemma62_inner":
+        raise PreconditionError("lemma62_inner has a single linear coefficient")
+    return spec.coefficients.B
 
 
 def inner62_coefficient(spec: PhaseSpec, l1: int | None = None, l2: int | None = None) -> Fraction:
@@ -203,41 +238,26 @@ def inner62_coefficient(spec: PhaseSpec, l1: int | None = None, l2: int | None =
         raise PreconditionError("inner coefficient is defined for lemma62_inner specs")
     l1 = spec.l1 if l1 is None else l1
     l2 = spec.l2 if l2 is None else l2
-    if l1 < 1 or l2 < 1:
-        raise PreconditionError("l1, l2 must be >= 1")
-    a1 = Fraction(spec.h * spec.sigma4_m, spec.m**2)
-    j, r = spec.j, spec.r
-    bracket = 2 * j * r**2 * (l1 - l2) + Fraction(1, r**2) * (
-        Fraction(1, (l1 + j) ** 2)
-        - Fraction(1, l1**2)
-        - Fraction(1, (l2 + j) ** 2)
-        + Fraction(1, l2**2)
-    )
-    return a1 * bracket
+    return _slope62(spec.coefficients.A, spec.j, spec.r, l1, l2)
 
 
 def phase_fraction(spec: PhaseSpec, n: int) -> Fraction:
     """The exact phase value at index n (requires rational coefficients)."""
+    c = spec.coefficients
     if spec.kind == "basic":
-        A, B = spec.A, spec.B
-        if not (isinstance(A, Fraction) and isinstance(B, Fraction)):
+        if not (isinstance(c.A, Fraction) and isinstance(c.B, Fraction)):
             raise PreconditionError("exact phase needs rational coefficients; use phase_mpf")
         if n == 0:
             raise PreconditionError("basic phase is undefined at n = 0")
-        return A * (Fraction(n**2) + Fraction(1, n**2)) + B * (n + Fraction(1, n**3))
+        return c.A * (Fraction(n**2) + Fraction(1, n**2)) + c.B * (n + Fraction(1, n**3))
     if spec.kind == "lemma61":
-        a1 = Fraction(spec.h * spec.sigma4_m, spec.m**2)
-        a2 = Fraction(spec.h * spec.sigma4_m, spec.m**3)
-        c = Fraction(spec.h * spec.m, spec.r**3)
-        inner = spec.v + spec.r * n
+        v, r = spec.v, spec.r
+        inner = v + r * n
         if inner == 0:
             raise PreconditionError("progression hits v + r l = 0")
-        return (
-            a1 * (2 * spec.v * spec.r * n + spec.r**2 * n**2 + Fraction(1, inner**2))
-            + a2 * spec.r * n
-            + c * n
-        )
-    return inner62_coefficient(spec) * n
+        # B r l + (h m / r^3) l = (B + lin) r l
+        return c.A * (2 * v * r * n + r**2 * n**2 + Fraction(1, inner**2)) + (c.B + c.lin) * r * n
+    return c.C * n
 
 
 def phase_mpf(spec: PhaseSpec, n: int) -> mp.mpf:
@@ -259,26 +279,27 @@ def required_prec_bits(spec: PhaseSpec) -> int:
     if spec.kind == "basic":
         mag = (abs(float(spec.A)) + 1) * hi * hi + (abs(float(spec.B)) + 1) * hi
     elif spec.kind == "lemma61":
-        a1 = abs(spec.h) * spec.sigma4_m / spec.m**2
+        a1 = abs(float(spec.coefficients.A))
         mag = (a1 + 1) * (spec.r * hi + abs(spec.v)) ** 2 + abs(spec.h) * spec.m * hi
     else:
-        mag = (abs(float(inner62_coefficient(spec))) + 1) * hi
+        mag = (abs(float(spec.coefficients.C)) + 1) * hi
     return max(64, int(math.log2(mag + 2))) + 64
 
 
 # -- deterministic summation ------------------------------------------------
 
 
-def _e_unit(t: float) -> complex:
-    return complex(math.cos(TAU * t), math.sin(TAU * t))
-
-
-def _chunk_exact(args) -> tuple[float, float]:
-    """Compensated sum of e(phase(n)) for n in (a, b] (exact phase mod 1)."""
-    spec, a, b = args
-    sr = cr = si = ci = 0.0
+def _residues(spec: PhaseSpec, a: int, b: int):
+    """phase(n) mod 1 as an exact rational, for n in (a, b]."""
     for n in range(a + 1, b + 1):
-        t = float(phase_fraction(spec, n) % 1)
+        yield phase_fraction(spec, n) % 1
+
+
+def _sum_e(residues) -> complex:
+    """Neumaier-compensated sum of e(t) over exact residues t."""
+    sr = cr = si = ci = 0.0
+    for t in residues:
+        t = float(t)
         x = math.cos(TAU * t)
         y = math.sin(TAU * t)
         u = sr + x
@@ -287,7 +308,12 @@ def _chunk_exact(args) -> tuple[float, float]:
         u = si + y
         ci += (si - u) + y if abs(si) >= abs(y) else (y - u) + si
         si = u
-    return (sr + cr, si + ci)
+    return complex(sr + cr, si + ci)
+
+
+def _chunk_exact(args) -> complex:
+    spec, a, b = args
+    return _sum_e(_residues(spec, a, b))
 
 
 def _tree_reduce(parts: list[complex]) -> complex:
@@ -350,7 +376,7 @@ def eval_phase(
                 parts = list(pool.map(_chunk_exact, jobs, chunksize=4))
         else:
             parts = [_chunk_exact(j) for j in jobs]
-        total = _tree_reduce([complex(re, im) for re, im in parts])
+        total = _tree_reduce(parts)
         mod = abs(total)
         return ExpSumResult(
             value=total, n_terms=n, normalized_modulus=min(1.0, mod / n)
@@ -388,17 +414,12 @@ def lemma61_change_of_variables(spec: PhaseSpec) -> dict:
     """
     if spec.kind != "lemma61":
         raise PreconditionError("change-of-variables check needs a lemma61 spec")
-    A = coeff_A(spec)
-    B = coeff_B(spec)
-    const = A * spec.v**2 + B * spec.v + Fraction(spec.h * spec.m * spec.v, spec.r**4)
+    A, B, lin, _ = spec.coefficients
+    const = A * spec.v**2 + B * spec.v + lin * spec.v
     max_dropped = Fraction(0)
     for l in range(spec.lo + 1, spec.hi + 1):
         n = spec.v + spec.r * l
-        single = (
-            A * (Fraction(n**2) + Fraction(1, n**2))
-            + B * (n + Fraction(1, n**3))
-            + Fraction(spec.h * spec.m, spec.r**4) * n
-        )
+        single = A * (Fraction(n**2) + Fraction(1, n**2)) + B * (n + Fraction(1, n**3)) + lin * n
         diff = single - phase_fraction(spec, l)
         dropped = B * Fraction(1, n**3)
         if diff != const + dropped:
@@ -427,15 +448,9 @@ def lemma61_ap_oracle(spec: PhaseSpec) -> float:
     """
     if spec.kind != "lemma61":
         raise PreconditionError("the progression oracle needs a lemma61 spec")
-    A = coeff_A(spec)
-    B = coeff_B(spec)
-    lin = Fraction(spec.h * spec.m, spec.r**4)
-    total = 0j
-    for l in range(spec.lo + 1, spec.hi + 1):
-        n = spec.v + spec.r * l
-        ph = A * (Fraction(n**2) + Fraction(1, n**2)) + B * n + lin * n
-        total += _e_unit(float(ph % 1))
-    return abs(total)
+    A, B, lin, _ = spec.coefficients
+    ns = (spec.v + spec.r * l for l in range(spec.lo + 1, spec.hi + 1))
+    return abs(_sum_e((A * (Fraction(n**2) + Fraction(1, n**2)) + (B + lin) * n) % 1 for n in ns))
 
 
 def inner62_magnitude(spec: PhaseSpec) -> dict:
@@ -448,8 +463,7 @@ def inner62_magnitude(spec: PhaseSpec) -> dict:
     """
     if spec.kind != "lemma62_inner":
         raise PreconditionError("magnitude report needs a lemma62_inner spec")
-    a1 = Fraction(spec.h * spec.sigma4_m, spec.m**2)
-    coeff = inner62_coefficient(spec)
+    a1, coeff = spec.coefficients.A, spec.coefficients.C
     main = a1 * 2 * spec.j * spec.r**2 * (spec.l1 - spec.l2)
     corr = coeff - main
     corr_bound = abs(a1) * Fraction(4, spec.r**2)
@@ -475,19 +489,6 @@ def inner62_magnitude(spec: PhaseSpec) -> dict:
 # -- differencing ------------------------------------------------------------
 
 
-def _abs_exact_sum(spec: PhaseSpec, shift_terms: list[tuple[int, int]], lo: int, hi: int) -> float:
-    """|sum_{lo < n <= hi} e(sum_i sign_i phase(n + k_i))| with exact phases."""
-    sr = si = 0.0
-    for n in range(lo + 1, hi + 1):
-        ph = Fraction(0)
-        for k, sign in shift_terms:
-            ph += sign * phase_fraction(spec, n + k)
-        t = float(ph % 1)
-        sr += math.cos(TAU * t)
-        si += math.sin(TAU * t)
-    return math.hypot(sr, si)
-
-
 def weyl_difference_check(spec: PhaseSpec, K: int, L: int | None = None) -> dict:
     """Compare |S|^2 (and |S|^4) against differenced right-hand sides.
 
@@ -510,9 +511,10 @@ def weyl_difference_check(spec: PhaseSpec, K: int, L: int | None = None) -> dict
     if L is not None and not 1 <= L <= N:
         raise PreconditionError(f"need 1 <= L <= N = {N}, got L = {L}")
     S = abs(eval_phase(spec).value)
+    R = list(_residues(spec, spec.lo, spec.hi))  # R[i] = phase(lo + 1 + i) mod 1
     sum_sk = 0.0
     for k in range(1, K + 1):
-        sk = _abs_exact_sum(spec, [(k, 1), (0, -1)], spec.lo, spec.hi - k)
+        sk = abs(_sum_e((R[i + k] - R[i]) % 1 for i in range(N - k)))
         sum_sk += 2 * sk  # |S_-k| = |S_k|
     lhs2 = S**2
     rhs2 = 3 * (N**2 / K + (N / K) * sum_sk)
@@ -530,14 +532,7 @@ def weyl_difference_check(spec: PhaseSpec, K: int, L: int | None = None) -> dict
         max_skl = 0.0
         for k in range(1, K + 1):
             for l in range(1, L + 1):
-                if spec.hi - k - l <= spec.lo:
-                    continue
-                skl = _abs_exact_sum(
-                    spec,
-                    [(k + l, 1), (k, -1), (l, -1), (0, 1)],
-                    spec.lo,
-                    spec.hi - k - l,
-                )
+                skl = abs(_sum_e((R[i + k + l] - R[i + k] - R[i + l] + R[i]) % 1 for i in range(N - k - l)))
                 max_skl = max(max_skl, skl)
         lhs4 = S**4
         rhs4 = 3 * (N**4 / K**2 + N**4 / L + N**3 * max_skl)

@@ -26,7 +26,6 @@ from .arith import (
     Factorization,
     PrimeRange,
     SpfTable,
-    build_spf_table,
     factorize,
     primes_in,
 )
@@ -85,18 +84,12 @@ def _candidate_primes(params: ScaleParams):
             yield p
 
 
-def _ensure_spf(params: ScaleParams, spf: SpfTable | None) -> SpfTable | None:
-    if spf is not None:
-        return spf
-    try:
-        return build_spf_table(params.x + 3)
-    except Exception:
-        return None  # factorize falls back to direct methods
-
-
 def enumerate_S(params: ScaleParams, spf: SpfTable | None = None) -> list[SpecialPrimeRecord]:
-    """All members of S at the given scale, in increasing order of p."""
-    spf = _ensure_spf(params, spf)
+    """All members of S at the given scale, in increasing order of p.
+
+    Factoring reads spf, a least-factor table covering x + 3; without one
+    it falls back to trial division.
+    """
     zs, zl, zh = params.z_small, params.z_quarter_lo, params.z_quarter_hi
     out: list[SpecialPrimeRecord] = []
     for p in _candidate_primes(params):
@@ -194,8 +187,8 @@ def count_sigmas(
               statistic <= delta.
 
     delta is compared exactly, at the binary value of the given float.
+    spf is used as in enumerate_S.
     """
-    spf = _ensure_spf(params, spf)
     zs, zl, zh = params.z_small, params.z_quarter_lo, params.z_quarter_hi
     d = Fraction(delta)
     y_smooth = params.x**params.smooth_exp

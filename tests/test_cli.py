@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from alpha4 import cli
+from alpha4 import arith, cli
 
 
 def run(argv, capsys):
@@ -220,6 +220,26 @@ def test_special_sigmas(capsys):
     assert rc == 0
     res = payload["result"]
     assert [res["sigma1"], res["sigma2"], res["sigma3"], res["sigma4"]] == [10, 0, 2, 0]
+
+
+def test_special_sigmas_honors_budget(capsys, monkeypatch):
+    # a zero budget refuses the least-factor table once; nothing rebuilds it
+    calls = []
+    real = arith.build_spf_table
+
+    def spy(limit, budget_mb=None):
+        calls.append((limit, budget_mb))
+        return real(limit, budget_mb=budget_mb)
+
+    monkeypatch.setattr(arith, "build_spf_table", spy)
+    monkeypatch.setattr(cli, "build_spf_table", spy)
+    rc, out, err = run(["special", "sigmas", "--x", "100000", "--delta", "0.05", "--budget-mb", "0"], capsys)
+    assert rc == 0
+    assert calls == [(100003, 0)]
+    assert "trial division" in err
+    res = json.loads(out)["result"]
+    assert [res["sigma1"], res["sigma2"], res["sigma3"], res["sigma4"]] == [59, 6, 13, 6]
+    assert res["S_total"] == 569
 
 
 def test_special_hist(capsys):

@@ -179,6 +179,45 @@ def test_weyl_domain():
     assert rep["first_ok"]
 
 
+# abs_sum, first_rhs, first_ratio, max_inner_abs, second_ratio frozen from
+# the per-term phase evaluation that preceded the shared residue table
+WEYL_FROZEN = [
+    (
+        expsums.make_basic_phase(Fraction(1, 7), 0, 0, 300), 10, None,
+        (113.74333053978474, 82016.21446296622, 0.15774375014741232, None, None),
+    ),
+    (
+        expsums.make_basic_phase(Fraction(278310081342, 2**20), Fraction(683474, 2**20), 0, 512), 8, 8,
+        (7.51865847356422, 125379.80673111169, 0.00045087184863295583, 451.6282174607502, 1.5156790655556174e-08),
+    ),
+    (
+        expsums.make_lemma61_phase(2, 83413, 101, 0, 256), 8, 8,
+        (11.477980132825618, 39692.82102088532, 0.0033190895618182273, 170.29655287350928, 1.6715861070393592e-06),
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, K, L, frozen", WEYL_FROZEN, ids=["tour", "basic512", "lemma61"])
+def test_weyl_matches_frozen_values(spec, K, L, frozen):
+    rep = expsums.weyl_difference_check(spec, K=K, L=L)
+    abs_sum, first_rhs, first_ratio, max_inner, second_ratio = frozen
+    assert (rep["abs_sum"], rep["first_rhs"], rep["first_ratio"]) == (abs_sum, first_rhs, first_ratio)
+    if L is not None:
+        # the compensated inner sums may move the last bit of max |S_{k,l}|
+        assert rep["max_inner_abs"] == pytest.approx(max_inner, rel=1e-12)
+        assert rep["second_ratio"] == pytest.approx(second_ratio, rel=1e-12)
+
+
+def test_weyl_evaluates_each_phase_at_most_twice(monkeypatch):
+    # N for the eval_phase sum, N for the residue table shared by every S_k, S_{k,l}
+    spec, K, L, _ = WEYL_FROZEN[1]
+    calls = []
+    real = expsums.phase_fraction
+    monkeypatch.setattr(expsums, "phase_fraction", lambda s, n: calls.append(n) or real(s, n))
+    expsums.weyl_difference_check(spec, K=K, L=L)
+    assert len(calls) == 2 * spec.n_terms
+
+
 # -- the amplitude function f_l ---------------------------------------------
 
 
