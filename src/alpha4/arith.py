@@ -25,7 +25,6 @@ from .errors import BudgetError, PreconditionError
 
 __all__ = [
     "MR_DETERMINISTIC_LIMIT",
-    "DEFAULT_TABLE_LIMIT",
     "SpfTable",
     "Factorization",
     "PrimeRange",
@@ -52,7 +51,6 @@ __all__ = [
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17)
 MR_DETERMINISTIC_LIMIT = 330_000_000_000_000
 
-DEFAULT_TABLE_LIMIT = 10**8
 DEFAULT_BUDGET_MB = 512
 
 _SMALL_LIMIT = 1 << 16
@@ -171,7 +169,7 @@ class SpfTable:
         return SpfTable(limit=int(limit), spf=data.astype(np.uint32))
 
 
-def build_spf_table(limit: int = DEFAULT_TABLE_LIMIT, budget_mb: int | None = None) -> SpfTable:
+def build_spf_table(limit: int, budget_mb: int | None = None) -> SpfTable:
     """Sieve least prime factors up to `limit` (4 bytes per entry).
 
     Refuses to allocate past the active memory budget rather than swap.

@@ -7,14 +7,14 @@ by double differencing. Coefficients are exact rationals in the
 arithmetic families and may be arbitrary reals (mpf) in the basic one;
 each spec computes them once (PhaseSpec.coefficients).
 
-Every exact sum goes through one core: _residues yields phase(n) mod 1
-as an exact rational, and _sum_e adds the unit vectors e(t) with
-compensated (Neumaier) addition. The exact engine of eval_phase streams
-residues in fixed 4096-term chunks, sums each chunk so, and combines the
-chunk partials by a fixed-order pairwise tree, so its result does not
-depend on the worker count. The Weyl inner sums S_k and S_{k,l} take
-differences of one residue table, and lemma61_ap_oracle feeds its own
-phase formula to the same sum.
+Every exact sum goes through one core: phase(n) is reduced mod 1 exactly
+once, and _sum_e adds the unit vectors e(t) with compensated (Neumaier)
+addition. The exact engine of eval_phase streams residues in fixed
+4096-term chunks, sums each chunk so, and combines the chunk partials by
+a fixed-order pairwise tree, so its result does not depend on the worker
+count. The Weyl inner sums S_k and S_{k,l} take differences of one exact
+residue table, and lemma61_ap_oracle feeds its own phase formula to the
+same sum.
 """
 
 from __future__ import annotations
@@ -260,17 +260,27 @@ def phase_fraction(spec: PhaseSpec, n: int) -> Fraction:
     return c.C * n
 
 
+def _mpf(x):
+    """x at the ambient precision, rounded once from its exact value (mpf and None pass)."""
+    if x is None or isinstance(x, mp.mpf):
+        return x
+    x = Fraction(x)
+    return mp.mpf(x.numerator) / x.denominator
+
+
 def phase_mpf(spec: PhaseSpec, n: int) -> mp.mpf:
-    """The phase at index n in mpf arithmetic at the ambient precision."""
+    """The phase at index n in mpf at the ambient precision, from the
+    coefficients and not from phase_fraction, so the engines check each other."""
+    A, B, lin, C = map(_mpf, spec.coefficients)
+    nn = mp.mpf(n)
     if spec.kind == "basic":
-        A = spec.A if isinstance(spec.A, mp.mpf) else mp.mpf(spec.A.numerator) / spec.A.denominator
-        B = spec.B if isinstance(spec.B, mp.mpf) else mp.mpf(spec.B.numerator) / spec.B.denominator
         if n == 0:
             raise PreconditionError("basic phase is undefined at n = 0")
-        nn = mp.mpf(n)
         return A * (nn**2 + 1 / nn**2) + B * (nn + 1 / nn**3)
-    fr = phase_fraction(spec, n)
-    return mp.mpf(fr.numerator) / fr.denominator
+    if spec.kind == "lemma61":
+        v, r = spec.v, spec.r
+        return A * (2 * v * r * n + r**2 * n**2 + 1 / mp.mpf(v + r * n) ** 2) + (B + lin) * r * nn
+    return C * nn
 
 
 def required_prec_bits(spec: PhaseSpec) -> int:
@@ -289,14 +299,8 @@ def required_prec_bits(spec: PhaseSpec) -> int:
 # -- deterministic summation ------------------------------------------------
 
 
-def _residues(spec: PhaseSpec, a: int, b: int):
-    """phase(n) mod 1 as an exact rational, for n in (a, b]."""
-    for n in range(a + 1, b + 1):
-        yield phase_fraction(spec, n) % 1
-
-
 def _sum_e(residues) -> complex:
-    """Neumaier-compensated sum of e(t) over exact residues t."""
+    """Neumaier-compensated sum of e(t) over residues t (rationals or floats)."""
     sr = cr = si = ci = 0.0
     for t in residues:
         t = float(t)
@@ -313,7 +317,9 @@ def _sum_e(residues) -> complex:
 
 def _chunk_exact(args) -> complex:
     spec, a, b = args
-    return _sum_e(_residues(spec, a, b))
+    # float(phase % 1) without the second gcd that Fraction % 1 takes
+    phases = (phase_fraction(spec, n) for n in range(a + 1, b + 1))
+    return _sum_e(f.numerator % f.denominator / f.denominator for f in phases)
 
 
 def _tree_reduce(parts: list[complex]) -> complex:
@@ -511,7 +517,7 @@ def weyl_difference_check(spec: PhaseSpec, K: int, L: int | None = None) -> dict
     if L is not None and not 1 <= L <= N:
         raise PreconditionError(f"need 1 <= L <= N = {N}, got L = {L}")
     S = abs(eval_phase(spec).value)
-    R = list(_residues(spec, spec.lo, spec.hi))  # R[i] = phase(lo + 1 + i) mod 1
+    R = [phase_fraction(spec, n) % 1 for n in range(spec.lo + 1, spec.hi + 1)]  # R[i]: n = lo+1+i
     sum_sk = 0.0
     for k in range(1, K + 1):
         sk = abs(_sum_e((R[i + k] - R[i]) % 1 for i in range(N - k)))
@@ -569,21 +575,19 @@ def f_ell_closed(A, B, k: int, l: int, n) -> Fraction:
 
 
 def f_ell_integral(A, B, k: int, l: int, n, dps: int = 30) -> mp.mpf:
-    """The same amplitude as the double integral
+    """The same amplitude as a one-dimensional (wedge) quadrature.
 
-        int_0^k int_0^l [6 A (n+s+t)^-4 + 12 B (n+s+t)^-5] ds dt."""
+    f is the integral of g(n+s+t), g(u) = 6 A u^-4 + 12 B u^-5, over
+    [0,k] x [0,l]; with w = s + t it is int_0^(k+l) g(n+w) K(w) dw, where
+    K(w) = min(w, min(k,l), k+l-w) is the length of the segment s + t = w
+    inside the rectangle. K's corners min(k,l) and max(k,l) are breakpoints.
+    """
     with mp.workdps(dps):
-        Af, Bf, nf = mp.mpf(str(float(A))), mp.mpf(str(float(B))), mp.mpf(str(float(n)))
-        if isinstance(A, (int, Fraction)):
-            Af = mp.mpf(Fraction(A).numerator) / Fraction(A).denominator
-        if isinstance(B, (int, Fraction)):
-            Bf = mp.mpf(Fraction(B).numerator) / Fraction(B).denominator
-        if isinstance(n, (int, Fraction)):
-            nf = mp.mpf(Fraction(n).numerator) / Fraction(n).denominator
+        Af, Bf, nf = map(_mpf, (A, B, n))
+        lo, hi = min(k, l), max(k, l)
         return mp.quad(
-            lambda s, t: 6 * Af / (nf + s + t) ** 4 + 12 * Bf / (nf + s + t) ** 5,
-            [0, k],
-            [0, l],
+            lambda w: (6 * Af / (nf + w) ** 4 + 12 * Bf / (nf + w) ** 5) * min(w, lo, k + l - w),
+            [0, lo, hi, k + l],
         )
 
 

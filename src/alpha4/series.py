@@ -63,12 +63,14 @@ def alpha_partial(k: int, n_terms: int, spf: SpfTable | None = None) -> Fraction
     """Exact partial sum sum_{n=1}^{n_terms} sigma_k(n)/n!."""
     if k < 1 or n_terms < 1:
         raise PreconditionError("alpha_partial needs k >= 1 and n_terms >= 1")
-    total = Fraction(0)
-    fact = 1
-    for n in range(1, n_terms + 1):
-        fact *= n
-        total += Fraction(sigma_k(n, k, spf), fact)
-    return total
+    return _factorial_series(k, 1, n_terms, spf)
+
+
+def _majorant(k: int) -> tuple[int, Fraction]:
+    """(kk, coef) with sigma_k(n) <= coef n^kk for every n >= 1."""
+    if k < 1:
+        raise PreconditionError("tail_bound needs k >= 1")
+    return (k, zeta_upper(k)) if k >= 2 else (2, Fraction(1))
 
 
 def tail_bound(k: int, n0: int) -> Fraction:
@@ -79,23 +81,22 @@ def tail_bound(k: int, n0: int) -> Fraction:
     e^(kk/n)/(n+1) <= e/(n0+2) <= 1/2 once n0 >= max(kk, 5), so the tail
     is at most twice its first term.
     """
-    if k < 1:
-        raise PreconditionError("tail_bound needs k >= 1")
-    if k >= 2:
-        kk, coef = k, zeta_upper(k)
-    else:
-        kk, coef = 2, Fraction(1)
+    kk, coef = _majorant(k)
     if n0 < max(kk, 5):
         raise PreconditionError(f"tail_bound needs n0 >= {max(kk, 5)} for k={k}")
     return 2 * coef * Fraction((n0 + 1) ** kk, math.factorial(n0 + 1))
 
 
 def terms_needed(k: int, bits: int) -> int:
-    """Smallest n0 (>= max(k,5)) with tail_bound(k, n0) <= 2^-(bits+1)."""
-    budget = Fraction(1, 2 ** (bits + 1))
+    """Smallest n0 (>= max(k,5)) with tail_bound(k, n0) <= 2^-(bits+1),
+    tested as 2 coef (n0+1)^kk 2^(bits+1) <= (n0+1)! in integers."""
+    kk, coef = _majorant(k)
+    scale = 2 * coef.numerator << (bits + 1)
     n0 = max(k, 2, 5)
-    while tail_bound(k, n0) > budget:
+    fact = math.factorial(n0 + 1)
+    while scale * (n0 + 1) ** kk > coef.denominator * fact:
         n0 += 1
+        fact *= n0 + 1
     return n0
 
 
@@ -120,6 +121,16 @@ def alpha_k(k: int, target_precision: int = 128, spf: SpfTable | None = None) ->
 # -- the tail at a prime ----------------------------------------------------
 
 
+def _factorial_series(k: int, a: int, b: int, spf: SpfTable | None, den: int = 1) -> Fraction:
+    """Exact sum_{n=a}^{b} sigma_k(n) / (den * a (a+1) ... n), by integer
+    Horner from the top; the only gcd is the one in the final Fraction."""
+    num, d = 0, 1
+    for n in range(b, a - 1, -1):
+        num = sigma_k(n, k, spf) * d + num
+        d *= n
+    return Fraction(num, d * den)
+
+
 def factorial_tail_exact(p: int, n1: int, spf: SpfTable | None = None) -> Fraction:
     """Exact (p-1)! * sum_{n=p}^{n1} sigma_4(n)/n!.
 
@@ -127,12 +138,7 @@ def factorial_tail_exact(p: int, n1: int, spf: SpfTable | None = None) -> Fracti
     """
     if p < 2 or n1 < p:
         raise PreconditionError("factorial_tail_exact needs 2 <= p <= n1")
-    total = Fraction(0)
-    den = 1
-    for n in range(p, n1 + 1):
-        den *= n
-        total += Fraction(sigma_k(n, 4, spf), den)
-    return total
+    return _factorial_series(4, p, n1, spf)
 
 
 def _falling_products(p: int, count: int) -> list[int]:
@@ -154,9 +160,7 @@ def _tail_remainder_bound(p: int, j_from: int) -> Fraction:
     """
     if p < 2 or j_from < 4:
         raise PreconditionError("remainder bound needs p >= 2 and j_from >= 4")
-    den = 1
-    for i in range(j_from + 1):
-        den *= p + i
+    den = _falling_products(p, j_from + 1)[-1]
     return ZETA4_UPPER * E_UPPER * Fraction((p + j_from) ** 4, den)
 
 
@@ -203,14 +207,8 @@ def tail_partial(
     """Exact sum of tail terms j = 4..j_max, plus a bound for j > j_max."""
     if j_max < 4:
         raise PreconditionError("tail_partial needs j_max >= 4")
-    den = 1
-    for i in range(4):
-        den *= p + i
-    total = Fraction(0)
-    for j in range(4, j_max + 1):
-        den *= p + j
-        total += Fraction(sigma_k(p + j, 4, spf), den)
-    return total, _tail_remainder_bound(p, j_max + 1)
+    part = _factorial_series(4, p + 4, p + j_max, spf, _falling_products(p, 4)[3])
+    return part, _tail_remainder_bound(p, j_max + 1)
 
 
 # -- the near-integer statistic ---------------------------------------------

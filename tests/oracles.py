@@ -109,3 +109,13 @@ def alpha_partial_exact(k: int, n_terms: int) -> Fraction:
         fact *= n
         total += Fraction(sigma_k(n, k), fact)
     return total
+
+
+def factorial_tail_exact(p: int, n1: int, k: int = 4) -> Fraction:
+    """(p-1)! sum_{n=p}^{n1} sigma_k(n)/n!, one Fraction add per term."""
+    total = Fraction(0)
+    den = 1
+    for n in range(p, n1 + 1):
+        den *= n
+        total += Fraction(sigma_k(n, k), den)
+    return total

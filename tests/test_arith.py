@@ -69,6 +69,12 @@ def test_spf_table_values():
         spf.least_prime_factor(101)
 
 
+def test_spf_table_needs_an_explicit_limit():
+    with pytest.raises(TypeError):
+        arith.build_spf_table()
+    assert not hasattr(arith, "DEFAULT_TABLE_LIMIT")
+
+
 def test_spf_table_full_agreement(spf_million):
     rng = random.Random(7)
     for _ in range(300):

@@ -111,6 +111,34 @@ def test_lemma61_change_of_variables_exact():
     assert spec.v == expsums.minus_inverse_residue(97, 13)
 
 
+def _wrong_phase(spec, n):
+    """phase_fraction with the lemma61 linear completion and the lemma62 slope mis-stated."""
+    c = spec.coefficients
+    if spec.kind == "lemma61":
+        inner = spec.v + spec.r * n
+        return c.A * (2 * spec.v * spec.r * n + spec.r**2 * n**2 + Fraction(1, inner**2)) + c.B * spec.r * n
+    return (c.C + Fraction(1, 3)) * n
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        expsums.make_lemma61_phase(h=2, m=97, r=13, lo=0, hi=64),
+        expsums.make_lemma62_inner_phase(1, 31, 7, 2, 1, 4, 0, 64),
+    ],
+    ids=["lemma61", "lemma62_inner"],
+)
+def test_mpf_engine_catches_a_wrong_exact_phase(spec, monkeypatch):
+    def gap():
+        exact = expsums.eval_phase(spec, engine="exact", threads=1).value
+        with_mpf = expsums.eval_phase(spec, engine="mpf", prec_bits=160).value
+        return float(abs(exact - with_mpf))
+
+    assert gap() < 1e-9
+    monkeypatch.setattr(expsums, "phase_fraction", _wrong_phase)
+    assert gap() > 1e-9
+
+
 def test_lemma61_ap_oracle_matches_phase_sum():
     spec = expsums.make_lemma61_phase(h=1, m=31, r=7, lo=0, hi=45)
     direct = abs(expsums.eval_phase(spec).value)
@@ -233,6 +261,29 @@ def test_f_ell_closed_matches_integral_with_linear_term():
     fc = expsums.f_ell_closed(A, B, 3, 11, 2500)
     fi = expsums.f_ell_integral(A, B, 3, 11, 2500)
     assert abs(fi - mp.mpf(fc.numerator) / fc.denominator) < mp.mpf("1e-22")
+
+
+def _f_ell_gap(A, B, k, l, n) -> float:
+    fc = expsums.f_ell_closed(A, B, k, l, n)
+    fi = expsums.f_ell_integral(A, B, k, l, n)
+    with mp.workdps(30):
+        cf = mp.mpf(fc.numerator) / fc.denominator
+        return float(abs(fi - cf) / abs(cf))
+
+
+@pytest.mark.parametrize(
+    "A, B, k, l, n",
+    [
+        (Fraction(2), Fraction(1), 20, 30, 500),  # k < l
+        (Fraction(2), Fraction(1), 30, 20, 500),  # k > l
+        (Fraction(2), Fraction(1), 25, 25, 700),  # k = l: the kernel is a triangle
+        (Fraction(3), Fraction(-7, 5), 1, 64, 1024),  # B != 0, thin rectangle
+        (Fraction(1, 977), Fraction(1, 10**7), 3, 11, Fraction(5001, 2)),  # rational n
+    ],
+    ids=["k<l", "k>l", "k=l", "B<0", "fraction_n"],
+)
+def test_f_ell_wedge_integral_matches_closed_form(A, B, k, l, n):
+    assert _f_ell_gap(A, B, k, l, n) < 1e-24
 
 
 def test_f_ell_derivative_profile_brackets():

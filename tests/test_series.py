@@ -1,5 +1,6 @@
 """The divisor-power series, its tail expansion, and the near-integer statistic."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,9 @@ def test_alpha1_against_exact_partial_sum():
 def test_alpha_partial_matches_brute_force():
     assert series.alpha_partial(4, 30) == oracles.alpha_partial_exact(4, 30)
     assert series.alpha_partial(1, 1) == Fraction(1)
+    for k in (1, 4):
+        for n_terms in (1, 2, 7, 60):
+            assert series.alpha_partial(k, n_terms) == oracles.alpha_partial_exact(k, n_terms), (k, n_terms)
 
 
 def test_tail_bound_dominates_true_tail():
@@ -51,6 +55,34 @@ def test_terms_needed_monotone():
     assert series.terms_needed(4, 64) <= series.terms_needed(4, 192)
     n0 = series.terms_needed(4, 128)
     assert series.tail_bound(4, n0) < Fraction(1, 2**128)
+
+
+# n0 for k = 1..8 at bits 1, 64, 128, 4096, 16384, frozen from the
+# candidate-by-candidate search that called tail_bound for every n0
+TERMS_NEEDED = {
+    1: (5, 23, 36, 538, 1756),
+    2: (5, 23, 36, 538, 1756),
+    3: (6, 24, 37, 539, 1757),
+    4: (7, 25, 38, 540, 1758),
+    5: (9, 26, 39, 541, 1759),
+    6: (10, 27, 40, 542, 1760),
+    7: (11, 28, 41, 543, 1761),
+    8: (13, 29, 42, 544, 1762),
+}
+
+
+@pytest.mark.parametrize("k", list(TERMS_NEEDED))
+def test_terms_needed_frozen(k):
+    got = tuple(series.terms_needed(k, bits) for bits in (1, 64, 128, 4096, 16384))
+    assert got == TERMS_NEEDED[k]
+
+
+def test_terms_needed_is_the_first_n0_under_budget():
+    for k in (1, 4, 8):
+        for bits in (64, 300):
+            n0 = series.terms_needed(k, bits)
+            budget = Fraction(1, 2 ** (bits + 1))
+            assert series.tail_bound(k, n0) <= budget < series.tail_bound(k, n0 - 1)
 
 
 def test_zeta_upper_is_an_upper_bound():
@@ -169,3 +201,36 @@ def test_multiplicativity_shortcut_for_p_plus_one():
     assert lhs == oracles.sigma_k(2, 4) * oracles.sigma_k(7, 4)
     theta = Fraction(lhs, p * (p + 1)) + Fraction(1, 16)
     assert series.prop1_statistic_exact(p) == oracles.nearest_int_distance(theta)
+
+
+def _random_primes(seed: int, count: int) -> list[int]:
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = rng.randrange(11, 10**6)
+        if oracles.is_prime(p):
+            out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("j_max", [4, 5, 40])
+def test_tail_sums_against_term_by_term_oracle(j_max):
+    for p in [11, 13] + _random_primes(j_max, 3):
+        naive = oracles.factorial_tail_exact(p, p + j_max)
+        assert series.factorial_tail_exact(p, p + j_max) == naive, p
+        te = series.tail_expansion(p)
+        part, _ = series.tail_partial(p, j_max)
+        assert part == naive - oracles.factorial_tail_exact(p, p + 3), p
+        assert series.factorial_tail_exact(p, p + j_max) == te.leading_sum() + part, p
+
+
+def test_factorial_tail_exact_splits_at_any_point():
+    # sum over [p, n1] = sum over [p, m] + (1/(p...m)) * sum over [m+1, n1]
+    p, n1 = 101, 141
+    whole = series.factorial_tail_exact(p, n1)
+    for m in (p, p + 1, p + 17, n1 - 1):
+        head_den = 1
+        for n in range(p, m + 1):
+            head_den *= n
+        split = series.factorial_tail_exact(p, m) + series.factorial_tail_exact(m + 1, n1) / head_den
+        assert split == whole, m
