@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -119,9 +118,6 @@ def is_prime(n: int) -> bool:
 
 # -- least-prime-factor tables ------------------------------------------
 
-_SPF_MAGIC = b"SPF1"
-
-
 @dataclass
 class SpfTable:
     """Least-prime-factor table for 0..limit (uint32; entries 0 and 1 are 0)."""
@@ -147,26 +143,6 @@ class SpfTable:
                 e += 1
             pairs.append((p, e))
         return pairs
-
-    def dump(self, path: str) -> None:
-        with open(path, "wb") as fh:
-            fh.write(_SPF_MAGIC)
-            fh.write(struct.pack("<Q", self.limit))
-            fh.write(self.spf.astype("<u4", copy=False).tobytes())
-
-    @staticmethod
-    def load(path: str) -> "SpfTable":
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _SPF_MAGIC:
-                raise PreconditionError(f"not a least-factor table file: {path}")
-            (limit,) = struct.unpack("<Q", fh.read(8))
-            data = np.frombuffer(fh.read(), dtype="<u4")
-        if data.size != limit + 1:
-            raise PreconditionError(
-                f"table file truncated: expected {limit + 1} entries, got {data.size}"
-            )
-        return SpfTable(limit=int(limit), spf=data.astype(np.uint32))
 
 
 def build_spf_table(limit: int, budget_mb: int | None = None) -> SpfTable:

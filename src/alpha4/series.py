@@ -31,10 +31,10 @@ __all__ = [
     "tail_expansion",
     "tail_partial",
     "factorial_tail_exact",
+    "prop1_distance",
     "prop1_statistic_exact",
     "prop1_statistic",
     "prop1_statistic_with_r_exact",
-    "prop1_statistic_with_r",
     "expansion_residuals",
 ]
 
@@ -219,12 +219,23 @@ def _require_prime(p: int) -> None:
         raise PreconditionError(f"expected a prime, got {p}")
 
 
+def prop1_distance(p: int, sigma4_p1: int, r: int | None = None) -> Fraction:
+    """Exact || sigma_4(p+1)/(p(p+1)) + 1/16 [+ (p+1)/r^4] || given sigma_4(p+1).
+
+    The caller vouches that p is prime and that r, if given, is a divisor
+    > 1 of p+2; the public statistics below check both.
+    """
+    num, den = 16 * sigma4_p1 + p * (p + 1), 16 * p * (p + 1)
+    if r is not None:
+        num, den = num * r**4 + 16 * p * (p + 1) ** 2, den * r**4
+    f = num % den
+    return Fraction(min(f, den - f), den)
+
+
 def prop1_statistic_exact(p: int, spf: SpfTable | None = None) -> Fraction:
     """Exact || sigma_4(p+1)/(p(p+1)) + 1/16 || at a prime p."""
     _require_prime(p)
-    theta = Fraction(sigma_k(p + 1, 4, spf), p * (p + 1)) + Fraction(1, 16)
-    f = theta % 1
-    return min(f, 1 - f)
+    return prop1_distance(p, sigma_k(p + 1, 4, spf))
 
 
 def prop1_statistic(p: int, spf: SpfTable | None = None) -> BigRealWithError:
@@ -239,17 +250,7 @@ def prop1_statistic_with_r_exact(
     _require_prime(p)
     if r <= 1 or (p + 2) % r != 0:
         raise PreconditionError(f"r={r} must be a divisor > 1 of p+2 = {p + 2}")
-    theta = (
-        Fraction(sigma_k(p + 1, 4, spf), p * (p + 1))
-        + Fraction(1, 16)
-        + Fraction(p + 1, r**4)
-    )
-    f = theta % 1
-    return min(f, 1 - f)
-
-
-def prop1_statistic_with_r(p: int, r: int, spf: SpfTable | None = None) -> BigRealWithError:
-    return BigRealWithError.exact(prop1_statistic_with_r_exact(p, r, spf))
+    return prop1_distance(p, sigma_k(p + 1, 4, spf), r)
 
 
 # -- residuals of the term-by-term expansion ---------------------------------

@@ -12,6 +12,13 @@ exactly one (called r). Alongside S, four counting families track how
 often the near-integer statistic is small, with and without the
 r-correction, and how the smooth/rough split of p+1 interacts; their
 exact definitions are in count_sigmas.
+
+Both enumerate_S and count_sigmas consume one walk over the base
+candidates (_walk): each prime p = -1 mod W in (x/2, x] whose odd half
+clears z_small is yielded once, with p+2 and the odd half factored, its
+window primes listed and its membership in S decided; p+1 is factored
+only when a statistic or the smoothness test asks for it.
+partition_check stays an independent re-derivation of every condition.
 """
 
 from __future__ import annotations
@@ -19,18 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-import numpy as np
-
-from .arith import (
-    Factorization,
-    PrimeRange,
-    SpfTable,
-    factorize,
-    primes_in,
-)
+from .arith import Factorization, PrimeRange, SpfTable, factorize
 from .errors import PreconditionError
-from .series import prop1_statistic_exact, prop1_statistic_with_r_exact
+from .series import prop1_distance
 from .sieve import ScaleParams
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "count_sigmas",
     "partition_check",
     "near_integer_histogram",
-    "convenient_factor_filter",
-    "convenient_factor_density",
 ]
 
 CLASS_NO_MID = "no_mid_factor"
@@ -76,12 +74,47 @@ class SpecialPrimeRecord:
             raise PreconditionError("members satisfy p = 3 mod 4, so (p+3)/2 is odd")
 
 
-def _candidate_primes(params: ScaleParams):
-    """Primes p = -1 mod W in (x/2, x]."""
-    x, w = params.x, params.W
+class _Candidate:
+    """A base candidate p: p+2 and the odd half factored, p+1 on demand.
+
+    window lists the prime factors of p+2 in (z_lo, z_hi]; in_S is the
+    membership rule of S, the only place it is written outside
+    partition_check.
+    """
+
+    def __init__(self, p: int, params: ScaleParams, f3: Factorization, spf: SpfTable | None):
+        zl, zh = params.z_quarter_lo, params.z_quarter_hi
+        self.p, self.f3, self.spf = p, f3, spf
+        self.f2 = factorize(p + 2, spf)
+        self.window = [q for q, _ in self.f2.pairs if zl < q <= zh]
+        self.in_S = (
+            self.f2.is_squarefree()
+            and self.f2.least_prime_factor() > zl
+            and len(self.window) <= 1
+        )
+
+    @cached_property
+    def f1(self) -> Factorization:
+        return factorize(self.p + 1, self.spf)
+
+    @cached_property
+    def sigma4_p1(self) -> int:
+        return self.f1.sigma(4)
+
+    def stat(self, r: int | None = None) -> Fraction:
+        return prop1_distance(self.p, self.sigma4_p1, r)
+
+
+def _walk(params: ScaleParams, spf: SpfTable | None):
+    """Each base candidate once, in increasing p: primes p = -1 mod W in
+    (x/2, x] whose odd half (p+3)/2 has no prime factor <= z_small."""
+    x, w, zs = params.x, params.W, params.z_small
     for p in PrimeRange(x // 2, x):
-        if p % w == w - 1:
-            yield p
+        if p % w != w - 1:
+            continue
+        f3 = factorize((p + 3) // 2, spf)
+        if f3.least_prime_factor() > zs:
+            yield _Candidate(p, params, f3, spf)
 
 
 def enumerate_S(params: ScaleParams, spf: SpfTable | None = None) -> list[SpecialPrimeRecord]:
@@ -90,46 +123,23 @@ def enumerate_S(params: ScaleParams, spf: SpfTable | None = None) -> list[Specia
     Factoring reads spf, a least-factor table covering x + 3; without one
     it falls back to trial division.
     """
-    zs, zl, zh = params.z_small, params.z_quarter_lo, params.z_quarter_hi
     out: list[SpecialPrimeRecord] = []
-    for p in _candidate_primes(params):
-        f2 = factorize(p + 2, spf)
-        if not f2.is_squarefree():
+    for c in _walk(params, spf):
+        if not c.in_S:
             continue
-        if f2.least_prime_factor() <= zl:
-            continue
-        mids = [q for q, _ in f2.pairs if zl < q <= zh]
-        if len(mids) > 1:
-            continue
-        f3 = factorize((p + 3) // 2, spf)
-        if f3.pairs and f3.least_prime_factor() <= zs:
-            continue
-        f1 = factorize(p + 1, spf)
-        stat_plain = prop1_statistic_exact(p, spf)
-        if mids:
-            r = mids[0]
-            rec = SpecialPrimeRecord(
-                p=p,
-                klass=CLASS_ONE_MID,
+        r = c.window[0] if c.window else None
+        out.append(
+            SpecialPrimeRecord(
+                p=c.p,
+                klass=CLASS_NO_MID if r is None else CLASS_ONE_MID,
                 r=r,
-                factor_p1=f1,
-                factor_p2=f2,
-                factor_p3=f3,
-                stat_plain=stat_plain,
-                stat_r=prop1_statistic_with_r_exact(p, r, spf),
+                factor_p1=c.f1,
+                factor_p2=c.f2,
+                factor_p3=c.f3,
+                stat_plain=c.stat(),
+                stat_r=None if r is None else c.stat(r),
             )
-        else:
-            rec = SpecialPrimeRecord(
-                p=p,
-                klass=CLASS_NO_MID,
-                r=None,
-                factor_p1=f1,
-                factor_p2=f2,
-                factor_p3=f3,
-                stat_plain=stat_plain,
-                stat_r=None,
-            )
-        out.append(rec)
+        )
     return out
 
 
@@ -167,10 +177,7 @@ class SigmaCounters:
 
 
 def count_sigmas(
-    params: ScaleParams,
-    delta: float,
-    spf: SpfTable | None = None,
-    records: list[SpecialPrimeRecord] | None = None,
+    params: ScaleParams, delta: float, spf: SpfTable | None = None
 ) -> SigmaCounters:
     """Count the four families over the base set of candidates.
 
@@ -186,52 +193,41 @@ def count_sigmas(
       sigma4: pairs like sigma3 but p+1 not smooth, and the r-corrected
               statistic <= delta.
 
-    delta is compared exactly, at the binary value of the given float.
-    spf is used as in enumerate_S.
+    S_total counts the members of S on the same walk, by the same rule
+    as enumerate_S. delta must be finite and nonnegative; it is compared
+    exactly, at the binary value of the given float. spf is used as in
+    enumerate_S.
     """
-    zs, zl, zh = params.z_small, params.z_quarter_lo, params.z_quarter_hi
+    if not math.isfinite(delta) or delta < 0:
+        raise PreconditionError(f"delta must be finite and nonnegative, got {delta}")
+    zl, zh = params.z_quarter_lo, params.z_quarter_hi
     d = Fraction(delta)
     y_smooth = params.x**params.smooth_exp
-    s1 = s2 = s3 = s4 = 0
-    for p in _candidate_primes(params):
-        f3 = factorize((p + 3) // 2, spf)
-        if f3.pairs and f3.least_prime_factor() <= zs:
-            continue
-        f2 = factorize(p + 2, spf)
-        lpf2 = f2.least_prime_factor()
-        if lpf2 > zh and prop1_statistic_exact(p, spf) <= d:
+    s1 = s2 = s3 = s4 = S_total = 0
+    for c in _walk(params, spf):
+        S_total += c.in_S
+        lpf2 = c.f2.least_prime_factor()
+        if lpf2 > zh and c.stat() <= d:
             s1 += 1
-        window_rs = [q for q, _ in f2.pairs if zl < q <= zh]
-        if not window_rs:
+        if not c.window:
             continue
         rough = lpf2 > zl
-        smooth = None
-        for r in window_rs:
-            cof = (p + 2) // r
-            cof_ok = cof == 1 or factorize(cof, spf).least_prime_factor() > zh
-            stat_r_small = None
-            if cof_ok:
-                stat_r_small = prop1_statistic_with_r_exact(p, r, spf) <= d
-                if stat_r_small:
-                    s2 += 1
+        for r in c.window:
+            # prime factors of the cofactor (p+2)/r, read off p+2's factorization
+            cof = [q for q, e in c.f2.pairs if q != r or e > 1]
+            if (not cof or cof[0] > zh) and c.stat(r) <= d:
+                s2 += 1
             if rough:
-                if smooth is None:
-                    smooth = factorize(p + 1, spf).greatest_prime_factor() <= y_smooth
-                if smooth:
+                if c.f1.greatest_prime_factor() <= y_smooth:
                     s3 += 1
-                else:
-                    if stat_r_small is None:
-                        stat_r_small = prop1_statistic_with_r_exact(p, r, spf) <= d
-                    if stat_r_small:
-                        s4 += 1
-    if records is None:
-        records = enumerate_S(params, spf)
+                elif c.stat(r) <= d:
+                    s4 += 1
     return SigmaCounters(
         sigma1=s1,
         sigma2=s2,
         sigma3=s3,
         sigma4=s4,
-        S_total=len(records),
+        S_total=S_total,
         parameters=params,
         delta=float(delta),
     )
@@ -344,42 +340,4 @@ def near_integer_histogram(records: list[SpecialPrimeRecord], bins: int = 20) ->
         "n_r": len(withr),
         "ks_plain": ks(plain),
         "ks_r": ks(withr),
-    }
-
-
-def convenient_factor_filter(n: int, lo: int, hi: int, spf: SpfTable | None = None) -> bool:
-    """Whether n has a prime factor in (lo, hi]."""
-    if n < 1:
-        raise PreconditionError(f"need n >= 1, got {n}")
-    if hi <= lo:
-        raise PreconditionError(f"empty-ordered window ({lo}, {hi}]")
-    return any(lo < q <= hi for q, _ in factorize(n, spf).pairs)
-
-
-def convenient_factor_density(n_limit: int, lo: int, hi: int) -> dict:
-    """Density of the filter over 1..n_limit against the Mertens heuristic.
-
-    The expected density 1 - prod_{lo < p <= hi} (1 - 1/p) treats the
-    divisibility events as exact proportions; over a finite range each
-    prime p contributes floor-error O(1/n_limit), so agreement within a
-    percent needs n_limit comfortably above hi. Reported, not asserted.
-    """
-    if n_limit < 1:
-        raise PreconditionError("n_limit must be >= 1")
-    flags = np.zeros(n_limit + 1, dtype=bool)
-    for p in primes_in(lo, hi):
-        if p <= n_limit:
-            flags[p::p] = True
-    density = float(np.count_nonzero(flags[1:])) / n_limit
-    expected = 1.0
-    for p in primes_in(lo, hi):
-        expected *= 1.0 - 1.0 / p
-    expected = 1.0 - expected
-    return {
-        "n_limit": n_limit,
-        "window": [lo, hi],
-        "density": density,
-        "expected": expected,
-        "abs_gap": abs(density - expected),
-        "rel_gap": abs(density - expected) / expected if expected else math.inf,
     }

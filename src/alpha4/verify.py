@@ -437,7 +437,7 @@ def _special_context(ctx: dict):
 def check_special_set(ctx: dict) -> dict:
     params, spf, records = _special_context(ctx)
     delta = 0.05
-    counters = special.count_sigmas(params, delta, spf=spf, records=records)
+    counters = special.count_sigmas(params, delta, spf=spf)
     part = special.partition_check(records, params)
 
     oracle_members = _oracle_enumerate(

@@ -82,16 +82,6 @@ def test_spf_table_full_agreement(spf_million):
         assert spf_million.least_prime_factor(n) == oracles.least_prime_factor(n)
 
 
-def test_spf_dump_load_roundtrip(tmp_path):
-    spf = arith.build_spf_table(5000)
-    path = str(tmp_path / "spf.npz")
-    spf.dump(path)
-    back = arith.SpfTable.load(path)
-    assert back.limit == spf.limit
-    for n in (2, 3, 4, 91, 4999):
-        assert back.least_prime_factor(n) == spf.least_prime_factor(n)
-
-
 def test_factorize_small_and_against_oracle():
     f = arith.factorize(360)
     assert dict(f.pairs) == {2: 3, 3: 2, 5: 1}

@@ -222,6 +222,15 @@ def test_special_sigmas(capsys):
     assert [res["sigma1"], res["sigma2"], res["sigma3"], res["sigma4"]] == [10, 0, 2, 0]
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "-1"])
+def test_special_sigmas_rejects_bad_delta(delta, capsys):
+    rc, out, err = run(["special", "sigmas", "--x", "10000", "--delta", delta], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "delta" in err
+
+
 def test_special_sigmas_honors_budget(capsys, monkeypatch):
     # a zero budget refuses the least-factor table once; nothing rebuilds it
     calls = []

@@ -1,12 +1,14 @@
 """The special prime set, its class split, counters, and diagnostics."""
 
+import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from alpha4 import sieve, special
+from alpha4 import cli, sieve, special
 from alpha4.errors import PreconditionError
 
 X4 = 10**4
@@ -127,15 +129,14 @@ def test_crt_locates_an_enumerated_pair(spf_million):
 
 def test_sigma_counters_match_brute_force(spf_million):
     params = params_at_1e4()
-    recs = special.enumerate_S(params, spf_million)
     for delta in (0.05, 0.5):
-        c = special.count_sigmas(params, delta, spf=spf_million, records=recs)
+        c = special.count_sigmas(params, delta, spf=spf_million)
         want = brute_sigmas(
             X4, params.W, params.z_small, params.z_quarter_lo, params.z_quarter_hi,
             params.smooth_exp, delta,
         )
         assert (c.sigma1, c.sigma2, c.sigma3, c.sigma4) == want, delta
-    c = special.count_sigmas(params, 0.05, spf=spf_million, records=recs)
+    c = special.count_sigmas(params, 0.05, spf=spf_million)
     assert (c.sigma1, c.sigma2, c.sigma3, c.sigma4) == (10, 0, 2, 0)
     assert c.S_total == 81
 
@@ -145,13 +146,30 @@ def test_sigma_counters_at_half_cover_the_classes(spf_million):
     # counts exactly the one-mid pairs with a rough cofactor
     params = params_at_1e4()
     recs = special.enumerate_S(params, spf_million)
-    c = special.count_sigmas(params, 0.5, spf=spf_million, records=recs)
+    c = special.count_sigmas(params, 0.5, spf=spf_million)
     one_mid = sum(1 for r in recs if r.klass == "one_mid_factor")
     assert c.sigma2 == one_mid == 10
     # sigma1 also admits non-squarefree p+2, so it can only exceed the class
     no_mid = sum(1 for r in recs if r.klass == "no_mid_factor")
     assert c.sigma1 >= no_mid
     assert (c.sigma1, c.sigma3, c.sigma4) == (73, 2, 9)
+
+
+def test_count_sigmas_walks_once(spf_million, monkeypatch):
+    # S_total comes from count_sigmas' own walk, never from enumerate_S
+    def refuse(*args, **kwargs):
+        raise AssertionError("count_sigmas enumerated S a second time")
+
+    monkeypatch.setattr(special, "enumerate_S", refuse)
+    c = special.count_sigmas(params_at_1e4(), 0.05, spf=spf_million)
+    assert c.S_total == 81
+    assert (c.sigma1, c.sigma2, c.sigma3, c.sigma4) == (10, 0, 2, 0)
+
+
+def test_count_sigmas_at_desk_scale(desk_params, spf_million):
+    c = special.count_sigmas(desk_params, 0.05, spf=spf_million)
+    assert c.S_total == 4110
+    assert [c.sigma1, c.sigma2, c.sigma3, c.sigma4] == [338, 58, 87, 65]
 
 
 def test_sigma_counter_consistency_is_enforced():
@@ -244,19 +262,25 @@ def test_histogram_empty_r_column():
     assert rep["n_plain"] == 0
 
 
-def test_convenient_factor_filter(spf_million):
-    assert special.convenient_factor_filter(62, 20, 40, spf_million)  # 62 = 2 * 31
-    assert not special.convenient_factor_filter(61, 20, 40, spf_million)  # prime above
-    assert not special.convenient_factor_filter(20, 20, 40, spf_million)  # lo exclusive
-    assert special.convenient_factor_filter(23, 20, 40, spf_million)
-    with pytest.raises(PreconditionError):
-        special.convenient_factor_filter(62, 40, 20)
+# SHA-256 of `special enumerate --format jsonl` stdout, frozen before the
+# two candidate loops became one walk
+ENUMERATE_JSONL = {
+    10**5: "70ccfbd9b9434da4599a8481fe79fc31d969e2cac15bb1866c631758b2794231",
+    10**6: "fcd2e9da41833250315cfebc739e1ce479a02044c72b14e6559239aba166a5a4",
+}
 
 
-def test_convenient_factor_density_near_heuristic():
-    rep = special.convenient_factor_density(3000, 20, 40)
-    brute = sum(
-        1 for n in range(1, 3001) if any(20 < q <= 40 for q in oracles.factor(n))
-    )
-    assert rep["density"] == pytest.approx(brute / 3000, abs=1e-12)
-    assert rep["rel_gap"] < 0.01
+@pytest.mark.parametrize("x", list(ENUMERATE_JSONL))
+def test_enumerate_jsonl_is_frozen(x, capsys):
+    rc = cli.dispatch(["special", "enumerate", "--x", str(x), "--format", "jsonl"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_JSONL[x]
+
+
+def test_sigmas_at_1e5_are_frozen(capsys):
+    rc = cli.dispatch(["special", "sigmas", "--x", "100000", "--delta", "0.05"])
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert rc == 0
+    assert res["S_total"] == 569
+    assert (res["sigma1"], res["sigma2"], res["sigma3"], res["sigma4"]) == (59, 6, 13, 6)
