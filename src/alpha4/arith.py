@@ -11,7 +11,6 @@ surviving cofactors.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -27,20 +26,11 @@ __all__ = [
     "SpfTable",
     "Factorization",
     "PrimeRange",
-    "memory_budget_mb",
     "primes_upto",
     "is_prime",
     "build_spf_table",
     "factorize",
     "sigma_k",
-    "mobius",
-    "euler_phi",
-    "omega",
-    "tau",
-    "least_prime_factor",
-    "greatest_prime_factor",
-    "is_squarefree",
-    "divisors",
     "crt_combine",
     "distance_to_nearest_integer",
 ]
@@ -56,18 +46,12 @@ _SMALL_LIMIT = 1 << 16
 _small_primes: list[int] | None = None
 
 
-def memory_budget_mb() -> int:
-    """Active memory budget in MB (ALPHA4_BUDGET_MB env, default 512)."""
-    raw = os.environ.get("ALPHA4_BUDGET_MB")
-    if raw is None:
-        return DEFAULT_BUDGET_MB
-    try:
-        v = int(raw)
-    except ValueError:
-        raise PreconditionError(f"ALPHA4_BUDGET_MB must be an integer, got {raw!r}")
-    if v <= 0:
-        raise PreconditionError("ALPHA4_BUDGET_MB must be positive")
-    return v
+def require_budget(need: int, budget_mb: int | None, what: str) -> None:
+    """Refuse an allocation of `need` bytes past the memory budget (default
+    DEFAULT_BUDGET_MB) rather than swap."""
+    budget = (DEFAULT_BUDGET_MB if budget_mb is None else budget_mb) * 2**20
+    if need > budget:
+        raise BudgetError(f"{what} needs {need // 2**20} MB, budget is {budget // 2**20} MB")
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -148,19 +132,13 @@ class SpfTable:
 def build_spf_table(limit: int, budget_mb: int | None = None) -> SpfTable:
     """Sieve least prime factors up to `limit` (4 bytes per entry).
 
-    Refuses to allocate past the active memory budget rather than swap.
+    Refuses to allocate past the memory budget rather than swap.
     """
     if limit < 2:
         raise PreconditionError("table limit must be at least 2")
     if limit >= 2**32:
         raise PreconditionError("table entries are uint32; limit must be < 2^32")
-    budget = (budget_mb if budget_mb is not None else memory_budget_mb()) * 1024 * 1024
-    need = 4 * (limit + 1)
-    if need > budget:
-        raise BudgetError(
-            f"least-factor table for limit={limit} needs {need // 2**20} MB, "
-            f"budget is {budget // 2**20} MB"
-        )
+    require_budget(4 * (limit + 1), budget_mb, f"least-factor table for limit={limit}")
     spf = np.zeros(limit + 1, dtype=np.uint32)
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:
@@ -205,23 +183,6 @@ class Factorization:
                 pk = p**k
                 out *= (pk ** (e + 1) - 1) // (pk - 1)
         return out
-
-    def mobius(self) -> int:
-        if any(e > 1 for _, e in self.pairs):
-            return 0
-        return -1 if len(self.pairs) % 2 else 1
-
-    def euler_phi(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= (p - 1) * p ** (e - 1)
-        return out
-
-    def omega(self) -> int:
-        return len(self.pairs)
-
-    def tau(self) -> int:
-        return self.sigma(0)
 
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.pairs)
@@ -339,40 +300,6 @@ def factorize(n, spf: SpfTable | None = None) -> Factorization:
 def sigma_k(n, k: int, spf: SpfTable | None = None) -> int:
     """Sum of k-th powers of the divisors of n."""
     return factorize(n, spf).sigma(k)
-
-
-def mobius(n, spf: SpfTable | None = None) -> int:
-    return factorize(n, spf).mobius()
-
-
-def euler_phi(n, spf: SpfTable | None = None) -> int:
-    return factorize(n, spf).euler_phi()
-
-
-def omega(n, spf: SpfTable | None = None) -> int:
-    """Number of distinct prime factors."""
-    return factorize(n, spf).omega()
-
-
-def tau(n, spf: SpfTable | None = None) -> int:
-    """Number of divisors."""
-    return factorize(n, spf).tau()
-
-
-def least_prime_factor(n, spf: SpfTable | None = None) -> int:
-    return factorize(n, spf).least_prime_factor()
-
-
-def greatest_prime_factor(n, spf: SpfTable | None = None) -> int:
-    return factorize(n, spf).greatest_prime_factor()
-
-
-def is_squarefree(n, spf: SpfTable | None = None) -> bool:
-    return factorize(n, spf).is_squarefree()
-
-
-def divisors(n, spf: SpfTable | None = None) -> list[int]:
-    return factorize(n, spf).divisors()
 
 
 # -- prime ranges ---------------------------------------------------------

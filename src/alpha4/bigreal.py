@@ -3,7 +3,7 @@
 BigRealWithError is a value together with a rigorous absolute error
 radius. It is deliberately not a general interval library: it supports
 exactly the operations the series and density code needs (add, subtract,
-multiply, division by exact rationals, widening by a known tail bound,
+multiply, widening by a known tail bound, certified leading digits,
 distance to the nearest integer) and propagates radii conservatively.
 
 Radius bookkeeping: every arithmetic op adds the incoming radii (with
@@ -102,9 +102,6 @@ class BigRealWithError:
             raise ValueError("cannot widen by a negative amount")
         return BigRealWithError(self.value, _pad(self.err + e))
 
-    def digits(self, n: int = 20) -> str:
-        return mp.nstr(self.value, n)
-
     def leading_decimal(self, n: int) -> str:
         """The first n significant digits, truncated (never rounded up).
 
@@ -158,14 +155,6 @@ class BigRealWithError:
         return BigRealWithError(v, _pad(r))
 
     __rmul__ = __mul__
-
-    def div_exact(self, q) -> "BigRealWithError":
-        """Divide by a nonzero int or Fraction."""
-        if not isinstance(q, Rational):
-            raise TypeError("div_exact takes an exact rational divisor")
-        if q == 0:
-            raise ZeroDivisionError("division by zero")
-        return self * BigRealWithError.exact(Fraction(1, 1) / Fraction(q))
 
     # -- distance to the nearest integer --------------------------------
 

@@ -30,10 +30,9 @@ SCHEMA = 1
 
 @dataclasses.dataclass
 class RunConfig:
-    """Knobs shared across commands (mostly via global flags)."""
+    """Knobs shared across commands: the global flags."""
 
     budget_mb: int | None = None
-    term_budget: int = 10**9
     preset: str = "desk"
     fmt: str = "json"
     seed: int = 0
@@ -269,20 +268,14 @@ def _spec_from_args(args) -> expsums.PhaseSpec:
 
 def cmd_expsum_basic(args, cfg: RunConfig) -> int:
     spec = expsums.make_basic_phase(args.A, args.B, args.lo, args.hi)
-    res = expsums.eval_phase(
-        spec,
-        threads=cfg.threads,
-        engine=args.engine,
-        prec_bits=args.prec_bits,
-        term_budget=cfg.term_budget,
-    )
+    res = expsums.eval_phase(spec, threads=cfg.threads, engine=args.engine, prec_bits=args.prec_bits)
     emit({"spec": spec, "result": res}, cfg, "expsum basic")
     return 0
 
 
 def cmd_expsum_lemma61(args, cfg: RunConfig) -> int:
     spec = expsums.make_lemma61_phase(args.h, args.m, args.r, args.lo, args.hi, v=args.v)
-    res = expsums.eval_phase(spec, engine=args.engine, prec_bits=args.prec_bits, term_budget=cfg.term_budget)
+    res = expsums.eval_phase(spec, engine=args.engine, prec_bits=args.prec_bits)
     payload = {"spec": spec, "result": res}
     if args.check_rewrite:
         payload["change_of_variables"] = expsums.lemma61_change_of_variables(spec)
@@ -461,7 +454,7 @@ def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
     p.add_argument("--preset", choices=("desk", "paper"), default=d if suppress else "desk")
     p.add_argument("--seed", type=int, default=d if suppress else 0)
     p.add_argument("--threads", type=int, default=d, help="worker processes for the exact engine of expsum basic")
-    p.add_argument("--budget-mb", type=int, default=d, help="memory budget (default: ALPHA4_BUDGET_MB or 512)")
+    p.add_argument("--budget-mb", type=int, default=d, help="memory budget in MB (default 512)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -618,9 +611,13 @@ def dispatch(argv: list[str]) -> int:
         seed=args.seed,
         budget_mb=args.budget_mb,
     )
-    if getattr(args, "threads", None):
-        cfg.threads = args.threads
     try:
+        if args.threads is not None:
+            if args.threads < 1:
+                raise PreconditionError(f"--threads must be at least 1, got {args.threads}")
+            cfg.threads = args.threads
+        if args.budget_mb is not None and args.budget_mb < 0:
+            raise PreconditionError(f"--budget-mb must be nonnegative, got {args.budget_mb}")
         return args.fn(args, cfg)
     except (PreconditionError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,14 +19,13 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .arith import memory_budget_mb, primes_upto
+from .arith import primes_upto, require_budget
 from .bigreal import BigRealWithError
-from .errors import BudgetError, PreconditionError
+from .errors import PreconditionError
 
 __all__ = [
     "U_MAX",
     "rho",
-    "rho_derivative",
     "RhoSolution",
     "rho_solution",
     "RhoTenThirds",
@@ -116,15 +115,6 @@ class _RhoPanels:
                 s = s * y + a[j]
             return s, err
 
-    def derivative(self, u) -> mp.mpf:
-        with mp.workdps(self.dps):
-            k, a, _ = self._locate(u)
-            y = mp.mpf(u) - (2 * k + 1) / mp.mpf(2)
-            s = mp.mpf(0)
-            for j in range(self.terms, 0, -1):
-                s = s * y + j * a[j]
-            return s
-
 
 _panel_cache: dict[tuple[int, int], _RhoPanels] = {}
 
@@ -154,14 +144,6 @@ def rho(u, tol: float = DEFAULT_TOL) -> BigRealWithError:
                 f"cannot certify rho({u}) to {tol}: reached error {float(err)}"
             )
     return BigRealWithError(v, err)
-
-
-def rho_derivative(u) -> mp.mpf:
-    """Series derivative of rho at u in (1, 20] (for delay-residual checks)."""
-    u = float(u)
-    if not 1 < u <= U_MAX:
-        raise PreconditionError(f"rho_derivative domain is (1, {U_MAX}], got {u}")
-    return _get_panels().derivative(u)
 
 
 @dataclass(frozen=True)
@@ -204,9 +186,6 @@ class RhoTenThirds:
     dropped_bound: float
     marching: BigRealWithError
     agreement: float
-
-    def below_threshold(self, threshold: float = 0.025) -> bool:
-        return self.value <= threshold and self.dropped_bound <= threshold
 
 
 def rho_ten_thirds_quadrature(dps: int = 30) -> RhoTenThirds:
@@ -266,13 +245,7 @@ def psi_exact(x: int, y: float, budget_mb: int | None = None) -> int:
         raise PreconditionError(f"psi_exact needs x >= 1, got {x}")
     if y < 1:
         raise PreconditionError(f"psi_exact needs y >= 1, got {y}")
-    budget = (budget_mb if budget_mb is not None else memory_budget_mb()) * 1024 * 1024
-    need = 8 * (x + 1)
-    if need > budget:
-        raise BudgetError(
-            f"psi_exact at x={x} needs {need // 2**20} MB of residuals, "
-            f"budget is {budget // 2**20} MB"
-        )
+    require_budget(8 * (x + 1), budget_mb, f"psi_exact residuals at x={x}")
     if y < 2:
         return 1  # only n = 1 has no prime factor
     res = np.arange(x + 1, dtype=np.int64)

@@ -40,16 +40,12 @@ __all__ = [
     "make_lemma61_phase",
     "make_lemma62_inner_phase",
     "minus_inverse_residue",
-    "coeff_A",
-    "coeff_B",
     "phase_fraction",
     "phase_mpf",
     "required_prec_bits",
     "eval_phase",
     "lemma61_change_of_variables",
     "lemma61_ap_oracle",
-    "inner62_coefficient",
-    "inner62_magnitude",
     "weyl_difference_check",
     "f_ell_closed",
     "f_ell_integral",
@@ -216,29 +212,6 @@ def make_lemma62_inner_phase(
 
 
 # -- coefficients and phase values -----------------------------------------
-
-
-def coeff_A(spec: PhaseSpec):
-    """The quadratic-term coefficient (h sigma_4(m)/m^2 for lemma61)."""
-    if spec.kind == "lemma62_inner":
-        raise PreconditionError("lemma62_inner has a single linear coefficient")
-    return spec.coefficients.A
-
-
-def coeff_B(spec: PhaseSpec):
-    """The linear-term coefficient (h sigma_4(m)/m^3 for lemma61)."""
-    if spec.kind == "lemma62_inner":
-        raise PreconditionError("lemma62_inner has a single linear coefficient")
-    return spec.coefficients.B
-
-
-def inner62_coefficient(spec: PhaseSpec, l1: int | None = None, l2: int | None = None) -> Fraction:
-    """C(l1, l2) = A1 (2 j r^2 (l1 - l2) + r^-2 [(l1+j)^-2 - l1^-2 - (l2+j)^-2 + l2^-2])."""
-    if spec.kind != "lemma62_inner":
-        raise PreconditionError("inner coefficient is defined for lemma62_inner specs")
-    l1 = spec.l1 if l1 is None else l1
-    l2 = spec.l2 if l2 is None else l2
-    return _slope62(spec.coefficients.A, spec.j, spec.r, l1, l2)
 
 
 def phase_fraction(spec: PhaseSpec, n: int) -> Fraction:
@@ -459,39 +432,6 @@ def lemma61_ap_oracle(spec: PhaseSpec) -> float:
     return abs(_sum_e((A * (Fraction(n**2) + Fraction(1, n**2)) + (B + lin) * n) % 1 for n in ns))
 
 
-def inner62_magnitude(spec: PhaseSpec) -> dict:
-    """Split the inner linear coefficient into main and correction parts.
-
-    main = A1 * 2 j r^2 (l1 - l2); the correction collects the four
-    inverse squares and is at most 4 A1 / r^2 in modulus, giving a
-    relative size below 2/(j r^4 |l1 - l2|) when l1 != l2. Antisymmetry
-    in (l1, l2) and the zero diagonal are verified exactly.
-    """
-    if spec.kind != "lemma62_inner":
-        raise PreconditionError("magnitude report needs a lemma62_inner spec")
-    a1, coeff = spec.coefficients.A, spec.coefficients.C
-    main = a1 * 2 * spec.j * spec.r**2 * (spec.l1 - spec.l2)
-    corr = coeff - main
-    corr_bound = abs(a1) * Fraction(4, spec.r**2)
-    anti = inner62_coefficient(spec, spec.l2, spec.l1)
-    diag = inner62_coefficient(spec, spec.l1, spec.l1)
-    out = {
-        "coefficient": coeff,
-        "main": main,
-        "correction": corr,
-        "correction_bound": corr_bound,
-        "correction_within_bound": abs(corr) <= corr_bound,
-        "antisymmetric": anti == -coeff,
-        "zero_diagonal": diag == 0,
-    }
-    if spec.l1 != spec.l2:
-        rel_bound = Fraction(2, spec.j * spec.r**4 * abs(spec.l1 - spec.l2))
-        out["relative_correction"] = abs(corr) / abs(main) if main else None
-        out["relative_bound"] = rel_bound
-        out["relative_within_bound"] = main != 0 and abs(corr) <= rel_bound * abs(main)
-    return out
-
-
 # -- differencing ------------------------------------------------------------
 
 
@@ -671,6 +611,22 @@ def _dyadic_uniform(rng, lo: Fraction, hi: Fraction) -> Fraction:
     return lo + Fraction(rng.random()) * (hi - lo)
 
 
+def _scan_row(family: str, spec: PhaseSpec, flag_above: float = math.inf, **labels) -> dict:
+    """One survey row: the family, the labels in the order given (csv column
+    order follows it), then the sum's size; flagged when |S|/sqrt(N) > flag_above."""
+    res = eval_phase(spec)
+    ratio = abs(res.value) / math.sqrt(res.n_terms)
+    return {
+        "family": family,
+        **labels,
+        "n_terms": res.n_terms,
+        "abs_sum": abs(res.value),
+        "normalized_modulus": res.normalized_modulus,
+        "ratio_vs_sqrt": ratio,
+        "flagged": ratio > flag_above,
+    }
+
+
 def cancellation_scan(
     family: str,
     count: int = 12,
@@ -704,19 +660,7 @@ def cancellation_scan(
             for _ in range(count):
                 A = _dyadic_uniform(rng, Fraction(Q) ** 5, Fraction(Q) ** 6)
                 B = A * Fraction(rng.random()) / Q**2
-                spec = make_basic_phase(A, B, Q, 2 * Q)
-                res = eval_phase(spec)
-                rows.append(
-                    {
-                        "family": family,
-                        "Q": Q,
-                        "n_terms": res.n_terms,
-                        "abs_sum": abs(res.value),
-                        "normalized_modulus": res.normalized_modulus,
-                        "ratio_vs_sqrt": abs(res.value) / math.sqrt(res.n_terms),
-                        "flagged": False,
-                    }
-                )
+                rows.append(_scan_row(family, make_basic_phase(A, B, Q, 2 * Q), Q=Q))
     elif family == "resonant":
         qs = qs or (1 << 10,)
         dens = (2, 3, 4, 6, 8)
@@ -725,20 +669,7 @@ def cancellation_scan(
                 q = dens[i % len(dens)]
                 A = Fraction(1 + rng.randrange(q), q)
                 spec = make_basic_phase(A, Fraction(0), Q, 2 * Q)
-                res = eval_phase(spec)
-                ratio = abs(res.value) / math.sqrt(res.n_terms)
-                rows.append(
-                    {
-                        "family": family,
-                        "Q": Q,
-                        "A_denominator": q,
-                        "n_terms": res.n_terms,
-                        "abs_sum": abs(res.value),
-                        "normalized_modulus": res.normalized_modulus,
-                        "ratio_vs_sqrt": ratio,
-                        "flagged": ratio > 3.0,
-                    }
-                )
+                rows.append(_scan_row(family, spec, flag_above=3.0, Q=Q, A_denominator=q))
     else:
         r = 101
         Q = round(x_scale ** 0.35)
@@ -747,24 +678,8 @@ def cancellation_scan(
             while math.gcd(m, r) != 1:
                 m += 1
             h = 1 + rng.randrange(3)
-            hi = max(16, Q // r)
-            spec = make_lemma61_phase(h, m, r, 0, hi)
-            res = eval_phase(spec)
-            rows.append(
-                {
-                    "family": family,
-                    "x_scale": x_scale,
-                    "h": h,
-                    "m": m,
-                    "r": r,
-                    "v": spec.v,
-                    "n_terms": res.n_terms,
-                    "abs_sum": abs(res.value),
-                    "normalized_modulus": res.normalized_modulus,
-                    "ratio_vs_sqrt": abs(res.value) / math.sqrt(res.n_terms),
-                    "flagged": False,
-                }
-            )
+            spec = make_lemma61_phase(h, m, r, 0, max(16, Q // r))
+            rows.append(_scan_row(family, spec, x_scale=x_scale, h=h, m=m, r=r, v=spec.v))
     medians: dict = {}
     for row in rows:
         key = row.get("Q", row.get("x_scale"))

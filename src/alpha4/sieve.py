@@ -21,7 +21,7 @@ from numbers import Rational
 import mpmath as mp
 import numpy as np
 
-from .arith import Factorization, factorize, primes_in, primes_upto
+from .arith import primes_in, primes_upto
 from .errors import PreconditionError
 
 __all__ = [
@@ -39,9 +39,6 @@ __all__ = [
     "mertens_product",
     "prime_reciprocal_sum",
     "mertens_window_report",
-    "mult_h",
-    "mult_j",
-    "mult_k",
 ]
 
 
@@ -525,40 +522,3 @@ def mertens_window_report(x: int, epsilon: float) -> dict:
         "relative_gap": (s - target) / target if target else float("nan"),
     }
 
-
-# -- singular-series local factors ---------------------------------------------------
-
-
-def mult_h(e) -> Fraction:
-    """prod_{p | e} (p-1)/(p-2); every prime factor of e must exceed 2."""
-    f = factorize(e) if not isinstance(e, Factorization) else e
-    out = Fraction(1)
-    for p, _ in f.pairs:
-        if p <= 2:
-            raise PreconditionError(f"factor p={p} <= 2 makes (p-1)/(p-2) undefined or useless")
-        out *= Fraction(p - 1, p - 2)
-    return out
-
-
-def _mult_over_large_primes(n, d0: float, shift: int, name: str) -> Fraction:
-    f = factorize(n) if not isinstance(n, Factorization) else n
-    out = Fraction(1)
-    for p, _ in f.pairs:
-        if p <= d0:
-            continue  # small primes are handled by the W-level localization
-        if p <= shift:
-            raise PreconditionError(
-                f"{name}: prime factor {p} in (D0, {shift}] has no defined local factor"
-            )
-        out *= Fraction(p - 1, p - shift)
-    return out
-
-
-def mult_j(n, d0: float) -> Fraction:
-    """prod_{p | n, p > D0} (p-1)/(p-3); rejects surviving factors <= 3."""
-    return _mult_over_large_primes(n, d0, 3, "mult_j")
-
-
-def mult_k(n, d0: float) -> Fraction:
-    """prod_{p | n, p > D0} (p-1)/(p-4); rejects surviving factors <= 4."""
-    return _mult_over_large_primes(n, d0, 4, "mult_k")

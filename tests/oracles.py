@@ -64,13 +64,6 @@ def mu(n: int) -> int:
     return -1 if len(f) % 2 else 1
 
 
-def phi(n: int) -> int:
-    out = n
-    for p in factor(n):
-        out = out // p * (p - 1)
-    return out
-
-
 def max_prime_factor(n: int) -> int:
     if n == 1:
         return 1

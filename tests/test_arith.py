@@ -30,19 +30,11 @@ def test_sigma_is_multiplicative_on_coprime_parts():
     assert arith.sigma_k(14, 4) == 40834
 
 
-def test_mobius_and_phi():
-    assert arith.mobius(12) == 0
-    assert arith.euler_phi(12) == 4
-    for n in range(1, 300):
-        assert arith.mobius(n) == oracles.mu(n), n
-        assert arith.euler_phi(n) == oracles.phi(n), n
-
-
 def test_least_prime_factor():
-    assert arith.least_prime_factor(91) == 7
-    assert arith.least_prime_factor(2) == 2
+    assert arith.factorize(91).least_prime_factor() == 7
+    assert arith.factorize(2).least_prime_factor() == 2
     for n in range(2, 500):
-        assert arith.least_prime_factor(n) == oracles.least_prime_factor(n), n
+        assert arith.factorize(n).least_prime_factor() == oracles.least_prime_factor(n), n
 
 
 def test_is_prime_matches_trial_division():
@@ -106,10 +98,6 @@ def test_factorize_rejects_uncertifiable_cofactor():
 def test_factorization_accessors():
     f = arith.factorize(360)
     assert f.sigma(1) == oracles.sigma_k(360, 1)
-    assert f.mobius() == 0
-    assert f.euler_phi() == oracles.phi(360)
-    assert f.omega() == 3
-    assert f.tau() == len(oracles.divisors(360))
     assert not f.is_squarefree()
     assert f.least_prime_factor() == 2
     assert f.greatest_prime_factor() == 5

@@ -231,6 +231,22 @@ def test_special_sigmas_rejects_bad_delta(delta, capsys):
     assert "delta" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--threads", "0", "expsum", "basic", "--A", "1/7", "--B", "1/3", "--hi", "60"],
+        ["expsum", "basic", "--A", "1/7", "--B", "1/3", "--hi", "60", "--threads", "-4"],
+        ["special", "sigmas", "--x", "10000", "--delta", "0.05", "--budget-mb", "-1"],
+    ],
+    ids=["threads=0", "threads=-4", "budget-mb=-1"],
+)
+def test_bad_global_flags_are_input_errors(argv, capsys):
+    rc, out, err = run(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: --") and err.count("\n") == 1
+
+
 def test_special_sigmas_honors_budget(capsys, monkeypatch):
     # a zero budget refuses the least-factor table once; nothing rebuilds it
     calls = []

@@ -36,10 +36,10 @@ def test_lemma61_coefficients():
     spec = expsums.make_lemma61_phase(h=3, m=7, r=11, lo=0, hi=50)
     s4 = 2 * 7**4 + 2  # sigma_4(7) with the 1 and 7^4 terms, via 1+7^4+...
     assert spec.sigma4_m == 2402
-    assert expsums.coeff_A(spec) == Fraction(3 * 2402, 7**2)
-    assert expsums.coeff_B(spec) == Fraction(3 * 2402, 7**3)
-    with pytest.raises(PreconditionError):
-        expsums.coeff_A(expsums.make_lemma62_inner_phase(1, 3, 5, 1, 1, 2, 0, 10))
+    assert spec.coefficients.A == Fraction(3 * 2402, 7**2)
+    assert spec.coefficients.B == Fraction(3 * 2402, 7**3)
+    # lemma62_inner has a single linear coefficient
+    assert expsums.make_lemma62_inner_phase(1, 3, 5, 1, 1, 2, 0, 10).coefficients.B is None
 
 
 def test_basic_phase_fraction_matches_formula():
@@ -149,22 +149,14 @@ def test_lemma61_ap_oracle_matches_phase_sum():
 
 
 def test_inner62_coefficient_antisymmetry():
-    spec = expsums.make_lemma62_inner_phase(3, 7, 11, 2, 1, 5, 1, 40)
-    c15 = expsums.inner62_coefficient(spec, 1, 5)
-    c51 = expsums.inner62_coefficient(spec, 5, 1)
+    def slope(l1, l2):
+        return expsums.make_lemma62_inner_phase(3, 7, 11, 2, l1, l2, 1, 40).coefficients.C
+
+    c15 = slope(1, 5)
+    c51 = slope(5, 1)
     assert c15 == -c51
-    assert expsums.inner62_coefficient(spec, 4, 4) == 0
+    assert slope(4, 4) == 0
     assert c15 == Fraction(-6203602125568, 21789075)
-
-
-def test_inner62_magnitude_report():
-    spec = expsums.make_lemma62_inner_phase(3, 7, 11, 2, 1, 5, 1, 40)
-    rep = expsums.inner62_magnitude(spec)
-    assert rep["antisymmetric"] and rep["zero_diagonal"]
-    assert rep["correction_within_bound"]
-    assert rep["relative_within_bound"]
-    # the 2 j r^2 (l1 - l2) main term dominates its correction
-    assert abs(rep["correction"]) < abs(rep["main"])
 
 
 # -- differencing inequalities --------------------------------------------------

@@ -178,19 +178,6 @@ def test_limit_functions_domain():
     assert sieve.linear_f(1.0) == 0  # flat zero segment below 2
 
 
-def test_mult_factors():
-    assert sieve.mult_h(1) == 1
-    assert sieve.mult_h(5) == Fraction(4, 3)
-    assert sieve.mult_h(15) == Fraction(8, 3)
-    assert sieve.mult_j(7, 1.3) == Fraction(3, 2)
-    assert sieve.mult_k(7, 1.3) == 2
-    assert sieve.mult_j(7, 7.5) == 1  # p <= D0 is skipped
-    with pytest.raises(PreconditionError):
-        sieve.mult_h(10)  # even factor
-    with pytest.raises(PreconditionError):
-        sieve.mult_k(3, 1.0)  # survivor in (D0, 4]
-
-
 def test_scale_params_desk():
     p = sieve.make_scale_params(10**6)
     assert (p.z_small, p.z_quarter_lo, p.z_quarter_hi) == (2, 21, 42)

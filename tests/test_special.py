@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from alpha4 import cli, sieve, special
+from alpha4 import cli, sieve, special, verify
 from alpha4.errors import PreconditionError
 
 X4 = 10**4
@@ -170,6 +170,17 @@ def test_count_sigmas_at_desk_scale(desk_params, spf_million):
     c = special.count_sigmas(desk_params, 0.05, spf=spf_million)
     assert c.S_total == 4110
     assert [c.sigma1, c.sigma2, c.sigma3, c.sigma4] == [338, 58, 87, 65]
+
+
+def test_verify_oracle_walk_gives_members_and_sigmas():
+    # the special_set check's trial-division oracle answers both questions in one walk
+    p = sieve.make_scale_params(10**5)
+    members, sigmas = verify._oracle_special(
+        p.x, p.W, p.z_small, p.z_quarter_lo, p.z_quarter_hi, p.x**p.smooth_exp, Fraction(0.05)
+    )
+    assert members == [(rec.p, rec.r) for rec in special.enumerate_S(p)]
+    assert len(members) == 569
+    assert sigmas == [59, 6, 13, 6]
 
 
 def test_sigma_counter_consistency_is_enforced():

@@ -33,6 +33,17 @@ TOUR = {
     "expsum weyl --A 1/7 --B 0 --hi 300 --K 10": "314a49b9bee8a6924ecaae55893fb062a6c7364b0e1cea3d348be13d94b92363",
     "expsum scan --family random --count 4 --format jsonl":
         "a5f2b2d485ff2262dd007dae83856ba2ec6368fb325d6fc8ddb9c3c826fe7f60",
+    # every scan family in both tabular formats: csv column order follows row key order
+    "expsum scan --count 4 --format csv --family random":
+        "85dc9f9e7046f2969ccf2a4bf1a22c8c3e8f3fddde25c0d07ada9c1a692d133e",
+    "expsum scan --count 4 --family resonant --format jsonl":
+        "48d1f318ebe5d23fcb7fce711b38549370fc03dbf93335fd4fac0e78b379fb86",
+    "expsum scan --count 4 --family resonant --format csv":
+        "93d836fb2ec9919b91ca4abee4b287bdb0e2d5eee371648298962bba3fb3c7d3",
+    "expsum scan --count 4 --family lemma61 --format jsonl":
+        "78c381fd371540f0ce7c363017167c35992a170304a32d72b4c1eaa83c3ff4a8",
+    "expsum scan --count 4 --family lemma61 --format csv":
+        "52b1d5b1b98c442c0c93539d7947bd7406657bab86dada390e3fb947d9701604",
     "expsum window --delta 1/1000 --J 4": "c232133901c93a66f87963bd12321b7a93795028d83f040e020d2b1badbbb2f5",
     "special enumerate --x 10000": "e55d7a1decb8247d07678df567c2e2cb3512bb1c619e2692bf5bc7063ec9883b",
     "special sigmas --x 10000 --delta 0.05": "559b6c49eeaaae44f2b0e90b53737344e163b7a27862620800323e8f88a6949d",
