@@ -295,3 +295,26 @@ def test_sigmas_at_1e5_are_frozen(capsys):
     assert rc == 0
     assert res["S_total"] == 569
     assert (res["sigma1"], res["sigma2"], res["sigma3"], res["sigma4"]) == (59, 6, 13, 6)
+
+
+# SHA-256 of whole command outputs, frozen before the special walk was
+# prefiltered and enumerate rows were streamed. The csv line guards the
+# factor-pair cells, which must print as JSON arrays, not Python tuples.
+FROZEN_OUTPUT = {
+    "special enumerate --x 10000000 --format jsonl":
+        "2e53a3b62b90e516103ac86fbc4af50c6eae2a63c8e99a945d7b03c9970d9dc1",
+    "special sigmas --x 10000000 --delta 0.05":
+        "0429018cbe031b9f8c6b56009623b7fbfc4bac36979f784e48b9f098223f0998",
+    "special enumerate --x 100000 --format csv":
+        "df98b109666a69e45f33ffafa620320da00a79ef3dfb0ea754faba55aede50c9",
+    "special enumerate --x 100000 --format json":
+        "6f07fb9671502f3c9c827f6452c6bb6bf5a44610366c4fc66c0eb67adefb2364",
+}
+
+
+@pytest.mark.parametrize("line", list(FROZEN_OUTPUT))
+def test_special_output_is_frozen(line, capsys):
+    rc = cli.dispatch(line.split())
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_OUTPUT[line]
