@@ -321,26 +321,28 @@ class PrimeRange:
         if self.lo < 0 or self.hi < self.lo:
             raise PreconditionError(f"bad prime range ({self.lo}, {self.hi}]")
 
-    def __iter__(self):
+    def segments(self):
+        """The primes of each segment of (lo, hi] in turn, as increasing
+        int64 arrays; the one sieve loop behind every prime range."""
         lo, hi = self.lo, self.hi
         if hi < 2:
             return
-        base = primes_upto(math.isqrt(hi))
+        base = primes_upto(math.isqrt(hi)).tolist()
         start = max(lo + 1, 2)
         while start <= hi:
             end = min(start + self.segment - 1, hi)
             mask = np.ones(end - start + 1, dtype=bool)
             for p in base:
-                p = int(p)
                 if p * p > end:
                     break
                 first = max(p * p, ((start + p - 1) // p) * p)
                 mask[first - start :: p] = False
-            if start == 1:
-                mask[0] = False
-            for q in np.nonzero(mask)[0]:
-                yield start + int(q)
+            yield np.nonzero(mask)[0].astype(np.int64) + start
             start = end + 1
+
+    def __iter__(self):
+        for seg in self.segments():
+            yield from seg.tolist()
 
     def to_list(self) -> list[int]:
         return list(self)

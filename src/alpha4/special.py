@@ -15,9 +15,20 @@ exact definitions are in count_sigmas.
 
 Both enumerate_S and count_sigmas consume one walk over the base
 candidates (_walk): each prime p = -1 mod W in (x/2, x] whose odd half
-clears z_small is yielded once, with p+2 and the odd half factored, its
-window primes listed and its membership in S decided; p+1 is factored
-only when a statistic or the smoothness test asks for it.
+clears z_small is yielded once, with p+2 factored, its window primes
+listed and its membership in S decided; p+1 and the odd half are
+factored only when a statistic, the smoothness test or a record asks.
+
+Before any factoring, the walk drops, in numpy over each segment of
+primes, every p for which p+2 has a prime factor <= min(z_lo, z_hi) or
+the odd half one <= z_small. No family can count such a p: membership
+in S and sigma3, sigma4 need P-(p+2) > z_lo, sigma1 needs
+P-(p+2) > z_hi, and sigma2 needs every factor of p+2 to be a window
+prime r > z_lo or to exceed z_hi. The min keeps this true when z_lo >=
+z_hi (the paper preset allows it). Trial divisors stop at sqrt(x+3),
+so a threshold beyond it is never turned into a prime list; the exact
+rules then still decide what the prefilter leaves.
+
 partition_check stays an independent re-derivation of every condition.
 """
 
@@ -28,7 +39,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import Factorization, PrimeRange, SpfTable, factorize
+import numpy as np
+
+from .arith import Factorization, PrimeRange, SpfTable, factorize, primes_upto
 from .errors import PreconditionError
 from .series import prop1_distance
 from .sieve import ScaleParams
@@ -75,16 +88,16 @@ class SpecialPrimeRecord:
 
 
 class _Candidate:
-    """A base candidate p: p+2 and the odd half factored, p+1 on demand.
+    """A base candidate p: p+2 factored, p+1 and the odd half on demand.
 
     window lists the prime factors of p+2 in (z_lo, z_hi]; in_S is the
     membership rule of S, the only place it is written outside
     partition_check.
     """
 
-    def __init__(self, p: int, params: ScaleParams, f3: Factorization, spf: SpfTable | None):
+    def __init__(self, p: int, params: ScaleParams, spf: SpfTable | None):
         zl, zh = params.z_quarter_lo, params.z_quarter_hi
-        self.p, self.f3, self.spf = p, f3, spf
+        self.p, self.spf = p, spf
         self.f2 = factorize(p + 2, spf)
         self.window = [q for q, _ in self.f2.pairs if zl < q <= zh]
         self.in_S = (
@@ -98,6 +111,10 @@ class _Candidate:
         return factorize(self.p + 1, self.spf)
 
     @cached_property
+    def f3(self) -> Factorization:
+        return factorize((self.p + 3) // 2, self.spf)
+
+    @cached_property
     def sigma4_p1(self) -> int:
         return self.f1.sigma(4)
 
@@ -107,14 +124,30 @@ class _Candidate:
 
 def _walk(params: ScaleParams, spf: SpfTable | None):
     """Each base candidate once, in increasing p: primes p = -1 mod W in
-    (x/2, x] whose odd half (p+3)/2 has no prime factor <= z_small."""
+    (x/2, x] whose odd half (p+3)/2 has no prime factor <= z_small.
+
+    The prefilter drops p when p+2 has a prime factor <= min(z_lo, z_hi)
+    or the odd half one <= z_small; no family counts such a p (see the
+    module docstring). Trial divisors stop at sqrt(x+3), so when z_small
+    lies beyond it the odd-half rule is still applied exactly.
+    """
     x, w, zs = params.x, params.W, params.z_small
-    for p in PrimeRange(x // 2, x):
-        if p % w != w - 1:
-            continue
-        f3 = factorize((p + 3) // 2, spf)
-        if f3.least_prime_factor() > zs:
-            yield _Candidate(p, params, f3, spf)
+    top = math.isqrt(x + 3)
+    divides_p2 = primes_upto(min(params.z_quarter_lo, params.z_quarter_hi, top)).tolist()
+    divides_half = primes_upto(min(zs, top)).tolist()
+    half_decided = zs <= top
+    for seg in PrimeRange(x // 2, x).segments():
+        cand = seg[seg % w == w - 1]
+        keep = np.ones(cand.size, dtype=bool)
+        for q in divides_p2:
+            keep &= (cand + 2) % q != 0
+        half = (cand + 3) // 2
+        for q in divides_half:
+            keep &= half % q != 0
+        for p in cand[keep].tolist():
+            c = _Candidate(p, params, spf)
+            if half_decided or c.f3.least_prime_factor() > zs:
+                yield c
 
 
 def enumerate_S(params: ScaleParams, spf: SpfTable | None = None) -> list[SpecialPrimeRecord]:
@@ -194,7 +227,9 @@ def count_sigmas(
               statistic <= delta.
 
     S_total counts the members of S on the same walk, by the same rule
-    as enumerate_S. delta must be finite and nonnegative; it is compared
+    as enumerate_S. The walk's prefilter never drops a p that one of
+    these families counts: each asks P-(p+2) > min(z_lo, z_hi), sigma2
+    through its window prime r > z_lo and cofactor above z_hi. delta must be finite and nonnegative; it is compared
     exactly, at the binary value of the given float. spf is used as in
     enumerate_S.
     """

@@ -130,6 +130,18 @@ def test_primes_in_accepts_float_bounds():
     assert arith.primes_in(10.7, 20.3) == arith.primes_in(10, 20)
 
 
+def test_prime_range_segments_concatenate_to_the_range():
+    # segments of 1000 numbers: primes on both sides of every edge, and a
+    # range starting below 2
+    for lo, hi in ((0, 5000), (2500, 7001), (4998, 5003)):
+        pr = arith.PrimeRange(lo, hi, segment=1000)
+        segs = list(pr.segments())
+        joined = [int(p) for seg in segs for p in seg]
+        assert list(pr) == joined
+        assert joined == [n for n in range(lo + 1, hi + 1) if oracles.is_prime(n)]
+        assert all(seg.dtype == "int64" for seg in segs)
+
+
 def test_prime_range_rejects_disorder():
     with pytest.raises(PreconditionError):
         arith.PrimeRange(20, 10)

@@ -183,6 +183,42 @@ def test_verify_oracle_walk_gives_members_and_sigmas():
     assert sigmas == [59, 6, 13, 6]
 
 
+# (preset, overrides, witness): each witness (p, r) puts a window square
+# r^2 | p+2 in the sigma3/sigma4 pairs. The paper-preset rows have
+# z_lo >= z_hi; the second puts z_small beyond sqrt(x) and above some odd
+# halves, so the exact odd-half rule must still run after the prefilter
+PREFILTER_CASES = {
+    "desk": ("desk", None, (66179, 17)),
+    "window_13_40": ("desk", {"z_quarter_lo": 13, "z_quarter_hi": 40}, (50651, 37)),
+    "window_21_42": ("desk", {"z_quarter_lo": 21, "z_quarter_hi": 42}, (95747, 23)),
+    "paper_lo_above_hi": ("paper", {"z_small": 2, "z_quarter_lo": 40, "z_quarter_hi": 20}, None),
+    "paper_wide_odd_half": ("paper", {"z_small": 40000, "z_quarter_lo": 40, "z_quarter_hi": 20}, None),
+}
+
+
+@pytest.mark.parametrize("spf", ["table", None])
+@pytest.mark.parametrize("case", list(PREFILTER_CASES))
+def test_prefiltered_walk_matches_oracle(case, spf, spf_million):
+    # the walk's prefilter may only drop candidates no family counts:
+    # members and all four sigmas equal the independent oracle's
+    preset, overrides, witness = PREFILTER_CASES[case]
+    p = sieve.make_scale_params(10**5, preset=preset, overrides=overrides)
+    table = spf_million if spf == "table" else None
+    if witness is not None:
+        q, r = witness
+        assert (q + 2) % (r * r) == 0 and p.z_quarter_lo < r <= p.z_quarter_hi
+    members = [(rec.p, rec.r) for rec in special.enumerate_S(p, table)]
+    for delta in (0.05, 0.5):
+        want_members, want_sigmas = verify._oracle_special(
+            p.x, p.W, p.z_small, p.z_quarter_lo, p.z_quarter_hi, p.x**p.smooth_exp,
+            Fraction(delta),
+        )
+        c = special.count_sigmas(p, delta, spf=table)
+        assert members == want_members
+        assert [c.sigma1, c.sigma2, c.sigma3, c.sigma4] == want_sigmas
+        assert c.S_total == len(want_members)
+
+
 def test_sigma_counter_consistency_is_enforced():
     params = params_at_1e4()
     with pytest.raises(PreconditionError, match="sigma2"):
