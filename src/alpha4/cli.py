@@ -42,13 +42,17 @@ class RunConfig:
 # -- serialization -------------------------------------------------------------
 
 
+def _ratio(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
 def to_jsonable(x):
     if x is None or isinstance(x, (bool, int, str)):
         return x
     if isinstance(x, float):
         return x
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+        return _ratio(x)
     if isinstance(x, mp.mpf):
         return mp.nstr(x, 25)
     if isinstance(x, (complex, mp.mpc)):
@@ -70,16 +74,25 @@ def to_jsonable(x):
 def emit(payload, cfg: RunConfig, command: str, rows_key: str | None = None) -> None:
     """Print the payload as json, jsonl, or csv.
 
-    jsonl and csv need tabular content: rows_key names the list of row
-    dicts inside the payload (remaining fields go to a trailing summary
-    line in jsonl and are dropped in csv).
+    jsonl and csv need tabular content: rows_key names an iterable of
+    rows inside the payload. Rows must already be JSON-native (str keys;
+    str, int, float, bool, None, and lists or tuples of these), so jsonl
+    writes each one as it arrives. The remaining fields go through
+    to_jsonable, to a trailing summary line in jsonl, and are dropped in
+    csv.
     """
-    data = to_jsonable(payload)
+    if rows_key is None:
+        data, rows = to_jsonable(payload), None
+    else:
+        data = to_jsonable({k: v for k, v in payload.items() if k != rows_key})
+        rows = payload[rows_key]
     if cfg.fmt == "json":
+        if rows is not None:
+            data[rows_key] = list(rows)
         doc = {"schema": SCHEMA, "command": command, "result": data}
         print(json.dumps(doc, sort_keys=True))
         return
-    if rows_key is None or rows_key not in data:
+    if rows is None:
         # non-tabular payloads degrade to a single jsonl line / one-col csv
         if cfg.fmt == "jsonl":
             print(json.dumps({"schema": SCHEMA, "command": command, "result": data}, sort_keys=True))
@@ -88,15 +101,16 @@ def emit(payload, cfg: RunConfig, command: str, rows_key: str | None = None) -> 
             w.writerow(["result"])
             w.writerow([json.dumps(data, sort_keys=True)])
         return
-    rows = data[rows_key]
-    rest = {k: v for k, v in data.items() if k != rows_key}
     if cfg.fmt == "jsonl":
+        encode = json.JSONEncoder(sort_keys=True).encode
+        write = sys.stdout.write
         for row in rows:
-            print(json.dumps(row, sort_keys=True))
-        if rest:
-            print(json.dumps({"type": "summary", **rest}, sort_keys=True))
+            write(encode(row) + "\n")
+        if data:
+            write(encode({"type": "summary", **data}) + "\n")
         return
     # csv
+    rows = list(rows)
     header: list[str] = []
     for row in rows:
         for k in row:
@@ -105,7 +119,8 @@ def emit(payload, cfg: RunConfig, command: str, rows_key: str | None = None) -> 
     w = _csv.writer(sys.stdout)
     w.writerow(header)
     for row in rows:
-        w.writerow([json.dumps(row.get(k)) if isinstance(row.get(k), (dict, list)) else row.get(k) for k in header])
+        cells = (row.get(k) for k in header)
+        w.writerow([json.dumps(v) if isinstance(v, (dict, list, tuple)) else v for v in cells])
 
 
 # -- command bodies --------------------------------------------------------------
@@ -334,28 +349,28 @@ def _spf_for(params: sieve.ScaleParams, cfg: RunConfig):
         return None
 
 
+def _enumerate_row(rec: special.SpecialPrimeRecord) -> dict:
+    """One `special enumerate` row, JSON-native as emit requires."""
+    return {
+        "p": rec.p,
+        "class": rec.klass,
+        "r": rec.r,
+        "factors_p1": rec.factor_p1.pairs,
+        "factors_p2": rec.factor_p2.pairs,
+        "factors_odd_half": rec.factor_p3.pairs,
+        "stat_plain": _ratio(rec.stat_plain),
+        "stat_plain_float": float(rec.stat_plain),
+        "stat_r": None if rec.stat_r is None else _ratio(rec.stat_r),
+        "stat_r_float": None if rec.stat_r is None else float(rec.stat_r),
+    }
+
+
 def cmd_special_enumerate(args, cfg: RunConfig) -> int:
     params = _params_for(args, cfg)
     records = special.enumerate_S(params, _spf_for(params, cfg))
-    rows = []
-    for rec in records:
-        rows.append(
-            {
-                "p": rec.p,
-                "class": rec.klass,
-                "r": rec.r,
-                "factors_p1": list(rec.factor_p1.pairs),
-                "factors_p2": list(rec.factor_p2.pairs),
-                "factors_odd_half": list(rec.factor_p3.pairs),
-                "stat_plain": rec.stat_plain,
-                "stat_plain_float": float(rec.stat_plain),
-                "stat_r": rec.stat_r,
-                "stat_r_float": None if rec.stat_r is None else float(rec.stat_r),
-            }
-        )
     part = special.partition_check(records, params)
     payload = {
-        "rows": rows,
+        "rows": map(_enumerate_row, records),
         "parameters": params,
         "count": len(records),
         "class_counts": part["class_counts"],
@@ -422,7 +437,8 @@ def cmd_verify_all(args, cfg: RunConfig) -> int:
         print(res.line(), file=sys.stderr)
         results.append(res)
         all_ok = all_ok and res.ok
-    emit({"results": results, "all_ok": all_ok}, cfg, "verify-all", rows_key="results")
+    rows = [to_jsonable(res) for res in results]
+    emit({"results": rows, "all_ok": all_ok}, cfg, "verify-all", rows_key="results")
     return 0 if all_ok else 1
 
 
