@@ -31,6 +31,7 @@ __all__ = [
     "tail_expansion",
     "tail_partial",
     "factorial_tail_exact",
+    "sigma4_window",
     "prop1_distance",
     "prop1_statistic_exact",
     "prop1_statistic",
@@ -63,7 +64,7 @@ def alpha_partial(k: int, n_terms: int, spf: SpfTable | None = None) -> Fraction
     """Exact partial sum sum_{n=1}^{n_terms} sigma_k(n)/n!."""
     if k < 1 or n_terms < 1:
         raise PreconditionError("alpha_partial needs k >= 1 and n_terms >= 1")
-    return _factorial_series(k, 1, n_terms, spf)
+    return _factorial_series([sigma_k(n, k, spf) for n in range(1, n_terms + 1)], 1)
 
 
 def _majorant(k: int) -> tuple[int, Fraction]:
@@ -121,24 +122,44 @@ def alpha_k(k: int, target_precision: int = 128, spf: SpfTable | None = None) ->
 # -- the tail at a prime ----------------------------------------------------
 
 
-def _factorial_series(k: int, a: int, b: int, spf: SpfTable | None, den: int = 1) -> Fraction:
-    """Exact sum_{n=a}^{b} sigma_k(n) / (den * a (a+1) ... n), by integer
+def _factorial_series(values: list[int], a: int, den: int = 1) -> Fraction:
+    """Exact sum_i values[i] / (den * a (a+1) ... (a+i)), by integer
     Horner from the top; the only gcd is the one in the final Fraction."""
     num, d = 0, 1
-    for n in range(b, a - 1, -1):
-        num = sigma_k(n, k, spf) * d + num
+    for n in range(a + len(values) - 1, a - 1, -1):
+        num = values[n - a] * d + num
         d *= n
     return Fraction(num, d * den)
 
 
-def factorial_tail_exact(p: int, n1: int, spf: SpfTable | None = None) -> Fraction:
+def sigma4_window(p: int, j_max: int, spf: SpfTable | None = None) -> list[int]:
+    """[sigma_4(p), sigma_4(p+1), ..., sigma_4(p+j_max)]: every value the
+    tail sums at p read, factored once for all of them."""
+    return _sigma4_run(p, 0, j_max, spf, None)
+
+
+def _sigma4_run(
+    p: int, j_lo: int, j_hi: int, spf: SpfTable | None, sigma4: list[int] | None
+) -> list[int]:
+    """sigma_4(p+j) for j = j_lo..j_hi, read from a sigma4_window when given."""
+    if sigma4 is None:
+        return [sigma_k(p + j, 4, spf) for j in range(j_lo, j_hi + 1)]
+    if len(sigma4) <= j_hi:
+        raise PreconditionError(f"sigma4 window ends at p+{len(sigma4) - 1}, p+{j_hi} needed")
+    return sigma4[j_lo : j_hi + 1]
+
+
+def factorial_tail_exact(
+    p: int, n1: int, spf: SpfTable | None = None, sigma4: list[int] | None = None
+) -> Fraction:
     """Exact (p-1)! * sum_{n=p}^{n1} sigma_4(n)/n!.
 
     (p-1)!/n! collapses to 1/(p(p+1)...n), so no large factorials appear.
+    sigma4, a sigma4_window at p reaching n1, replaces the factoring.
     """
     if p < 2 or n1 < p:
         raise PreconditionError("factorial_tail_exact needs 2 <= p <= n1")
-    return _factorial_series(4, p, n1, spf)
+    return _factorial_series(_sigma4_run(p, 0, n1 - p, spf, sigma4), p)
 
 
 def _falling_products(p: int, count: int) -> list[int]:
@@ -188,26 +209,29 @@ class TailExpansion:
         return sum(self.terms, Fraction(0))
 
 
-def tail_expansion(p: int, spf: SpfTable | None = None) -> TailExpansion:
-    """The four-term expansion at a prime p >= 11."""
+def tail_expansion(
+    p: int, spf: SpfTable | None = None, sigma4: list[int] | None = None
+) -> TailExpansion:
+    """The four-term expansion at a prime p >= 11 (sigma4 as in
+    factorial_tail_exact)."""
     if p < 11:
         raise PreconditionError(f"tail_expansion needs p >= 11, got {p}")
     if not is_prime(p):
         raise PreconditionError(f"tail_expansion needs a prime, got {p}")
     dens = _falling_products(p, 4)
-    terms = tuple(
-        Fraction(sigma_k(p + j, 4, spf), dens[j]) for j in range(4)
-    )
+    terms = tuple(map(Fraction, _sigma4_run(p, 0, 3, spf, sigma4), dens))
     return TailExpansion(p=p, terms=terms, remainder_bound=_tail_remainder_bound(p, 4))
 
 
 def tail_partial(
-    p: int, j_max: int, spf: SpfTable | None = None
+    p: int, j_max: int, spf: SpfTable | None = None, sigma4: list[int] | None = None
 ) -> tuple[Fraction, Fraction]:
-    """Exact sum of tail terms j = 4..j_max, plus a bound for j > j_max."""
+    """Exact sum of tail terms j = 4..j_max, plus a bound for j > j_max
+    (sigma4 as in factorial_tail_exact)."""
     if j_max < 4:
         raise PreconditionError("tail_partial needs j_max >= 4")
-    part = _factorial_series(4, p + 4, p + j_max, spf, _falling_products(p, 4)[3])
+    values = _sigma4_run(p, 4, j_max, spf, sigma4)
+    part = _factorial_series(values, p + 4, _falling_products(p, 4)[3])
     return part, _tail_remainder_bound(p, j_max + 1)
 
 

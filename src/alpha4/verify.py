@@ -347,13 +347,6 @@ def _tf(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _tf_is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    fac = _tf(n)
-    return len(fac) == 1 and fac[0][1] == 1
-
-
 def _tf_sigma4(fac: list[tuple[int, int]]) -> int:
     out = 1
     for p, e in fac:
@@ -370,13 +363,22 @@ def _oracle_stat(p: int, fac_p1: list[tuple[int, int]], r: int | None) -> Fracti
 
 
 def _oracle_special(x, w, zs, zl, zh, y_smooth, delta: Fraction):
-    """Members (p, r) of S and the four sigma counts from one trial-division walk."""
+    """Members (p, r) of S and the four sigma counts from one walk: primes
+    from a sieve of Eratosthenes over (x/2, x], factors by trial division."""
     members = []
     s1 = s2 = s3 = s4 = 0
     start = x // 2 + 1
+    root = math.isqrt(x)
+    small = bytearray(root + 1)  # 1 marks a composite, here and in `composite`
+    composite = bytearray(x + 1 - start)  # entry i stands for start + i
+    for d in range(2, root + 1):
+        if not small[d]:
+            small[d * d :: d] = b"\x01" * len(range(d * d, root + 1, d))
+            lo = max(d * d, -(-start // d) * d)
+            composite[lo - start :: d] = b"\x01" * len(range(lo, x + 1, d))
     first = start + ((w - 1 - start) % w)
     for p in range(first, x + 1, w):
-        if not _tf_is_prime(p):
+        if composite[p - start]:
             continue
         f3 = _tf((p + 3) // 2)
         if f3 and f3[0][0] <= zs:
@@ -462,9 +464,11 @@ def check_tail_identity(ctx: dict) -> dict:
     checked = 0
     for rec in records:
         p = rec.p
-        lhs = series.factorial_tail_exact(p, p + j_max, spf)
-        exp = series.tail_expansion(p, spf)
-        part, _ = series.tail_partial(p, j_max, spf)
+        # one sigma_4 window per prime feeds both sides of the identity
+        window = series.sigma4_window(p, j_max, spf)
+        lhs = series.factorial_tail_exact(p, p + j_max, sigma4=window)
+        exp = series.tail_expansion(p, sigma4=window)
+        part, _ = series.tail_partial(p, j_max, sigma4=window)
         if lhs != exp.leading_sum() + part:
             return {
                 "ok": False,

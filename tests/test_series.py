@@ -224,6 +224,27 @@ def test_tail_sums_against_term_by_term_oracle(j_max):
         assert series.factorial_tail_exact(p, p + j_max) == te.leading_sum() + part, p
 
 
+@pytest.mark.parametrize("j_max", [4, 5, 40])
+def test_tail_sums_read_one_sigma4_window(j_max):
+    # a shared window gives the same three values as factoring per sum
+    for p in [11, 13] + _random_primes(j_max + 7, 3):
+        window = series.sigma4_window(p, j_max)
+        assert window == [oracles.sigma_k(n, 4) for n in range(p, p + j_max + 1)]
+        assert series.factorial_tail_exact(p, p + j_max, sigma4=window) == (
+            series.factorial_tail_exact(p, p + j_max)
+        )
+        assert series.tail_expansion(p, sigma4=window) == series.tail_expansion(p)
+        assert series.tail_partial(p, j_max, sigma4=window) == series.tail_partial(p, j_max)
+
+
+def test_short_sigma4_window_is_refused():
+    window = series.sigma4_window(101, 10)
+    with pytest.raises(PreconditionError, match="p\\+11 needed"):
+        series.tail_partial(101, 11, sigma4=window)
+    with pytest.raises(PreconditionError):
+        series.factorial_tail_exact(101, 112, sigma4=window)
+
+
 def test_factorial_tail_exact_splits_at_any_point():
     # sum over [p, n1] = sum over [p, m] + (1/(p...m)) * sum over [m+1, n1]
     p, n1 = 101, 141
