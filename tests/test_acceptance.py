@@ -3,23 +3,53 @@
 Each test runs one registered check (sharing the session tables), prints
 its one-line verdict, asserts the check's own ok flag, and re-asserts
 the headline numbers so a silent weakening of a check would fail here.
+Every details field (all but the wall time) must also equal its frozen
+value in golden/verify_all.json exactly; after a deliberate change,
+
+    PYTHONPATH=src python tests/test_acceptance.py
+
+rewrites that file, and each moved field belongs in the change's notes.
 """
+
+import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from alpha4 import verify
 
+GOLDEN = Path(__file__).parent / "golden" / "verify_all.json"
+
 _cache: dict[str, verify.CheckResult] = {}
+
+
+def _run(name: str, ctx: dict) -> verify.CheckResult:
+    if name not in _cache:
+        _cache[name] = verify.run_check(name, ctx)
+    return _cache[name]
 
 
 @pytest.fixture
 def result(request, shared_ctx):
-    name = request.node.get_closest_marker("check").args[0]
-    if name not in _cache:
-        _cache[name] = verify.run_check(name, shared_ctx)
-    res = _cache[name]
+    res = _run(request.node.get_closest_marker("check").args[0], shared_ctx)
     print(res.line())
     return res
+
+
+def frozen(x):
+    """details in a JSON form that compares exactly: Fractions as "p/q", floats by repr."""
+    if isinstance(x, dict):
+        return {str(k): frozen(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [frozen(v) for v in x]
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, float):
+        return repr(x)
+    if x is None or isinstance(x, (bool, int, str)):
+        return x
+    raise TypeError(f"no frozen form for {type(x).__name__}")
 
 
 def test_registry_is_complete():
@@ -138,3 +168,15 @@ def test_tail_identity(result):
     assert result.ok, result.line()
     assert result.details["primes_checked"] == 4110
     assert result.details["j_max"] == 40
+
+
+@pytest.mark.parametrize("name", verify.check_names())
+def test_details_match_golden(name, shared_ctx):
+    # reuses the result of the check's own test above; no check runs twice
+    want = json.loads(GOLDEN.read_text())[name]
+    assert frozen(_run(name, shared_ctx).details) == want
+
+
+if __name__ == "__main__":
+    golden = {n: frozen(verify.run_check(n, {}).details) for n in verify.check_names()}
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")

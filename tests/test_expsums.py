@@ -1,13 +1,14 @@
 """Phase sums: coefficients, engines, differencing, amplitudes, the window."""
 
 import cmath
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
-from alpha4 import expsums
+from alpha4 import cli, expsums
 from alpha4.errors import BudgetError, PreconditionError
 
 
@@ -386,3 +387,26 @@ def test_window_domain():
         expsums.smoothing_window(Fraction(1, 1000), 0)
     with pytest.raises(PreconditionError):
         expsums.smoothing_window(Fraction(1, 1000), 9)
+
+
+# SHA-256 of whole `expsum` outputs, frozen before the engines moved from
+# Fraction residues to integer (N, D) pairs
+A_LONG, B_LONG = "623347347958/1048576", "132344/1048576"
+FROZEN_OUTPUT = {
+    f"expsum basic --A {A_LONG} --B {B_LONG} --hi 20000 --engine mpf --threads 1":
+        "7f3d68a2988431d91d0390960aba6a7eed3ba10022c15e0def77f9fa5981d2de",
+    f"expsum basic --A {A_LONG} --B {B_LONG} --hi 20000 --engine exact --threads 1":
+        "cd6dae9f693ee6c2a574a26b4fe8226adc24302aea3c106e76f4149214c31e69",
+    f"expsum basic --A {A_LONG} --B {B_LONG} --hi 200000 --threads 2":
+        "2f25060a0a1d78119ce92887278c46ba1da4136d26ea0912e50221338f28205a",
+    "expsum weyl --A 278310081342/1048576 --B 683474/1048576 --hi 2000 --K 8 --L 8":
+        "ccc2ab2ac680e0d5c2073ebb00762427b18001ffc4019db3cf286e9401ed127b",
+}
+
+
+@pytest.mark.parametrize("line", list(FROZEN_OUTPUT))
+def test_expsum_output_is_frozen(line, capsys):
+    rc = cli.dispatch(line.split())
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_OUTPUT[line]
