@@ -7,14 +7,16 @@ by double differencing. Coefficients are exact rationals in the
 arithmetic families and may be arbitrary reals (mpf) in the basic one;
 each spec computes them once (PhaseSpec.coefficients).
 
-Every exact sum goes through one core: phase(n) is reduced mod 1 exactly
-once, and _sum_e adds the unit vectors e(t) with compensated (Neumaier)
-addition. The exact engine of eval_phase streams residues in fixed
-4096-term chunks, sums each chunk so, and combines the chunk partials by
-a fixed-order pairwise tree, so its result does not depend on the worker
-count. The Weyl inner sums S_k and S_{k,l} take differences of one exact
-residue table, and lemma61_ap_oracle feeds its own phase formula to the
-same sum.
+Every exact phase comes from one integer core: _phase_ratio(spec) does
+the per-spec work once and returns n -> (N, D), phase(n) = N/D, with no
+gcd. A residue is the double N % D / D; int/int true division is
+correctly rounded, so it is the double float(phase % 1) would give.
+_sum_e adds the unit vectors e(t) with compensated (Neumaier) addition.
+The exact engine of eval_phase sums fixed 4096-term chunks so and
+combines the chunk partials by a fixed-order pairwise tree, so its result
+does not depend on the worker count. The Weyl inner sums S_k and S_{k,l}
+difference one table of residue pairs (N mod D, D) over products of
+denominators, and lemma61_ap_oracle feeds its own phase formula to _sum_e.
 """
 
 from __future__ import annotations
@@ -214,23 +216,44 @@ def make_lemma62_inner_phase(
 # -- coefficients and phase values -----------------------------------------
 
 
-def phase_fraction(spec: PhaseSpec, n: int) -> Fraction:
-    """The exact phase value at index n (requires rational coefficients)."""
+def _phase_ratio(spec: PhaseSpec):
+    """n -> (N, D) with phase(n) = N/D, D > 0 and no gcd taken (rational coefficients).
+
+    basic:         (n^4 + 1)(a n + b) / (d0 n^3), with A = a/d0, B = b/d0
+    lemma61:       (a ((q^2 - v^2) q^2 + 1) + b n q^2) / (d0 q^2), q = v + r n,
+                   with A = a/d0, (B + lin) r = b/d0 (2 v r n + r^2 n^2 = q^2 - v^2)
+    lemma62_inner: (C.num n, C.den)
+    """
     c = spec.coefficients
-    if spec.kind == "basic":
-        if not (isinstance(c.A, Fraction) and isinstance(c.B, Fraction)):
-            raise PreconditionError("exact phase needs rational coefficients; use phase_mpf")
+    if spec.kind == "lemma62_inner":
+        num, den = c.C.numerator, c.C.denominator
+        return lambda n: (num * n, den)
+    if spec.kind == "basic" and not (isinstance(c.A, Fraction) and isinstance(c.B, Fraction)):
+        raise PreconditionError("exact phase needs rational coefficients; use phase_mpf")
+    # lemma61: B r l + (h m / r^3) l = (B + lin) r l
+    second = c.B if spec.kind == "basic" else (c.B + c.lin) * spec.r
+    d0 = math.lcm(c.A.denominator, second.denominator)
+    a, b = c.A.numerator * (d0 // c.A.denominator), second.numerator * (d0 // second.denominator)
+    v, r = spec.v, spec.r
+
+    def basic(n):
         if n == 0:
             raise PreconditionError("basic phase is undefined at n = 0")
-        return c.A * (Fraction(n**2) + Fraction(1, n**2)) + c.B * (n + Fraction(1, n**3))
-    if spec.kind == "lemma61":
-        v, r = spec.v, spec.r
-        inner = v + r * n
-        if inner == 0:
+        n3 = n * n * n
+        return (n3 * n + 1) * (a * n + b), d0 * n3
+
+    def lemma61(n):
+        q2 = (v + r * n) ** 2
+        if q2 == 0:
             raise PreconditionError("progression hits v + r l = 0")
-        # B r l + (h m / r^3) l = (B + lin) r l
-        return c.A * (2 * v * r * n + r**2 * n**2 + Fraction(1, inner**2)) + (c.B + c.lin) * r * n
-    return c.C * n
+        return a * ((q2 - v * v) * q2 + 1) + b * n * q2, d0 * q2
+
+    return basic if spec.kind == "basic" else lemma61
+
+
+def phase_fraction(spec: PhaseSpec, n: int) -> Fraction:
+    """The exact phase value at index n (requires rational coefficients)."""
+    return Fraction(*_phase_ratio(spec)(n))
 
 
 def _mpf(x):
@@ -241,10 +264,12 @@ def _mpf(x):
     return mp.mpf(x.numerator) / x.denominator
 
 
-def phase_mpf(spec: PhaseSpec, n: int) -> mp.mpf:
+def phase_mpf(spec: PhaseSpec, n: int, coefficients=None) -> mp.mpf:
     """The phase at index n in mpf at the ambient precision, from the
-    coefficients and not from phase_fraction, so the engines check each other."""
-    A, B, lin, C = map(_mpf, spec.coefficients)
+    coefficients and never from the integer core, so the engines check each other.
+    The mpf engine passes the coefficients already through _mpf at this
+    precision: one rounding per sum instead of per term, and the same bits."""
+    A, B, lin, C = coefficients or map(_mpf, spec.coefficients)
     nn = mp.mpf(n)
     if spec.kind == "basic":
         if n == 0:
@@ -290,9 +315,7 @@ def _sum_e(residues) -> complex:
 
 def _chunk_exact(args) -> complex:
     spec, a, b = args
-    # float(phase % 1) without the second gcd that Fraction % 1 takes
-    phases = (phase_fraction(spec, n) for n in range(a + 1, b + 1))
-    return _sum_e(f.numerator % f.denominator / f.denominator for f in phases)
+    return _sum_e(N % D / D for N, D in map(_phase_ratio(spec), range(a + 1, b + 1)))
 
 
 def _tree_reduce(parts: list[complex]) -> complex:
@@ -330,10 +353,13 @@ def eval_phase(
 ) -> ExpSumResult:
     """Sum e(phase(n)) over n in (lo, hi].
 
-    engine "exact" reduces each phase mod 1 in rational arithmetic and
-    sums unit vectors in compensated double precision; engine "mpf"
-    works at prec_bits (default: enough for the largest phase plus 64
-    guard bits). Default picks "exact" when the coefficients allow it.
+    engine "exact" reduces each integer phase pair (N, D) to the correctly
+    rounded double N % D / D and sums unit vectors in compensated double
+    precision. Engine "mpf" works at prec_bits (default: enough for the
+    largest phase plus 64 guard bits); one mp.cospi_sinpi call (libmp's
+    mpf_cos_sin, which=0) rounds cos and sin as cospi and sinpi do, and two
+    mpf sums add them as an mpc sum would. Default picks "exact" when the
+    coefficients allow it.
     """
     n = spec.n_terms
     if n > term_budget:
@@ -357,21 +383,19 @@ def eval_phase(
             parts = [_chunk_exact(j) for j in jobs]
         total = _tree_reduce(parts)
         mod = abs(total)
-        return ExpSumResult(
-            value=total, n_terms=n, normalized_modulus=min(1.0, mod / n)
-        )
-
-    prec = prec_bits if prec_bits is not None else required_prec_bits(spec)
-    with mp.workprec(prec):
-        total_m = mp.mpc(0)
-        for k in range(spec.lo + 1, spec.hi + 1):
-            ph = phase_mpf(spec, k)
-            frac = ph - mp.floor(ph)
-            total_m += mp.mpc(mp.cospi(2 * frac), mp.sinpi(2 * frac))
-        mod = float(abs(total_m))
-        return ExpSumResult(
-            value=total_m, n_terms=n, normalized_modulus=min(1.0, mod / n)
-        )
+    else:
+        prec = prec_bits if prec_bits is not None else required_prec_bits(spec)
+        with mp.workprec(prec):
+            coefficients = tuple(map(_mpf, spec.coefficients))
+            re = im = mp.mpf(0)
+            for k in range(spec.lo + 1, spec.hi + 1):
+                ph = phase_mpf(spec, k, coefficients)
+                c, s = mp.cospi_sinpi(2 * (ph - mp.floor(ph)))
+                re += c
+                im += s
+            total = mp.mpc(re, im)
+            mod = float(abs(total))
+    return ExpSumResult(value=total, n_terms=n, normalized_modulus=min(1.0, mod / n))
 
 
 # -- progression rewrite checks ---------------------------------------------
@@ -435,6 +459,12 @@ def lemma61_ap_oracle(spec: PhaseSpec) -> float:
 # -- differencing ------------------------------------------------------------
 
 
+def _diff_mod1(R: list, k: int) -> list:
+    """[(R[i+k] - R[i]) mod 1] for residue pairs (a, d) meaning a/d, 0 <= a < d,
+    each over the product of its two denominators (twice: over four), no gcd."""
+    return [((b * d - a * e) % (d * e), d * e) for (a, d), (b, e) in zip(R, R[k:])]
+
+
 def weyl_difference_check(spec: PhaseSpec, K: int, L: int | None = None) -> dict:
     """Compare |S|^2 (and |S|^4) against differenced right-hand sides.
 
@@ -457,11 +487,15 @@ def weyl_difference_check(spec: PhaseSpec, K: int, L: int | None = None) -> dict
     if L is not None and not 1 <= L <= N:
         raise PreconditionError(f"need 1 <= L <= N = {N}, got L = {L}")
     S = abs(eval_phase(spec).value)
-    R = [phase_fraction(spec, n) % 1 for n in range(spec.lo + 1, spec.hi + 1)]  # R[i]: n = lo+1+i
+    # R[i]: the residue of n = lo+1+i as (N mod D, D)
+    R = [(N % D, D) for N, D in map(_phase_ratio(spec), range(spec.lo + 1, spec.hi + 1))]
     sum_sk = 0.0
+    max_skl = 0.0
     for k in range(1, K + 1):
-        sk = abs(_sum_e((R[i + k] - R[i]) % 1 for i in range(N - k)))
-        sum_sk += 2 * sk  # |S_-k| = |S_k|
+        Rk = _diff_mod1(R, k)
+        sum_sk += 2 * abs(_sum_e(a / d for a, d in Rk))  # |S_-k| = |S_k|
+        for l in range(1, L + 1 if L is not None else 1):
+            max_skl = max(max_skl, abs(_sum_e(a / d for a, d in _diff_mod1(Rk, l))))
     lhs2 = S**2
     rhs2 = 3 * (N**2 / K + (N / K) * sum_sk)
     out = {
@@ -475,11 +509,6 @@ def weyl_difference_check(spec: PhaseSpec, K: int, L: int | None = None) -> dict
         "first_is_theorem": True,
     }
     if L is not None:
-        max_skl = 0.0
-        for k in range(1, K + 1):
-            for l in range(1, L + 1):
-                skl = abs(_sum_e((R[i + k + l] - R[i + k] - R[i + l] + R[i]) % 1 for i in range(N - k - l)))
-                max_skl = max(max_skl, skl)
         lhs4 = S**4
         rhs4 = 3 * (N**4 / K**2 + N**4 / L + N**3 * max_skl)
         out.update(

@@ -112,3 +112,24 @@ def factorial_tail_exact(p: int, n1: int, k: int = 4) -> Fraction:
         den *= n
         total += Fraction(sigma_k(n, k), den)
     return total
+
+
+def phase_basic(A: Fraction, B: Fraction, n: int) -> Fraction:
+    """A (n^2 + n^-2) + B (n + n^-3)."""
+    return A * (n * n + Fraction(1, n * n)) + B * (n + Fraction(1, n**3))
+
+
+def phase_lemma61(h: int, m: int, r: int, v: int, l: int) -> Fraction:
+    """A1 (2 v r l + r^2 l^2 + (v + r l)^-2) + A2 r l + (h m / r^3) l,
+    A1 = h sigma_4(m) / m^2, A2 = h sigma_4(m) / m^3."""
+    s4 = sigma_k(m, 4)
+    a1, a2 = Fraction(h * s4, m * m), Fraction(h * s4, m**3)
+    return a1 * (2 * v * r * l + r * r * l * l + Fraction(1, (v + r * l) ** 2)) + a2 * r * l + Fraction(h * m, r**3) * l
+
+
+def phase_lemma62_inner(h: int, m: int, r: int, j: int, l1: int, l2: int, n: int) -> Fraction:
+    """C n, C = A (2 j r^2 (l1 - l2) + r^-2 [(l1+j)^-2 - l1^-2 - (l2+j)^-2 + l2^-2]),
+    A = h sigma_4(m) / m^2."""
+    a = Fraction(h * sigma_k(m, 4), m * m)
+    bracket = Fraction(1, (l1 + j) ** 2) - Fraction(1, l1 * l1) - Fraction(1, (l2 + j) ** 2) + Fraction(1, l2 * l2)
+    return a * (2 * j * r * r * (l1 - l2) + bracket / (r * r)) * n

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+import oracles
 from alpha4 import cli, expsums
 from alpha4.errors import BudgetError, PreconditionError
 
@@ -50,6 +51,65 @@ def test_basic_phase_fraction_matches_formula():
             n + Fraction(1, n**3)
         )
         assert expsums.phase_fraction(spec, n) == manual, n
+
+
+# -- the integer phase core ---------------------------------------------------
+
+
+def _oracle_phase(spec, n):
+    """The phase from the spec's raw parameters by the brute-force formulas."""
+    if spec.kind == "basic":
+        return oracles.phase_basic(spec.A, spec.B, n)
+    if spec.kind == "lemma61":
+        return oracles.phase_lemma61(spec.h, spec.m, spec.r, spec.v, n)
+    return oracles.phase_lemma62_inner(spec.h, spec.m, spec.r, spec.j, spec.l1, spec.l2, n)
+
+
+CORE_SPECS = [
+    expsums.make_basic_phase(Fraction(7, 12), Fraction(5, 18), 0, 40),
+    expsums.make_basic_phase(Fraction(-623347347958, 2**20), Fraction(13, 9), 1000, 1040),
+    expsums.make_basic_phase(Fraction(12345671, 2**23), 0, 0, 40),
+    expsums.make_basic_phase(3, Fraction(1, 10**7), 0, 40),
+    expsums.make_lemma61_phase(h=2, m=97, r=13, lo=0, hi=40),
+    expsums.make_lemma61_phase(h=3, m=83413, r=101, lo=0, hi=40),
+    expsums.make_lemma61_phase(h=1, m=5, r=12, lo=0, hi=40),
+    expsums.make_lemma62_inner_phase(3, 7, 11, 2, 1, 5, -20, 20),
+    expsums.make_lemma62_inner_phase(1, 31, 7, 2, 4, 1, 0, 40),
+]
+
+
+@pytest.mark.parametrize("spec", CORE_SPECS, ids=[f"{s.kind}-{i}" for i, s in enumerate(CORE_SPECS)])
+def test_phase_ratio_matches_oracle(spec):
+    ratio = expsums._phase_ratio(spec)
+    ns = range(spec.lo + 1, spec.hi + 1)
+    oracle = [_oracle_phase(spec, n) for n in ns]
+    R = []
+    for n, want in zip(ns, oracle):
+        N, D = ratio(n)
+        assert D > 0, n
+        assert Fraction(N, D) == want == expsums.phase_fraction(spec, n), n
+        assert (N % D / D).hex() == float(want % 1).hex(), n
+        R.append((N % D, D))
+    # Weyl terms from the integer pairs, against the oracle's Fraction differences
+    for k in (1, 2, 5):
+        Rk = expsums._diff_mod1(R, k)
+        assert len(Rk) == len(R) - k
+        for i, (a, d) in enumerate(Rk):
+            assert 0 <= a < d
+            assert (a / d).hex() == float((oracle[i + k] - oracle[i]) % 1).hex(), (k, i)
+        for l in (1, 3, 4):
+            Rkl = expsums._diff_mod1(Rk, l)
+            assert len(Rkl) == len(R) - k - l
+            for i, (a, d) in enumerate(Rkl):
+                want = (oracle[i + k + l] - oracle[i + k] - oracle[i + l] + oracle[i]) % 1
+                assert (a / d).hex() == float(want).hex(), (k, l, i)
+
+
+def test_phase_ratio_preconditions():
+    with pytest.raises(PreconditionError):
+        expsums._phase_ratio(expsums.make_basic_phase(mp.mpf("0.25"), 0, 0, 10))
+    with pytest.raises(PreconditionError):
+        expsums._phase_ratio(expsums.make_basic_phase(1, 1, 0, 10))(0)
 
 
 # -- engines ------------------------------------------------------------------
@@ -113,7 +173,7 @@ def test_lemma61_change_of_variables_exact():
 
 
 def _wrong_phase(spec, n):
-    """phase_fraction with the lemma61 linear completion and the lemma62 slope mis-stated."""
+    """The exact phase with the lemma61 linear completion and the lemma62 slope mis-stated."""
     c = spec.coefficients
     if spec.kind == "lemma61":
         inner = spec.v + spec.r * n
@@ -136,7 +196,15 @@ def test_mpf_engine_catches_a_wrong_exact_phase(spec, monkeypatch):
         return float(abs(exact - with_mpf))
 
     assert gap() < 1e-9
-    monkeypatch.setattr(expsums, "phase_fraction", _wrong_phase)
+
+    def wrong_ratio(spec):
+        def ratio(n):
+            f = _wrong_phase(spec, n)
+            return f.numerator, f.denominator
+
+        return ratio
+
+    monkeypatch.setattr(expsums, "_phase_ratio", wrong_ratio)
     assert gap() > 1e-9
 
 
@@ -233,8 +301,13 @@ def test_weyl_evaluates_each_phase_at_most_twice(monkeypatch):
     # N for the eval_phase sum, N for the residue table shared by every S_k, S_{k,l}
     spec, K, L, _ = WEYL_FROZEN[1]
     calls = []
-    real = expsums.phase_fraction
-    monkeypatch.setattr(expsums, "phase_fraction", lambda s, n: calls.append(n) or real(s, n))
+    real = expsums._phase_ratio
+
+    def counted(s):
+        ratio = real(s)
+        return lambda n: calls.append(n) or ratio(n)
+
+    monkeypatch.setattr(expsums, "_phase_ratio", counted)
     expsums.weyl_difference_check(spec, K=K, L=L)
     assert len(calls) == 2 * spec.n_terms
 
