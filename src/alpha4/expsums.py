@@ -12,11 +12,12 @@ the per-spec work once and returns n -> (N, D), phase(n) = N/D, with no
 gcd. A residue is the double N % D / D; int/int true division is
 correctly rounded, so it is the double float(phase % 1) would give.
 _sum_e adds the unit vectors e(t) with compensated (Neumaier) addition.
-The exact engine of eval_phase sums fixed 4096-term chunks so and
-combines the chunk partials by a fixed-order pairwise tree, so its result
-does not depend on the worker count. The Weyl inner sums S_k and S_{k,l}
-difference one table of residue pairs (N mod D, D) over products of
-denominators, and lemma61_ap_oracle feeds its own phase formula to _sum_e.
+The exact engine of eval_phase sums each fixed 4096-term chunk that way
+and combines the chunk partials by a fixed-order pairwise tree, so its
+result does not depend on the worker count. The Weyl inner sums S_k and
+S_{k,l} difference one table of residue pairs (N mod D, D) over products
+of denominators, and lemma61_ap_oracle feeds its own phase formula to
+_sum_e.
 """
 
 from __future__ import annotations
@@ -494,7 +495,7 @@ def weyl_difference_check(spec: PhaseSpec, K: int, L: int | None = None) -> dict
     for k in range(1, K + 1):
         Rk = _diff_mod1(R, k)
         sum_sk += 2 * abs(_sum_e(a / d for a, d in Rk))  # |S_-k| = |S_k|
-        for l in range(1, L + 1 if L is not None else 1):
+        for l in range(1, (L or 0) + 1):
             max_skl = max(max_skl, abs(_sum_e(a / d for a, d in _diff_mod1(Rk, l))))
     lhs2 = S**2
     rhs2 = 3 * (N**2 / K + (N / K) * sum_sk)
