@@ -2,10 +2,10 @@
 
 Everything in this module is deterministic. Primality uses a fixed
 strong-pseudoprime base set that is a proven classifier below 3.3e14 and
-refuses larger inputs rather than degrade to "probably". Factoring uses
-a least-prime-factor table when one is supplied and in range, trial
-division by small primes otherwise, and a Brent-cycle splitter for the
-surviving cofactors.
+refuses larger inputs rather than degrade to "probably". A single n is
+factored by trial division to 2^16; a batch is factored by factor_many,
+which sieves the small primes over the whole batch in numpy. Both finish
+cofactors above 2^32 with a Brent-cycle splitter.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "is_prime",
     "build_spf_table",
     "factorize",
+    "factor_many",
     "sigma_k",
     "crt_combine",
     "distance_to_nearest_integer",
@@ -113,20 +114,6 @@ class SpfTable:
         if not 2 <= n <= self.limit:
             raise PreconditionError(f"n={n} outside table range 2..{self.limit}")
         return int(self.spf[n])
-
-    def factor_pairs(self, n: int) -> list[tuple[int, int]]:
-        if not 1 <= n <= self.limit:
-            raise PreconditionError(f"n={n} outside table range 1..{self.limit}")
-        t = self.spf
-        pairs: list[tuple[int, int]] = []
-        while n > 1:
-            p = int(t[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            pairs.append((p, e))
-        return pairs
 
 
 def build_spf_table(limit: int, budget_mb: int | None = None) -> SpfTable:
@@ -246,60 +233,95 @@ def _split_cofactor(n: int, out: list[int]) -> None:
     _split_cofactor(n // d, out)
 
 
-def factorize(n, spf: SpfTable | None = None) -> Factorization:
+def _strip(rem: int, p: int, pairs: list[tuple[int, int]]) -> int:
+    """Divide every factor p out of rem, recording (p, e); returns the rest."""
+    e = 0
+    while rem % p == 0:
+        rem //= p
+        e += 1
+    pairs.append((p, e))
+    return rem
+
+
+def _finish(n: int, pairs: list[tuple[int, int]], rem: int) -> Factorization:
+    """n from its small prime powers and the cofactor rem they leave.
+
+    rem has no prime factor <= 2^16, or none <= its square root, so below
+    2^32 it is 1 or prime; above, certified primality or the splitter
+    decides.
+    """
+    if rem > 1:
+        if rem < _SMALL_LIMIT * _SMALL_LIMIT or is_prime(rem):
+            pairs.append((rem, 1))
+        else:
+            primes: list[int] = []
+            _split_cofactor(rem, primes)
+            pairs.extend((q, primes.count(q)) for q in sorted(set(primes)))
+    return Factorization(n, tuple(pairs))
+
+
+def factorize(n) -> Factorization:
     """Full factorization of n >= 1.
 
     Accepts a Factorization and returns it unchanged, so multiplicative
-    functions can take either form. Uses the least-factor table when it
-    covers n; otherwise trial division to 2^16 and deterministic
-    splitting of the cofactor (certified primality required, so inputs
-    whose cofactors reach 3.3e14 are rejected rather than guessed at).
+    functions can take either form. Trial division to 2^16, then
+    deterministic splitting of the cofactor (certified primality
+    required, so inputs whose cofactors reach 3.3e14 are rejected rather
+    than guessed at).
     """
     if isinstance(n, Factorization):
         return n
     n = int(n)
     if n < 1:
         raise PreconditionError(f"factorize needs n >= 1, got {n}")
-    if n == 1:
-        return Factorization(1, ())
-    if spf is not None and n <= spf.limit:
-        return Factorization(n, tuple(spf.factor_pairs(n)))
     pairs: list[tuple[int, int]] = []
     rem = n
     for p in _get_small_primes():
         if p * p > rem:
             break
         if rem % p == 0:
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            pairs.append((p, e))
-    if rem > 1:
-        if rem < _SMALL_LIMIT * _SMALL_LIMIT or is_prime(rem):
-            # below 2^32 the remaining part is prime (no factor <= 2^16)
-            pairs.append((rem, 1))
-        else:
-            primes: list[int] = []
-            _split_cofactor(rem, primes)
-            primes.sort()
-            i = 0
-            while i < len(primes):
-                j = i
-                while j < len(primes) and primes[j] == primes[i]:
-                    j += 1
-                pairs.append((primes[i], j - i))
-                i = j
-    pairs.sort()
-    return Factorization(n, tuple(pairs))
+            rem = _strip(rem, p, pairs)
+    return _finish(n, pairs, rem)
+
+
+def factor_many(values) -> list[Factorization]:
+    """Full factorizations of a batch of integers 1 <= n < 2^63, in order.
+
+    The one bulk factoring core. Each prime q <= isqrt(max) (at most
+    2^16) marks the values it divides, in numpy over the whole batch; the
+    marked primes are then divided out in Python, and the cofactors left
+    are finished as in factorize. Memory is O(batch), whatever the values.
+    """
+    vals = [int(v) for v in values]
+    if not vals:
+        return []
+    lo, hi = min(vals), max(vals)
+    if lo < 1 or hi >= 2**63:
+        raise PreconditionError(f"factor_many needs 1 <= n < 2^63, got {lo if lo < 1 else hi}")
+    arr = np.array(vals, dtype=np.int64)
+    hits: list[list[int]] = [[] for _ in vals]
+    top = math.isqrt(hi)
+    for q in _get_small_primes():
+        if q > top:
+            break
+        for i in np.flatnonzero(arr // q * q == arr).tolist():
+            hits[i].append(q)
+    out = []
+    for n, qs in zip(vals, hits):
+        pairs: list[tuple[int, int]] = []
+        rem = n
+        for q in qs:
+            rem = _strip(rem, q, pairs)
+        out.append(_finish(n, pairs, rem))
+    return out
 
 
 # -- multiplicative functions (int or Factorization input) ----------------
 
 
-def sigma_k(n, k: int, spf: SpfTable | None = None) -> int:
+def sigma_k(n, k: int) -> int:
     """Sum of k-th powers of the divisors of n."""
-    return factorize(n, spf).sigma(k)
+    return factorize(n).sigma(k)
 
 
 # -- prime ranges ---------------------------------------------------------

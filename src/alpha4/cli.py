@@ -21,7 +21,6 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import __version__, dickman, expsums, series, sieve, special, verify
-from .arith import build_spf_table
 from .bigreal import BigRealWithError
 from .errors import BudgetError, PreconditionError
 
@@ -339,16 +338,6 @@ def _params_for(args, cfg: RunConfig) -> sieve.ScaleParams:
     return sieve.make_scale_params(args.x, preset=cfg.preset, overrides=overrides or None)
 
 
-def _spf_for(params: sieve.ScaleParams, cfg: RunConfig):
-    """The least-factor table within the memory budget, or None: factorize
-    then falls back to trial division, and a note on stderr says so."""
-    try:
-        return build_spf_table(params.x + 3, budget_mb=cfg.budget_mb)
-    except BudgetError as exc:
-        print(f"note: {exc}; factoring by trial division", file=sys.stderr)
-        return None
-
-
 def _enumerate_row(rec: special.SpecialPrimeRecord) -> dict:
     """One `special enumerate` row, JSON-native as emit requires."""
     return {
@@ -367,7 +356,7 @@ def _enumerate_row(rec: special.SpecialPrimeRecord) -> dict:
 
 def cmd_special_enumerate(args, cfg: RunConfig) -> int:
     params = _params_for(args, cfg)
-    records = special.enumerate_S(params, _spf_for(params, cfg))
+    records = special.enumerate_S(params)
     part = special.partition_check(records, params)
     payload = {
         "rows": map(_enumerate_row, records),
@@ -382,7 +371,7 @@ def cmd_special_enumerate(args, cfg: RunConfig) -> int:
 
 def cmd_special_sigmas(args, cfg: RunConfig) -> int:
     params = _params_for(args, cfg)
-    counters = special.count_sigmas(params, args.delta, spf=_spf_for(params, cfg))
+    counters = special.count_sigmas(params, args.delta)
     payload = {
         "sigma1": counters.sigma1,
         "sigma2": counters.sigma2,
@@ -400,7 +389,7 @@ def cmd_special_sigmas(args, cfg: RunConfig) -> int:
 
 def cmd_special_hist(args, cfg: RunConfig) -> int:
     params = _params_for(args, cfg)
-    records = special.enumerate_S(params, _spf_for(params, cfg))
+    records = special.enumerate_S(params)
     rep = special.near_integer_histogram(records, bins=args.bins)
     rows = [
         {
@@ -470,7 +459,7 @@ def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
     p.add_argument("--preset", choices=("desk", "paper"), default=d if suppress else "desk")
     p.add_argument("--seed", type=int, default=d if suppress else 0)
     p.add_argument("--threads", type=int, default=d, help="worker processes for the exact engine of expsum basic")
-    p.add_argument("--budget-mb", type=int, default=d, help="memory budget in MB (default 512)")
+    p.add_argument("--budget-mb", type=int, default=d, help="memory budget of psi's exact count in MB (default 512)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,6 +13,7 @@ in 2..x with vectorized slice operations and count what collapses to 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,14 +117,9 @@ class _RhoPanels:
             return s, err
 
 
-_panel_cache: dict[tuple[int, int], _RhoPanels] = {}
-
-
-def _get_panels(terms: int = _SERIES_TERMS, dps: int = _WORK_DPS) -> _RhoPanels:
-    key = (terms, dps)
-    if key not in _panel_cache:
-        _panel_cache[key] = _RhoPanels(U_MAX, terms, dps)
-    return _panel_cache[key]
+@functools.cache
+def _get_panels() -> _RhoPanels:
+    return _RhoPanels()
 
 
 def rho(u, tol: float = DEFAULT_TOL) -> BigRealWithError:
@@ -137,12 +133,7 @@ def rho(u, tol: float = DEFAULT_TOL) -> BigRealWithError:
         return BigRealWithError(mp.mpf(1), mp.mpf(0))
     v, err = _get_panels().value(u)
     if err > tol:
-        # one retry with a deeper series before giving up honestly
-        v, err = _get_panels(terms=110, dps=60).value(u)
-        if err > tol:
-            raise PreconditionError(
-                f"cannot certify rho({u}) to {tol}: reached error {float(err)}"
-            )
+        raise PreconditionError(f"cannot certify rho({u}) to {tol}: reached error {float(err)}")
     return BigRealWithError(v, err)
 
 
@@ -249,10 +240,8 @@ def psi_exact(x: int, y: float, budget_mb: int | None = None) -> int:
     if y < 2:
         return 1  # only n = 1 has no prime factor
     res = np.arange(x + 1, dtype=np.int64)
-    for p in primes_upto(int(math.floor(y))):
-        p = int(p)
-        if p > x:
-            break
+    # primes above x divide nothing counted, so y > x sieves no further than x
+    for p in primes_upto(x if y >= x else math.floor(y)).tolist():
         q = p
         while q <= x:
             res[q::q] //= p

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .arith import SpfTable, factorize, is_prime, sigma_k
+from .arith import factor_many, factorize, is_prime, sigma_k
 from .bigreal import BigRealWithError
 from .errors import PreconditionError
 
@@ -32,6 +32,7 @@ __all__ = [
     "tail_partial",
     "factorial_tail_exact",
     "sigma4_window",
+    "sigma4_windows",
     "prop1_distance",
     "prop1_statistic_exact",
     "prop1_statistic",
@@ -60,11 +61,11 @@ ZETA4_UPPER = zeta_upper(4)
 E_UPPER = Fraction(27183, 10000)
 
 
-def alpha_partial(k: int, n_terms: int, spf: SpfTable | None = None) -> Fraction:
+def alpha_partial(k: int, n_terms: int) -> Fraction:
     """Exact partial sum sum_{n=1}^{n_terms} sigma_k(n)/n!."""
     if k < 1 or n_terms < 1:
         raise PreconditionError("alpha_partial needs k >= 1 and n_terms >= 1")
-    return _factorial_series([sigma_k(n, k, spf) for n in range(1, n_terms + 1)], 1)
+    return _factorial_series([f.sigma(k) for f in factor_many(range(1, n_terms + 1))], 1)
 
 
 def _majorant(k: int) -> tuple[int, Fraction]:
@@ -101,14 +102,14 @@ def terms_needed(k: int, bits: int) -> int:
     return n0
 
 
-def alpha_k(k: int, target_precision: int = 128, spf: SpfTable | None = None) -> BigRealWithError:
+def alpha_k(k: int, target_precision: int = 128) -> BigRealWithError:
     """Certified value of sum_n sigma_k(n)/n! with err <= 2^-target_precision."""
     if not 1 <= k <= MAX_K:
         raise PreconditionError(f"k must be in 1..{MAX_K}, got {k}")
     if not 1 <= target_precision <= MAX_BITS:
         raise PreconditionError(f"target_precision must be in 1..{MAX_BITS}")
     n0 = terms_needed(k, target_precision)
-    partial = alpha_partial(k, n0, spf)
+    partial = alpha_partial(k, n0)
     tail = tail_bound(k, n0)
     with mp.workprec(target_precision + 64):
         out = BigRealWithError.exact(partial).widen(tail)
@@ -132,26 +133,29 @@ def _factorial_series(values: list[int], a: int, den: int = 1) -> Fraction:
     return Fraction(num, d * den)
 
 
-def sigma4_window(p: int, j_max: int, spf: SpfTable | None = None) -> list[int]:
-    """[sigma_4(p), sigma_4(p+1), ..., sigma_4(p+j_max)]: every value the
-    tail sums at p read, factored once for all of them."""
-    return _sigma4_run(p, 0, j_max, spf, None)
+def sigma4_windows(primes, j_max: int) -> list[list[int]]:
+    """For each p in primes, [sigma_4(p), sigma_4(p+1), ..., sigma_4(p+j_max)]:
+    every value the tail sums at p read, all factored in one batch."""
+    width = j_max + 1
+    s4 = [f.sigma(4) for f in factor_many(p + j for p in primes for j in range(width))]
+    return [s4[i : i + width] for i in range(0, len(s4), width)]
 
 
-def _sigma4_run(
-    p: int, j_lo: int, j_hi: int, spf: SpfTable | None, sigma4: list[int] | None
-) -> list[int]:
+def sigma4_window(p: int, j_max: int) -> list[int]:
+    """sigma4_windows for the one prime p."""
+    return sigma4_windows([p], j_max)[0]
+
+
+def _sigma4_run(p: int, j_lo: int, j_hi: int, sigma4: list[int] | None) -> list[int]:
     """sigma_4(p+j) for j = j_lo..j_hi, read from a sigma4_window when given."""
     if sigma4 is None:
-        return [sigma_k(p + j, 4, spf) for j in range(j_lo, j_hi + 1)]
+        sigma4 = sigma4_window(p, j_hi)
     if len(sigma4) <= j_hi:
         raise PreconditionError(f"sigma4 window ends at p+{len(sigma4) - 1}, p+{j_hi} needed")
     return sigma4[j_lo : j_hi + 1]
 
 
-def factorial_tail_exact(
-    p: int, n1: int, spf: SpfTable | None = None, sigma4: list[int] | None = None
-) -> Fraction:
+def factorial_tail_exact(p: int, n1: int, sigma4: list[int] | None = None) -> Fraction:
     """Exact (p-1)! * sum_{n=p}^{n1} sigma_4(n)/n!.
 
     (p-1)!/n! collapses to 1/(p(p+1)...n), so no large factorials appear.
@@ -159,7 +163,7 @@ def factorial_tail_exact(
     """
     if p < 2 or n1 < p:
         raise PreconditionError("factorial_tail_exact needs 2 <= p <= n1")
-    return _factorial_series(_sigma4_run(p, 0, n1 - p, spf, sigma4), p)
+    return _factorial_series(_sigma4_run(p, 0, n1 - p, sigma4), p)
 
 
 def _falling_products(p: int, count: int) -> list[int]:
@@ -209,9 +213,7 @@ class TailExpansion:
         return sum(self.terms, Fraction(0))
 
 
-def tail_expansion(
-    p: int, spf: SpfTable | None = None, sigma4: list[int] | None = None
-) -> TailExpansion:
+def tail_expansion(p: int, sigma4: list[int] | None = None) -> TailExpansion:
     """The four-term expansion at a prime p >= 11 (sigma4 as in
     factorial_tail_exact)."""
     if p < 11:
@@ -219,18 +221,16 @@ def tail_expansion(
     if not is_prime(p):
         raise PreconditionError(f"tail_expansion needs a prime, got {p}")
     dens = _falling_products(p, 4)
-    terms = tuple(map(Fraction, _sigma4_run(p, 0, 3, spf, sigma4), dens))
+    terms = tuple(map(Fraction, _sigma4_run(p, 0, 3, sigma4), dens))
     return TailExpansion(p=p, terms=terms, remainder_bound=_tail_remainder_bound(p, 4))
 
 
-def tail_partial(
-    p: int, j_max: int, spf: SpfTable | None = None, sigma4: list[int] | None = None
-) -> tuple[Fraction, Fraction]:
+def tail_partial(p: int, j_max: int, sigma4: list[int] | None = None) -> tuple[Fraction, Fraction]:
     """Exact sum of tail terms j = 4..j_max, plus a bound for j > j_max
     (sigma4 as in factorial_tail_exact)."""
     if j_max < 4:
         raise PreconditionError("tail_partial needs j_max >= 4")
-    values = _sigma4_run(p, 4, j_max, spf, sigma4)
+    values = _sigma4_run(p, 4, j_max, sigma4)
     part = _factorial_series(values, p + 4, _falling_products(p, 4)[3])
     return part, _tail_remainder_bound(p, j_max + 1)
 
@@ -256,31 +256,29 @@ def prop1_distance(p: int, sigma4_p1: int, r: int | None = None) -> Fraction:
     return Fraction(min(f, den - f), den)
 
 
-def prop1_statistic_exact(p: int, spf: SpfTable | None = None) -> Fraction:
+def prop1_statistic_exact(p: int) -> Fraction:
     """Exact || sigma_4(p+1)/(p(p+1)) + 1/16 || at a prime p."""
     _require_prime(p)
-    return prop1_distance(p, sigma_k(p + 1, 4, spf))
+    return prop1_distance(p, sigma_k(p + 1, 4))
 
 
-def prop1_statistic(p: int, spf: SpfTable | None = None) -> BigRealWithError:
+def prop1_statistic(p: int) -> BigRealWithError:
     """The same statistic wrapped with its (conversion-only) error radius."""
-    return BigRealWithError.exact(prop1_statistic_exact(p, spf))
+    return BigRealWithError.exact(prop1_statistic_exact(p))
 
 
-def prop1_statistic_with_r_exact(
-    p: int, r: int, spf: SpfTable | None = None
-) -> Fraction:
+def prop1_statistic_with_r_exact(p: int, r: int) -> Fraction:
     """Exact || sigma_4(p+1)/(p(p+1)) + 1/16 + (p+1)/r^4 || for r | p+2, r > 1."""
     _require_prime(p)
     if r <= 1 or (p + 2) % r != 0:
         raise PreconditionError(f"r={r} must be a divisor > 1 of p+2 = {p + 2}")
-    return prop1_distance(p, sigma_k(p + 1, 4, spf), r)
+    return prop1_distance(p, sigma_k(p + 1, 4), r)
 
 
 # -- residuals of the term-by-term expansion ---------------------------------
 
 
-def _divisor_defect_bound(m: int, spf: SpfTable | None = None) -> Fraction:
+def _divisor_defect_bound(m: int) -> Fraction:
     """Bound for sigma_4(m)/m^4 - 1 = sum_{d|m, d>1} d^-4 via the least factor.
 
     Divisors above q0 are distinct integers, so their fourth-power
@@ -288,16 +286,11 @@ def _divisor_defect_bound(m: int, spf: SpfTable | None = None) -> Fraction:
     """
     if m == 1:
         return Fraction(0)
-    q0 = factorize(m, spf).least_prime_factor()
+    q0 = factorize(m).least_prime_factor()
     return Fraction(1, q0**4) + Fraction(1, 3 * q0**3)
 
 
-def expansion_residuals(
-    p: int,
-    r: int | None = None,
-    j_max: int = 32,
-    spf: SpfTable | None = None,
-) -> list[dict]:
+def expansion_residuals(p: int, r: int | None = None, j_max: int = 32) -> list[dict]:
     """Labeled residuals of the four-term expansion at a prime p.
 
     Each row is {label, value, bound} with exact rational value and, for
@@ -317,7 +310,7 @@ def expansion_residuals(
     rows: list[dict] = []
 
     # n = p: sigma_4(p) = p^4 + 1, so the term is p^3 + 1/p on the nose
-    v0 = Fraction(sigma_k(p, 4, spf), p) - p**3
+    v0 = Fraction(sigma_k(p, 4), p) - p**3
     if v0 != Fraction(1, p):
         raise PreconditionError("sigma_4(p)/p - p^3 != 1/p; p is not prime")
     rows.append({"label": "p_term", "value": v0, "bound": Fraction(1, p)})
@@ -327,13 +320,13 @@ def expansion_residuals(
     # n = p+3: for p = 3 mod 4, (p+3)/2 is odd and sigma_4(p+3) = 17 sigma_4((p+3)/2)
     if p % 4 == 3:
         m = (p + 3) // 2
-        v3 = Fraction(sigma_k(p + 3, 4, spf), dens[3]) - Fraction(17, 16)
-        defect = _divisor_defect_bound(m, spf)
+        v3 = Fraction(sigma_k(p + 3, 4), dens[3]) - Fraction(17, 16)
+        defect = _divisor_defect_bound(m)
         b3 = Fraction(17, 16) * (ZETA4_UPPER * Fraction(8, p) + defect)
         rows.append({"label": "seventeen_sixteenths", "value": v3, "bound": b3})
 
     # n = p+2: replacing 1/(p(p+1)(p+2)) by (p+2)^-3 + 3(p+2)^-4
-    s4p2 = sigma_k(p + 2, 4, spf)
+    s4p2 = sigma_k(p + 2, 4)
     split = (
         Fraction(1, dens[2])
         - Fraction(1, (p + 2) ** 3)
@@ -350,7 +343,7 @@ def expansion_residuals(
     # divisors of p+2 beyond d=1 (and beyond d=r when an r is singled out)
     n2 = p + 2
     dtail = Fraction(s4p2, n2**3) - n2
-    counted = [d for d in factorize(n2, spf).divisors() if d > 1]
+    counted = [d for d in factorize(n2).divisors() if d > 1]
     if r is not None:
         dtail -= Fraction(n2, r**4)
         counted = [d for d in counted if d != r]
@@ -371,7 +364,7 @@ def expansion_residuals(
     )
 
     # everything from n = p+4: exact partial plus remainder, against the majorant
-    part, rem = tail_partial(p, j_max, spf)
+    part, rem = tail_partial(p, j_max)
     rows.append(
         {
             "label": "tail_majorant",

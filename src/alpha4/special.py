@@ -15,9 +15,8 @@ exact definitions are in count_sigmas.
 
 Both enumerate_S and count_sigmas consume one walk over the base
 candidates (_walk): each prime p = -1 mod W in (x/2, x] whose odd half
-clears z_small is yielded once, with p+2 factored, its window primes
-listed and its membership in S decided; p+1 and the odd half are
-factored only when a statistic, the smoothness test or a record asks.
+clears z_small is yielded once, with p+1, p+2 and the odd half factored,
+the window primes of p+2 listed and its membership in S decided.
 
 Before any factoring, the walk drops, in numpy over each segment of
 primes, every p for which p+2 has a prime factor <= min(z_lo, z_hi) or
@@ -27,7 +26,9 @@ P-(p+2) > z_hi, and sigma2 needs every factor of p+2 to be a window
 prime r > z_lo or to exceed z_hi. The min keeps this true when z_lo >=
 z_hi (the paper preset allows it). Trial divisors stop at sqrt(x+3),
 so a threshold beyond it is never turned into a prime list; the exact
-rules then still decide what the prefilter leaves.
+rules then still decide what the prefilter leaves. The survivors of each
+segment are factored in one factor_many batch, so memory follows the
+segment, not x.
 
 partition_check stays an independent re-derivation of every condition.
 """
@@ -41,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import Factorization, PrimeRange, SpfTable, factorize, primes_upto
+from .arith import Factorization, PrimeRange, factor_many, primes_upto
 from .errors import PreconditionError
 from .series import prop1_distance
 from .sieve import ScaleParams
@@ -88,31 +89,25 @@ class SpecialPrimeRecord:
 
 
 class _Candidate:
-    """A base candidate p: p+2 factored, p+1 and the odd half on demand.
+    """A base candidate p with f1, f2, f3 factorizing p+1, p+2 and the odd
+    half (p+3)/2.
 
     window lists the prime factors of p+2 in (z_lo, z_hi]; in_S is the
     membership rule of S, the only place it is written outside
     partition_check.
     """
 
-    def __init__(self, p: int, params: ScaleParams, spf: SpfTable | None):
+    def __init__(
+        self, p: int, params: ScaleParams, f1: Factorization, f2: Factorization, f3: Factorization
+    ):
         zl, zh = params.z_quarter_lo, params.z_quarter_hi
-        self.p, self.spf = p, spf
-        self.f2 = factorize(p + 2, spf)
+        self.p, self.f1, self.f2, self.f3 = p, f1, f2, f3
         self.window = [q for q, _ in self.f2.pairs if zl < q <= zh]
         self.in_S = (
             self.f2.is_squarefree()
             and self.f2.least_prime_factor() > zl
             and len(self.window) <= 1
         )
-
-    @cached_property
-    def f1(self) -> Factorization:
-        return factorize(self.p + 1, self.spf)
-
-    @cached_property
-    def f3(self) -> Factorization:
-        return factorize((self.p + 3) // 2, self.spf)
 
     @cached_property
     def sigma4_p1(self) -> int:
@@ -122,7 +117,7 @@ class _Candidate:
         return prop1_distance(self.p, self.sigma4_p1, r)
 
 
-def _walk(params: ScaleParams, spf: SpfTable | None):
+def _walk(params: ScaleParams):
     """Each base candidate once, in increasing p: primes p = -1 mod W in
     (x/2, x] whose odd half (p+3)/2 has no prime factor <= z_small.
 
@@ -144,20 +139,19 @@ def _walk(params: ScaleParams, spf: SpfTable | None):
         half = (cand + 3) // 2
         for q in divides_half:
             keep &= half % q != 0
-        for p in cand[keep].tolist():
-            c = _Candidate(p, params, spf)
+        ps = cand[keep]
+        n = ps.size
+        fs = factor_many(np.concatenate([ps + 1, ps + 2, half[keep]]))
+        for i, p in enumerate(ps.tolist()):
+            c = _Candidate(p, params, fs[i], fs[n + i], fs[2 * n + i])
             if half_decided or c.f3.least_prime_factor() > zs:
                 yield c
 
 
-def enumerate_S(params: ScaleParams, spf: SpfTable | None = None) -> list[SpecialPrimeRecord]:
-    """All members of S at the given scale, in increasing order of p.
-
-    Factoring reads spf, a least-factor table covering x + 3; without one
-    it falls back to trial division.
-    """
+def enumerate_S(params: ScaleParams) -> list[SpecialPrimeRecord]:
+    """All members of S at the given scale, in increasing order of p."""
     out: list[SpecialPrimeRecord] = []
-    for c in _walk(params, spf):
+    for c in _walk(params):
         if not c.in_S:
             continue
         r = c.window[0] if c.window else None
@@ -209,9 +203,7 @@ class SigmaCounters:
         return max(0, self.S_total - self.sigma1 - self.sigma2)
 
 
-def count_sigmas(
-    params: ScaleParams, delta: float, spf: SpfTable | None = None
-) -> SigmaCounters:
+def count_sigmas(params: ScaleParams, delta: float) -> SigmaCounters:
     """Count the four families over the base set of candidates.
 
     Base set: primes p = -1 mod W in (x/2, x] whose odd half (p+3)/2 has
@@ -230,8 +222,7 @@ def count_sigmas(
     as enumerate_S. The walk's prefilter never drops a p that one of
     these families counts: each asks P-(p+2) > min(z_lo, z_hi), sigma2
     through its window prime r > z_lo and cofactor above z_hi. delta must be finite and nonnegative; it is compared
-    exactly, at the binary value of the given float. spf is used as in
-    enumerate_S.
+    exactly, at the binary value of the given float.
     """
     if not math.isfinite(delta) or delta < 0:
         raise PreconditionError(f"delta must be finite and nonnegative, got {delta}")
@@ -239,7 +230,7 @@ def count_sigmas(
     d = Fraction(delta)
     y_smooth = params.x**params.smooth_exp
     s1 = s2 = s3 = s4 = S_total = 0
-    for c in _walk(params, spf):
+    for c in _walk(params):
         S_total += c.in_S
         lpf2 = c.f2.least_prime_factor()
         if lpf2 > zh and c.stat() <= d:

@@ -20,7 +20,6 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import dickman, expsums, series, sieve, special
-from .arith import build_spf_table
 from .errors import PreconditionError
 
 __all__ = ["CheckResult", "CHECKS", "check_names", "run_check", "verify_all"]
@@ -411,17 +410,15 @@ def _oracle_special(x, w, zs, zl, zh, y_smooth, delta: Fraction):
 def _special_context(ctx: dict):
     if "params" not in ctx:
         ctx["params"] = sieve.make_scale_params(10**6)
-    if "spf" not in ctx:
-        ctx["spf"] = build_spf_table(10**6 + 3)
     if "records" not in ctx:
-        ctx["records"] = special.enumerate_S(ctx["params"], ctx["spf"])
-    return ctx["params"], ctx["spf"], ctx["records"]
+        ctx["records"] = special.enumerate_S(ctx["params"])
+    return ctx["params"], ctx["records"]
 
 
 def check_special_set(ctx: dict) -> dict:
-    params, spf, records = _special_context(ctx)
+    params, records = _special_context(ctx)
     delta = 0.05
-    counters = special.count_sigmas(params, delta, spf=spf)
+    counters = special.count_sigmas(params, delta)
     part = special.partition_check(records, params)
 
     oracle_members, oracle_sigmas = _oracle_special(
@@ -459,13 +456,18 @@ def check_special_set(ctx: dict) -> dict:
 
 
 def check_tail_identity(ctx: dict) -> dict:
-    params, spf, records = _special_context(ctx)
-    j_max = 40
+    _, records = _special_context(ctx)
+    j_max, block = 40, 512
     checked = 0
-    for rec in records:
-        p = rec.p
-        # one sigma_4 window per prime feeds both sides of the identity
-        window = series.sigma4_window(p, j_max, spf)
+    primes = [rec.p for rec in records]
+    # one sigma_4 window per prime feeds both sides of the identity; the
+    # windows are factored a block of primes at a time
+    windows = (
+        w
+        for i in range(0, len(primes), block)
+        for w in series.sigma4_windows(primes[i : i + block], j_max)
+    )
+    for p, window in zip(primes, windows):
         lhs = series.factorial_tail_exact(p, p + j_max, sigma4=window)
         exp = series.tail_expansion(p, sigma4=window)
         part, _ = series.tail_partial(p, j_max, sigma4=window)

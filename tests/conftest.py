@@ -1,4 +1,4 @@
-"""Shared fixtures: the expensive tables are built once per session."""
+"""Shared fixtures: the expensive tables and records are built once per session."""
 
 import pytest
 
@@ -16,11 +16,11 @@ def desk_params():
 
 
 @pytest.fixture(scope="session")
-def desk_records(desk_params, spf_million):
-    return special.enumerate_S(desk_params, spf_million)
+def desk_records(desk_params):
+    return special.enumerate_S(desk_params)
 
 
 @pytest.fixture(scope="session")
-def shared_ctx(desk_params, spf_million, desk_records):
-    # pre-seeded so the acceptance checks reuse the session tables
-    return {"params": desk_params, "spf": spf_million, "records": desk_records}
+def shared_ctx(desk_params, desk_records):
+    # pre-seeded so the acceptance checks reuse the session records
+    return {"params": desk_params, "records": desk_records}

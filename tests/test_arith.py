@@ -95,6 +95,45 @@ def test_factorize_rejects_uncertifiable_cofactor():
         arith.factorize(p * p)
 
 
+def _oracle_pairs(ns):
+    return [tuple(sorted(oracles.factor(n).items())) for n in ns]
+
+
+def test_factor_many_matches_oracle():
+    ns = list(range(1, 5001))
+    fs = arith.factor_many(ns)
+    assert [f.n for f in fs] == ns
+    assert [f.pairs for f in fs] == _oracle_pairs(ns)
+
+
+def test_factor_many_reaches_the_boundary_prime():
+    # 997 is the largest prime <= isqrt(10^6); 65521 the largest <= 2^16,
+    # so each square needs the last prime of the sieve to be factored
+    ns = [997**2, 991 * 997, 10**6]
+    assert [f.pairs for f in arith.factor_many(ns)] == _oracle_pairs(ns)
+    for q in (2, 3, 7, 997, 65521):
+        # the batch maximum is the prime square itself
+        ns = list(range(max(1, q * q - 40), q * q + 1))
+        assert [f.pairs for f in arith.factor_many(ns)] == _oracle_pairs(ns), q
+
+
+def test_factor_many_splits_cofactors_beyond_2_32():
+    # both factors exceed 2^16, so after the sieve the cycle splitter runs
+    p, q = 1000003, 1000033
+    fs = arith.factor_many([p * q, 12 * p * q, p * p, 6])
+    assert [f.pairs for f in fs] == [
+        ((p, 1), (q, 1)), ((2, 2), (3, 1), (p, 1), (q, 1)), ((p, 2),), ((2, 1), (3, 1)),
+    ]
+
+
+def test_factor_many_edges():
+    assert arith.factor_many([]) == []
+    assert arith.factor_many([1]) == [arith.Factorization(1, ())]
+    for bad in ([0], [5, -6]):
+        with pytest.raises(PreconditionError):
+            arith.factor_many(bad)
+
+
 def test_factorization_accessors():
     f = arith.factorize(360)
     assert f.sigma(1) == oracles.sigma_k(360, 1)

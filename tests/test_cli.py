@@ -248,7 +248,11 @@ def test_bad_global_flags_are_input_errors(argv, capsys):
 
 
 def test_special_sigmas_honors_budget(capsys, monkeypatch):
-    # a zero budget refuses the least-factor table once; nothing rebuilds it
+    # the budget governs psi only: the special walk builds no least-factor
+    # table, so a zero budget changes nothing
+    argv = ["special", "sigmas", "--x", "100000", "--delta", "0.05"]
+    rc, plain, err = run(argv, capsys)
+    assert rc == 0 and err == ""
     calls = []
     real = arith.build_spf_table
 
@@ -257,11 +261,11 @@ def test_special_sigmas_honors_budget(capsys, monkeypatch):
         return real(limit, budget_mb=budget_mb)
 
     monkeypatch.setattr(arith, "build_spf_table", spy)
-    monkeypatch.setattr(cli, "build_spf_table", spy)
-    rc, out, err = run(["special", "sigmas", "--x", "100000", "--delta", "0.05", "--budget-mb", "0"], capsys)
+    rc, out, err = run(argv + ["--budget-mb", "0"], capsys)
     assert rc == 0
-    assert calls == [(100003, 0)]
-    assert "trial division" in err
+    assert out == plain
+    assert err == ""
+    assert calls == []
     res = json.loads(out)["result"]
     assert [res["sigma1"], res["sigma2"], res["sigma3"], res["sigma4"]] == [59, 6, 13, 6]
     assert res["S_total"] == 569

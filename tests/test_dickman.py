@@ -35,6 +35,11 @@ def test_rho_certificates_are_tiny():
         assert float(dickman.rho(u).err) < 1e-30, u
 
 
+def test_default_panels_meet_the_tightest_tolerance():
+    # every panel certifies below MIN_TOL, so rho needs no deeper series
+    assert max(dickman._get_panels().errs) <= dickman.MIN_TOL
+
+
 def test_rho_monotone_decreasing():
     vals = [float(dickman.rho(u).value) for u in (1.0, 1.5, 2.0, 2.5, 3.0, 10 / 3, 4.0)]
     assert vals == sorted(vals, reverse=True)
@@ -95,6 +100,11 @@ def test_psi_exact_small_cases():
     assert dickman.psi_exact(100, 10) == 46
     assert dickman.psi_exact(1, 5) == 1
     assert dickman.psi_exact(10, 10) == 10  # y = x counts everything
+
+
+def test_psi_exact_sieves_no_further_than_x():
+    # y far beyond x counts everything without a sieve to y
+    assert dickman.psi_exact(1000, 10**12) == 1000
 
 
 def test_psi_exact_matches_brute_force():

@@ -4,6 +4,7 @@ import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -71,9 +72,9 @@ def brute_sigmas(x, w, zs, zl, zh, smooth_exp, delta):
     return s1, s2, s3, s4
 
 
-def test_enumerate_matches_brute_force_at_1e4(spf_million):
+def test_enumerate_matches_brute_force_at_1e4():
     params = params_at_1e4()
-    recs = special.enumerate_S(params, spf_million)
+    recs = special.enumerate_S(params)
     got = [(rec.p, rec.r) for rec in recs]
     want = brute_members(X4, params.W, params.z_small, params.z_quarter_lo, params.z_quarter_hi)
     assert got == want
@@ -81,9 +82,9 @@ def test_enumerate_matches_brute_force_at_1e4(spf_million):
     assert Counter(r.klass for r in recs) == {"no_mid_factor": 71, "one_mid_factor": 10}
 
 
-def test_record_invariants_at_1e4(spf_million):
+def test_record_invariants_at_1e4():
     params = params_at_1e4()
-    for rec in special.enumerate_S(params, spf_million):
+    for rec in special.enumerate_S(params):
         assert rec.p % 12 == 11
         assert X4 // 2 < rec.p <= X4
         assert rec.factor_p1.n == rec.p + 1
@@ -114,39 +115,39 @@ def test_record_constructor_validates():
         )
 
 
-def test_crt_locates_an_enumerated_pair(spf_million):
+def test_crt_locates_an_enumerated_pair():
     # a one-mid member satisfies the combined congruence p = -1 (W), -2 (r)
     from alpha4 import crt_combine
 
     params = params_at_1e4()
     rec = next(
-        r for r in special.enumerate_S(params, spf_million) if r.klass == "one_mid_factor"
+        r for r in special.enumerate_S(params) if r.klass == "one_mid_factor"
     )
     res, mod = crt_combine([(params.W - 1, params.W), (rec.r - 2, rec.r)])
     assert mod == 12 * rec.r
     assert rec.p % mod == res
 
 
-def test_sigma_counters_match_brute_force(spf_million):
+def test_sigma_counters_match_brute_force():
     params = params_at_1e4()
     for delta in (0.05, 0.5):
-        c = special.count_sigmas(params, delta, spf=spf_million)
+        c = special.count_sigmas(params, delta)
         want = brute_sigmas(
             X4, params.W, params.z_small, params.z_quarter_lo, params.z_quarter_hi,
             params.smooth_exp, delta,
         )
         assert (c.sigma1, c.sigma2, c.sigma3, c.sigma4) == want, delta
-    c = special.count_sigmas(params, 0.05, spf=spf_million)
+    c = special.count_sigmas(params, 0.05)
     assert (c.sigma1, c.sigma2, c.sigma3, c.sigma4) == (10, 0, 2, 0)
     assert c.S_total == 81
 
 
-def test_sigma_counters_at_half_cover_the_classes(spf_million):
+def test_sigma_counters_at_half_cover_the_classes():
     # delta = 1/2 makes every statistic condition vacuous, so sigma2
     # counts exactly the one-mid pairs with a rough cofactor
     params = params_at_1e4()
-    recs = special.enumerate_S(params, spf_million)
-    c = special.count_sigmas(params, 0.5, spf=spf_million)
+    recs = special.enumerate_S(params)
+    c = special.count_sigmas(params, 0.5)
     one_mid = sum(1 for r in recs if r.klass == "one_mid_factor")
     assert c.sigma2 == one_mid == 10
     # sigma1 also admits non-squarefree p+2, so it can only exceed the class
@@ -155,19 +156,19 @@ def test_sigma_counters_at_half_cover_the_classes(spf_million):
     assert (c.sigma1, c.sigma3, c.sigma4) == (73, 2, 9)
 
 
-def test_count_sigmas_walks_once(spf_million, monkeypatch):
+def test_count_sigmas_walks_once(monkeypatch):
     # S_total comes from count_sigmas' own walk, never from enumerate_S
     def refuse(*args, **kwargs):
         raise AssertionError("count_sigmas enumerated S a second time")
 
     monkeypatch.setattr(special, "enumerate_S", refuse)
-    c = special.count_sigmas(params_at_1e4(), 0.05, spf=spf_million)
+    c = special.count_sigmas(params_at_1e4(), 0.05)
     assert c.S_total == 81
     assert (c.sigma1, c.sigma2, c.sigma3, c.sigma4) == (10, 0, 2, 0)
 
 
-def test_count_sigmas_at_desk_scale(desk_params, spf_million):
-    c = special.count_sigmas(desk_params, 0.05, spf=spf_million)
+def test_count_sigmas_at_desk_scale(desk_params):
+    c = special.count_sigmas(desk_params, 0.05)
     assert c.S_total == 4110
     assert [c.sigma1, c.sigma2, c.sigma3, c.sigma4] == [338, 58, 87, 65]
 
@@ -196,24 +197,39 @@ PREFILTER_CASES = {
 }
 
 
+def table_factor(table, n):
+    out = {}
+    while n > 1:
+        q = table.least_prime_factor(n)
+        out[q] = out.get(q, 0) + 1
+        n //= q
+    return out
+
+
 @pytest.mark.parametrize("spf", ["table", None])
 @pytest.mark.parametrize("case", list(PREFILTER_CASES))
 def test_prefiltered_walk_matches_oracle(case, spf, spf_million):
     # the walk's prefilter may only drop candidates no family counts:
-    # members and all four sigmas equal the independent oracle's
+    # members and all four sigmas equal the independent oracle's. The spf
+    # axis names the reference each member's batch-factored p+1, p+2 and
+    # odd half are checked against: the least-factor table or trial division
     preset, overrides, witness = PREFILTER_CASES[case]
     p = sieve.make_scale_params(10**5, preset=preset, overrides=overrides)
-    table = spf_million if spf == "table" else None
+    reference = partial(table_factor, spf_million) if spf == "table" else oracles.factor
     if witness is not None:
         q, r = witness
         assert (q + 2) % (r * r) == 0 and p.z_quarter_lo < r <= p.z_quarter_hi
-    members = [(rec.p, rec.r) for rec in special.enumerate_S(p, table)]
+    recs = special.enumerate_S(p)
+    for rec in recs:
+        for f in (rec.factor_p1, rec.factor_p2, rec.factor_p3):
+            assert dict(f.pairs) == reference(f.n), (rec.p, f.n)
+    members = [(rec.p, rec.r) for rec in recs]
     for delta in (0.05, 0.5):
         want_members, want_sigmas = verify._oracle_special(
             p.x, p.W, p.z_small, p.z_quarter_lo, p.z_quarter_hi, p.x**p.smooth_exp,
             Fraction(delta),
         )
-        c = special.count_sigmas(p, delta, spf=table)
+        c = special.count_sigmas(p, delta)
         assert members == want_members
         assert [c.sigma1, c.sigma2, c.sigma3, c.sigma4] == want_sigmas
         assert c.S_total == len(want_members)
@@ -260,11 +276,11 @@ def test_partition_check_flags_mislabels(desk_params, desk_records):
     assert rep["first_failure"]["p"] == victim.p
 
 
-def test_overrides_config_at_1e6(desk_params, spf_million):
+def test_overrides_config_at_1e6(desk_params):
     params = sieve.make_scale_params(
         10**6, overrides={"z_small": 20, "z_quarter_lo": 25, "z_quarter_hi": 60}
     )
-    recs = special.enumerate_S(params, spf_million)
+    recs = special.enumerate_S(params)
     assert len(recs) == 1486
     assert Counter(r.klass for r in recs) == {
         "no_mid_factor": 1237, "one_mid_factor": 249,
@@ -279,12 +295,12 @@ def test_overrides_config_at_1e6(desk_params, spf_million):
         assert oracles.least_prime_factor((rec.p + 3) // 2) > 20
 
 
-def test_degenerate_window_forces_prime_p_plus_2(spf_million):
+def test_degenerate_window_forces_prime_p_plus_2():
     # window beyond sqrt(x): a surviving p+2 cannot have two factors
     params = sieve.make_scale_params(
         X4, overrides={"z_quarter_lo": 110, "z_quarter_hi": 130}
     )
-    recs = special.enumerate_S(params, spf_million)
+    recs = special.enumerate_S(params)
     assert len(recs) == 39
     assert all(r.klass == "no_mid_factor" for r in recs)
     assert all(len(r.factor_p2.pairs) == 1 for r in recs)
