@@ -3,15 +3,20 @@
 Everything in this module is deterministic. Primality uses a fixed
 strong-pseudoprime base set that is a proven classifier below 3.3e14 and
 refuses larger inputs rather than degrade to "probably". A single n is
-factored by trial division to 2^16; a batch is factored by factor_many,
-which sieves the small primes over the whole batch in numpy. Both finish
-cofactors above 2^32 with a Brent-cycle splitter.
+factored by trial division to 2^16 into a Factorization. A batch is
+factored by factor_many, which strips the small primes from a column of
+remainders in numpy and returns a FactorBatch: the batch's (value index,
+prime, exponent) pairs as checked numpy columns, from which sigma_k, the
+least and greatest prime factors and squarefreeness are read without a
+Factorization per value. Both finish cofactors above 2^32 with a
+Brent-cycle splitter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from numbers import Rational
 
@@ -25,6 +30,7 @@ __all__ = [
     "MR_DETERMINISTIC_LIMIT",
     "SpfTable",
     "Factorization",
+    "FactorBatch",
     "PrimeRange",
     "primes_upto",
     "is_prime",
@@ -284,36 +290,187 @@ def factorize(n) -> Factorization:
     return _finish(n, pairs, rem)
 
 
-def factor_many(values) -> list[Factorization]:
+class FactorBatch:
+    """Factorizations of a batch of integers, held as checked numpy columns.
+
+    values[i] = prod q^e over the pairs of value i. The pairs are three
+    int64 columns (index, primes, exps), sorted by value index and then by
+    prime; offsets[i]:offsets[i+1] are value i's pairs. The constructor
+    checks every value the way Factorization does (primes strictly
+    increase, every e >= 1, the pairs multiply back to n), in numpy with
+    no intermediate above n, and the columns are read-only afterwards.
+
+    Readers: sigma(k) as exact ints; the least, greatest and squarefree
+    columns (least = greatest = 1 for n = 1, which has no prime factor);
+    batch[i], a Factorization.
+    """
+
+    def __init__(self, values, index, primes, exps):
+        self.values, self.index, self.primes, self.exps = (
+            np.array(a, dtype=np.int64) for a in (values, index, primes, exps)
+        )
+        n = self.values.size
+        if not self.index.size == self.primes.size == self.exps.size:
+            raise PreconditionError("pair columns must have one length")
+        if n and self.values.min() < 1:
+            raise PreconditionError("batch values must be >= 1")
+        if self.index.size and (self.index.min() < 0 or self.index.max() >= n):
+            raise PreconditionError("pair index outside the batch")
+        self.offsets = np.searchsorted(self.index, np.arange(n + 1))
+        self._check()
+        for a in (self.values, self.index, self.primes, self.exps, self.offsets):
+            a.setflags(write=False)
+
+    def _check(self) -> None:
+        idx, q, e = self.index, self.primes, self.exps
+        same = idx[1:] == idx[:-1]
+        if (
+            np.any(idx[1:] < idx[:-1])
+            or np.any(same & (q[1:] <= q[:-1]))
+            or np.any(q < 2)
+            or np.any(e < 1)
+        ):
+            raise PreconditionError("factor pairs must have increasing primes and e >= 1")
+        n = self.values
+        # q^e, each step guarded by pw <= n // q, so nothing exceeds n < 2^63
+        bound = n[idx]
+        pw = np.ones_like(q)
+        for step in range(int(e.max(initial=0))):
+            live = np.flatnonzero(e > step)
+            if np.any(pw[live] > bound[live] // q[live]):
+                raise PreconditionError("factor pairs multiply past their value")
+            pw[live] *= q[live]
+        # the product over each value's pairs, one pair rank at a time
+        m = np.ones_like(n)
+        rank = np.arange(idx.size) - self.offsets[idx]
+        for j in range(int(rank.max(initial=-1)) + 1):
+            at = rank == j
+            i, f = idx[at], pw[at]
+            if np.any(m[i] > n[i] // f):
+                raise PreconditionError("factor pairs multiply past their value")
+            m[i] *= f
+        bad = np.flatnonzero(m != n)
+        if bad.size:
+            i = int(bad[0])
+            raise PreconditionError(f"pairs multiply to {int(m[i])}, not {int(n[i])}")
+
+    def __len__(self) -> int:
+        return self.values.size
+
+    @cached_property
+    def _lists(self) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+        # read once as Python ints, so each batch[i] slices lists, not
+        # arrays; equal (prime, exponent) pairs share one tuple
+        shared: dict[tuple[int, int], tuple[int, int]] = {}
+        pairs = [shared.setdefault(t, t) for t in zip(self.primes.tolist(), self.exps.tolist())]
+        return self.values.tolist(), self.offsets.tolist(), pairs
+
+    def __getitem__(self, i: int) -> Factorization:
+        values, offsets, pairs = self._lists
+        if not 0 <= i < len(values):
+            raise IndexError(f"batch index {i} outside 0..{len(values) - 1}")
+        return Factorization(values[i], tuple(pairs[offsets[i] : offsets[i + 1]]))
+
+    def sigma(self, k: int, rows=None) -> list[int]:
+        """sigma_k of each value, or of values[rows] for distinct rows, as exact ints."""
+        if k < 0:
+            raise PreconditionError("divisor-power exponent must be nonnegative")
+        idx, q, e = self.index, self.primes, self.exps
+        count = len(self)
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.int64)
+            sel = np.zeros(count, dtype=bool)
+            sel[rows] = True
+            keep = sel[idx]
+            # renumber the kept pairs by their position in rows
+            pos = np.zeros(count, dtype=np.int64)
+            pos[rows] = np.arange(rows.size)
+            idx, q, e, count = pos[idx[keep]], q[keep], e[keep], rows.size
+        out = [1] * count
+        if k == 0:
+            for i, ei in zip(idx.tolist(), e.tolist()):
+                out[i] *= ei + 1
+            return out
+        for i, qi, ei in zip(idx.tolist(), q.tolist(), e.tolist()):
+            qk = qi**k
+            out[i] *= qk + 1 if ei == 1 else (qk ** (ei + 1) - 1) // (qk - 1)
+        return out
+
+    @cached_property
+    def least(self) -> np.ndarray:
+        out = np.ones(len(self), dtype=np.int64)
+        has = self.offsets[:-1] < self.offsets[1:]
+        out[has] = self.primes[self.offsets[:-1][has]]
+        return out
+
+    @cached_property
+    def greatest(self) -> np.ndarray:
+        out = np.ones(len(self), dtype=np.int64)
+        has = self.offsets[:-1] < self.offsets[1:]
+        out[has] = self.primes[self.offsets[1:][has] - 1]
+        return out
+
+    @cached_property
+    def squarefree(self) -> np.ndarray:
+        out = np.ones(len(self), dtype=bool)
+        out[self.index[self.exps > 1]] = False
+        return out
+
+
+def factor_many(values) -> FactorBatch:
     """Full factorizations of a batch of integers 1 <= n < 2^63, in order.
 
     The one bulk factoring core. Each prime q <= isqrt(max) (at most
-    2^16) marks the values it divides, in numpy over the whole batch; the
-    marked primes are then divided out in Python, and the cofactors left
-    are finished as in factorize. Memory is O(batch), whatever the values.
+    2^16) that divides some value is stripped from the remainder column
+    in numpy, its exponents counted there. A remainder left above 1 is
+    prime below 2^32 and becomes its value's last pair; above, certified
+    primality or the splitter finishes it, as in factorize. Memory is
+    O(batch), whatever the values.
     """
-    vals = [int(v) for v in values]
-    if not vals:
-        return []
-    lo, hi = min(vals), max(vals)
+    ints = values.tolist() if isinstance(values, np.ndarray) else [int(v) for v in values]
+    lo, hi = min(ints, default=1), max(ints, default=1)
     if lo < 1 or hi >= 2**63:
         raise PreconditionError(f"factor_many needs 1 <= n < 2^63, got {lo if lo < 1 else hi}")
-    arr = np.array(vals, dtype=np.int64)
-    hits: list[list[int]] = [[] for _ in vals]
+    vals = np.array(ints, dtype=np.int64)
+    rem = vals.copy()
+    idx, qs, es = [], [], []
     top = math.isqrt(hi)
     for q in _get_small_primes():
         if q > top:
             break
-        for i in np.flatnonzero(arr // q * q == arr).tolist():
-            hits[i].append(q)
-    out = []
-    for n, qs in zip(vals, hits):
-        pairs: list[tuple[int, int]] = []
-        rem = n
-        for q in qs:
-            rem = _strip(rem, q, pairs)
-        out.append(_finish(n, pairs, rem))
-    return out
+        # floor division by a scalar is numpy's fast path; % is not
+        hit = np.flatnonzero(rem // q * q == rem)
+        if not hit.size:
+            continue
+        sub = rem[hit] // q
+        e = np.ones(hit.size, dtype=np.int64)
+        more = np.flatnonzero(sub // q * q == sub)
+        while more.size:
+            sub[more] //= q
+            e[more] += 1
+            more = more[sub[more] // q * q == sub[more]]
+        rem[hit] = sub
+        idx.append(hit)
+        qs.append(np.full(hit.size, q, dtype=np.int64))
+        es.append(e)
+    # below 2^32 a remainder with no prime factor <= min(2^16, isqrt(max)) is 1 or prime
+    left = np.flatnonzero(rem > 1)
+    fits = rem[left] < _SMALL_LIMIT * _SMALL_LIMIT
+    small, big = left[fits], left[~fits]
+    idx.append(small)
+    qs.append(rem[small])
+    es.append(np.ones(small.size, dtype=np.int64))
+    for i in big.tolist():
+        split: list[int] = []
+        _split_cofactor(int(rem[i]), split)
+        for q in sorted(set(split)):
+            idx.append(np.array([i]))
+            qs.append(np.array([q]))
+            es.append(np.array([split.count(q)]))
+    idx_all = np.concatenate(idx)
+    # stable: within a value, primes were appended in increasing order
+    order = np.argsort(idx_all, kind="stable")
+    return FactorBatch(vals, idx_all[order], np.concatenate(qs)[order], np.concatenate(es)[order])
 
 
 # -- multiplicative functions (int or Factorization input) ----------------

@@ -8,7 +8,8 @@ fixes the constant term. The piecewise-closed-form 1 - log u on [1,2] and
 a direct quadrature at u = 10/3 serve as independent cross-checks.
 
 Exact counts Psi(x, y) divide out prime factors <= y from every residual
-in 2..x with vectorized slice operations and count what collapses to 1.
+in 2..x (one uint32 array) with vectorized slice operations and count
+what collapses to 1.
 """
 
 from __future__ import annotations
@@ -230,16 +231,22 @@ class SmoothCount:
 
 
 def psi_exact(x: int, y: float, budget_mb: int | None = None) -> int:
-    """Exact Psi(x, y) by dividing out every prime power <= y ... <= x."""
+    """Exact Psi(x, y) by dividing out every prime power <= y ... <= x.
+
+    The residuals of 0..x are one uint32 array (4 bytes an entry, charged
+    to the memory budget), so x < 2^32.
+    """
     x = int(x)
     if x < 1:
         raise PreconditionError(f"psi_exact needs x >= 1, got {x}")
     if y < 1:
         raise PreconditionError(f"psi_exact needs y >= 1, got {y}")
-    require_budget(8 * (x + 1), budget_mb, f"psi_exact residuals at x={x}")
+    if x >= 2**32:
+        raise PreconditionError(f"psi_exact keeps residuals in uint32, so x must be < 2^32, got {x}")
+    require_budget(4 * (x + 1), budget_mb, f"psi_exact residuals at x={x}")
     if y < 2:
         return 1  # only n = 1 has no prime factor
-    res = np.arange(x + 1, dtype=np.int64)
+    res = np.arange(x + 1, dtype=np.uint32)
     # primes above x divide nothing counted, so y > x sieves no further than x
     for p in primes_upto(x if y >= x else math.floor(y)).tolist():
         q = p

@@ -65,7 +65,7 @@ def alpha_partial(k: int, n_terms: int) -> Fraction:
     """Exact partial sum sum_{n=1}^{n_terms} sigma_k(n)/n!."""
     if k < 1 or n_terms < 1:
         raise PreconditionError("alpha_partial needs k >= 1 and n_terms >= 1")
-    return _factorial_series([f.sigma(k) for f in factor_many(range(1, n_terms + 1))], 1)
+    return _factorial_series(factor_many(range(1, n_terms + 1)).sigma(k), 1)
 
 
 def _majorant(k: int) -> tuple[int, Fraction]:
@@ -135,9 +135,10 @@ def _factorial_series(values: list[int], a: int, den: int = 1) -> Fraction:
 
 def sigma4_windows(primes, j_max: int) -> list[list[int]]:
     """For each p in primes, [sigma_4(p), sigma_4(p+1), ..., sigma_4(p+j_max)]:
-    every value the tail sums at p read, all factored in one batch."""
+    every value the tail sums at p read, all factored in one batch and read
+    off its columns by FactorBatch.sigma, with no Factorization built."""
     width = j_max + 1
-    s4 = [f.sigma(4) for f in factor_many(p + j for p in primes for j in range(width))]
+    s4 = factor_many(p + j for p in primes for j in range(width)).sigma(4)
     return [s4[i : i + width] for i in range(0, len(s4), width)]
 
 

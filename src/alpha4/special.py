@@ -14,9 +14,14 @@ r-correction, and how the smooth/rough split of p+1 interacts; their
 exact definitions are in count_sigmas.
 
 Both enumerate_S and count_sigmas consume one walk over the base
-candidates (_walk): each prime p = -1 mod W in (x/2, x] whose odd half
-clears z_small is yielded once, with p+1, p+2 and the odd half factored,
-the window primes of p+2 listed and its membership in S decided.
+candidates (_walk): the primes p = -1 mod W in (x/2, x] whose odd half
+clears z_small, yielded a segment at a time as columns. p+1 and p+2 are
+factored in one FactorBatch; the least and greatest prime factors, the
+window pairs of p+2 and membership in S are read off its columns in
+numpy. sigma_4(p+1) is summed only for the candidates whose statistic is
+read, and each statistic, plain or r-corrected, is computed once.
+count_sigmas builds no Factorization; enumerate_S builds three per
+member, factoring the odd halves of the members alone.
 
 Before any factoring, the walk drops, in numpy over each segment of
 primes, every p for which p+2 has a prime factor <= min(z_lo, z_hi) or
@@ -27,8 +32,7 @@ prime r > z_lo or to exceed z_hi. The min keeps this true when z_lo >=
 z_hi (the paper preset allows it). Trial divisors stop at sqrt(x+3),
 so a threshold beyond it is never turned into a prime list; the exact
 rules then still decide what the prefilter leaves. The survivors of each
-segment are factored in one factor_many batch, so memory follows the
-segment, not x.
+segment are factored in one batch, so memory follows the segment, not x.
 
 partition_check stays an independent re-derivation of every condition.
 """
@@ -38,7 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -88,49 +91,50 @@ class SpecialPrimeRecord:
             raise PreconditionError("members satisfy p = 3 mod 4, so (p+3)/2 is odd")
 
 
-class _Candidate:
-    """A base candidate p with f1, f2, f3 factorizing p+1, p+2 and the odd
-    half (p+3)/2.
+class _Segment:
+    """The base candidates of one segment of primes, as columns.
 
-    window lists the prime factors of p+2 in (z_lo, z_hi]; in_S is the
-    membership rule of S, the only place it is written outside
+    f factors p+1 (rows 0..n-1) and p+2 (rows n..2n-1) in one batch.
+    lpf2 and gpf1 are P-(p+2) and P+(p+1); the window pairs (win_i, win_r,
+    win_e) are p+2's prime factors r in (z_lo, z_hi] with the candidate
+    row i and exponent e; low2 counts p+2's prime factors <= z_hi. in_S is
+    the membership rule of S, the only place it is written outside
     partition_check.
     """
 
-    def __init__(
-        self, p: int, params: ScaleParams, f1: Factorization, f2: Factorization, f3: Factorization
-    ):
+    def __init__(self, p: np.ndarray, params: ScaleParams):
         zl, zh = params.z_quarter_lo, params.z_quarter_hi
-        self.p, self.f1, self.f2, self.f3 = p, f1, f2, f3
-        self.window = [q for q, _ in self.f2.pairs if zl < q <= zh]
-        self.in_S = (
-            self.f2.is_squarefree()
-            and self.f2.least_prime_factor() > zl
-            and len(self.window) <= 1
-        )
+        n = self.n = p.size
+        self.p = p
+        f = self.f = factor_many(np.concatenate([p + 1, p + 2]))
+        self.lpf2, self.gpf1 = f.least[n:], f.greatest[:n]
+        row2 = f.index - n  # p+2's pairs have rows >= 0
+        on2 = row2 >= 0
+        win = on2 & (f.primes > zl) & (f.primes <= zh)
+        self.win_i, self.win_r, self.win_e = row2[win], f.primes[win], f.exps[win]
+        self.low2 = np.bincount(row2[on2 & (f.primes <= zh)], minlength=n)
+        n_win = np.bincount(self.win_i, minlength=n)
+        self.in_S = f.squarefree[n:] & (self.lpf2 > zl) & (n_win <= 1)
 
-    @cached_property
-    def sigma4_p1(self) -> int:
-        return self.f1.sigma(4)
-
-    def stat(self, r: int | None = None) -> Fraction:
-        return prop1_distance(self.p, self.sigma4_p1, r)
+    def sigma4_p1(self, rows: np.ndarray) -> dict[int, int]:
+        """sigma_4(p+1) for the candidate rows given, keyed by row."""
+        return dict(zip(rows.tolist(), self.f.sigma(4, rows)))
 
 
 def _walk(params: ScaleParams):
-    """Each base candidate once, in increasing p: primes p = -1 mod W in
-    (x/2, x] whose odd half (p+3)/2 has no prime factor <= z_small.
+    """Each segment's base candidates, in increasing p: primes p = -1 mod W
+    in (x/2, x] whose odd half (p+3)/2 has no prime factor <= z_small.
 
     The prefilter drops p when p+2 has a prime factor <= min(z_lo, z_hi)
     or the odd half one <= z_small; no family counts such a p (see the
-    module docstring). Trial divisors stop at sqrt(x+3), so when z_small
-    lies beyond it the odd-half rule is still applied exactly.
+    module docstring). Trial divisors stop at sqrt(x+3), and an odd half
+    left by them is then above z_small or, when z_small lies beyond
+    sqrt(x+3), a prime; either way the odd-half rule is half > z_small.
     """
     x, w, zs = params.x, params.W, params.z_small
     top = math.isqrt(x + 3)
     divides_p2 = primes_upto(min(params.z_quarter_lo, params.z_quarter_hi, top)).tolist()
     divides_half = primes_upto(min(zs, top)).tolist()
-    half_decided = zs <= top
     for seg in PrimeRange(x // 2, x).segments():
         cand = seg[seg % w == w - 1]
         keep = np.ones(cand.size, dtype=bool)
@@ -139,34 +143,40 @@ def _walk(params: ScaleParams):
         half = (cand + 3) // 2
         for q in divides_half:
             keep &= half % q != 0
-        ps = cand[keep]
-        n = ps.size
-        fs = factor_many(np.concatenate([ps + 1, ps + 2, half[keep]]))
-        for i, p in enumerate(ps.tolist()):
-            c = _Candidate(p, params, fs[i], fs[n + i], fs[2 * n + i])
-            if half_decided or c.f3.least_prime_factor() > zs:
-                yield c
+        keep &= half > zs
+        if keep.any():
+            yield _Segment(cand[keep], params)
 
 
 def enumerate_S(params: ScaleParams) -> list[SpecialPrimeRecord]:
-    """All members of S at the given scale, in increasing order of p."""
+    """All members of S at the given scale, in increasing order of p.
+
+    Each record's three factorizations are the only Factorization objects
+    built: p+1 and p+2 from the walk's batch, the odd half from a batch of
+    the members' odd halves.
+    """
     out: list[SpecialPrimeRecord] = []
-    for c in _walk(params):
-        if not c.in_S:
-            continue
-        r = c.window[0] if c.window else None
-        out.append(
-            SpecialPrimeRecord(
-                p=c.p,
-                klass=CLASS_NO_MID if r is None else CLASS_ONE_MID,
-                r=r,
-                factor_p1=c.f1,
-                factor_p2=c.f2,
-                factor_p3=c.f3,
-                stat_plain=c.stat(),
-                stat_r=None if r is None else c.stat(r),
+    for seg in _walk(params):
+        rows = np.flatnonzero(seg.in_S)
+        ps = seg.p[rows]
+        halves = factor_many((ps + 3) // 2)
+        sigma4 = seg.sigma4_p1(rows)
+        window = np.zeros(seg.n, dtype=np.int64)
+        window[seg.win_i] = seg.win_r  # members have at most one window prime
+        for j, (i, p) in enumerate(zip(rows.tolist(), ps.tolist())):
+            r = int(window[i]) or None
+            out.append(
+                SpecialPrimeRecord(
+                    p=p,
+                    klass=CLASS_NO_MID if r is None else CLASS_ONE_MID,
+                    r=r,
+                    factor_p1=seg.f[i],
+                    factor_p2=seg.f[seg.n + i],
+                    factor_p3=halves[j],
+                    stat_plain=prop1_distance(p, sigma4[i]),
+                    stat_r=None if r is None else prop1_distance(p, sigma4[i], r),
+                )
             )
-        )
     return out
 
 
@@ -228,26 +238,32 @@ def count_sigmas(params: ScaleParams, delta: float) -> SigmaCounters:
         raise PreconditionError(f"delta must be finite and nonnegative, got {delta}")
     zl, zh = params.z_quarter_lo, params.z_quarter_hi
     d = Fraction(delta)
-    y_smooth = params.x**params.smooth_exp
+    # an integer is <= y exactly when it is <= floor(y)
+    y_smooth = math.floor(params.x**params.smooth_exp)
     s1 = s2 = s3 = s4 = S_total = 0
-    for c in _walk(params):
-        S_total += c.in_S
-        lpf2 = c.f2.least_prime_factor()
-        if lpf2 > zh and c.stat() <= d:
-            s1 += 1
-        if not c.window:
-            continue
-        rough = lpf2 > zl
-        for r in c.window:
-            # prime factors of the cofactor (p+2)/r, read off p+2's factorization
-            cof = [q for q, e in c.f2.pairs if q != r or e > 1]
-            if (not cof or cof[0] > zh) and c.stat(r) <= d:
-                s2 += 1
-            if rough:
-                if c.f1.greatest_prime_factor() <= y_smooth:
-                    s3 += 1
-                elif c.stat(r) <= d:
-                    s4 += 1
+    for seg in _walk(params):
+        S_total += int(np.count_nonzero(seg.in_S))
+        i = seg.win_i
+        # (p+2)/r has every prime factor above z_hi iff r is p+2's only
+        # prime factor <= z_hi and divides it once
+        cof_rough = (seg.low2[i] == 1) & (seg.win_e == 1)
+        rough = seg.lpf2[i] > zl
+        smooth = seg.gpf1[i] <= y_smooth
+        s3 += int(np.count_nonzero(rough & smooth))
+        late = rough & ~smooth
+        # only the pairs that read their r-statistic, each computed once
+        need = cof_rough | late
+        plain = np.flatnonzero(seg.lpf2 > zh)
+        sigma4 = seg.sigma4_p1(np.union1d(plain, i[need]))
+        ps = seg.p.tolist()
+        for k in plain.tolist():
+            s1 += prop1_distance(ps[k], sigma4[k]) <= d
+        for k, r, c2, c4 in zip(
+            i[need].tolist(), seg.win_r[need].tolist(), cof_rough[need].tolist(), late[need].tolist()
+        ):
+            if prop1_distance(ps[k], sigma4[k], r) <= d:
+                s2 += c2
+                s4 += c4
     return SigmaCounters(
         sigma1=s1,
         sigma2=s2,

@@ -127,11 +127,59 @@ def test_factor_many_splits_cofactors_beyond_2_32():
 
 
 def test_factor_many_edges():
-    assert arith.factor_many([]) == []
-    assert arith.factor_many([1]) == [arith.Factorization(1, ())]
+    assert list(arith.factor_many([])) == []
+    assert list(arith.factor_many([1])) == [arith.Factorization(1, ())]
     for bad in ([0], [5, -6]):
         with pytest.raises(PreconditionError):
             arith.factor_many(bad)
+
+
+def _sigma_from(factors: dict, k: int) -> int:
+    out = 1
+    for q, e in factors.items():
+        out *= sum(q ** (i * k) for i in range(e + 1))
+    return out
+
+
+def test_factor_batch_columns_match_oracle():
+    # 1, the squares of the last sieve prime below isqrt(10^6) and 2^16,
+    # and cofactors beyond 2^32 that the splitter or is_prime finishes
+    p, q = 1000003, 1000033
+    small = list(range(1, 5001)) + [997**2, 991 * 997, 65521**2]
+    big = [p * q, 12 * p * q, p * p, 65537 * p]
+    b = arith.factor_many(small + big)
+    factors = [oracles.factor(n) for n in small + big]
+    assert b.values.tolist() == small + big
+    for k in (0, 1, 4):
+        want = [oracles.sigma_k(n, k) for n in small] + [_sigma_from(f, k) for f in factors[len(small):]]
+        assert b.sigma(k) == want, k
+    assert b.least.tolist() == [min(f, default=1) for f in factors]
+    assert b.greatest.tolist() == [max(f, default=1) for f in factors]
+    assert b.squarefree.tolist() == [all(e == 1 for e in f.values()) for f in factors]
+    rows = [4999, 0, len(small) + 1]
+    assert b.sigma(4, rows) == [b.sigma(4)[i] for i in rows]
+
+
+def test_factor_batch_check_refuses_corrupt_pairs():
+    b = arith.factor_many([360, 97, 2 * 1000003 * 1000033])
+    cols = {"values": b.values, "index": b.index, "primes": b.primes, "exps": b.exps}
+    # the multiply-back check runs on construction, whatever is built later
+    assert arith.FactorBatch(**cols).sigma(1) == b.sigma(1)
+    last = int(b.offsets[-1]) - 1  # the second cofactor prime of the last value
+    forged = [
+        ("exps", 0, 4),  # 2^4 * 3^2 * 5 = 720, not 360
+        ("exps", 1, 0),  # an exponent below 1
+        ("primes", last, 1000037),  # a wrong cofactor
+        ("primes", 1, 2),  # primes not increasing within 360
+        ("values", 1, 97 * 2),  # a value its pairs do not multiply to
+    ]
+    for name, at, value in forged:
+        bad = dict(cols, **{name: cols[name].copy()})
+        bad[name][at] = value
+        with pytest.raises(PreconditionError):
+            arith.FactorBatch(**bad)
+    with pytest.raises(ValueError):
+        b.exps[0] = 4  # the checked columns are read-only
 
 
 def test_factorization_accessors():

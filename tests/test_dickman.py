@@ -131,6 +131,15 @@ def test_psi_budget_refusal():
         dickman.psi_exact(10**9, 100, budget_mb=10)
 
 
+def test_psi_refuses_x_beyond_uint32_residuals():
+    # refused before the budget is consulted or anything is allocated
+    with pytest.raises(PreconditionError, match="2\\^32"):
+        dickman.psi_exact(2**32, 100, budget_mb=2**20)
+    # one below, the budget is what refuses
+    with pytest.raises(BudgetError, match="needs 16384 MB"):
+        dickman.psi_exact(2**32 - 1, 100, budget_mb=10)
+
+
 def test_psi_hildebrand_band_and_domain():
     sc = dickman.psi_hildebrand(10**6, 10**1.8)
     assert sc.exact is None

@@ -237,6 +237,13 @@ def test_tail_sums_read_one_sigma4_window(j_max):
         assert series.tail_partial(p, j_max, sigma4=window) == series.tail_partial(p, j_max)
 
 
+def test_sigma4_windows_build_no_factorization(factorizations_built):
+    primes = [101, 103, 10007]
+    windows = series.sigma4_windows(primes, 40)
+    assert windows == [[oracles.sigma_k(n, 4) for n in range(p, p + 41)] for p in primes]
+    assert factorizations_built == []
+
+
 def test_short_sigma4_window_is_refused():
     window = series.sigma4_window(101, 10)
     with pytest.raises(PreconditionError, match="p\\+11 needed"):

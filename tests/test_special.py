@@ -167,6 +167,19 @@ def test_count_sigmas_walks_once(monkeypatch):
     assert (c.sigma1, c.sigma2, c.sigma3, c.sigma4) == (10, 0, 2, 0)
 
 
+def test_count_sigmas_builds_no_factorization(factorizations_built):
+    c = special.count_sigmas(sieve.make_scale_params(10**5), 0.05)
+    assert (c.S_total, [c.sigma1, c.sigma2, c.sigma3, c.sigma4]) == (569, [59, 6, 13, 6])
+    assert factorizations_built == []
+
+
+def test_enumerate_builds_three_factorizations_per_member(factorizations_built):
+    recs = special.enumerate_S(sieve.make_scale_params(10**5))
+    assert len(recs) == 569
+    want = [n for rec in recs for n in (rec.p + 1, rec.p + 2, (rec.p + 3) // 2)]
+    assert sorted(factorizations_built) == sorted(want)
+
+
 def test_count_sigmas_at_desk_scale(desk_params):
     c = special.count_sigmas(desk_params, 0.05)
     assert c.S_total == 4110
