@@ -5,75 +5,62 @@ the near-integer statistics of its partial-fraction tails at primes, and
 provides the supporting machinery: smooth-number densities, beta-sieve
 weight sandwiches, exponential-sum engines with exact rational phases,
 and the enumeration of the sifted prime set with its counting families.
+
+The names below are resolved from their submodules on first use (PEP 562),
+so importing the package, or one submodule, loads only what that needs.
 """
 
-from .arith import (
-    Factorization,
-    PrimeRange,
-    SpfTable,
-    build_spf_table,
-    crt_combine,
-    distance_to_nearest_integer,
-    factorize,
-    is_prime,
-    primes_in,
-    sigma_k,
-)
-from .bigreal import BigRealWithError
-from .dickman import rho, rho_solution, rho_ten_thirds_quadrature, smooth_count
-from .errors import BudgetError, PreconditionError
-from .expsums import (
-    PhaseSpec,
-    eval_phase,
-    make_basic_phase,
-    make_lemma61_phase,
-    make_lemma62_inner_phase,
-    smoothing_window,
-    weyl_difference_check,
-)
-from .series import alpha_k, prop1_statistic, tail_expansion
-from .sieve import beta_sieve_weights, linear_F, linear_f, make_scale_params, verify_sandwich
-from .special import SigmaCounters, count_sigmas, enumerate_S
-from .verify import verify_all
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BigRealWithError",
-    "BudgetError",
-    "Factorization",
-    "PhaseSpec",
-    "PreconditionError",
-    "PrimeRange",
-    "SigmaCounters",
-    "SpfTable",
-    "alpha_k",
-    "beta_sieve_weights",
-    "build_spf_table",
-    "count_sigmas",
-    "crt_combine",
-    "distance_to_nearest_integer",
-    "enumerate_S",
-    "eval_phase",
-    "factorize",
-    "is_prime",
-    "linear_F",
-    "linear_f",
-    "make_basic_phase",
-    "make_lemma61_phase",
-    "make_lemma62_inner_phase",
-    "make_scale_params",
-    "primes_in",
-    "prop1_statistic",
-    "rho",
-    "rho_solution",
-    "rho_ten_thirds_quadrature",
-    "sigma_k",
-    "smooth_count",
-    "smoothing_window",
-    "tail_expansion",
-    "verify_all",
-    "verify_sandwich",
-    "weyl_difference_check",
-    "__version__",
-]
+# public name -> the submodule that defines it
+_HOME = {
+    "BigRealWithError": "bigreal",
+    "BudgetError": "errors",
+    "Factorization": "arith",
+    "PhaseSpec": "expsums",
+    "PreconditionError": "errors",
+    "PrimeRange": "arith",
+    "SigmaCounters": "special",
+    "SpfTable": "arith",
+    "alpha_k": "series",
+    "beta_sieve_weights": "sieve",
+    "build_spf_table": "arith",
+    "count_sigmas": "special",
+    "crt_combine": "arith",
+    "distance_to_nearest_integer": "arith",
+    "enumerate_S": "special",
+    "eval_phase": "expsums",
+    "factorize": "arith",
+    "is_prime": "arith",
+    "linear_F": "sieve",
+    "linear_f": "sieve",
+    "make_basic_phase": "expsums",
+    "make_lemma61_phase": "expsums",
+    "make_lemma62_inner_phase": "expsums",
+    "make_scale_params": "sieve",
+    "primes_in": "arith",
+    "prop1_statistic": "series",
+    "rho": "dickman",
+    "rho_solution": "dickman",
+    "rho_ten_thirds_quadrature": "dickman",
+    "sigma_k": "arith",
+    "smooth_count": "dickman",
+    "smoothing_window": "expsums",
+    "tail_expansion": "series",
+    "verify_all": "verify",
+    "verify_sandwich": "sieve",
+    "weyl_difference_check": "expsums",
+}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value

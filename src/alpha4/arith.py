@@ -9,7 +9,8 @@ remainders in numpy and returns a FactorBatch: the batch's (value index,
 prime, exponent) pairs as checked numpy columns, from which sigma_k, the
 least and greatest prime factors and squarefreeness are read without a
 Factorization per value. Both finish cofactors above 2^32 with a
-Brent-cycle splitter.
+Brent-cycle splitter. numpy is imported inside the functions that use
+it, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from fractions import Fraction
 from numbers import Rational
 
 import mpmath as mp
-import numpy as np
 
 from .bigreal import BigRealWithError
 from .errors import BudgetError, PreconditionError
@@ -63,6 +63,7 @@ def require_budget(need: int, budget_mb: int | None, what: str) -> None:
 
 def primes_upto(n: int) -> np.ndarray:
     """All primes <= n, as an int64 array (empty for n < 2)."""
+    import numpy as np
     if n < 2:
         return np.zeros(0, dtype=np.int64)
     sieve = np.ones(n + 1, dtype=bool)
@@ -132,6 +133,7 @@ def build_spf_table(limit: int, budget_mb: int | None = None) -> SpfTable:
     if limit >= 2**32:
         raise PreconditionError("table entries are uint32; limit must be < 2^32")
     require_budget(4 * (limit + 1), budget_mb, f"least-factor table for limit={limit}")
+    import numpy as np
     spf = np.zeros(limit + 1, dtype=np.uint32)
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:
@@ -306,6 +308,7 @@ class FactorBatch:
     """
 
     def __init__(self, values, index, primes, exps):
+        import numpy as np
         self.values, self.index, self.primes, self.exps = (
             np.array(a, dtype=np.int64) for a in (values, index, primes, exps)
         )
@@ -322,6 +325,7 @@ class FactorBatch:
             a.setflags(write=False)
 
     def _check(self) -> None:
+        import numpy as np
         idx, q, e = self.index, self.primes, self.exps
         same = idx[1:] == idx[:-1]
         if (
@@ -378,6 +382,7 @@ class FactorBatch:
         idx, q, e = self.index, self.primes, self.exps
         count = len(self)
         if rows is not None:
+            import numpy as np
             rows = np.asarray(rows, dtype=np.int64)
             sel = np.zeros(count, dtype=bool)
             sel[rows] = True
@@ -398,6 +403,7 @@ class FactorBatch:
 
     @cached_property
     def least(self) -> np.ndarray:
+        import numpy as np
         out = np.ones(len(self), dtype=np.int64)
         has = self.offsets[:-1] < self.offsets[1:]
         out[has] = self.primes[self.offsets[:-1][has]]
@@ -405,6 +411,7 @@ class FactorBatch:
 
     @cached_property
     def greatest(self) -> np.ndarray:
+        import numpy as np
         out = np.ones(len(self), dtype=np.int64)
         has = self.offsets[:-1] < self.offsets[1:]
         out[has] = self.primes[self.offsets[1:][has] - 1]
@@ -412,6 +419,7 @@ class FactorBatch:
 
     @cached_property
     def squarefree(self) -> np.ndarray:
+        import numpy as np
         out = np.ones(len(self), dtype=bool)
         out[self.index[self.exps > 1]] = False
         return out
@@ -427,6 +435,7 @@ def factor_many(values) -> FactorBatch:
     primality or the splitter finishes it, as in factorize. Memory is
     O(batch), whatever the values.
     """
+    import numpy as np
     ints = values.tolist() if isinstance(values, np.ndarray) else [int(v) for v in values]
     lo, hi = min(ints, default=1), max(ints, default=1)
     if lo < 1 or hi >= 2**63:
@@ -503,6 +512,7 @@ class PrimeRange:
     def segments(self):
         """The primes of each segment of (lo, hi] in turn, as increasing
         int64 arrays; the one sieve loop behind every prime range."""
+        import numpy as np
         lo, hi = self.lo, self.hi
         if hi < 2:
             return

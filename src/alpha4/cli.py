@@ -4,7 +4,9 @@ Every command prints a single JSON document (sorted keys, schema tag 1)
 unless jsonl or csv output is selected; exact rationals are rendered as
 "num/den" strings so nothing is lost to binary rounding. Exit codes:
 0 success, 1 a computation check failed, 2 bad usage (precondition or
-budget violations included).
+budget violations included), 141 the reader closed stdout early (as
+with `| head`; 128 + SIGPIPE, what a shell reports for a process that
+SIGPIPE killed), which ends the run quietly.
 """
 
 from __future__ import annotations
@@ -630,7 +632,14 @@ def dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
-import numpy as np
+from mpmath.libmp import fzero, mpf_add, mpf_mul, round_nearest
 
 from .arith import primes_upto, require_budget
 from .bigreal import BigRealWithError
@@ -66,6 +66,11 @@ class _RhoPanels:
     the panel solves u p' = -q(u-1) with the perturbed right side and
     inherits the edge value. A per-panel rounding floor covers the
     finite working precision.
+
+    The coefficients are kept as raw libmp tuples. value() runs Horner's
+    rule on them with mpf_mul and mpf_add at the working precision,
+    round-nearest: the calls that s * y + a_j makes on mpf objects, so the
+    bits are the same without an mpf object per step.
     """
 
     def __init__(self, u_max: int = U_MAX, terms: int = _SERIES_TERMS, dps: int = _WORK_DPS):
@@ -98,7 +103,7 @@ class _RhoPanels:
                 for j in range(terms, -1, -1):
                     s = s * half + a[j]
                 rho_left = s
-            self.panels = panels
+            self.panels = [[c._mpf_ for c in a] for a in panels]
             self.errs = errs
 
     def _locate(self, u: float):
@@ -111,11 +116,12 @@ class _RhoPanels:
     def value(self, u) -> tuple[mp.mpf, mp.mpf]:
         with mp.workdps(self.dps):
             k, a, err = self._locate(u)
-            y = mp.mpf(u) - (2 * k + 1) / mp.mpf(2)
-            s = mp.mpf(0)
-            for j in range(self.terms, -1, -1):
-                s = s * y + a[j]
-            return s, err
+            y = (mp.mpf(u) - (2 * k + 1) / mp.mpf(2))._mpf_
+            prec, rnd = mp.mp.prec, round_nearest
+        s = fzero
+        for c in reversed(a):
+            s = mpf_add(mpf_mul(s, y, prec, rnd), c, prec, rnd)
+        return mp.make_mpf(s), err
 
 
 @functools.cache
@@ -246,6 +252,7 @@ def psi_exact(x: int, y: float, budget_mb: int | None = None) -> int:
     require_budget(4 * (x + 1), budget_mb, f"psi_exact residuals at x={x}")
     if y < 2:
         return 1  # only n = 1 has no prime factor
+    import numpy as np
     res = np.arange(x + 1, dtype=np.uint32)
     # primes above x divide nothing counted, so y > x sieves no further than x
     for p in primes_upto(x if y >= x else math.floor(y)).tolist():

@@ -17,13 +17,13 @@ and combines the chunk partials by a fixed-order pairwise tree, so its
 result does not depend on the worker count. The Weyl inner sums S_k and
 S_{k,l} difference one table of residue pairs (N mod D, D) over products
 of denominators, and lemma61_ap_oracle feeds its own phase formula to
-_sum_e.
+_sum_e. The mpf engine and phase_mpf share one raw libmp core,
+_phase_raw, which makes the calls the mpf operator form makes.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -31,6 +31,19 @@ from numbers import Rational
 from typing import NamedTuple
 
 import mpmath as mp
+from mpmath.libmp import (
+    from_int,
+    fzero,
+    mpf_add,
+    mpf_cos_sin_pi,
+    mpf_floor,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pow_int,
+    mpf_rdiv_int,
+    mpf_sub,
+    round_nearest,
+)
 
 from .arith import sigma_k
 from .errors import BudgetError, PreconditionError
@@ -265,21 +278,63 @@ def _mpf(x):
     return mp.mpf(x.numerator) / x.denominator
 
 
-def phase_mpf(spec: PhaseSpec, n: int, coefficients=None) -> mp.mpf:
-    """The phase at index n in mpf at the ambient precision, from the
-    coefficients and never from the integer core, so the engines check each other.
-    The mpf engine passes the coefficients already through _mpf at this
-    precision: one rounding per sum instead of per term, and the same bits."""
-    A, B, lin, C = coefficients or map(_mpf, spec.coefficients)
-    nn = mp.mpf(n)
+def _phase_raw(spec: PhaseSpec, prec: int):
+    """n -> the phase at n as a raw libmp tuple at prec bits, round-nearest
+    (the rounding of mpmath's context).
+
+    The core of phase_mpf and of the mpf engine. The coefficients go
+    through _mpf once, at prec. Every step then calls the libmp function
+    that the mpf operator form of the phase calls, with the same precision
+    and rounding, so the bits are those of the expressions
+
+        basic:         A (n^2 + 1/n^2) + B (n + 1/n^3)
+        lemma61:       A (2 v r n + r^2 n^2 + 1/mpf(v + r n)^2) + (B + lin) r n
+        lemma62_inner: C n
+
+    with n = mpf(n): mpf(int) is from_int(n, prec, rnd), int + mpf adds
+    from_int(int) unrounded, 1/x is mpf_rdiv_int and int * x mpf_mul_int.
+    Values the operator form computes twice (n^2, and (B + lin) r in every
+    term) are computed once; nothing is reordered or fused.
+    """
+    rnd = round_nearest
+    with mp.workprec(prec):
+        A, B, lin, C = (None if x is None else _mpf(x)._mpf_ for x in spec.coefficients)
     if spec.kind == "basic":
-        if n == 0:
-            raise PreconditionError("basic phase is undefined at n = 0")
-        return A * (nn**2 + 1 / nn**2) + B * (nn + 1 / nn**3)
+
+        def basic(n):
+            if n == 0:
+                raise PreconditionError("basic phase is undefined at n = 0")
+            nn = from_int(n, prec, rnd)
+            n2 = mpf_pow_int(nn, 2, prec, rnd)
+            a_term = mpf_mul(A, mpf_add(n2, mpf_rdiv_int(1, n2, prec, rnd), prec, rnd), prec, rnd)
+            n3 = mpf_pow_int(nn, 3, prec, rnd)
+            b_term = mpf_mul(B, mpf_add(nn, mpf_rdiv_int(1, n3, prec, rnd), prec, rnd), prec, rnd)
+            return mpf_add(a_term, b_term, prec, rnd)
+
+        return basic
     if spec.kind == "lemma61":
         v, r = spec.v, spec.r
-        return A * (2 * v * r * n + r**2 * n**2 + 1 / mp.mpf(v + r * n) ** 2) + (B + lin) * r * nn
-    return C * nn
+        slope = mpf_mul_int(mpf_add(B, lin, prec, rnd), r, prec, rnd)
+
+        def lemma61(n):
+            inv = mpf_rdiv_int(1, mpf_pow_int(from_int(v + r * n, prec, rnd), 2, prec, rnd), prec, rnd)
+            poly = mpf_add(inv, from_int(2 * v * r * n + r**2 * n**2), prec, rnd)
+            return mpf_add(
+                mpf_mul(A, poly, prec, rnd), mpf_mul(slope, from_int(n, prec, rnd), prec, rnd), prec, rnd
+            )
+
+        return lemma61
+    return lambda n: mpf_mul(C, from_int(n, prec, rnd), prec, rnd)
+
+
+def phase_mpf(spec: PhaseSpec, n: int) -> mp.mpf:
+    """The phase at index n in mpf at the ambient precision, round-nearest.
+
+    It wraps the raw core _phase_raw, which the mpf engine of eval_phase
+    runs per term, so the formula is written once. The core reads the
+    coefficients and never the integer core, so the engines check each
+    other."""
+    return mp.make_mpf(_phase_raw(spec, mp.mp.prec)(n))
 
 
 def required_prec_bits(spec: PhaseSpec) -> int:
@@ -357,10 +412,12 @@ def eval_phase(
     engine "exact" reduces each integer phase pair (N, D) to the correctly
     rounded double N % D / D and sums unit vectors in compensated double
     precision. Engine "mpf" works at prec_bits (default: enough for the
-    largest phase plus 64 guard bits); one mp.cospi_sinpi call (libmp's
-    mpf_cos_sin, which=0) rounds cos and sin as cospi and sinpi do, and two
-    mpf sums add them as an mpc sum would. Default picks "exact" when the
-    coefficients allow it.
+    largest phase plus 64 guard bits) on raw libmp tuples, round-nearest:
+    the phase from _phase_raw, its fraction 2 (ph - floor ph) by mpf_floor,
+    mpf_sub and mpf_mul_int, one mpf_cos_sin_pi call (what mp.cospi_sinpi
+    wraps) for cos and sin, and two mpf_add sums, so the bits are those of
+    the same steps on mpf objects; one mpc is built at the end. Default
+    picks "exact" when the coefficients allow it.
     """
     n = spec.n_terms
     if n > term_budget:
@@ -378,6 +435,7 @@ def eval_phase(
         bounds = list(range(spec.lo, spec.hi, CHUNK)) + [spec.hi]
         jobs = [(spec, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         if threads > 1 and n >= 4 * CHUNK:
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 parts = list(pool.map(_chunk_exact, jobs, chunksize=4))
         else:
@@ -386,15 +444,17 @@ def eval_phase(
         mod = abs(total)
     else:
         prec = prec_bits if prec_bits is not None else required_prec_bits(spec)
+        rnd = round_nearest
+        phase = _phase_raw(spec, prec)
+        re = im = fzero
+        for k in range(spec.lo + 1, spec.hi + 1):
+            ph = phase(k)
+            frac = mpf_sub(ph, mpf_floor(ph, prec, rnd), prec, rnd)
+            c, s = mpf_cos_sin_pi(mpf_mul_int(frac, 2, prec, rnd), prec, rnd)
+            re = mpf_add(re, c, prec, rnd)
+            im = mpf_add(im, s, prec, rnd)
         with mp.workprec(prec):
-            coefficients = tuple(map(_mpf, spec.coefficients))
-            re = im = mp.mpf(0)
-            for k in range(spec.lo + 1, spec.hi + 1):
-                ph = phase_mpf(spec, k, coefficients)
-                c, s = mp.cospi_sinpi(2 * (ph - mp.floor(ph)))
-                re += c
-                im += s
-            total = mp.mpc(re, im)
+            total = mp.mpc(mp.make_mpf(re), mp.make_mpf(im))
             mod = float(abs(total))
     return ExpSumResult(value=total, n_terms=n, normalized_modulus=min(1.0, mod / n))
 

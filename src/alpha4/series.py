@@ -33,6 +33,7 @@ __all__ = [
     "factorial_tail_exact",
     "sigma4_window",
     "sigma4_windows",
+    "prop1_ratio",
     "prop1_distance",
     "prop1_statistic_exact",
     "prop1_statistic",
@@ -244,8 +245,10 @@ def _require_prime(p: int) -> None:
         raise PreconditionError(f"expected a prime, got {p}")
 
 
-def prop1_distance(p: int, sigma4_p1: int, r: int | None = None) -> Fraction:
-    """Exact || sigma_4(p+1)/(p(p+1)) + 1/16 [+ (p+1)/r^4] || given sigma_4(p+1).
+def prop1_ratio(p: int, sigma4_p1: int, r: int | None = None) -> tuple[int, int]:
+    """(a, den), den > 0, with a/den = || sigma_4(p+1)/(p(p+1)) + 1/16 [+ (p+1)/r^4] ||
+    given sigma_4(p+1); no gcd is taken, so a caller can compare a/den
+    with a rational in integers.
 
     The caller vouches that p is prime and that r, if given, is a divisor
     > 1 of p+2; the public statistics below check both.
@@ -254,7 +257,12 @@ def prop1_distance(p: int, sigma4_p1: int, r: int | None = None) -> Fraction:
     if r is not None:
         num, den = num * r**4 + 16 * p * (p + 1) ** 2, den * r**4
     f = num % den
-    return Fraction(min(f, den - f), den)
+    return min(f, den - f), den
+
+
+def prop1_distance(p: int, sigma4_p1: int, r: int | None = None) -> Fraction:
+    """The statistic of prop1_ratio as an exact Fraction."""
+    return Fraction(*prop1_ratio(p, sigma4_p1, r))
 
 
 def prop1_statistic_exact(p: int) -> Fraction:

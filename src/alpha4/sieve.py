@@ -19,7 +19,6 @@ from fractions import Fraction
 from numbers import Rational
 
 import mpmath as mp
-import numpy as np
 
 from .arith import primes_in, primes_upto
 from .errors import PreconditionError
@@ -135,6 +134,7 @@ def verify_sandwich(ws: SieveWeightSystem, n_limit: int) -> dict:
     """
     if n_limit < 1:
         raise PreconditionError("n_limit must be >= 1")
+    import numpy as np
     upper = np.zeros(n_limit + 1, dtype=np.int64)
     lower = np.zeros(n_limit + 1, dtype=np.int64)
     for d, mu in ws.lambda_plus.items():
@@ -205,6 +205,7 @@ def fundamental_lemma_check(t: FundamentalLemmaTruncation, n_limit: int) -> dict
         raise PreconditionError("n_limit must be >= 1")
     primes = [int(p) for p in primes_upto(t.z)]
     cap = t.omega_cap
+    import numpy as np
     acc = np.zeros(n_limit + 1, dtype=np.int64)
     # enumerate squarefree products of sifting primes, <= n_limit, with
     # at most cap factors, accumulating mu(d) over multiples
@@ -294,6 +295,7 @@ def vector_sieve_random_trials(count: int = 10**6, seed: int = 0, span: int = 1 
     """
     if count < 1:
         raise PreconditionError("count must be >= 1")
+    import numpy as np
     rng = np.random.default_rng(seed)
     d1 = rng.integers(0, span, size=count)
     d2 = rng.integers(0, span, size=count)

@@ -43,11 +43,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .arith import Factorization, PrimeRange, factor_many, primes_upto
 from .errors import PreconditionError
-from .series import prop1_distance
+from .series import prop1_distance, prop1_ratio
 from .sieve import ScaleParams
 
 __all__ = [
@@ -103,6 +101,7 @@ class _Segment:
     """
 
     def __init__(self, p: np.ndarray, params: ScaleParams):
+        import numpy as np
         zl, zh = params.z_quarter_lo, params.z_quarter_hi
         n = self.n = p.size
         self.p = p
@@ -131,6 +130,7 @@ def _walk(params: ScaleParams):
     left by them is then above z_small or, when z_small lies beyond
     sqrt(x+3), a prime; either way the odd-half rule is half > z_small.
     """
+    import numpy as np
     x, w, zs = params.x, params.W, params.z_small
     top = math.isqrt(x + 3)
     divides_p2 = primes_upto(min(params.z_quarter_lo, params.z_quarter_hi, top)).tolist()
@@ -155,6 +155,7 @@ def enumerate_S(params: ScaleParams) -> list[SpecialPrimeRecord]:
     built: p+1 and p+2 from the walk's batch, the odd half from a batch of
     the members' odd halves.
     """
+    import numpy as np
     out: list[SpecialPrimeRecord] = []
     for seg in _walk(params):
         rows = np.flatnonzero(seg.in_S)
@@ -236,8 +237,15 @@ def count_sigmas(params: ScaleParams, delta: float) -> SigmaCounters:
     """
     if not math.isfinite(delta) or delta < 0:
         raise PreconditionError(f"delta must be finite and nonnegative, got {delta}")
+    import numpy as np
     zl, zh = params.z_quarter_lo, params.z_quarter_hi
     d = Fraction(delta)
+
+    def within(p, sigma4_p1, r=None):
+        # the statistic a/den <= delta, decided in integers
+        a, den = prop1_ratio(p, sigma4_p1, r)
+        return a * d.denominator <= d.numerator * den
+
     # an integer is <= y exactly when it is <= floor(y)
     y_smooth = math.floor(params.x**params.smooth_exp)
     s1 = s2 = s3 = s4 = S_total = 0
@@ -257,11 +265,11 @@ def count_sigmas(params: ScaleParams, delta: float) -> SigmaCounters:
         sigma4 = seg.sigma4_p1(np.union1d(plain, i[need]))
         ps = seg.p.tolist()
         for k in plain.tolist():
-            s1 += prop1_distance(ps[k], sigma4[k]) <= d
+            s1 += within(ps[k], sigma4[k])
         for k, r, c2, c4 in zip(
             i[need].tolist(), seg.win_r[need].tolist(), cof_rough[need].tolist(), late[need].tolist()
         ):
-            if prop1_distance(ps[k], sigma4[k], r) <= d:
+            if within(ps[k], sigma4[k], r):
                 s2 += c2
                 s4 += c4
     return SigmaCounters(

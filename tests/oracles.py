@@ -5,7 +5,10 @@ double loops, exact rationals) so the code under test is never checked
 against itself. Keep these slow and obvious.
 """
 
+import math
 from fractions import Fraction
+
+import mpmath as mp
 
 
 def divisors(n: int) -> list[int]:
@@ -133,3 +136,59 @@ def phase_lemma62_inner(h: int, m: int, r: int, j: int, l1: int, l2: int, n: int
     a = Fraction(h * sigma_k(m, 4), m * m)
     bracket = Fraction(1, (l1 + j) ** 2) - Fraction(1, l1 * l1) - Fraction(1, (l2 + j) ** 2) + Fraction(1, l2 * l2)
     return a * (2 * j * r * r * (l1 - l2) + bracket / (r * r)) * n
+
+
+# -- the mpf phase and the rho Horner through mpf operators ----------------
+# The package runs these on raw libmp tuples; the operator forms below are
+# the references its kernels must match bit for bit.
+
+
+def mpf_coefficient(x):
+    """A phase coefficient at the ambient precision, rounded once from its
+    exact value (mpf and None pass through)."""
+    if x is None or isinstance(x, mp.mpf):
+        return x
+    x = Fraction(x)
+    return mp.mpf(x.numerator) / x.denominator
+
+
+def phase_mpf(spec, n: int, coefficients):
+    """The phase at n by mpf operators; spec is read for kind, v and r."""
+    A, B, lin, C = coefficients
+    nn = mp.mpf(n)
+    if spec.kind == "basic":
+        return A * (nn**2 + 1 / nn**2) + B * (nn + 1 / nn**3)
+    if spec.kind == "lemma61":
+        v, r = spec.v, spec.r
+        return A * (2 * v * r * n + r**2 * n**2 + 1 / mp.mpf(v + r * n) ** 2) + (B + lin) * r * nn
+    return C * nn
+
+
+def mpf_phase_sum(spec, prec: int):
+    """sum e(phase(n)) over (lo, hi] with mpf and mpc objects at prec bits."""
+    with mp.workprec(prec):
+        coefficients = tuple(map(mpf_coefficient, spec.coefficients))
+        re = im = mp.mpf(0)
+        for n in range(spec.lo + 1, spec.hi + 1):
+            ph = phase_mpf(spec, n, coefficients)
+            c, s = mp.cospi_sinpi(2 * (ph - mp.floor(ph)))
+            re += c
+            im += s
+        return mp.mpc(re, im)
+
+
+def rho_horner(panels, u: float, dps: int):
+    """rho(u) from panel coefficients (lists of mpf, panel k centred at
+    k + 1/2) by Horner's rule with mpf operators; rho = 1 on [0, 1]."""
+    if u <= 1:
+        return mp.mpf(1)
+    with mp.workdps(dps):
+        k = int(math.floor(u))
+        if k == u:
+            k -= 1
+        k = min(k, len(panels) - 1)
+        y = mp.mpf(u) - (2 * k + 1) / mp.mpf(2)
+        s = mp.mpf(0)
+        for c in reversed(panels[k]):
+            s = s * y + c
+        return s

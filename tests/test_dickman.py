@@ -1,5 +1,6 @@
 """The delay-equation solution, its quadrature cross-check, and smooth counts."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,18 @@ def test_rho_certificates_are_tiny():
 def test_default_panels_meet_the_tightest_tolerance():
     # every panel certifies below MIN_TOL, so rho needs no deeper series
     assert max(dickman._get_panels().errs) <= dickman.MIN_TOL
+
+
+def test_rho_horner_is_bit_identical_to_mpf_operators():
+    # every value of `rho --table --step 0.01` against Horner's rule on
+    # mpf objects: equal tuples, not nearby values
+    panels = dickman._get_panels()
+    coefficients = [[mp.make_mpf(c) for c in a] for a in panels.panels]
+    steps = math.floor(dickman.U_MAX / 0.01 + 1e-9)
+    for i in range(steps + 1):
+        u = min(i * 0.01, dickman.U_MAX)
+        want = oracles.rho_horner(coefficients, u, panels.dps)
+        assert dickman.rho(u).value._mpf_ == want._mpf_, u
 
 
 def test_rho_monotone_decreasing():

@@ -1,8 +1,10 @@
 """Phase sums: coefficients, engines, differencing, amplitudes, the window."""
 
 import cmath
+import dataclasses
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -206,6 +208,60 @@ def test_mpf_engine_catches_a_wrong_exact_phase(spec, monkeypatch):
 
     monkeypatch.setattr(expsums, "_phase_ratio", wrong_ratio)
     assert gap() > 1e-9
+
+
+def _kernel_specs():
+    """Seeded specs of all three kinds, including mpf coefficients and a
+    lemma61 progression with negative l and v beyond 10^5.
+
+    The negative basic phases (the fourth spec) matter: mpf_cos_sin_pi
+    reduces a positive argument exactly, so dropping the floor from
+    2 (ph - floor ph) changes no bit there, while on negative phases it
+    changes about one cos or sin in a thousand."""
+    rng = random.Random(4242)
+    specs = [
+        expsums.make_basic_phase(Fraction(rng.randrange(1, 2**40), 2**20), Fraction(rng.randrange(2**20), 2**20),
+                                 rng.randrange(40), 160)
+        for _ in range(3)
+    ]
+    specs.append(expsums.make_basic_phase(Fraction(-rng.randrange(1, 2**40), 2**20),
+                                          Fraction(-rng.randrange(2**20), 2**20), 0, 1500))
+    specs.append(expsums.make_basic_phase(mp.mpf("0.3"), "0.7", 0, 120))
+    for _ in range(2):
+        m = rng.randrange(10**4, 10**5)
+        while math.gcd(m, 101) != 1:
+            m += 1
+        specs.append(expsums.make_lemma61_phase(1 + rng.randrange(3), m, 101, 0, 80))
+    m, r = 98765, 1_000_003
+    v = expsums.minus_inverse_residue(m, r)
+    assert abs(v) > 10**5
+    specs.append(expsums.PhaseSpec(kind="lemma61", lo=-40, hi=40, h=3, m=m, r=r, v=v,
+                                   sigma4_m=oracles.sigma_k(m, 4)))
+    specs.append(expsums.make_lemma62_inner_phase(2, 12345, 101, 3, 5, 9, 0, 100))
+    specs.append(expsums.make_lemma62_inner_phase(1, 977, 13, 1, 2, 1, 10, 90))
+    return specs
+
+
+@pytest.mark.parametrize("prec", [53, 160, 320])
+def test_mpf_kernel_is_bit_identical_to_mpf_operators(prec):
+    # the raw libmp engine against the same formula on mpf objects:
+    # equal tuples, not nearby values
+    specs = _kernel_specs()
+    for spec in specs:
+        got = expsums.eval_phase(spec, engine="mpf", prec_bits=prec).value
+        assert got._mpc_ == oracles.mpf_phase_sum(spec, prec)._mpc_, spec
+        with mp.workprec(prec):
+            coefficients = tuple(map(oracles.mpf_coefficient, spec.coefficients))
+            for n in (spec.lo + 1, spec.hi):
+                want = oracles.phase_mpf(spec, n, coefficients)
+                assert expsums.phase_mpf(spec, n)._mpf_ == want._mpf_, (spec, n)
+    # one-term sums are each term's cos and sin, which a long sum's
+    # rounding can absorb
+    negative = specs[3]
+    for n in range(1, negative.hi + 1):
+        one = dataclasses.replace(negative, lo=n - 1, hi=n)
+        got = expsums.eval_phase(one, engine="mpf", prec_bits=prec).value
+        assert got._mpc_ == oracles.mpf_phase_sum(one, prec)._mpc_, n
 
 
 def test_lemma61_ap_oracle_matches_phase_sum():

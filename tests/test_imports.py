@@ -1,0 +1,80 @@
+"""What a command loads, and how the CLI ends on a closed pipe, in fresh processes."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import alpha4
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
+def _python(code: str, *args: str) -> str:
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=_env(), capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cli_import_loads_neither_numpy_nor_the_process_pool():
+    out = _python("import sys, alpha4.cli; print('numpy' in sys.modules, 'concurrent.futures' in sys.modules)")
+    assert out.split() == ["False", "False"]
+
+
+# every command here runs without numpy; lemma61 specs factor m and may load it
+NUMPY_FREE = [
+    ["expsum", "basic", "--A", "1/3", "--B", "2/7", "--hi", "500"],
+    ["expsum", "basic", "--A", "1/3", "--B", "2/7", "--hi", "200", "--engine", "mpf"],
+    ["expsum", "weyl", "--A", "1/3", "--B", "2/7", "--hi", "128", "--K", "4", "--L", "4"],
+    ["rho", "--u", "3.5"],
+    ["rho", "--table", "--step", "0.5"],
+    ["rho", "--ten-thirds"],
+    ["verify-all", "--only", "rho_two_routes"],
+    ["verify-all", "--only", "limit_functions"],
+    ["verify-all", "--only", "amplitude_grid"],
+]
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE, ids=" ".join)
+def test_numpy_free_commands_never_load_numpy(argv):
+    code = (
+        "import contextlib, io, sys\n"
+        "from alpha4 import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    rc = cli.dispatch(sys.argv[1:])\n"
+        "print(rc, 'numpy' in sys.modules)\n"
+    )
+    assert _python(code, *argv).split() == ["0", "False"]
+
+
+def test_every_public_name_resolves():
+    for name in alpha4.__all__:
+        assert getattr(alpha4, name) is not None, name
+    with pytest.raises(AttributeError):
+        alpha4.no_such_name
+
+
+def test_closed_stdout_ends_quietly_with_status_141():
+    # about 1.2 MB of rows, far more than a pipe buffers, so the writer
+    # meets the closed pipe mid-stream
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "alpha4.cli", "special", "enumerate", "--x", "1000000", "--format", "jsonl"],
+        env=_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err
