@@ -28,8 +28,6 @@ _HOME = {
     "beta_sieve_weights": "sieve",
     "build_spf_table": "arith",
     "count_sigmas": "special",
-    "crt_combine": "arith",
-    "distance_to_nearest_integer": "arith",
     "enumerate_S": "special",
     "eval_phase": "expsums",
     "factorize": "arith",
@@ -41,7 +39,6 @@ _HOME = {
     "make_lemma62_inner_phase": "expsums",
     "make_scale_params": "sieve",
     "primes_in": "arith",
-    "prop1_statistic": "series",
     "rho": "dickman",
     "rho_solution": "dickman",
     "rho_ten_thirds_quadrature": "dickman",

@@ -9,21 +9,19 @@ remainders in numpy and returns a FactorBatch: the batch's (value index,
 prime, exponent) pairs as checked numpy columns, from which sigma_k, the
 least and greatest prime factors and squarefreeness are read without a
 Factorization per value. Both finish cofactors above 2^32 with a
-Brent-cycle splitter. numpy is imported inside the functions that use
-it, so importing this module does not load it.
+Brent-cycle splitter. Primes come from one segmented sieve,
+PrimeRange.segments; primes_upto is its concatenation. numpy is imported
+inside the functions that use it, so importing this module does not load
+it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
-from numbers import Rational
 
-import mpmath as mp
-
-from .bigreal import BigRealWithError
 from .errors import BudgetError, PreconditionError
 
 __all__ = [
@@ -38,8 +36,6 @@ __all__ = [
     "factorize",
     "factor_many",
     "sigma_k",
-    "crt_combine",
-    "distance_to_nearest_integer",
 ]
 
 # Strong-pseudoprime bases 2..17 admit no composite below 3.4e14
@@ -62,16 +58,14 @@ def require_budget(need: int, budget_mb: int | None, what: str) -> None:
 
 
 def primes_upto(n: int) -> np.ndarray:
-    """All primes <= n, as an int64 array (empty for n < 2)."""
+    """All primes <= n, as an int64 array (empty for n < 2).
+
+    The segments of PrimeRange(0, n), joined; their base sieve only goes
+    to isqrt(n), so the recursion ends.
+    """
     import numpy as np
-    if n < 2:
-        return np.zeros(0, dtype=np.int64)
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].astype(np.int64)
+    segments = PrimeRange(0, n).segments() if n >= 2 else ()
+    return np.concatenate([np.zeros(0, dtype=np.int64), *segments])
 
 
 def _get_small_primes() -> list[int]:
@@ -187,11 +181,6 @@ class Factorization:
             raise PreconditionError("1 has no prime factors")
         return self.pairs[0][0]
 
-    def greatest_prime_factor(self) -> int:
-        if not self.pairs:
-            raise PreconditionError("1 has no prime factors")
-        return self.pairs[-1][0]
-
     def divisors(self) -> list[int]:
         out = [1]
         for p, e in self.pairs:
@@ -241,6 +230,13 @@ def _split_cofactor(n: int, out: list[int]) -> None:
     _split_cofactor(n // d, out)
 
 
+def _cofactor_pairs(n: int) -> list[tuple[int, int]]:
+    """The sorted (prime, exponent) pairs of a cofactor n > 1, as the splitter finds them."""
+    primes: list[int] = []
+    _split_cofactor(n, primes)
+    return sorted(Counter(primes).items())
+
+
 def _strip(rem: int, p: int, pairs: list[tuple[int, int]]) -> int:
     """Divide every factor p out of rem, recording (p, e); returns the rest."""
     e = 0
@@ -262,9 +258,7 @@ def _finish(n: int, pairs: list[tuple[int, int]], rem: int) -> Factorization:
         if rem < _SMALL_LIMIT * _SMALL_LIMIT or is_prime(rem):
             pairs.append((rem, 1))
         else:
-            primes: list[int] = []
-            _split_cofactor(rem, primes)
-            pairs.extend((q, primes.count(q)) for q in sorted(set(primes)))
+            pairs.extend(_cofactor_pairs(rem))
     return Factorization(n, tuple(pairs))
 
 
@@ -470,12 +464,10 @@ def factor_many(values) -> FactorBatch:
     qs.append(rem[small])
     es.append(np.ones(small.size, dtype=np.int64))
     for i in big.tolist():
-        split: list[int] = []
-        _split_cofactor(int(rem[i]), split)
-        for q in sorted(set(split)):
+        for q, e in _cofactor_pairs(int(rem[i])):
             idx.append(np.array([i]))
             qs.append(np.array([q]))
-            es.append(np.array([split.count(q)]))
+            es.append(np.array([e]))
     idx_all = np.concatenate(idx)
     # stable: within a value, primes were appended in increasing order
     order = np.argsort(idx_all, kind="stable")
@@ -533,60 +525,8 @@ class PrimeRange:
         for seg in self.segments():
             yield from seg.tolist()
 
-    def to_list(self) -> list[int]:
-        return list(self)
-
 
 def primes_in(lo: int, hi: int) -> list[int]:
     """Primes p with lo < p <= hi."""
-    return PrimeRange(lo, hi).to_list()
+    return list(PrimeRange(lo, hi))
 
-
-# -- CRT and nearest-integer distance --------------------------------------
-
-
-def crt_combine(congruences) -> tuple[int, int]:
-    """Merge residue conditions [(r1, m1), (r2, m2), ...] into one.
-
-    Moduli must be pairwise coprime; the offending gcd is reported
-    otherwise. Returns (r, M) with 0 <= r < M = product of moduli.
-    """
-    congruences = list(congruences)
-    if not congruences:
-        return (0, 1)
-    r, m = 0, 1
-    for ri, mi in congruences:
-        ri, mi = int(ri), int(mi)
-        if mi <= 0:
-            raise PreconditionError(f"modulus must be positive, got {mi}")
-        g = math.gcd(m, mi)
-        if g != 1:
-            raise PreconditionError(
-                f"moduli are not pairwise coprime: gcd witness {g} "
-                f"(accumulated modulus {m}, next modulus {mi})"
-            )
-        t = ((ri - r) * pow(m, -1, mi)) % mi
-        r += m * t
-        m *= mi
-    return (r % m, m)
-
-
-def distance_to_nearest_integer(theta):
-    """||theta||, dispatching on the input type.
-
-    Exact rationals give an exact Fraction; floats give a float; mpf
-    gives an mpf at the working precision; a BigRealWithError gives its
-    (lo, hi, decided) distance interval.
-    """
-    if isinstance(theta, BigRealWithError):
-        return theta.distance_interval()
-    if isinstance(theta, int):
-        return Fraction(0)
-    if isinstance(theta, Rational):
-        f = Fraction(theta) % 1
-        return min(f, 1 - f)
-    if isinstance(theta, mp.mpf):
-        f = theta - mp.floor(theta)
-        return min(f, 1 - f)
-    f = float(theta) % 1.0
-    return min(f, 1.0 - f)

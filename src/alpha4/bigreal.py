@@ -3,8 +3,9 @@
 BigRealWithError is a value together with a rigorous absolute error
 radius. It is deliberately not a general interval library: it supports
 exactly the operations the series and density code needs (add, subtract,
-multiply, widening by a known tail bound, certified leading digits,
-distance to the nearest integer) and propagates radii conservatively.
+multiply, widening by a known tail bound, certified leading digits) and
+propagates radii conservatively. The enclosure's endpoints are read only
+as exact rationals (_exact_fraction), never as rounded mpf values.
 
 Radius bookkeeping: every arithmetic op adds the incoming radii (with
 cross terms for products), charges one relative ulp for rounding the new
@@ -81,16 +82,6 @@ class BigRealWithError:
 
     # -- accessors ----------------------------------------------------
 
-    def lower(self) -> mp.mpf:
-        # computed at a precision covering both mantissas end to end, so
-        # the subtraction is exact regardless of the ambient precision
-        with mp.workprec(_span_prec(self.value, self.err)):
-            return self.value - self.err
-
-    def upper(self) -> mp.mpf:
-        with mp.workprec(_span_prec(self.value, self.err)):
-            return self.value + self.err
-
     def widen(self, extra) -> "BigRealWithError":
         """Add a known extra error bound (e.g. a series tail) to the radius."""
         if isinstance(extra, Rational):
@@ -156,61 +147,16 @@ class BigRealWithError:
 
     __rmul__ = __mul__
 
-    # -- distance to the nearest integer --------------------------------
-
-    def distance_interval(self):
-        """Range of ||theta|| over the enclosure, plus a decidability flag.
-
-        Returns (lo, hi, decided). decided is False when the enclosure
-        contains an integer or a half-integer, i.e. when the distance
-        map is not monotone across the interval and the endpoints alone
-        do not determine the range tightly.
-        """
-        a, b = self.lower(), self.upper()
-        if b - a >= 1:
-            return (mp.mpf(0), mp.mpf("0.5"), False)
-        da = _dist_to_int(a)
-        db = _dist_to_int(b)
-        lo, hi = min(da, db), max(da, db)
-        contains_int = mp.floor(b) >= mp.ceil(a)
-        contains_half = mp.floor(b - mp.mpf("0.5")) >= mp.ceil(a - mp.mpf("0.5"))
-        if contains_int:
-            lo = mp.mpf(0)
-        if contains_half:
-            hi = mp.mpf("0.5")
-        return (lo, hi, not (contains_int or contains_half))
-
-
-def _dist_to_int(x: mp.mpf) -> mp.mpf:
-    f = x - mp.floor(x)
-    return min(f, 1 - f)
-
-
-def _parts(x):
-    # (sign, man, exp, bc) without re-rounding: mp.mpf(x) would round an
-    # mpf that is wider than the ambient precision
-    if not isinstance(x, mp.mpf):
-        x = mp.mpf(x)
-    return x._mpf_
-
 
 def _exact_fraction(x) -> Fraction:
     """The exact rational value of an mpf (mpf values are dyadic)."""
-    sign, man, exp, _ = _parts(x)
+    if not isinstance(x, mp.mpf):
+        x = mp.mpf(x)
+    # the raw tuple, not mp.mpf(x), which would round an mpf that is
+    # wider than the ambient precision
+    sign, man, exp, _ = x._mpf_
     if man == 0:
         return Fraction(0)
     f = Fraction(man) * Fraction(2) ** exp
     return -f if sign else f
 
-
-def _span_prec(a, b) -> int:
-    """Bits needed to add/subtract a and b without any rounding."""
-    tops, bots = [], []
-    for x in (a, b):
-        _, man, exp, bc = _parts(x)
-        if man:
-            tops.append(exp + bc)
-            bots.append(exp)
-    if not tops:
-        return 53
-    return max(53, max(tops) - min(bots) + 8)

@@ -211,7 +211,7 @@ def cmd_sieve_weights(args, cfg: RunConfig) -> int:
     }
     rc = 0
     if args.n_limit:
-        rep = sieve.verify_sandwich(ws, args.n_limit)
+        rep = sieve.verify_sandwich(ws, args.n_limit, budget_mb=cfg.budget_mb)
         payload["sandwich"] = rep
         rc = 0 if rep["ok"] else 1
     if args.dump_weights:
@@ -236,7 +236,7 @@ def cmd_sieve_ff(args, cfg: RunConfig) -> int:
 
 def cmd_sieve_flemma(args, cfg: RunConfig) -> int:
     t = sieve.FundamentalLemmaTruncation(z=args.z, R=args.r, parity=args.parity)
-    rep = sieve.fundamental_lemma_check(t, args.n_limit)
+    rep = sieve.fundamental_lemma_check(t, args.n_limit, budget_mb=cfg.budget_mb)
     emit(rep, cfg, "sieve flemma")
     return 0 if rep["ok"] else 1
 
@@ -247,7 +247,7 @@ def cmd_sieve_vector(args, cfg: RunConfig) -> int:
         ok = sieve.vector_sieve_check(*vals)
         emit({"tuple": vals, "holds": ok}, cfg, "sieve vector")
         return 0 if ok else 1
-    rep = sieve.vector_sieve_random_trials(args.trials, seed=cfg.seed)
+    rep = sieve.vector_sieve_random_trials(args.trials, seed=cfg.seed, budget_mb=cfg.budget_mb)
     emit(rep, cfg, "sieve vector")
     return 0 if rep["ok"] else 1
 
@@ -461,7 +461,7 @@ def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
     p.add_argument("--preset", choices=("desk", "paper"), default=d if suppress else "desk")
     p.add_argument("--seed", type=int, default=d if suppress else 0)
     p.add_argument("--threads", type=int, default=d, help="worker processes for the exact engine of expsum basic")
-    p.add_argument("--budget-mb", type=int, default=d, help="memory budget of psi's exact count in MB (default 512)")
+    p.add_argument("--budget-mb", type=int, default=d, help="memory budget in MB of psi's exact count and the sieve weights, flemma and vector arrays (default 512)")
 
 
 def build_parser() -> argparse.ArgumentParser:

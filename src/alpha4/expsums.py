@@ -152,12 +152,8 @@ def _slope62(A: Fraction, j: int, r: int, l1: int, l2: int) -> Fraction:
 
 
 def _coerce_real(x, name: str):
-    """int/Fraction stay exact; floats are taken at their binary value."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, Rational):
-        return Fraction(x)
-    if isinstance(x, float):
+    """Rationals stay exact; floats are taken at their binary value."""
+    if isinstance(x, (Rational, float)):
         return Fraction(x)
     if isinstance(x, mp.mpf):
         return x
@@ -230,6 +226,12 @@ def make_lemma62_inner_phase(
 # -- coefficients and phase values -----------------------------------------
 
 
+def _is_exact_spec(spec: PhaseSpec) -> bool:
+    if spec.kind != "basic":
+        return True
+    return isinstance(spec.A, Fraction) and isinstance(spec.B, Fraction)
+
+
 def _phase_ratio(spec: PhaseSpec):
     """n -> (N, D) with phase(n) = N/D, D > 0 and no gcd taken (rational coefficients).
 
@@ -242,7 +244,7 @@ def _phase_ratio(spec: PhaseSpec):
     if spec.kind == "lemma62_inner":
         num, den = c.C.numerator, c.C.denominator
         return lambda n: (num * n, den)
-    if spec.kind == "basic" and not (isinstance(c.A, Fraction) and isinstance(c.B, Fraction)):
+    if not _is_exact_spec(spec):
         raise PreconditionError("exact phase needs rational coefficients; use phase_mpf")
     # lemma61: B r l + (h m / r^3) l = (B + lin) r l
     second = c.B if spec.kind == "basic" else (c.B + c.lin) * spec.r
@@ -392,12 +394,6 @@ class ExpSumResult:
     value: object
     n_terms: int
     normalized_modulus: float
-
-
-def _is_exact_spec(spec: PhaseSpec) -> bool:
-    if spec.kind != "basic":
-        return True
-    return isinstance(spec.A, Fraction) and isinstance(spec.B, Fraction)
 
 
 def eval_phase(

@@ -36,7 +36,6 @@ __all__ = [
     "prop1_ratio",
     "prop1_distance",
     "prop1_statistic_exact",
-    "prop1_statistic",
     "prop1_statistic_with_r_exact",
     "expansion_residuals",
 ]
@@ -269,11 +268,6 @@ def prop1_statistic_exact(p: int) -> Fraction:
     """Exact || sigma_4(p+1)/(p(p+1)) + 1/16 || at a prime p."""
     _require_prime(p)
     return prop1_distance(p, sigma_k(p + 1, 4))
-
-
-def prop1_statistic(p: int) -> BigRealWithError:
-    """The same statistic wrapped with its (conversion-only) error radius."""
-    return BigRealWithError.exact(prop1_statistic_exact(p))
 
 
 def prop1_statistic_with_r_exact(p: int, r: int) -> Fraction:

@@ -20,7 +20,7 @@ from numbers import Rational
 
 import mpmath as mp
 
-from .arith import primes_in, primes_upto
+from .arith import primes_in, primes_upto, require_budget
 from .errors import PreconditionError
 
 __all__ = [
@@ -126,14 +126,17 @@ def beta_sieve_weights(D, z, primes=None) -> SieveWeightSystem:
     )
 
 
-def verify_sandwich(ws: SieveWeightSystem, n_limit: int) -> dict:
+def verify_sandwich(ws: SieveWeightSystem, n_limit: int, budget_mb: int | None = None) -> dict:
     """Check lambda- * 1 <= [coprime to P(z)] <= lambda+ * 1 on 1..n_limit.
 
     Convolutions are accumulated with slice adds; returns counts, the
-    first violating n per side (or None), and the extremal slacks.
+    first violating n per side (or None), and the extremal slacks. At its
+    peak it holds five int64 columns and a bool mask of n_limit + 1
+    entries, and refuses more than budget_mb of them.
     """
     if n_limit < 1:
         raise PreconditionError("n_limit must be >= 1")
+    require_budget(41 * (n_limit + 1), budget_mb, f"weight sandwich to n_limit={n_limit}")
     import numpy as np
     upper = np.zeros(n_limit + 1, dtype=np.int64)
     lower = np.zeros(n_limit + 1, dtype=np.int64)
@@ -195,14 +198,19 @@ class FundamentalLemmaTruncation:
         return 2 * self.R if self.parity == "even" else 2 * self.R + 1
 
 
-def fundamental_lemma_check(t: FundamentalLemmaTruncation, n_limit: int) -> dict:
+def fundamental_lemma_check(
+    t: FundamentalLemmaTruncation, n_limit: int, budget_mb: int | None = None
+) -> dict:
     """Compare the truncated Moebius sum against the sifted indicator.
 
     Returns violation counts (expected zero: the inequality is a
-    theorem) and the extremal slack over 1..n_limit.
+    theorem) and the extremal slack over 1..n_limit. At its peak it holds
+    three int64 columns and a bool mask of n_limit + 1 entries, and
+    refuses more than budget_mb of them.
     """
     if n_limit < 1:
         raise PreconditionError("n_limit must be >= 1")
+    require_budget(25 * (n_limit + 1), budget_mb, f"truncated sandwich to n_limit={n_limit}")
     primes = [int(p) for p in primes_upto(t.z)]
     cap = t.omega_cap
     import numpy as np
@@ -247,9 +255,7 @@ def fundamental_lemma_check(t: FundamentalLemmaTruncation, n_limit: int) -> dict
 
 
 def _as_fraction(x, name: str) -> Fraction:
-    if isinstance(x, Rational):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, (Rational, float)):
         return Fraction(x)
     raise PreconditionError(f"{name} must be an exact number or float, got {type(x).__name__}")
 
@@ -286,15 +292,20 @@ def vector_sieve_check(d1_minus, d1, d1_plus, d2_minus, d2, d2_plus) -> bool:
     return lhs >= rhs
 
 
-def vector_sieve_random_trials(count: int = 10**6, seed: int = 0, span: int = 1 << 15) -> dict:
+def vector_sieve_random_trials(
+    count: int = 10**6, seed: int = 0, span: int = 1 << 15, budget_mb: int | None = None
+) -> dict:
     """Bulk-check the two-variable sandwich on random integer tuples.
 
     Tuples are drawn on an integer grid with |values| <= 2 span, so the
     int64 products are exact; lower bounds may go negative, upper bounds
-    stay above the value by construction.
+    stay above the value by construction. At its peak it holds ten int64
+    columns and a bool mask of count entries, and refuses more than
+    budget_mb of them.
     """
     if count < 1:
         raise PreconditionError("count must be >= 1")
+    require_budget(81 * count, budget_mb, f"vector sandwich with {count} trials")
     import numpy as np
     rng = np.random.default_rng(seed)
     d1 = rng.integers(0, span, size=count)

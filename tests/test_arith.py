@@ -1,14 +1,11 @@
-"""Integer utilities: factorization, divisor sums, tables, CRT, distances."""
+"""Integer utilities: factorization, divisor sums, tables, prime ranges."""
 
 import random
-from fractions import Fraction
 
 import pytest
-from mpmath import mp
 
 import oracles
 from alpha4 import arith
-from alpha4.bigreal import BigRealWithError
 from alpha4.errors import PreconditionError
 
 
@@ -187,7 +184,6 @@ def test_factorization_accessors():
     assert f.sigma(1) == oracles.sigma_k(360, 1)
     assert not f.is_squarefree()
     assert f.least_prime_factor() == 2
-    assert f.greatest_prime_factor() == 5
     assert f.divisors() == oracles.divisors(360)
 
 
@@ -203,6 +199,18 @@ def test_primes_upto_counts():
     assert len(ps) == 25
     assert ps[0] == 2 and ps[-1] == 97
     assert len(arith.primes_upto(10**4)) == 1229
+
+
+def test_primes_upto_is_the_prime_range():
+    # every small n, and the counts at 2^16, 10^6 and both sides of the
+    # default segment edge 2^20
+    for n in range(601):
+        got = arith.primes_upto(n)
+        assert got.dtype == "int64"
+        assert got.tolist() == [m for m in range(n + 1) if oracles.is_prime(m)], n
+    for n, count in ((2**16, 6542), (10**6, 78498), (2**20, 82025), (2**20 + 1, 82025)):
+        got = arith.primes_upto(n)
+        assert got.dtype == "int64" and got.size == count, n
 
 
 def test_primes_in_half_open_window():
@@ -232,43 +240,3 @@ def test_prime_range_segments_concatenate_to_the_range():
 def test_prime_range_rejects_disorder():
     with pytest.raises(PreconditionError):
         arith.PrimeRange(20, 10)
-
-
-def test_crt_combine():
-    assert arith.crt_combine([(1, 3), (2, 5)]) == (7, 15)
-    assert arith.crt_combine([(0, 1)]) == (0, 1)
-    r, m = arith.crt_combine([(2, 4), (3, 5), (1, 7)])
-    assert m == 140
-    assert r % 4 == 2 and r % 5 == 3 and r % 7 == 1
-
-
-def test_crt_combine_rejects_contradiction():
-    with pytest.raises(PreconditionError):
-        arith.crt_combine([(0, 2), (1, 4)])
-
-
-def test_distance_to_nearest_integer_floats():
-    assert arith.distance_to_nearest_integer(2.0) == 0.0
-    assert arith.distance_to_nearest_integer(2.5) == 0.5
-    assert abs(arith.distance_to_nearest_integer(42.30104) - 0.30104) < 1e-12
-
-
-def test_distance_to_nearest_integer_fraction_is_exact():
-    assert arith.distance_to_nearest_integer(Fraction(13, 48)) == Fraction(13, 48)
-    assert arith.distance_to_nearest_integer(Fraction(659, 48)) == Fraction(13, 48)
-    assert arith.distance_to_nearest_integer(Fraction(-1, 4)) == Fraction(1, 4)
-
-
-def test_distance_to_nearest_integer_interval():
-    x = BigRealWithError.exact(Fraction(659, 48))
-    lo, hi, decided = arith.distance_to_nearest_integer(x)
-    assert decided
-    assert float(lo) <= 13 / 48 <= float(hi)
-    assert float(hi) - float(lo) < 1e-10
-
-
-def test_distance_interval_undecided_near_integer():
-    x = BigRealWithError(mp.mpf(3), mp.mpf("0.25"))  # encloses the integer 3
-    lo, hi, decided = arith.distance_to_nearest_integer(x)
-    assert not decided
-    assert float(lo) == 0.0

@@ -55,12 +55,6 @@ def test_widen_only_grows():
     assert float(w.err) >= float(a.err) + 0.01 - 1e-15
 
 
-def test_lower_upper_are_outward():
-    a = BigRealWithError(mp.mpf(1), mp.mpf("1e-30"))
-    assert float(a.lower()) <= 1 <= float(a.upper())
-    assert a.upper() > a.lower()
-
-
 def test_leading_decimal_truncates_not_rounds():
     # value 1.2999995 +- tiny: the 7-digit truncation is 1.299999,
     # even though rounding would give 1.3
@@ -117,15 +111,3 @@ def test_wide_mpf_values_are_not_rerounded():
     x = BigRealWithError(v, mp.mpf(0))
     f = _exact_fraction(x.value)
     assert abs(f - Fraction(1, 3)) < Fraction(1, 2**195)
-
-
-def test_distance_interval_decided_flag():
-    x = BigRealWithError(mp.mpf("2.25"), mp.mpf("0.01"))
-    lo, hi, decided = x.distance_interval()
-    assert decided
-    assert float(lo) <= 0.25 <= float(hi)
-
-    y = BigRealWithError(mp.mpf("2.5"), mp.mpf("0.01"))  # half-integer inside
-    lo, hi, decided = y.distance_interval()
-    assert not decided
-    assert float(hi) == 0.5

@@ -100,6 +100,24 @@ def test_psi_budget_exit_code(capsys):
     assert "budget" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sieve", "weights", "--d", "900", "--z", "30", "--n-limit", str(2**62)],
+        ["sieve", "flemma", "--z", "30", "--r", "1", "--parity", "even", "--n-limit", str(2**62)],
+        ["sieve", "vector", "--trials", str(2**62)],
+    ],
+    ids=["weights", "flemma", "vector"],
+)
+def test_oversized_sieve_arrays_are_budget_errors(argv, capsys):
+    # refused before any n-sized array exists, with status 2, not a traceback
+    rc, out, err = run(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "budget is 512 MB" in err
+
+
 def test_sieve_weights_ok_and_dump(capsys):
     rc, payload = run_json(
         ["sieve", "weights", "--d", "100", "--z", "10", "--n-limit", "2000"], capsys
@@ -248,8 +266,8 @@ def test_bad_global_flags_are_input_errors(argv, capsys):
 
 
 def test_special_sigmas_honors_budget(capsys, monkeypatch):
-    # the budget governs psi only: the special walk builds no least-factor
-    # table, so a zero budget changes nothing
+    # the budget governs psi and the sieve arrays only: the special walk
+    # builds no least-factor table, so a zero budget changes nothing
     argv = ["special", "sigmas", "--x", "100000", "--delta", "0.05"]
     rc, plain, err = run(argv, capsys)
     assert rc == 0 and err == ""

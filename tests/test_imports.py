@@ -31,6 +31,11 @@ def test_cli_import_loads_neither_numpy_nor_the_process_pool():
     assert out.split() == ["False", "False"]
 
 
+def test_arith_imports_neither_mpmath_nor_bigreal():
+    out = _python("import sys, alpha4.arith; print('mpmath' in sys.modules, 'alpha4.bigreal' in sys.modules)")
+    assert out.split() == ["False", "False"]
+
+
 # every command here runs without numpy; lemma61 specs factor m and may load it
 NUMPY_FREE = [
     ["expsum", "basic", "--A", "1/3", "--B", "2/7", "--hi", "500"],

@@ -165,12 +165,6 @@ def test_prop1_statistic_rejects_composites():
         series.prop1_statistic_exact(9)
 
 
-def test_prop1_wrapped_value_encloses_exact():
-    got = series.prop1_statistic(13)
-    truth = oracles.stat(13)
-    assert abs(_exact_fraction(got.value) - truth) <= _exact_fraction(got.err)
-
-
 def test_expansion_residuals_within_bounds():
     rows = series.expansion_residuals(101, j_max=32)
     labels = [row["label"] for row in rows]

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -116,16 +117,15 @@ def test_record_constructor_validates():
 
 
 def test_crt_locates_an_enumerated_pair():
-    # a one-mid member satisfies the combined congruence p = -1 (W), -2 (r)
-    from alpha4 import crt_combine
-
+    # a one-mid member satisfies p = -1 (W) and p = -2 (r) with coprime
+    # moduli, so it sits in one residue class mod 12 r
     params = params_at_1e4()
     rec = next(
         r for r in special.enumerate_S(params) if r.klass == "one_mid_factor"
     )
-    res, mod = crt_combine([(params.W - 1, params.W), (rec.r - 2, rec.r)])
-    assert mod == 12 * rec.r
-    assert rec.p % mod == res
+    assert params.W == 12 and math.gcd(params.W, rec.r) == 1
+    assert rec.p % params.W == params.W - 1
+    assert (rec.p + 2) % rec.r == 0
 
 
 def test_sigma_counters_match_brute_force():
