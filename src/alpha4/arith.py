@@ -3,16 +3,16 @@
 Everything in this module is deterministic. Primality uses a fixed
 strong-pseudoprime base set that is a proven classifier below 3.3e14 and
 refuses larger inputs rather than degrade to "probably". A single n is
-factored by trial division to 2^16 into a Factorization. A batch is
-factored by factor_many, which strips the small primes from a column of
-remainders in numpy and returns a FactorBatch: the batch's (value index,
-prime, exponent) pairs as checked numpy columns, from which sigma_k, the
-least and greatest prime factors and squarefreeness are read without a
-Factorization per value. Both finish cofactors above 2^32 with a
-Brent-cycle splitter. Primes come from one segmented sieve,
-PrimeRange.segments; primes_upto is its concatenation. numpy is imported
-inside the functions that use it, so importing this module does not load
-it.
+factored by trial division to 2^16, in pure Python, into a Factorization.
+A batch is factored by factor_many, which strips the small primes from a
+column of remainders in numpy and returns a FactorBatch: the batch's
+(value index, prime, exponent) pairs as checked numpy columns, from
+which sigma_k, the least and greatest prime factors, squarefreeness and
+each value's pair tuple are read without a Factorization per value. Both
+finish cofactors above 2^32 with a Brent-cycle splitter. Primes come
+from one segmented sieve, PrimeRange.segments; primes_upto is its
+concatenation. numpy is imported inside the functions that use it, so
+importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ MR_DETERMINISTIC_LIMIT = 330_000_000_000_000
 DEFAULT_BUDGET_MB = 512
 
 _SMALL_LIMIT = 1 << 16
-_small_primes: list[int] | None = None
 
 
 def require_budget(need: int, budget_mb: int | None, what: str) -> None:
@@ -54,7 +53,8 @@ def require_budget(need: int, budget_mb: int | None, what: str) -> None:
     DEFAULT_BUDGET_MB) rather than swap."""
     budget = (DEFAULT_BUDGET_MB if budget_mb is None else budget_mb) * 2**20
     if need > budget:
-        raise BudgetError(f"{what} needs {need // 2**20} MB, budget is {budget // 2**20} MB")
+        # the need rounds up, so a refusal never reads as if it fitted
+        raise BudgetError(f"{what} needs {-(-need // 2**20)} MB, budget is {budget // 2**20} MB")
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -66,13 +66,6 @@ def primes_upto(n: int) -> np.ndarray:
     import numpy as np
     segments = PrimeRange(0, n).segments() if n >= 2 else ()
     return np.concatenate([np.zeros(0, dtype=np.int64), *segments])
-
-
-def _get_small_primes() -> list[int]:
-    global _small_primes
-    if _small_primes is None:
-        _small_primes = [int(p) for p in primes_upto(_SMALL_LIMIT)]
-    return _small_primes
 
 
 def is_prime(n: int) -> bool:
@@ -266,10 +259,11 @@ def factorize(n) -> Factorization:
     """Full factorization of n >= 1.
 
     Accepts a Factorization and returns it unchanged, so multiplicative
-    functions can take either form. Trial division to 2^16, then
-    deterministic splitting of the cofactor (certified primality
-    required, so inputs whose cofactors reach 3.3e14 are rejected rather
-    than guessed at).
+    functions can take either form. Trial division by 2, 3 and then the
+    numbers 6k +- 1 below 2^16, in pure Python (a composite divisor never
+    divides what its prime factors left), then deterministic splitting of
+    the cofactor (certified primality required, so inputs whose cofactors
+    reach 3.3e14 are rejected rather than guessed at).
     """
     if isinstance(n, Factorization):
         return n
@@ -278,11 +272,14 @@ def factorize(n) -> Factorization:
         raise PreconditionError(f"factorize needs n >= 1, got {n}")
     pairs: list[tuple[int, int]] = []
     rem = n
-    for p in _get_small_primes():
-        if p * p > rem:
-            break
+    for p in (2, 3):
         if rem % p == 0:
             rem = _strip(rem, p, pairs)
+    p, step = 5, 2
+    while p < _SMALL_LIMIT and p * p <= rem:
+        if rem % p == 0:
+            rem = _strip(rem, p, pairs)
+        p, step = p + step, 6 - step
     return _finish(n, pairs, rem)
 
 
@@ -293,12 +290,12 @@ class FactorBatch:
     int64 columns (index, primes, exps), sorted by value index and then by
     prime; offsets[i]:offsets[i+1] are value i's pairs. The constructor
     checks every value the way Factorization does (primes strictly
-    increase, every e >= 1, the pairs multiply back to n), in numpy with
-    no intermediate above n, and the columns are read-only afterwards.
+    increase, every e >= 1, the pairs multiply back to n) in one numpy
+    pass, and the columns are read-only afterwards.
 
     Readers: sigma(k) as exact ints; the least, greatest and squarefree
     columns (least = greatest = 1 for n = 1, which has no prime factor);
-    batch[i], a Factorization.
+    pairs(rows), each value's pair tuple; batch[i], a Factorization.
     """
 
     def __init__(self, values, index, primes, exps):
@@ -330,26 +327,24 @@ class FactorBatch:
         ):
             raise PreconditionError("factor pairs must have increasing primes and e >= 1")
         n = self.values
-        # q^e, each step guarded by pw <= n // q, so nothing exceeds n < 2^63
-        bound = n[idx]
-        pw = np.ones_like(q)
-        for step in range(int(e.max(initial=0))):
-            live = np.flatnonzero(e > step)
-            if np.any(pw[live] > bound[live] // q[live]):
-                raise PreconditionError("factor pairs multiply past their value")
-            pw[live] *= q[live]
-        # the product over each value's pairs, one pair rank at a time
+        # one reduceat per dtype over each value's pairs: the int64 product
+        # is exact mod 2^64, the float64 one its magnitude. A wrong product
+        # equal to n mod 2^64 is >= 2^64, above the float bound; a true one
+        # is <= n < 2^63, below it whatever the float rounding. Values with
+        # no pair (n = 1) keep the empty product 1.
         m = np.ones_like(n)
-        rank = np.arange(idx.size) - self.offsets[idx]
-        for j in range(int(rank.max(initial=-1)) + 1):
-            at = rank == j
-            i, f = idx[at], pw[at]
-            if np.any(m[i] > n[i] // f):
-                raise PreconditionError("factor pairs multiply past their value")
-            m[i] *= f
-        bad = np.flatnonzero(m != n)
+        mag = np.zeros(n.size)
+        starts = self.offsets[:-1]
+        has = np.flatnonzero(starts < self.offsets[1:])
+        if has.size:
+            with np.errstate(over="ignore"):
+                m[has] = np.multiply.reduceat(q**e, starts[has])
+                mag[has] = np.multiply.reduceat(q.astype(np.float64) ** e, starts[has])
+        bad = np.flatnonzero((mag >= 2**63.5) | (m != n))
         if bad.size:
             i = int(bad[0])
+            if mag[i] >= 2**63.5:
+                raise PreconditionError("factor pairs multiply past their value")
             raise PreconditionError(f"pairs multiply to {int(m[i])}, not {int(n[i])}")
 
     def __len__(self) -> int:
@@ -364,10 +359,16 @@ class FactorBatch:
         return self.values.tolist(), self.offsets.tolist(), pairs
 
     def __getitem__(self, i: int) -> Factorization:
-        values, offsets, pairs = self._lists
+        values = self._lists[0]
         if not 0 <= i < len(values):
             raise IndexError(f"batch index {i} outside 0..{len(values) - 1}")
-        return Factorization(values[i], tuple(pairs[offsets[i] : offsets[i + 1]]))
+        return Factorization(values[i], self.pairs([i])[0])
+
+    def pairs(self, rows) -> list[tuple[tuple[int, int], ...]]:
+        """The (prime, exponent) pairs of values[i] for each i in rows, as
+        Factorization.pairs holds them but without rebuilding the check."""
+        _, offsets, pairs = self._lists
+        return [tuple(pairs[offsets[i] : offsets[i + 1]]) for i in rows]
 
     def sigma(self, k: int, rows=None) -> list[int]:
         """sigma_k of each value, or of values[rows] for distinct rows, as exact ints."""
@@ -390,6 +391,10 @@ class FactorBatch:
             for i, ei in zip(idx.tolist(), e.tolist()):
                 out[i] *= ei + 1
             return out
+        # one Python step per pair: on the 485,298 pairs of the x = 10^6
+        # tail windows, a memo dict, an object array and int64 terms with
+        # math.prod each took as long or longer (a quarter of the pairs
+        # have q^4 beyond int64 or e > 1)
         for i, qi, ei in zip(idx.tolist(), q.tolist(), e.tolist()):
             qk = qi**k
             out[i] *= qk + 1 if ei == 1 else (qk ** (ei + 1) - 1) // (qk - 1)
@@ -437,10 +442,7 @@ def factor_many(values) -> FactorBatch:
     vals = np.array(ints, dtype=np.int64)
     rem = vals.copy()
     idx, qs, es = [], [], []
-    top = math.isqrt(hi)
-    for q in _get_small_primes():
-        if q > top:
-            break
+    for q in primes_upto(min(math.isqrt(hi), _SMALL_LIMIT)).tolist():
         # floor division by a scalar is numpy's fast path; % is not
         hit = np.flatnonzero(rem // q * q == rem)
         if not hit.size:

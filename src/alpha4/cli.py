@@ -103,7 +103,8 @@ def emit(payload, cfg: RunConfig, command: str, rows_key: str | None = None) -> 
             w.writerow([json.dumps(data, sort_keys=True)])
         return
     if cfg.fmt == "jsonl":
-        encode = json.JSONEncoder(sort_keys=True).encode
+        # rows are built fresh and hold no cycles, so the encoder skips its check
+        encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
         write = sys.stdout.write
         for row in rows:
             write(encode(row) + "\n")
@@ -341,19 +342,28 @@ def _params_for(args, cfg: RunConfig) -> sieve.ScaleParams:
 
 
 def _enumerate_row(rec: special.SpecialPrimeRecord) -> dict:
-    """One `special enumerate` row, JSON-native as emit requires."""
-    return {
+    """One `special enumerate` row, JSON-native as emit requires.
+
+    The statistics are reduced integer pairs: "a/d" and a / d print what
+    _ratio and float print for the same Fraction.
+    """
+    a, d = rec.ratio_plain
+    row = {
         "p": rec.p,
         "class": rec.klass,
         "r": rec.r,
-        "factors_p1": rec.factor_p1.pairs,
-        "factors_p2": rec.factor_p2.pairs,
-        "factors_odd_half": rec.factor_p3.pairs,
-        "stat_plain": _ratio(rec.stat_plain),
-        "stat_plain_float": float(rec.stat_plain),
-        "stat_r": None if rec.stat_r is None else _ratio(rec.stat_r),
-        "stat_r_float": None if rec.stat_r is None else float(rec.stat_r),
+        "factors_p1": rec.pairs_p1,
+        "factors_p2": rec.pairs_p2,
+        "factors_odd_half": rec.pairs_p3,
+        "stat_plain": f"{a}/{d}",
+        "stat_plain_float": a / d,
+        "stat_r": None,
+        "stat_r_float": None,
     }
+    if rec.ratio_r is not None:
+        a, d = rec.ratio_r
+        row["stat_r"], row["stat_r_float"] = f"{a}/{d}", a / d
+    return row
 
 
 def cmd_special_enumerate(args, cfg: RunConfig) -> int:

@@ -65,7 +65,9 @@ def alpha_partial(k: int, n_terms: int) -> Fraction:
     """Exact partial sum sum_{n=1}^{n_terms} sigma_k(n)/n!."""
     if k < 1 or n_terms < 1:
         raise PreconditionError("alpha_partial needs k >= 1 and n_terms >= 1")
-    return _factorial_series(factor_many(range(1, n_terms + 1)).sigma(k), 1)
+    # n_terms is at most a few thousand: single values factor faster in
+    # pure Python than numpy loads
+    return _factorial_series([factorize(n).sigma(k) for n in range(1, n_terms + 1)], 1)
 
 
 def _majorant(k: int) -> tuple[int, Fraction]:

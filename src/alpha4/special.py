@@ -20,8 +20,9 @@ factored in one FactorBatch; the least and greatest prime factors, the
 window pairs of p+2 and membership in S are read off its columns in
 numpy. sigma_4(p+1) is summed only for the candidates whose statistic is
 read, and each statistic, plain or r-corrected, is computed once.
-count_sigmas builds no Factorization; enumerate_S builds three per
-member, factoring the odd halves of the members alone.
+Neither builds a Factorization: enumerate_S keeps each member's pairs as
+tuples sliced from the batch, factoring the odd halves of the members
+alone, and its statistics as reduced integer pairs.
 
 Before any factoring, the walk drops, in numpy over each segment of
 primes, every p for which p+2 has a prime factor <= min(z_lo, z_hi) or
@@ -45,7 +46,7 @@ from fractions import Fraction
 
 from .arith import Factorization, PrimeRange, factor_many, primes_upto
 from .errors import PreconditionError
-from .series import prop1_distance, prop1_ratio
+from .series import prop1_ratio
 from .sieve import ScaleParams
 
 __all__ = [
@@ -63,22 +64,26 @@ CLASS_ONE_MID = "one_mid_factor"
 
 @dataclass(frozen=True)
 class SpecialPrimeRecord:
-    """One member of S with its factorizations and statistics.
+    """One member of S with its factor pairs and statistics.
 
-    factor_p1, factor_p2 factorize p+1 and p+2; factor_p3 factorizes the
-    odd half (p+3)/2. stat_plain is the exact distance of
-    sigma_4(p+1)/(p(p+1)) + 1/16 from the nearest integer; stat_r adds
-    (p+1)/r^4 first (only for the one_mid_factor class).
+    pairs_p1, pairs_p2 are the (prime, exponent) pairs of p+1 and p+2;
+    pairs_p3 those of the odd half (p+3)/2, all sliced from checked
+    FactorBatch columns. ratio_plain is the exact distance of
+    sigma_4(p+1)/(p(p+1)) + 1/16 from the nearest integer, as a reduced
+    (numerator, denominator) pair; ratio_r adds (p+1)/r^4 first (only
+    for the one_mid_factor class). factor_p1..factor_p3, stat_plain and
+    stat_r give the same as a Factorization (checked when read) or a
+    Fraction.
     """
 
     p: int
     klass: str
     r: int | None
-    factor_p1: Factorization
-    factor_p2: Factorization
-    factor_p3: Factorization
-    stat_plain: Fraction
-    stat_r: Fraction | None
+    pairs_p1: tuple[tuple[int, int], ...]
+    pairs_p2: tuple[tuple[int, int], ...]
+    pairs_p3: tuple[tuple[int, int], ...]
+    ratio_plain: tuple[int, int]
+    ratio_r: tuple[int, int] | None
 
     def __post_init__(self):
         if self.klass not in (CLASS_NO_MID, CLASS_ONE_MID):
@@ -87,6 +92,26 @@ class SpecialPrimeRecord:
             raise PreconditionError("class and window factor disagree")
         if self.p % 4 != 3:
             raise PreconditionError("members satisfy p = 3 mod 4, so (p+3)/2 is odd")
+
+    @property
+    def factor_p1(self) -> Factorization:
+        return Factorization(self.p + 1, self.pairs_p1)
+
+    @property
+    def factor_p2(self) -> Factorization:
+        return Factorization(self.p + 2, self.pairs_p2)
+
+    @property
+    def factor_p3(self) -> Factorization:
+        return Factorization((self.p + 3) // 2, self.pairs_p3)
+
+    @property
+    def stat_plain(self) -> Fraction:
+        return Fraction(*self.ratio_plain)
+
+    @property
+    def stat_r(self) -> Fraction | None:
+        return None if self.ratio_r is None else Fraction(*self.ratio_r)
 
 
 class _Segment:
@@ -148,34 +173,46 @@ def _walk(params: ScaleParams):
             yield _Segment(cand[keep], params)
 
 
+def _reduced_stat(p: int, sigma4_p1: int, r: int | None = None) -> tuple[int, int]:
+    """The statistic of prop1_ratio in lowest terms, as Fraction would hold it."""
+    a, den = prop1_ratio(p, sigma4_p1, r)
+    g = math.gcd(a, den)
+    return a // g, den // g
+
+
 def enumerate_S(params: ScaleParams) -> list[SpecialPrimeRecord]:
     """All members of S at the given scale, in increasing order of p.
 
-    Each record's three factorizations are the only Factorization objects
-    built: p+1 and p+2 from the walk's batch, the odd half from a batch of
-    the members' odd halves.
+    The records hold pairs sliced from the walk's batch (p+1, p+2) and
+    from a batch of the members' odd halves, and integer statistics; no
+    Factorization or Fraction is built.
     """
     import numpy as np
     out: list[SpecialPrimeRecord] = []
     for seg in _walk(params):
         rows = np.flatnonzero(seg.in_S)
         ps = seg.p[rows]
-        halves = factor_many((ps + 3) // 2)
+        halves = factor_many((ps + 3) // 2).pairs(range(rows.size))
         sigma4 = seg.sigma4_p1(rows)
         window = np.zeros(seg.n, dtype=np.int64)
         window[seg.win_i] = seg.win_r  # members have at most one window prime
-        for j, (i, p) in enumerate(zip(rows.tolist(), ps.tolist())):
-            r = int(window[i]) or None
+        rows_l = rows.tolist()
+        pairs1 = seg.f.pairs(rows_l)
+        pairs2 = seg.f.pairs(i + seg.n for i in rows_l)
+        for i, p, r, p1, p2, p3 in zip(
+            rows_l, ps.tolist(), window[rows].tolist(), pairs1, pairs2, halves
+        ):
+            r = r or None
             out.append(
                 SpecialPrimeRecord(
                     p=p,
                     klass=CLASS_NO_MID if r is None else CLASS_ONE_MID,
                     r=r,
-                    factor_p1=seg.f[i],
-                    factor_p2=seg.f[seg.n + i],
-                    factor_p3=halves[j],
-                    stat_plain=prop1_distance(p, sigma4[i]),
-                    stat_r=None if r is None else prop1_distance(p, sigma4[i], r),
+                    pairs_p1=p1,
+                    pairs_p2=p2,
+                    pairs_p3=p3,
+                    ratio_plain=_reduced_stat(p, sigma4[i]),
+                    ratio_r=None if r is None else _reduced_stat(p, sigma4[i], r),
                 )
             )
     return out
@@ -310,25 +347,28 @@ def partition_check(records: list[SpecialPrimeRecord], params: ScaleParams) -> d
             bad.append("range")
         if p % params.W != params.W - 1:
             bad.append("residue")
-        if not rec.factor_p2.is_squarefree():
+        f2 = rec.pairs_p2
+        if any(e != 1 for _, e in f2):
             bad.append("squarefree")
-        if rec.factor_p2.least_prime_factor() <= zl:
+        # p+2 >= 3 has a least prime factor; forged empty pairs fail as 1
+        lpf2 = f2[0][0] if f2 else 1
+        if lpf2 <= zl:
             bad.append("least_factor")
-        mids = [q for q, _ in rec.factor_p2.pairs if zl < q <= zh]
+        mids = [q for q, _ in f2 if zl < q <= zh]
         if len(mids) > 1:
             bad.append("window_count")
-        if rec.factor_p3.pairs and rec.factor_p3.least_prime_factor() <= zs:
+        if rec.pairs_p3 and rec.pairs_p3[0][0] <= zs:
             bad.append("odd_half")
         if rec.klass == CLASS_NO_MID:
             # no window factor means every factor of p+2 clears z_hi
-            if mids or rec.factor_p2.least_prime_factor() <= zh:
+            if mids or lpf2 <= zh:
                 bad.append("class_label")
-            if rec.stat_r is not None:
+            if rec.ratio_r is not None:
                 bad.append("stat_fields")
         else:
             if len(mids) != 1 or rec.r != mids[0]:
                 bad.append("class_label")
-            if rec.stat_r is None:
+            if rec.ratio_r is None:
                 bad.append("stat_fields")
         counts[rec.klass] += 1
         if p in seen:
@@ -360,8 +400,9 @@ def near_integer_histogram(records: list[SpecialPrimeRecord], bins: int = 20) ->
     """
     if bins < 1:
         raise PreconditionError("bins must be >= 1")
-    plain = sorted(float(rec.stat_plain) for rec in records)
-    withr = sorted(float(rec.stat_r) for rec in records if rec.stat_r is not None)
+    # float(Fraction(a, den)) is this same correctly rounded a / den
+    plain = sorted(a / den for a, den in (rec.ratio_plain for rec in records))
+    withr = sorted(a / den for a, den in (rec.ratio_r for rec in records if rec.ratio_r is not None))
 
     def hist(vals):
         counts = [0] * bins

@@ -179,6 +179,24 @@ def test_factor_batch_check_refuses_corrupt_pairs():
         b.exps[0] = 4  # the checked columns are read-only
 
 
+def test_factor_batch_check_refuses_a_product_that_wraps():
+    # 5^28 > 2^64, and the pair's int64 product wraps to exactly this
+    # value below 2^63: only the float magnitude of the product refuses it
+    wrapped = 5**28 % 2**64
+    assert wrapped < 2**63
+    with pytest.raises(PreconditionError, match="past their value"):
+        arith.FactorBatch([wrapped], [0], [5], [28])
+
+
+def test_factor_batch_check_takes_one_beside_other_values():
+    # n = 1 has no pairs, so its product is the empty one, not a reduceat slice
+    b = arith.FactorBatch([12, 1, 7, 1], [0, 0, 2], [2, 3, 7], [2, 1, 1])
+    assert b.sigma(1) == [28, 1, 8, 1]
+    assert b.pairs(range(4)) == [((2, 2), (3, 1)), (), ((7, 1),), ()]
+    with pytest.raises(PreconditionError):
+        arith.FactorBatch([12, 2, 7], [0, 0, 2], [2, 3, 7], [2, 1, 1])
+
+
 def test_factorization_accessors():
     f = arith.factorize(360)
     assert f.sigma(1) == oracles.sigma_k(360, 1)

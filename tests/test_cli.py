@@ -118,6 +118,14 @@ def test_oversized_sieve_arrays_are_budget_errors(argv, capsys):
     assert "budget is 512 MB" in err
 
 
+def test_budget_refusal_rounds_the_need_up(capsys):
+    # 81 bytes a trial: 6,628,036 trials are 4 bytes over 512 MiB
+    rc, out, err = run(["sieve", "vector", "--trials", "6628036"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "needs 513 MB, budget is 512 MB" in err
+
+
 def test_sieve_weights_ok_and_dump(capsys):
     rc, payload = run_json(
         ["sieve", "weights", "--d", "100", "--z", "10", "--n-limit", "2000"], capsys

@@ -36,8 +36,14 @@ def test_arith_imports_neither_mpmath_nor_bigreal():
     assert out.split() == ["False", "False"]
 
 
-# every command here runs without numpy; lemma61 specs factor m and may load it
+# every command here runs without numpy; a single value (lemma61's m,
+# alpha's prefix, prop1's p+1) is factored in pure Python
 NUMPY_FREE = [
+    ["alpha", "--bits", "8192"],
+    ["prop1", "--p", "1000003"],
+    ["expsum", "lemma61", "--h", "1", "--m", "12345", "--r", "101", "--hi", "50"],
+    ["expsum", "weyl", "--kind", "lemma61", "--h", "1", "--m", "12345", "--r", "101", "--hi", "64",
+     "--K", "4", "--L", "4"],
     ["expsum", "basic", "--A", "1/3", "--B", "2/7", "--hi", "500"],
     ["expsum", "basic", "--A", "1/3", "--B", "2/7", "--hi", "200", "--engine", "mpf"],
     ["expsum", "weyl", "--A", "1/3", "--B", "2/7", "--hi", "128", "--K", "4", "--L", "4"],
@@ -47,6 +53,7 @@ NUMPY_FREE = [
     ["verify-all", "--only", "rho_two_routes"],
     ["verify-all", "--only", "limit_functions"],
     ["verify-all", "--only", "amplitude_grid"],
+    ["verify-all", "--only", "alpha_digits"],
 ]
 
 

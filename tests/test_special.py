@@ -108,11 +108,11 @@ def test_record_constructor_validates():
             p=rec.p,
             klass="mystery",
             r=None,
-            factor_p1=rec.factor_p1,
-            factor_p2=rec.factor_p2,
-            factor_p3=rec.factor_p3,
-            stat_plain=rec.stat_plain,
-            stat_r=None,
+            pairs_p1=rec.pairs_p1,
+            pairs_p2=rec.pairs_p2,
+            pairs_p3=rec.pairs_p3,
+            ratio_plain=rec.ratio_plain,
+            ratio_r=None,
         )
 
 
@@ -173,11 +173,17 @@ def test_count_sigmas_builds_no_factorization(factorizations_built):
     assert factorizations_built == []
 
 
-def test_enumerate_builds_three_factorizations_per_member(factorizations_built):
-    recs = special.enumerate_S(sieve.make_scale_params(10**5))
-    assert len(recs) == 569
-    want = [n for rec in recs for n in (rec.p + 1, rec.p + 2, (rec.p + 3) // 2)]
-    assert sorted(factorizations_built) == sorted(want)
+def test_enumerate_builds_no_factorization(factorizations_built):
+    # the records, the partition check and the printed rows all read the
+    # batch's pairs; a Factorization is built only when a reader asks
+    params = sieve.make_scale_params(10**5)
+    recs = special.enumerate_S(params)
+    assert special.partition_check(recs, params)["ok"]
+    rows = [cli._enumerate_row(rec) for rec in recs]
+    assert len(recs) == len(rows) == 569
+    assert factorizations_built == []
+    assert recs[0].factor_p2.pairs == recs[0].pairs_p2
+    assert factorizations_built == [recs[0].p + 2]
 
 
 def test_count_sigmas_at_desk_scale(desk_params):
@@ -287,6 +293,19 @@ def test_partition_check_flags_mislabels(desk_params, desk_records):
     assert not rep["ok"]
     assert rep["condition_failures"]["class_label"] >= 1
     assert rep["first_failure"]["p"] == victim.p
+
+
+def test_partition_check_flags_a_square_in_p_plus_2(desk_params, desk_records):
+    import dataclasses
+
+    # forged p+2 pairs with a square: the check reads the pairs themselves
+    victim = desk_records[0]
+    q, _ = victim.pairs_p2[-1]
+    forged = dataclasses.replace(victim, pairs_p2=victim.pairs_p2[:-1] + ((q, 2),))
+    rep = special.partition_check([forged], desk_params)
+    assert not rep["ok"]
+    assert rep["condition_failures"]["squarefree"] == 1
+    assert rep["first_failure"] == {"p": victim.p, "failed": ["squarefree"]}
 
 
 def test_overrides_config_at_1e6(desk_params):
