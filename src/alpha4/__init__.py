@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 _HOME = {
     "BigRealWithError": "bigreal",
     "BudgetError": "errors",
-    "Factorization": "arith",
     "PhaseSpec": "expsums",
     "PreconditionError": "errors",
     "PrimeRange": "arith",

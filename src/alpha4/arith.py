@@ -2,17 +2,19 @@
 
 Everything in this module is deterministic. Primality uses a fixed
 strong-pseudoprime base set that is a proven classifier below 3.3e14 and
-refuses larger inputs rather than degrade to "probably". A single n is
-factored by trial division to 2^16, in pure Python, into a Factorization.
-A batch is factored by factor_many, which strips the small primes from a
-column of remainders in numpy and returns a FactorBatch: the batch's
-(value index, prime, exponent) pairs as checked numpy columns, from
-which sigma_k, the least and greatest prime factors, squarefreeness and
-each value's pair tuple are read without a Factorization per value. Both
-finish cofactors above 2^32 with a Brent-cycle splitter. Primes come
-from one segmented sieve, PrimeRange.segments; primes_upto is its
-concatenation. numpy is imported inside the functions that use it, so
-importing this module does not load it.
+refuses larger inputs rather than degrade to "probably". A factorization
+is one form throughout: the tuple of (prime, exponent) pairs in
+increasing prime order. A single n is factored by trial division to
+2^16, in pure Python (factorize). A batch is factored by factor_many,
+which strips the small primes from a column of remainders in numpy and
+returns a FactorBatch: the batch's (value index, prime, exponent) pairs
+as checked numpy columns, from which sigma_k, the least and greatest
+prime factors, squarefreeness and each value's pair tuple are read.
+Both finish cofactors above 2^32 with a Brent-cycle splitter, and both
+check that the pairs multiply back to n. Primes come from one segmented
+sieve, PrimeRange.segments; primes_upto is its concatenation. numpy is
+imported inside the functions that use it, so importing this module does
+not load it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .errors import BudgetError, PreconditionError
 __all__ = [
     "MR_DETERMINISTIC_LIMIT",
     "SpfTable",
-    "Factorization",
     "FactorBatch",
     "PrimeRange",
     "primes_upto",
@@ -135,52 +136,6 @@ def build_spf_table(limit: int, budget_mb: int | None = None) -> SpfTable:
 # -- factorization -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """n as an ordered tuple of (prime, exponent) pairs."""
-
-    n: int
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        m = 1
-        last = 1
-        for p, e in self.pairs:
-            if p <= last or e < 1:
-                raise PreconditionError("factor pairs must have increasing primes and e >= 1")
-            last = p
-            m *= p**e
-        if m != self.n:
-            raise PreconditionError(f"pairs multiply to {m}, not {self.n}")
-
-    def sigma(self, k: int) -> int:
-        """Sum of k-th powers of divisors (k >= 0)."""
-        if k < 0:
-            raise PreconditionError("divisor-power exponent must be nonnegative")
-        out = 1
-        for p, e in self.pairs:
-            if k == 0:
-                out *= e + 1
-            else:
-                pk = p**k
-                out *= (pk ** (e + 1) - 1) // (pk - 1)
-        return out
-
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.pairs)
-
-    def least_prime_factor(self) -> int:
-        if not self.pairs:
-            raise PreconditionError("1 has no prime factors")
-        return self.pairs[0][0]
-
-    def divisors(self) -> list[int]:
-        out = [1]
-        for p, e in self.pairs:
-            out = [d * p**i for d in out for i in range(e + 1)]
-        return sorted(out)
-
-
 def _brent_factor(n: int, seed: int = 1) -> int:
     """A nontrivial factor of odd composite n (Brent's cycle method)."""
     if n % 2 == 0:
@@ -240,33 +195,16 @@ def _strip(rem: int, p: int, pairs: list[tuple[int, int]]) -> int:
     return rem
 
 
-def _finish(n: int, pairs: list[tuple[int, int]], rem: int) -> Factorization:
-    """n from its small prime powers and the cofactor rem they leave.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of n >= 1, in increasing prime order.
 
-    rem has no prime factor <= 2^16, or none <= its square root, so below
-    2^32 it is 1 or prime; above, certified primality or the splitter
-    decides.
-    """
-    if rem > 1:
-        if rem < _SMALL_LIMIT * _SMALL_LIMIT or is_prime(rem):
-            pairs.append((rem, 1))
-        else:
-            pairs.extend(_cofactor_pairs(rem))
-    return Factorization(n, tuple(pairs))
-
-
-def factorize(n) -> Factorization:
-    """Full factorization of n >= 1.
-
-    Accepts a Factorization and returns it unchanged, so multiplicative
-    functions can take either form. Trial division by 2, 3 and then the
-    numbers 6k +- 1 below 2^16, in pure Python (a composite divisor never
-    divides what its prime factors left), then deterministic splitting of
-    the cofactor (certified primality required, so inputs whose cofactors
+    Trial division by 2, 3 and then the numbers 6k +- 1 below 2^16, in
+    pure Python (a composite divisor never divides what its prime factors
+    left). The cofactor rem this leaves has no prime factor <= 2^16, or
+    none <= its square root, so below 2^32 it is 1 or prime; above,
+    certified primality or the splitter decides (inputs whose cofactors
     reach 3.3e14 are rejected rather than guessed at).
     """
-    if isinstance(n, Factorization):
-        return n
     n = int(n)
     if n < 1:
         raise PreconditionError(f"factorize needs n >= 1, got {n}")
@@ -280,22 +218,30 @@ def factorize(n) -> Factorization:
         if rem % p == 0:
             rem = _strip(rem, p, pairs)
         p, step = p + step, 6 - step
-    return _finish(n, pairs, rem)
+    if rem > 1:
+        if rem < _SMALL_LIMIT * _SMALL_LIMIT or is_prime(rem):
+            pairs.append((rem, 1))
+        else:
+            pairs.extend(_cofactor_pairs(rem))
+    # the same multiply-back guard FactorBatch runs on its columns
+    if math.prod(q**e for q, e in pairs) != n:
+        raise PreconditionError(f"factor pairs do not multiply back to {n}")
+    return tuple(pairs)
 
 
 class FactorBatch:
-    """Factorizations of a batch of integers, held as checked numpy columns.
+    """The factorizations of a batch of integers, held as checked numpy columns.
 
     values[i] = prod q^e over the pairs of value i. The pairs are three
     int64 columns (index, primes, exps), sorted by value index and then by
     prime; offsets[i]:offsets[i+1] are value i's pairs. The constructor
-    checks every value the way Factorization does (primes strictly
-    increase, every e >= 1, the pairs multiply back to n) in one numpy
-    pass, and the columns are read-only afterwards.
+    checks every value (primes strictly increase, every e >= 1, the pairs
+    multiply back to n) in one numpy pass, and the columns are read-only
+    afterwards.
 
     Readers: sigma(k) as exact ints; the least, greatest and squarefree
     columns (least = greatest = 1 for n = 1, which has no prime factor);
-    pairs(rows), each value's pair tuple; batch[i], a Factorization.
+    pairs(rows), each value's pair tuple as factorize returns it.
     """
 
     def __init__(self, values, index, primes, exps):
@@ -351,23 +297,17 @@ class FactorBatch:
         return self.values.size
 
     @cached_property
-    def _lists(self) -> tuple[list[int], list[int], list[tuple[int, int]]]:
-        # read once as Python ints, so each batch[i] slices lists, not
-        # arrays; equal (prime, exponent) pairs share one tuple
+    def _lists(self) -> tuple[list[int], list[tuple[int, int]]]:
+        # read once as Python ints, so each row slices lists, not arrays;
+        # equal (prime, exponent) pairs share one tuple
         shared: dict[tuple[int, int], tuple[int, int]] = {}
         pairs = [shared.setdefault(t, t) for t in zip(self.primes.tolist(), self.exps.tolist())]
-        return self.values.tolist(), self.offsets.tolist(), pairs
-
-    def __getitem__(self, i: int) -> Factorization:
-        values = self._lists[0]
-        if not 0 <= i < len(values):
-            raise IndexError(f"batch index {i} outside 0..{len(values) - 1}")
-        return Factorization(values[i], self.pairs([i])[0])
+        return self.offsets.tolist(), pairs
 
     def pairs(self, rows) -> list[tuple[tuple[int, int], ...]]:
-        """The (prime, exponent) pairs of values[i] for each i in rows, as
-        Factorization.pairs holds them but without rebuilding the check."""
-        _, offsets, pairs = self._lists
+        """The (prime, exponent) pairs of values[i] for each i in rows, in
+        the form factorize returns, without checking them again."""
+        offsets, pairs = self._lists
         return [tuple(pairs[offsets[i] : offsets[i + 1]]) for i in rows]
 
     def sigma(self, k: int, rows=None) -> list[int]:
@@ -476,12 +416,21 @@ def factor_many(values) -> FactorBatch:
     return FactorBatch(vals, idx_all[order], np.concatenate(qs)[order], np.concatenate(es)[order])
 
 
-# -- multiplicative functions (int or Factorization input) ----------------
+# -- multiplicative functions ---------------------------------------------
 
 
-def sigma_k(n, k: int) -> int:
-    """Sum of k-th powers of the divisors of n."""
-    return factorize(n).sigma(k)
+def sigma_k(n: int, k: int) -> int:
+    """Sum of k-th powers of the divisors of n >= 1; k = 0 counts them."""
+    if k < 0:
+        raise PreconditionError("divisor-power exponent must be nonnegative")
+    out = 1
+    for p, e in factorize(n):
+        if k == 0:
+            out *= e + 1
+        else:
+            pk = p**k
+            out *= (pk ** (e + 1) - 1) // (pk - 1)
+    return out
 
 
 # -- prime ranges ---------------------------------------------------------

@@ -5,6 +5,11 @@ are exact rationals; certified values come with a tail majorant. For a
 prime p, multiplying the tail from n = p by (p-1)! gives an integer plus
 a small fractional part, and the four leading terms of that tail admit
 an exact expansion whose residuals this module tracks term by term.
+
+sigma_k of a single n comes from arith.sigma_k, which reads the (prime,
+exponent) pairs of factorize; the sigma_4 windows of the tail sums are
+read off one FactorBatch per call. The near-integer statistic is written
+once, in prop1_ratio, as an integer pair.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ __all__ = [
     "sigma4_window",
     "sigma4_windows",
     "prop1_ratio",
-    "prop1_distance",
     "prop1_statistic_exact",
     "prop1_statistic_with_r_exact",
     "expansion_residuals",
@@ -67,7 +71,7 @@ def alpha_partial(k: int, n_terms: int) -> Fraction:
         raise PreconditionError("alpha_partial needs k >= 1 and n_terms >= 1")
     # n_terms is at most a few thousand: single values factor faster in
     # pure Python than numpy loads
-    return _factorial_series([factorize(n).sigma(k) for n in range(1, n_terms + 1)], 1)
+    return _factorial_series([sigma_k(n, k) for n in range(1, n_terms + 1)], 1)
 
 
 def _majorant(k: int) -> tuple[int, Fraction]:
@@ -138,7 +142,7 @@ def _factorial_series(values: list[int], a: int, den: int = 1) -> Fraction:
 def sigma4_windows(primes, j_max: int) -> list[list[int]]:
     """For each p in primes, [sigma_4(p), sigma_4(p+1), ..., sigma_4(p+j_max)]:
     every value the tail sums at p read, all factored in one batch and read
-    off its columns by FactorBatch.sigma, with no Factorization built."""
+    off its columns by FactorBatch.sigma."""
     width = j_max + 1
     s4 = factor_many(p + j for p in primes for j in range(width)).sigma(4)
     return [s4[i : i + width] for i in range(0, len(s4), width)]
@@ -261,15 +265,10 @@ def prop1_ratio(p: int, sigma4_p1: int, r: int | None = None) -> tuple[int, int]
     return min(f, den - f), den
 
 
-def prop1_distance(p: int, sigma4_p1: int, r: int | None = None) -> Fraction:
-    """The statistic of prop1_ratio as an exact Fraction."""
-    return Fraction(*prop1_ratio(p, sigma4_p1, r))
-
-
 def prop1_statistic_exact(p: int) -> Fraction:
     """Exact || sigma_4(p+1)/(p(p+1)) + 1/16 || at a prime p."""
     _require_prime(p)
-    return prop1_distance(p, sigma_k(p + 1, 4))
+    return Fraction(*prop1_ratio(p, sigma_k(p + 1, 4)))
 
 
 def prop1_statistic_with_r_exact(p: int, r: int) -> Fraction:
@@ -277,7 +276,7 @@ def prop1_statistic_with_r_exact(p: int, r: int) -> Fraction:
     _require_prime(p)
     if r <= 1 or (p + 2) % r != 0:
         raise PreconditionError(f"r={r} must be a divisor > 1 of p+2 = {p + 2}")
-    return prop1_distance(p, sigma_k(p + 1, 4), r)
+    return Fraction(*prop1_ratio(p, sigma_k(p + 1, 4), r))
 
 
 # -- residuals of the term-by-term expansion ---------------------------------
@@ -291,7 +290,7 @@ def _divisor_defect_bound(m: int) -> Fraction:
     """
     if m == 1:
         return Fraction(0)
-    q0 = factorize(m).least_prime_factor()
+    q0 = factorize(m)[0][0]
     return Fraction(1, q0**4) + Fraction(1, 3 * q0**3)
 
 
@@ -348,12 +347,14 @@ def expansion_residuals(p: int, r: int | None = None, j_max: int = 32) -> list[d
     # divisors of p+2 beyond d=1 (and beyond d=r when an r is singled out)
     n2 = p + 2
     dtail = Fraction(s4p2, n2**3) - n2
-    counted = [d for d in factorize(n2).divisors() if d > 1]
     if r is not None:
         dtail -= Fraction(n2, r**4)
-        counted = [d for d in counted if d != r]
+    divisors = [1]
+    for q, e in factorize(n2):
+        divisors = [d * q**i for d in divisors for i in range(e + 1)]
+    counted = [d for d in divisors if d not in (1, r)]
     if counted:
-        q0 = counted[0]
+        q0 = min(counted)
         btail = n2 * (Fraction(1, q0**4) + Fraction(1, 3 * q0**3))
     else:
         btail = Fraction(0)

@@ -96,23 +96,19 @@ def beta_sieve_weights(D, z, primes=None) -> SieveWeightSystem:
         stack = [(1, 0, 1)]  # (product so far, next prime index, mu)
         while stack:
             prod, start, mu = stack.pop()
+            # mu = (-1)^(chain length); the next position is constrained
+            # after an even chain on the upper side, an odd one on the lower
+            constrained = (mu == 1) == upper
             for i in range(start, len(desc)):
                 p = desc[i]
                 new = prod * p
                 if new > D:
                     continue
-                # the position being filled
-                length = _chain_len(mu)
-                constrained = (length % 2 == 0) if upper else (length % 2 == 1)
                 if constrained and prod * p**3 >= D:
                     continue
                 out[new] = -mu
                 stack.append((new, i + 1, -mu))
         return out
-
-    def _chain_len(mu: int) -> int:
-        # mu = (-1)^len; recover parity of the current chain length
-        return 0 if mu == 1 else 1
 
     lam_plus = collect(upper=True)
     lam_minus = collect(upper=False)

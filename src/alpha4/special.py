@@ -20,9 +20,9 @@ factored in one FactorBatch; the least and greatest prime factors, the
 window pairs of p+2 and membership in S are read off its columns in
 numpy. sigma_4(p+1) is summed only for the candidates whose statistic is
 read, and each statistic, plain or r-corrected, is computed once.
-Neither builds a Factorization: enumerate_S keeps each member's pairs as
-tuples sliced from the batch, factoring the odd halves of the members
-alone, and its statistics as reduced integer pairs.
+enumerate_S keeps each member's factorizations as the (prime, exponent)
+pair tuples sliced from the batch, factoring the odd halves of the
+members alone, and its statistics as reduced integer pairs.
 
 Before any factoring, the walk drops, in numpy over each segment of
 primes, every p for which p+2 has a prime factor <= min(z_lo, z_hi) or
@@ -35,7 +35,8 @@ so a threshold beyond it is never turned into a prime list; the exact
 rules then still decide what the prefilter leaves. The survivors of each
 segment are factored in one batch, so memory follows the segment, not x.
 
-partition_check stays an independent re-derivation of every condition.
+partition_check stays an independent re-derivation of every condition,
+and multiplies each record's pairs back to p+1, p+2 and (p+3)/2.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Factorization, PrimeRange, factor_many, primes_upto
+from .arith import PrimeRange, factor_many, primes_upto
 from .errors import PreconditionError
 from .series import prop1_ratio
 from .sieve import ScaleParams
@@ -71,9 +72,7 @@ class SpecialPrimeRecord:
     FactorBatch columns. ratio_plain is the exact distance of
     sigma_4(p+1)/(p(p+1)) + 1/16 from the nearest integer, as a reduced
     (numerator, denominator) pair; ratio_r adds (p+1)/r^4 first (only
-    for the one_mid_factor class). factor_p1..factor_p3, stat_plain and
-    stat_r give the same as a Factorization (checked when read) or a
-    Fraction.
+    for the one_mid_factor class).
     """
 
     p: int
@@ -92,26 +91,6 @@ class SpecialPrimeRecord:
             raise PreconditionError("class and window factor disagree")
         if self.p % 4 != 3:
             raise PreconditionError("members satisfy p = 3 mod 4, so (p+3)/2 is odd")
-
-    @property
-    def factor_p1(self) -> Factorization:
-        return Factorization(self.p + 1, self.pairs_p1)
-
-    @property
-    def factor_p2(self) -> Factorization:
-        return Factorization(self.p + 2, self.pairs_p2)
-
-    @property
-    def factor_p3(self) -> Factorization:
-        return Factorization((self.p + 3) // 2, self.pairs_p3)
-
-    @property
-    def stat_plain(self) -> Fraction:
-        return Fraction(*self.ratio_plain)
-
-    @property
-    def stat_r(self) -> Fraction | None:
-        return None if self.ratio_r is None else Fraction(*self.ratio_r)
 
 
 class _Segment:
@@ -185,7 +164,7 @@ def enumerate_S(params: ScaleParams) -> list[SpecialPrimeRecord]:
 
     The records hold pairs sliced from the walk's batch (p+1, p+2) and
     from a batch of the members' odd halves, and integer statistics; no
-    Factorization or Fraction is built.
+    Fraction is built.
     """
     import numpy as np
     out: list[SpecialPrimeRecord] = []
@@ -324,7 +303,9 @@ def partition_check(records: list[SpecialPrimeRecord], params: ScaleParams) -> d
     """Re-derive every membership condition and the two-class split.
 
     Returns per-condition failure counts (all zero for a correct
-    enumeration) and the class tallies.
+    enumeration) and the class tallies. pair_products counts the records
+    whose pairs do not multiply back to p+1, p+2 and (p+3)/2, so the
+    conditions read off the pairs are about this p.
     """
     zs, zl, zh = params.z_small, params.z_quarter_lo, params.z_quarter_hi
     fails: dict[str, int] = {
@@ -336,6 +317,7 @@ def partition_check(records: list[SpecialPrimeRecord], params: ScaleParams) -> d
         "odd_half": 0,
         "class_label": 0,
         "stat_fields": 0,
+        "pair_products": 0,
     }
     first_bad = None
     counts = {CLASS_NO_MID: 0, CLASS_ONE_MID: 0}
@@ -347,6 +329,14 @@ def partition_check(records: list[SpecialPrimeRecord], params: ScaleParams) -> d
             bad.append("range")
         if p % params.W != params.W - 1:
             bad.append("residue")
+        for n, pairs in ((p + 1, rec.pairs_p1), (p + 2, rec.pairs_p2), ((p + 3) // 2, rec.pairs_p3)):
+            # a plain loop: math.prod over a list of powers took about twice as long
+            m = 1
+            for q, e in pairs:
+                m *= q**e
+            if m != n:
+                bad.append("pair_products")
+                break
         f2 = rec.pairs_p2
         if any(e != 1 for _, e in f2):
             bad.append("squarefree")

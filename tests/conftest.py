@@ -2,7 +2,7 @@
 
 import pytest
 
-from alpha4 import arith, build_spf_table, sieve, special
+from alpha4 import build_spf_table, sieve, special
 
 
 @pytest.fixture(scope="session")
@@ -24,17 +24,3 @@ def desk_records(desk_params):
 def shared_ctx(desk_params, desk_records):
     # pre-seeded so the acceptance checks reuse the session records
     return {"params": desk_params, "records": desk_records}
-
-
-@pytest.fixture
-def factorizations_built(monkeypatch):
-    """The n of every Factorization constructed while the test runs."""
-    built = []
-    check = arith.Factorization.__post_init__
-
-    def counting(self):
-        built.append(self.n)
-        check(self)
-
-    monkeypatch.setattr(arith.Factorization, "__post_init__", counting)
-    return built

@@ -21,6 +21,13 @@ def test_sigma_k_matches_brute_force():
         assert arith.sigma_k(n, 1) == oracles.sigma_k(n, 1), n
 
 
+def test_sigma_k_counts_divisors_at_zero():
+    for n in range(1, 2001):
+        assert arith.sigma_k(n, 0) == len(oracles.divisors(n)), n
+    with pytest.raises(PreconditionError):
+        arith.sigma_k(6, -1)
+
+
 def test_sigma_is_multiplicative_on_coprime_parts():
     # sigma_4(14) factors through the prime powers 2 and 7
     assert arith.sigma_k(14, 4) == arith.sigma_k(2, 4) * arith.sigma_k(7, 4)
@@ -28,10 +35,10 @@ def test_sigma_is_multiplicative_on_coprime_parts():
 
 
 def test_least_prime_factor():
-    assert arith.factorize(91).least_prime_factor() == 7
-    assert arith.factorize(2).least_prime_factor() == 2
+    assert arith.factorize(91)[0][0] == 7
+    assert arith.factorize(2)[0][0] == 2
     for n in range(2, 500):
-        assert arith.factorize(n).least_prime_factor() == oracles.least_prime_factor(n), n
+        assert arith.factorize(n)[0][0] == oracles.least_prime_factor(n), n
 
 
 def test_is_prime_matches_trial_division():
@@ -72,17 +79,15 @@ def test_spf_table_full_agreement(spf_million):
 
 
 def test_factorize_small_and_against_oracle():
-    f = arith.factorize(360)
-    assert dict(f.pairs) == {2: 3, 3: 2, 5: 1}
-    for n in range(2, 600):
-        assert dict(arith.factorize(n).pairs) == oracles.factor(n), n
+    assert arith.factorize(360) == ((2, 3), (3, 2), (5, 1))
+    ns = range(1, 600)
+    assert [arith.factorize(n) for n in ns] == _oracle_pairs(ns)
 
 
 def test_factorize_semiprime_beyond_trial_division():
     # both factors exceed the 2^16 trial bound, so the cycle splitter runs
     p, q = 1000003, 1000033
-    f = arith.factorize(p * q)
-    assert dict(f.pairs) == {p: 1, q: 1}
+    assert arith.factorize(p * q) == ((p, 1), (q, 1))
 
 
 def test_factorize_rejects_uncertifiable_cofactor():
@@ -92,40 +97,47 @@ def test_factorize_rejects_uncertifiable_cofactor():
         arith.factorize(p * p)
 
 
+def test_factorize_refuses_pairs_that_do_not_multiply_back(monkeypatch):
+    # a wrong split of the cofactor must not pass as n's factorization
+    p, q = 1000003, 1000033
+    monkeypatch.setattr(arith, "_cofactor_pairs", lambda n: [(p, 1), (q + 4, 1)])
+    with pytest.raises(PreconditionError, match="multiply back"):
+        arith.factorize(p * q)
+
+
 def _oracle_pairs(ns):
     return [tuple(sorted(oracles.factor(n).items())) for n in ns]
 
 
 def test_factor_many_matches_oracle():
     ns = list(range(1, 5001))
-    fs = arith.factor_many(ns)
-    assert [f.n for f in fs] == ns
-    assert [f.pairs for f in fs] == _oracle_pairs(ns)
+    b = arith.factor_many(ns)
+    assert b.values.tolist() == ns
+    assert b.pairs(range(len(b))) == _oracle_pairs(ns)
 
 
 def test_factor_many_reaches_the_boundary_prime():
     # 997 is the largest prime <= isqrt(10^6); 65521 the largest <= 2^16,
     # so each square needs the last prime of the sieve to be factored
     ns = [997**2, 991 * 997, 10**6]
-    assert [f.pairs for f in arith.factor_many(ns)] == _oracle_pairs(ns)
+    assert arith.factor_many(ns).pairs(range(len(ns))) == _oracle_pairs(ns)
     for q in (2, 3, 7, 997, 65521):
         # the batch maximum is the prime square itself
         ns = list(range(max(1, q * q - 40), q * q + 1))
-        assert [f.pairs for f in arith.factor_many(ns)] == _oracle_pairs(ns), q
+        assert arith.factor_many(ns).pairs(range(len(ns))) == _oracle_pairs(ns), q
 
 
 def test_factor_many_splits_cofactors_beyond_2_32():
     # both factors exceed 2^16, so after the sieve the cycle splitter runs
     p, q = 1000003, 1000033
-    fs = arith.factor_many([p * q, 12 * p * q, p * p, 6])
-    assert [f.pairs for f in fs] == [
+    assert arith.factor_many([p * q, 12 * p * q, p * p, 6]).pairs(range(4)) == [
         ((p, 1), (q, 1)), ((2, 2), (3, 1), (p, 1), (q, 1)), ((p, 2),), ((2, 1), (3, 1)),
     ]
 
 
 def test_factor_many_edges():
-    assert list(arith.factor_many([])) == []
-    assert list(arith.factor_many([1])) == [arith.Factorization(1, ())]
+    assert len(arith.factor_many([])) == 0
+    assert arith.factor_many([1]).pairs([0]) == [()]
     for bad in ([0], [5, -6]):
         with pytest.raises(PreconditionError):
             arith.factor_many(bad)
@@ -198,11 +210,7 @@ def test_factor_batch_check_takes_one_beside_other_values():
 
 
 def test_factorization_accessors():
-    f = arith.factorize(360)
-    assert f.sigma(1) == oracles.sigma_k(360, 1)
-    assert not f.is_squarefree()
-    assert f.least_prime_factor() == 2
-    assert f.divisors() == oracles.divisors(360)
+    assert arith.sigma_k(360, 1) == oracles.sigma_k(360, 1)
 
 
 def test_factorize_rejects_nonpositive():

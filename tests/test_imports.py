@@ -72,8 +72,9 @@ def test_numpy_free_commands_never_load_numpy(argv):
 def test_every_public_name_resolves():
     for name in alpha4.__all__:
         assert getattr(alpha4, name) is not None, name
-    with pytest.raises(AttributeError):
-        alpha4.no_such_name
+    for name in ("no_such_name", "Factorization"):
+        with pytest.raises(AttributeError):
+            getattr(alpha4, name)
 
 
 def test_closed_stdout_ends_quietly_with_status_141():

