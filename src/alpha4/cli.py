@@ -224,13 +224,11 @@ def cmd_sieve_weights(args, cfg: RunConfig) -> int:
 
 def cmd_sieve_ff(args, cfg: RunConfig) -> int:
     s = args.s
-    payload = {"s": s}
-    if 1 <= s <= 6:
+    payload = {"s": s, "f": sieve.linear_f(s)}  # refuses s outside [0, 6], NaN included
+    if s >= 1:
         payload["F"] = sieve.linear_F(s)
-    if 0 <= s <= 6:
-        payload["f"] = sieve.linear_f(s)
-    if "F" in payload and "f" in payload:
-        payload["F_minus_f"] = sieve.linear_F(s) - sieve.linear_f(s)
+        # exact, so the difference keeps every digit the two values carry
+        payload["F_minus_f"] = mp.fsub(payload["F"], payload["f"], exact=True)
     emit(payload, cfg, "sieve Ff")
     return 0
 

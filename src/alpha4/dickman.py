@@ -1,11 +1,12 @@
 """The smooth-number density and exact smooth counts.
 
-The density rho solves u rho'(u) = -rho(u-1) with rho = 1 on [0,1]. The
-primary evaluator marches unit panels [k, k+1], representing rho on each
-panel by a power series around the midpoint; the delay equation turns
-into a two-term coefficient recurrence, and continuity at the left edge
-fixes the constant term. The piecewise-closed-form 1 - log u on [1,2] and
-a direct quadrature at u = 10/3 serve as independent cross-checks.
+delay_panels solves the unit-delay equations u p_i'(u) = sigma p_j(u-1),
+j = i or its partner: it marches unit panels [k, k+1], one power series
+per component around the midpoint, where the equation turns into a
+two-term coefficient recurrence and continuity at the left edge fixes the
+constant term. Dickman's rho is the single equation u rho'(u) =
+-rho(u-1), rho = 1 on [0,1]; sieve's limit functions F and f read a pair.
+1 - log u on [1,2] and a direct quadrature at u = 10/3 cross-check rho.
 
 Exact counts Psi(x, y) divide out prime factors <= y from every residual
 in 2..x (one uint32 array) with vectorized slice operations and count
@@ -47,86 +48,87 @@ _SERIES_TERMS = 72
 _WORK_DPS = 40
 
 
-class _RhoPanels:
-    """Power-series panels for rho on [k, k+1], k = 0..u_max-1.
+@dataclass(frozen=True)
+class _Panels:
+    """One component of a delay system: panels[k] holds the raw libmp
+    coefficients a_0..a_J of p(c + y) on [k, k+1], c = k + 1/2, |y| <= 1/2,
+    and errs[k] bounds the panel's error. value() runs Horner's rule with
+    mpf_mul and mpf_add at the working precision, round-nearest: the bits
+    of s * y + a_j on mpf objects, without an mpf object per step."""
 
-    Panel k stores coefficients a_0..a_J of rho(c + y), c = k + 1/2,
-    |y| <= 1/2. The delay equation gives, for the panel above panel b,
+    panels: list
+    errs: list
+    dps: int
 
-        a_{j+1} = -(b_j + j a_j) / (c (j+1)),
-
-    and a_0 comes from matching the previous panel's right edge. Panel 0
-    is the constant 1.
-
-    Error tracking: per-panel truncation is charged as 2^-J times the
-    last two coefficient magnitudes (coefficient ratios settle below
-    1/c <= 2/3, so the series tail at |y| = 1/2 is dominated by a
-    geometric series with ratio <= 1/3); propagating an error eps
-    through one panel multiplies it by at most 1 + log 2 < 1.7, since
-    the panel solves u p' = -q(u-1) with the perturbed right side and
-    inherits the edge value. A per-panel rounding floor covers the
-    finite working precision.
-
-    The coefficients are kept as raw libmp tuples. value() runs Horner's
-    rule on them with mpf_mul and mpf_add at the working precision,
-    round-nearest: the calls that s * y + a_j makes on mpf objects, so the
-    bits are the same without an mpf object per step.
-    """
-
-    def __init__(self, u_max: int = U_MAX, terms: int = _SERIES_TERMS, dps: int = _WORK_DPS):
-        self.u_max = u_max
-        self.terms = terms
-        self.dps = dps
-        with mp.workdps(dps):
-            one = mp.mpf(1)
-            half = mp.mpf("0.5")
-            rounding_floor = mp.mpf(10) ** (5 - dps)
-            panels = [[one] + [mp.mpf(0)] * terms]
-            errs = [mp.mpf(0)]
-            rho_left = one  # rho at the left edge of the next panel
-            for k in range(1, u_max):
-                prev = panels[-1]
-                c = mp.mpf(2 * k + 1) / 2
-                a = [mp.mpf(0)] * (terms + 1)
-                for j in range(terms):
-                    a[j + 1] = -(prev[j] + j * a[j]) / (c * (j + 1))
-                # continuity: series at y = -1/2 must equal rho(k)
-                s = mp.mpf(0)
-                for j in range(terms, 0, -1):
-                    s = (s + a[j]) * (-half)
-                a[0] = rho_left - s
-                panels.append(a)
-                trunc = (abs(a[terms]) + abs(a[terms - 1])) * half**terms
-                errs.append(errs[-1] * mp.mpf("1.7") + 2 * trunc + rounding_floor)
-                # advance the edge value: series at y = +1/2
-                s = mp.mpf(0)
-                for j in range(terms, -1, -1):
-                    s = s * half + a[j]
-                rho_left = s
-            self.panels = [[c._mpf_ for c in a] for a in panels]
-            self.errs = errs
-
-    def _locate(self, u: float):
+    def value(self, u) -> tuple[mp.mpf, mp.mpf]:
         k = int(math.floor(u))
         if k == u and k > 0:
             k -= 1  # integer u: evaluate at the right edge of the panel below
-        k = min(k, self.u_max - 1)
-        return k, self.panels[k], self.errs[k]
-
-    def value(self, u) -> tuple[mp.mpf, mp.mpf]:
         with mp.workdps(self.dps):
-            k, a, err = self._locate(u)
             y = (mp.mpf(u) - (2 * k + 1) / mp.mpf(2))._mpf_
             prec, rnd = mp.mp.prec, round_nearest
         s = fzero
-        for c in reversed(a):
+        for c in reversed(self.panels[k]):
             s = mpf_add(mpf_mul(s, y, prec, rnd), c, prec, rnd)
-        return mp.make_mpf(s), err
+        return mp.make_mpf(s), self.errs[k]
+
+
+def delay_panels(start, sigma: int, u_max: int, terms: int = _SERIES_TERMS, dps: int = _WORK_DPS):
+    """March u p_i'(u) = sigma p_{n-1-i}(u-1), i < n = len(start), over [0, u_max].
+
+    Component i is the constant start[i] on [0, 1] and is driven by
+    component n-1-i: itself for a single equation, its partner for a pair.
+    On panel k >= 1, c = k + 1/2, with b_j the driver's coefficients on
+    panel k-1, the equation gives
+
+        a_{j+1} = (sigma b_j - j a_j) / (c (j+1)),
+
+    and a_0 comes from matching the component's value at the left edge.
+
+    Error tracking: per-panel truncation is charged as 2^-J times the last
+    two coefficient magnitudes (the series converges out to the
+    singularity at u = 0, a radius c >= 3/2, so the tail at |y| = 1/2 is
+    dominated by a geometric series with ratio <= 1/3); an error eps in
+    the component's own edge value and in its driver passes through one
+    panel multiplied by at most 1 + log 2 < 1.7 (the edge value carries
+    over, and the driver enters through int_k^u dt/t <= log 2), so the
+    larger of the two errors is what propagates. A per-panel rounding
+    floor covers the finite working precision.
+    """
+    n = len(start)
+    with mp.workdps(dps):
+        half = mp.mpf("0.5")
+        rounding_floor = mp.mpf(10) ** (5 - dps)
+        left = [mp.mpf(v) for v in start]  # values at the left edge of the next panel
+        panels = [[[v] + [mp.mpf(0)] * terms] for v in left]
+        errs = [[mp.mpf(0)] for _ in left]
+        for k in range(1, u_max):
+            c = mp.mpf(2 * k + 1) / 2
+            for i in range(n):
+                prev = panels[n - 1 - i][k - 1]
+                a = [mp.mpf(0)] * (terms + 1)
+                for j in range(terms):
+                    a[j + 1] = (sigma * prev[j] - j * a[j]) / (c * (j + 1))
+                # continuity: the series at y = -1/2 must equal the edge value
+                s = mp.mpf(0)
+                for j in range(terms, 0, -1):
+                    s = (s + a[j]) * (-half)
+                a[0] = left[i] - s
+                panels[i].append(a)
+                trunc = (abs(a[terms]) + abs(a[terms - 1])) * half**terms
+                err = max(errs[i][k - 1], errs[n - 1 - i][k - 1])
+                errs[i].append(err * mp.mpf("1.7") + 2 * trunc + rounding_floor)
+                # advance the edge value: the series at y = +1/2
+                s = mp.mpf(0)
+                for j in range(terms, -1, -1):
+                    s = s * half + a[j]
+                left[i] = s
+    return tuple(_Panels([[c._mpf_ for c in a] for a in p], e, dps) for p, e in zip(panels, errs))
 
 
 @functools.cache
-def _get_panels() -> _RhoPanels:
-    return _RhoPanels()
+def _get_panels() -> _Panels:
+    return delay_panels((1,), -1, U_MAX)[0]
 
 
 def rho(u, tol: float = DEFAULT_TOL) -> BigRealWithError:

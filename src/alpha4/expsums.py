@@ -152,16 +152,19 @@ def _slope62(A: Fraction, j: int, r: int, l1: int, l2: int) -> Fraction:
 
 
 def _coerce_real(x, name: str):
-    """Rationals stay exact; floats are taken at their binary value."""
+    """Rationals stay exact; floats are taken at their binary value and
+    strings as exact rationals. Only finite numbers pass."""
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise PreconditionError(f"{name} must be a finite number, got {x!r}") from None
+    if isinstance(x, (float, mp.mpf)) and not mp.isfinite(x):
+        raise PreconditionError(f"{name} must be a finite number, got {x}")
     if isinstance(x, (Rational, float)):
         return Fraction(x)
     if isinstance(x, mp.mpf):
         return x
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except ValueError:
-            return mp.mpf(x)
     raise PreconditionError(f"{name} must be rational, float, mpf or str, got {type(x).__name__}")
 
 

@@ -5,14 +5,24 @@ sets are signed Moebius values on squarefree products of sifting primes,
 where a product p_1 > p_2 > ... (written in decreasing order) is kept
 when every odd-position (upper) or even-position (lower) extension step
 m satisfies p_1 ... p_{m-1} p_m^3 < D, and the product itself stays
-at or below D. The linear-sieve limit functions F and f, the truncated
-Moebius sandwiches behind the fundamental lemma, the two-variable
-sandwich used for simultaneous conditions, and the scale-parameter
-bookkeeping all live here too.
+at or below D. The truncated Moebius sandwiches behind the fundamental
+lemma, the two-variable sandwich used for simultaneous conditions, and the
+scale-parameter bookkeeping live here too.
+
+The linear-sieve limit functions F and f are closed forms where these
+hold, F = 2 e^gamma / s on [1, 3] and f = (2 e^gamma / s) log(s-1) on
+[2, 4] (f = 0 below 2). Beyond them, G(u) = (u+1) F(u+1) and
+H(u) = (u+1) f(u+1), scaled by 1/(2 e^gamma), solve the unit-delay pair
+
+    u G'(u) = H(u-1),   u H'(u) = G(u-1),   G = 1, H = 0 on [0, 1],
+
+which dickman.delay_panels marches on the same power-series panels as
+Dickman's rho, over u in [0, 5] (s in [1, 6]).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +31,7 @@ from numbers import Rational
 import mpmath as mp
 
 from .arith import primes_in, primes_upto, require_budget
+from .dickman import delay_panels
 from .errors import PreconditionError
 
 __all__ = [
@@ -64,9 +75,11 @@ def beta_sieve_weights(D, z, primes=None) -> SieveWeightSystem:
     """Build the beta = 2 upper/lower weight sets at level D, sifting to z.
 
     primes defaults to all primes <= z; passing an explicit (sub)set
-    restricts the sifting set. D below 2 degenerates to the single
-    weight on d = 1.
+    restricts the sifting set. D must be positive and finite; D below 2
+    degenerates to the single weight on d = 1.
     """
+    if not 0 < D < math.inf:  # NaN fails the comparison too
+        raise PreconditionError(f"level D must be positive and finite, got {D}")
     if z < 2:
         raise PreconditionError(f"sifting limit z must be >= 2, got {z}")
     if primes is None:
@@ -77,16 +90,6 @@ def beta_sieve_weights(D, z, primes=None) -> SieveWeightSystem:
             raise PreconditionError("sifting primes must all be <= z")
     if not primes:
         raise PreconditionError("empty sifting prime set")
-    if D < 2:
-        return SieveWeightSystem(
-            level_D=float(D),
-            z=float(z),
-            sift_primes=tuple(primes),
-            lambda_plus={1: 1},
-            lambda_minus={1: 1},
-            s=math.log(D) / math.log(z) if D > 0 else float("-inf"),
-        )
-
     desc = sorted(primes, reverse=True)
 
     def collect(upper: bool) -> dict[int, int]:
@@ -327,55 +330,39 @@ def vector_sieve_random_trials(
 # -- linear-sieve limit functions ----------------------------------------------
 
 _FF_DPS = 30
-_ff_cache: dict[tuple[str, str], mp.mpf] = {}
 
 
-def _two_egamma() -> mp.mpf:
-    return 2 * mp.exp(mp.euler)
+@functools.cache
+def _ff_panels():
+    """(G, H) of the module docstring."""
+    return delay_panels((1, 0), 1, 5)
+
+
+def _ff_arg(s, lo: int, name: str) -> mp.mpf:
+    s = mp.mpf(str(s)) if isinstance(s, float) else mp.mpf(s)
+    if not lo <= s <= 6:
+        raise PreconditionError(f"{name} domain is [{lo}, 6], got {float(s)}")
+    return s
 
 
 def linear_F(s) -> mp.mpf:
-    """Upper limit function: 2 e^gamma / s on [1, 3], extended by
-
-        s F(s) = 3 F(3) + int_3^s f(t-1) dt   for s > 3,
-
-    supported on 1 <= s <= 6."""
+    """Upper limit function: 2 e^gamma / s on [1, 3], and (2 e^gamma / s) G(s-1)
+    beyond, supported on 1 <= s <= 6."""
     with mp.workdps(_FF_DPS):
-        s = mp.mpf(str(s)) if isinstance(s, float) else mp.mpf(s)
-        if not 1 <= s <= 6:
-            raise PreconditionError(f"linear_F domain is [1, 6], got {float(s)}")
-        key = ("F", mp.nstr(s, 25))
-        if key in _ff_cache:
-            return _ff_cache[key]
-        if s <= 3:
-            out = _two_egamma() / s
-        else:
-            integral = mp.quad(lambda t: linear_f(t - 1), [3, s])
-            out = (3 * linear_F(3) + integral) / s
-        _ff_cache[key] = out
-        return out
+        s = _ff_arg(s, 1, "linear_F")
+        out = 2 * mp.exp(mp.euler) / s
+        return out if s <= 3 else out * _ff_panels()[0].value(s - 1)[0]
 
 
 def linear_f(s) -> mp.mpf:
-    """Lower limit function: 0 on [0, 2], (2 e^gamma / s) log(s-1) on [2, 4],
-    extended by s f(s) = 2 f(2) + int_2^s F(t-1) dt for s > 4 (f(2) = 0),
-    supported on 0 <= s <= 6."""
+    """Lower limit function: 0 on [0, 2], (2 e^gamma / s) log(s-1) on [2, 4], and
+    (2 e^gamma / s) H(s-1) beyond, supported on 0 <= s <= 6."""
     with mp.workdps(_FF_DPS):
-        s = mp.mpf(str(s)) if isinstance(s, float) else mp.mpf(s)
-        if not 0 <= s <= 6:
-            raise PreconditionError(f"linear_f domain is [0, 6], got {float(s)}")
-        key = ("f", mp.nstr(s, 25))
-        if key in _ff_cache:
-            return _ff_cache[key]
+        s = _ff_arg(s, 0, "linear_f")
         if s <= 2:
-            out = mp.mpf(0)
-        elif s <= 4:
-            out = _two_egamma() / s * mp.log(s - 1)
-        else:
-            integral = mp.quad(lambda t: linear_F(t - 1), [2, s])
-            out = integral / s
-        _ff_cache[key] = out
-        return out
+            return mp.mpf(0)
+        h = mp.log(s - 1) if s <= 4 else _ff_panels()[1].value(s - 1)[0]
+        return 2 * mp.exp(mp.euler) / s * h
 
 
 # -- scale parameters ------------------------------------------------------------

@@ -177,10 +177,17 @@ def check_limit_functions(ctx: dict) -> dict:
             via_integral = mp.quad(lambda t: sieve.linear_F(t - 1), [2, s]) / s
             worst = max(worst, abs(via_integral - sieve.linear_f(s)))
         checks["f_extension_matches_closed"] = worst <= mp.mpf("1e-8")
+        # the panels' F on (3, 5] against its dilogarithm form
+        def dilog_form(s):  # s F(s) = 2 e^gamma (1 + log(s-2) log(s-1) + Li2(2-s) + pi^2/12)
+            return tge * (1 + mp.log(s - 2) * mp.log(s - 1) + mp.polylog(2, 2 - s) + mp.pi**2 / 12) / s
+
+        li2_worst = max(abs(sieve.linear_F(s) - dilog_form(s)) for s in (3 + mp.mpf(k) / 4 for k in range(1, 9)))
+        checks["F_matches_dilogarithm_form"] = li2_worst <= mp.mpf("1e-25")
         return {
             "ok": all(checks.values()),
             "checks": {k: bool(v) for k, v in checks.items()},
             "f_extension_worst_gap": float(worst),
+            "F_dilogarithm_worst_gap": float(li2_worst),
             "F5": float(sieve.linear_F(5)),
             "budget_s": 30.0,
         }

@@ -192,3 +192,52 @@ def rho_horner(panels, u: float, dps: int):
         for c in reversed(panels[k]):
             s = s * y + c
         return s
+
+
+# -- the linear-sieve limit functions past their elementary closed forms ----
+# From s F(s) = 3 F(3) + int_3^s f(t-1) dt and s f(s) = int_2^s F(t-1) dt
+# with F = 2 e^gamma / s on [1, 3] and f = (2 e^gamma / s) log(s-1) on
+# [2, 4]; Li2 is mpmath's polylog(2, .). Each form is one quadrature at
+# most, and none reads another.
+
+
+def _dilog_part(u):
+    """g(u) = (log(u-2) log(u-1) + Li2(2-u) + pi^2/12) / u, the integral
+    int_3^u log(t-2)/(t-1) dt divided by u; s F(s) = 2 e^gamma (1 + s g(s))
+    on [3, 5]."""
+    return (mp.log(u - 2) * mp.log(u - 1) + mp.polylog(2, 2 - u) + mp.pi**2 / 12) / u
+
+
+def linear_F_dilog(s, dps: int = 34):
+    """F on [3, 5]: s F(s) = 2 e^gamma (1 + log(s-2) log(s-1) + Li2(2-s) + pi^2/12)."""
+    with mp.workdps(dps):
+        s = mp.mpf(s)
+        return 2 * mp.exp(mp.euler) * (1 + s * _dilog_part(s)) / s
+
+
+def linear_f_single_integral(points, dps: int = 34):
+    """f at increasing points of [4, 6]: s f(s) = 2 e^gamma (log(s-1) +
+    int_3^{s-1} g), by Gauss-Legendre pieces between successive points."""
+    out = []
+    with mp.workdps(dps):
+        acc, lo = mp.mpf(0), mp.mpf(3)
+        for s in map(mp.mpf, points):
+            acc += mp.quad(_dilog_part, [lo, s - 1], method="gauss-legendre")
+            lo = s - 1
+            out.append(2 * mp.exp(mp.euler) * (mp.log(s - 1) + acc) / s)
+    return out
+
+
+def linear_F_past_five(s, dps: int = 34):
+    """F on [5, 6]: s F(s) = 5 F(5) + int_4^{s-1} f, with f's single integral
+    put in and the order of the double integral swapped:
+
+        s F(s) / (2 e^gamma) = 1 + 5 g(5) + int_4^{s-1} log(v-1)/v dv
+                               + int_3^{s-2} g(u) log((s-1)/(u+1)) du.
+    """
+    with mp.workdps(dps):
+        s = mp.mpf(s)
+        inner = mp.quad(lambda v: mp.log(v - 1) / v, [4, s - 1], method="gauss-legendre")
+        swapped = mp.quad(lambda u: _dilog_part(u) * mp.log((s - 1) / (u + 1)), [3, s - 2],
+                          method="gauss-legendre")
+        return 2 * mp.exp(mp.euler) * (1 + 5 * _dilog_part(mp.mpf(5)) + inner + swapped) / s

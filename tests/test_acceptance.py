@@ -117,6 +117,7 @@ def test_limit_functions(result):
     assert result.ok, result.line()
     d = result.details
     assert float(d["f_extension_worst_gap"]) < 1e-25
+    assert float(d["F_dilogarithm_worst_gap"]) < 1e-25
     assert 1 < float(d["F5"]) < 1.002
     assert all(d["checks"].values()), d["checks"]
 

@@ -273,6 +273,22 @@ def test_bad_global_flags_are_input_errors(argv, capsys):
     assert err.startswith("error: --") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["sieve", "Ff", "--s", s] for s in ("7", "-1", "nan", "inf")]
+    + [["sieve", "weights", "--d", d, "--z", "10", "--n-limit", "100"] for d in ("0", "-1", "nan", "inf")]
+    + [["expsum", "basic", "--A", v, "--B", "1/3", "--hi", "60"] for v in ("1/0", "nan", "inf")]
+    + [["expsum", "basic", "--A", "1/7", "--B", v, "--hi", "60"] for v in ("1/0", "nan", "inf")],
+    ids=" ".join,
+)
+def test_numbers_outside_a_domain_are_input_errors(argv, capsys):
+    # refused with one error line, not a traceback, a failed check or a bare payload
+    rc, out, err = run(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_special_sigmas_honors_budget(capsys, monkeypatch):
     # the budget governs psi and the sieve arrays only: the special walk
     # builds no least-factor table, so a zero budget changes nothing

@@ -27,6 +27,12 @@ def test_phase_spec_validation():
     assert spec.n_terms == 25
 
 
+@pytest.mark.parametrize("bad", ["1/0", "nan", "-inf", "abc", math.nan, math.inf, mp.mpf("inf")], ids=repr)
+def test_basic_phase_refuses_a_coefficient_that_is_not_a_finite_number(bad):
+    with pytest.raises(PreconditionError, match="A must be a finite number"):
+        expsums.make_basic_phase(bad, 0, 0, 25)
+
+
 def test_minus_inverse_residue():
     for m, r in ((7, 3), (5, 12), (11, 8), (1, 5)):
         v = expsums.minus_inverse_residue(m, r)

@@ -1,5 +1,7 @@
-"""What a command loads, and how the CLI ends on a closed pipe, in fresh processes."""
+"""What a command loads, how long `sieve Ff` takes, and how the CLI ends on a
+closed pipe, in fresh processes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -52,6 +54,7 @@ NUMPY_FREE = [
     ["rho", "--ten-thirds"],
     ["verify-all", "--only", "rho_two_routes"],
     ["verify-all", "--only", "limit_functions"],
+    ["sieve", "Ff", "--s", "5.5"],
     ["verify-all", "--only", "amplitude_grid"],
     ["verify-all", "--only", "alpha_digits"],
 ]
@@ -67,6 +70,16 @@ def test_numpy_free_commands_never_load_numpy(argv):
         "print(rc, 'numpy' in sys.modules)\n"
     )
     assert _python(code, *argv).split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("s, name, digits", [
+    ("4.5", "f", "0.9936299805871446"), ("5.5", "F", "1.000443141619517"), ("6", "F", "1.000105656810419"),
+])
+def test_sieve_ff_answers_past_four_as_a_whole_process(s, name, digits):
+    done = subprocess.run([sys.executable, "-m", "alpha4.cli", "sieve", "Ff", "--s", s],
+                          env=_env(), capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["result"][name].startswith(digits)
 
 
 def test_every_public_name_resolves():

@@ -50,6 +50,12 @@ def test_weights_respect_explicit_prime_subset():
         assert d == 1 or all(p in (3, 7) for p in oracles.factor(d))
 
 
+@pytest.mark.parametrize("D", [0, -1, 0.0, math.nan, math.inf])
+def test_weights_refuse_a_level_that_is_not_positive_and_finite(D):
+    with pytest.raises(PreconditionError, match="level D"):
+        sieve.beta_sieve_weights(D, 10)
+
+
 def test_weights_reject_tiny_z():
     with pytest.raises(PreconditionError):
         sieve.beta_sieve_weights(100, 1.5)
@@ -166,6 +172,28 @@ def test_limit_function_gap_frozen_values():
         with mp.workdps(30):
             got = sieve.linear_F(s) - sieve.linear_f(s)
             assert abs(got - mp.mpf(gap)) < mp.mpf("1e-24"), s
+
+
+# (4, 5] first: f's first panel past its closed form is where a wrong
+# march shows soonest and costs least to evaluate
+FF_GRID = [4 + k / 8 for k in range(1, 9)] + [3 + k / 8 for k in range(1, 9)] + [5.25, 5.5, 5.75, 6.0]
+
+
+def test_limit_functions_match_independent_forms_past_three():
+    tol = mp.mpf("1e-25")
+    past_four = sorted(s for s in FF_GRID if s > 4)
+    f_ref = dict(zip(past_four, oracles.linear_f_single_integral(past_four)))
+    for s in FF_GRID:
+        F_ref = oracles.linear_F_dilog(s) if s <= 5 else oracles.linear_F_past_five(s)
+        with mp.workdps(34):
+            f_want = f_ref[s] if s > 4 else 2 * mp.exp(mp.euler) / s * mp.log(s - 1)
+            assert abs(sieve.linear_f(s) - f_want) < tol, ("f", s)
+            assert abs(sieve.linear_F(s) - F_ref) < tol, ("F", s)
+
+
+def test_limit_function_panels_certify_below_the_printed_digits():
+    for part in sieve._ff_panels():
+        assert max(part.errs) < mp.mpf("1e-30")
 
 
 def test_limit_functions_domain():

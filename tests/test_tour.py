@@ -22,7 +22,7 @@ TOUR = {
     "psi --x 100000 --y 63": "c7876f3ac3651b44aad9cca9f9cf9d4cd402c1bc18a4362e3ecd4fc23c90d20a",
     "sieve weights --d 100 --z 10 --n-limit 2000 --dump-weights":
         "b921d15021ca9dbabd1c9f54ff1fa5ae66a6130fab6ae0b543fe9a7d77382f17",
-    "sieve Ff --s 3": "df48910377718dc6177a401fd9fe6ed14068c84dcf891ae292adef6993be66e3",
+    "sieve Ff --s 3": "24e599b2eb7e7fa404747e977a52078dfbe99c574566da2383eba3dd8a4b6966",
     "sieve flemma --z 10 --r 2 --parity even --n-limit 2000":
         "49714c8c8d7498fc584d645da4aab0042c417bce7745d743627adb6cfff55db1",
     "sieve vector --trials 20000": "e23a6a65ee1aa844fba1f06ee6ea82782e096911bfe0de62bbd8e13daf6ced31",
