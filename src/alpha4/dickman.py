@@ -8,9 +8,10 @@ constant term. Dickman's rho is the single equation u rho'(u) =
 -rho(u-1), rho = 1 on [0,1]; sieve's limit functions F and f read a pair.
 1 - log u on [1,2] and a direct quadrature at u = 10/3 cross-check rho.
 
-Exact counts Psi(x, y) divide out prime factors <= y from every residual
-in 2..x (one uint32 array) with vectorized slice operations and count
-what collapses to 1.
+Exact counts Psi(x, y) walk 1..x in fixed windows of uint32 residuals
+(1 MB each, whatever x is): in each window, vectorized slice operations
+divide out the prime powers of the primes <= min(y, sqrt x), and what is
+left at most y is a smooth number.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ HILDEBRAND_U_MAX = 10
 
 _SERIES_TERMS = 72
 _WORK_DPS = 40
+_WINDOW = 2**18  # psi_exact's residuals per window: 1 MB of uint32
 
 
 @dataclass(frozen=True)
@@ -239,35 +241,53 @@ class SmoothCount:
 
 
 def psi_exact(x: int, y: float, budget_mb: int | None = None) -> int:
-    """Exact Psi(x, y) by dividing out every prime power <= y ... <= x.
+    """Exact Psi(x, y) by a segmented sieve over 1..x.
 
-    The residuals of 0..x are one uint32 array (4 bytes an entry, charged
-    to the memory budget), so x < 2^32.
+    The residuals are uint32 (so x < 2^32), held _WINDOW at a time: one
+    window, 1 MB whatever x is, is the memory charged to the budget. In
+    each window, every prime power q = p^k <= x of the primes
+    p <= min(y, isqrt(x)) is divided out of the window's multiples of q.
+    A residual above 1 then has only prime factors above the last p: for
+    y < sqrt(x) it exceeds y, and otherwise it is one prime (two would
+    exceed x), smooth exactly when it is <= y. So m <= x is y-smooth
+    exactly when its residual is <= y.
     """
     x = int(x)
     if x < 1:
         raise PreconditionError(f"psi_exact needs x >= 1, got {x}")
+    if not math.isfinite(y):
+        raise PreconditionError(f"psi_exact needs a finite y, got {y}")
     if y < 1:
         raise PreconditionError(f"psi_exact needs y >= 1, got {y}")
     if x >= 2**32:
         raise PreconditionError(f"psi_exact keeps residuals in uint32, so x must be < 2^32, got {x}")
-    require_budget(4 * (x + 1), budget_mb, f"psi_exact residuals at x={x}")
+    require_budget(4 * min(x, _WINDOW), budget_mb, f"psi_exact window at x={x}")
     if y < 2:
         return 1  # only n = 1 has no prime factor
     import numpy as np
-    res = np.arange(x + 1, dtype=np.uint32)
-    # primes above x divide nothing counted, so y > x sieves no further than x
-    for p in primes_upto(x if y >= x else math.floor(y)).tolist():
-        q = p
-        while q <= x:
-            res[q::q] //= p
-            q *= p
-    return int(np.count_nonzero(res[1:] == 1))
+    limit = min(math.floor(y), x)
+    primes = primes_upto(min(limit, math.isqrt(x))).tolist()
+    count, res = 0, None
+    for lo in range(1, x + 1, _WINDOW):
+        size = min(_WINDOW, x + 1 - lo)
+        del res  # free the last window first: the allocator reuses its pages
+        res = np.arange(lo, lo + size, dtype=np.uint32)
+        for p in primes:
+            q = p
+            while q <= x:
+                first = (-lo) % q  # the offset of the first multiple of q >= lo
+                if first < size:  # a q above the window's size often has none
+                    res[first::q] //= p
+                q *= p
+        count += int(np.count_nonzero(res <= limit))
+    return count
 
 
 def psi_hildebrand(x, y) -> SmoothCount:
     """Density approximation x * rho(u), u = log x / log y, with its band."""
     x = int(x)
+    if not math.isfinite(y):
+        raise PreconditionError(f"psi_hildebrand needs a finite y, got {y}")
     if x < 2 or y < 2:
         raise PreconditionError("psi_hildebrand needs x >= 2 and y >= 2")
     u = math.log(x) / math.log(y)

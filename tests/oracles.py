@@ -78,6 +78,37 @@ def psi(x: int, y: float) -> int:
     return sum(1 for n in range(1, x + 1) if max_prime_factor(n) <= y)
 
 
+def psi_buchstab(x: int, y: float) -> int:
+    """Psi(x, y) by Buchstab's recursion on the largest prime factor.
+
+    Psi(t, p_k) = 1 + sum_{i <= k} Psi(t // p_i, p_i): n = 1, or n = p_i m
+    with p_i its largest prime factor and m <= t // p_i p_i-smooth. A term
+    is t // p_i itself once t // p_i < p_i (every m below p_i is p_i-smooth),
+    and Psi(t, 2) = t.bit_length() counts 1, 2, 4, ... <= t. The primes come
+    from a sieve of Eratosthenes of its own.
+    """
+    top = min(math.floor(y), x)
+    sieve = bytearray([1]) * max(top + 1, 2)
+    sieve[0] = sieve[1] = 0
+    for d in range(2, math.isqrt(top) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(sieve[d * d :: d]))
+    primes = [n for n in range(2, top + 1) if sieve[n]]
+
+    def count(t: int, k: int) -> int:  # Psi(t, primes[k - 1])
+        if k == 1:
+            return t.bit_length()
+        total = 1
+        for i, p in enumerate(primes[:k]):
+            m = t // p
+            if m < p:  # so m < p_j for every later j as well
+                return total + sum(t // q for q in primes[i:k] if q <= t)
+            total += count(m, i + 1)
+        return total
+
+    return count(x, len(primes)) if primes else min(x, 1)
+
+
 def nearest_int_distance(q: Fraction) -> Fraction:
     f = q % 1
     return min(f, 1 - f)

@@ -95,7 +95,8 @@ def test_psi_payload(capsys):
 
 
 def test_psi_budget_exit_code(capsys):
-    rc, _, err = run(["psi", "--x", "1000000000", "--y", "100", "--budget-mb", "10"], capsys)
+    # the count holds one 1 MB window whatever x is, so only a budget below it refuses
+    rc, _, err = run(["psi", "--x", "1000000000", "--y", "100", "--budget-mb", "0"], capsys)
     assert rc == 2
     assert "budget" in err.lower()
 
@@ -278,7 +279,8 @@ def test_bad_global_flags_are_input_errors(argv, capsys):
     [["sieve", "Ff", "--s", s] for s in ("7", "-1", "nan", "inf")]
     + [["sieve", "weights", "--d", d, "--z", "10", "--n-limit", "100"] for d in ("0", "-1", "nan", "inf")]
     + [["expsum", "basic", "--A", v, "--B", "1/3", "--hi", "60"] for v in ("1/0", "nan", "inf")]
-    + [["expsum", "basic", "--A", "1/7", "--B", v, "--hi", "60"] for v in ("1/0", "nan", "inf")],
+    + [["expsum", "basic", "--A", "1/7", "--B", v, "--hi", "60"] for v in ("1/0", "nan", "inf")]
+    + [["psi", "--x", "100", "--y", y] for y in ("inf", "nan")],
     ids=" ".join,
 )
 def test_numbers_outside_a_domain_are_input_errors(argv, capsys):

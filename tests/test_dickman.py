@@ -118,11 +118,35 @@ def test_psi_exact_small_cases():
 def test_psi_exact_sieves_no_further_than_x():
     # y far beyond x counts everything without a sieve to y
     assert dickman.psi_exact(1000, 10**12) == 1000
+    assert dickman.psi_exact(1000, 1e300) == 1000
 
 
 def test_psi_exact_matches_brute_force():
     for x, y in ((300, 5), (300, 13), (1000, 7), (1000, 31), (2000, 50)):
         assert dickman.psi_exact(x, y) == oracles.psi(x, y), (x, y)
+
+
+def test_psi_exact_matches_buchstab_across_window_edges():
+    # x around one and three windows of 2^18; y on both sides of sqrt(x),
+    # where the sieve stops dividing and starts counting lone primes
+    for x in (2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 5, 10**6):
+        r = math.isqrt(x)
+        for y in (2, 2.5, 7, 512, 513, r - 1, r, r + 1, 10**5, x, 10**12):
+            assert dickman.psi_exact(x, y) == oracles.psi_buchstab(x, y), (x, y)
+    assert dickman.psi_exact(10**7, 125.89) == oracles.psi_buchstab(10**7, 125.89) == 362933
+
+
+def test_psi_exact_memory_is_one_window():
+    import tracemalloc
+
+    dickman.psi_exact(10, 3)  # numpy and the prime segments loaded outside the trace
+    tracemalloc.start()
+    try:
+        dickman.psi_exact(10**7, 125.89)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # a residual per n <= x would be 40 MB
 
 
 def test_psi_exact_frozen_desk_values():
@@ -140,8 +164,9 @@ def test_psi_dyadic_window():
 
 
 def test_psi_budget_refusal():
+    # the count holds one 1 MB window whatever x is, so only a budget below it refuses
     with pytest.raises(BudgetError):
-        dickman.psi_exact(10**9, 100, budget_mb=10)
+        dickman.psi_exact(10**9, 100, budget_mb=0)
 
 
 def test_psi_refuses_x_beyond_uint32_residuals():
@@ -149,8 +174,16 @@ def test_psi_refuses_x_beyond_uint32_residuals():
     with pytest.raises(PreconditionError, match="2\\^32"):
         dickman.psi_exact(2**32, 100, budget_mb=2**20)
     # one below, the budget is what refuses
-    with pytest.raises(BudgetError, match="needs 16384 MB"):
-        dickman.psi_exact(2**32 - 1, 100, budget_mb=10)
+    with pytest.raises(BudgetError, match="needs 1 MB"):
+        dickman.psi_exact(2**32 - 1, 100, budget_mb=0)
+
+
+def test_psi_refuses_a_y_that_is_not_finite():
+    for y in (math.inf, math.nan):
+        with pytest.raises(PreconditionError, match="finite y"):
+            dickman.psi_exact(100, y)
+        with pytest.raises(PreconditionError, match="finite y"):
+            dickman.psi_hildebrand(100, y)
 
 
 def test_psi_hildebrand_band_and_domain():
