@@ -22,7 +22,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from numbers import Rational
 
 from .errors import BudgetError, PreconditionError
 
@@ -56,6 +58,18 @@ def require_budget(need: int, budget_mb: int | None, what: str) -> None:
     if need > budget:
         # the need rounds up, so a refusal never reads as if it fitted
         raise BudgetError(f"{what} needs {-(-need // 2**20)} MB, budget is {budget // 2**20} MB")
+
+
+def exact_rational(x, name: str) -> Fraction:
+    """x exactly: a rational as it is, a float at its binary value, a str
+    such as "-1/3" or "0.05" as the rational it spells. Only finite
+    numbers pass."""
+    if not isinstance(x, (str, Rational, float)):
+        raise PreconditionError(f"{name} must be a rational, float or str, got {type(x).__name__}")
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise PreconditionError(f"{name} must be a finite number, got {x!r}") from None
 
 
 def primes_upto(n: int) -> np.ndarray:

@@ -15,29 +15,19 @@ import argparse
 import csv as _csv
 import dataclasses
 import json
-import math
 import os
+import re
 import sys
 from fractions import Fraction
 
 import mpmath as mp
 
 from . import __version__, dickman, expsums, series, sieve, special, verify
+from .arith import exact_rational
 from .bigreal import BigRealWithError
 from .errors import BudgetError, PreconditionError
 
 SCHEMA = 1
-
-
-@dataclasses.dataclass
-class RunConfig:
-    """Knobs shared across commands: the global flags."""
-
-    budget_mb: int | None = None
-    preset: str = "desk"
-    fmt: str = "json"
-    seed: int = 0
-    threads: int = max(1, os.cpu_count() or 1)
 
 
 # -- serialization -------------------------------------------------------------
@@ -48,9 +38,7 @@ def _ratio(x: Fraction) -> str:
 
 
 def to_jsonable(x):
-    if x is None or isinstance(x, (bool, int, str)):
-        return x
-    if isinstance(x, float):
+    if x is None or isinstance(x, (bool, int, float, str)):
         return x
     if isinstance(x, Fraction):
         return _ratio(x)
@@ -72,8 +60,8 @@ def to_jsonable(x):
     return str(x)
 
 
-def emit(payload, cfg: RunConfig, command: str, rows_key: str | None = None) -> None:
-    """Print the payload as json, jsonl, or csv.
+def emit(payload, fmt: str, command: str, rows_key: str | None = None) -> None:
+    """Print the payload as fmt: json, jsonl, or csv.
 
     jsonl and csv need tabular content: rows_key names an iterable of
     rows inside the payload. Rows must already be JSON-native (str keys;
@@ -87,22 +75,18 @@ def emit(payload, cfg: RunConfig, command: str, rows_key: str | None = None) -> 
     else:
         data = to_jsonable({k: v for k, v in payload.items() if k != rows_key})
         rows = payload[rows_key]
-    if cfg.fmt == "json":
+    # a non-tabular payload is one document in jsonl too, one cell in csv
+    if fmt == "json" or (rows is None and fmt == "jsonl"):
         if rows is not None:
             data[rows_key] = list(rows)
-        doc = {"schema": SCHEMA, "command": command, "result": data}
-        print(json.dumps(doc, sort_keys=True))
+        print(json.dumps({"schema": SCHEMA, "command": command, "result": data}, sort_keys=True))
         return
     if rows is None:
-        # non-tabular payloads degrade to a single jsonl line / one-col csv
-        if cfg.fmt == "jsonl":
-            print(json.dumps({"schema": SCHEMA, "command": command, "result": data}, sort_keys=True))
-        else:
-            w = _csv.writer(sys.stdout)
-            w.writerow(["result"])
-            w.writerow([json.dumps(data, sort_keys=True)])
+        w = _csv.writer(sys.stdout)
+        w.writerow(["result"])
+        w.writerow([json.dumps(data, sort_keys=True)])
         return
-    if cfg.fmt == "jsonl":
+    if fmt == "jsonl":
         # rows are built fresh and hold no cycles, so the encoder skips its check
         encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
         write = sys.stdout.write
@@ -113,11 +97,7 @@ def emit(payload, cfg: RunConfig, command: str, rows_key: str | None = None) -> 
         return
     # csv
     rows = list(rows)
-    header: list[str] = []
-    for row in rows:
-        for k in row:
-            if k not in header:
-                header.append(k)
+    header = list(dict.fromkeys(k for row in rows for k in row))
     w = _csv.writer(sys.stdout)
     w.writerow(header)
     for row in rows:
@@ -128,7 +108,7 @@ def emit(payload, cfg: RunConfig, command: str, rows_key: str | None = None) -> 
 # -- command bodies --------------------------------------------------------------
 
 
-def cmd_alpha(args, cfg: RunConfig) -> int:
+def cmd_alpha(args) -> int | None:
     val = series.alpha_k(args.k, target_precision=args.bits)
     payload = {
         "k": args.k,
@@ -137,11 +117,10 @@ def cmd_alpha(args, cfg: RunConfig) -> int:
         "digits7": val.leading_decimal(7),
         "err_upper": mp.nstr(val.err, 8),
     }
-    emit(payload, cfg, "alpha")
-    return 0
+    emit(payload, args.fmt, "alpha")
 
 
-def cmd_prop1(args, cfg: RunConfig) -> int:
+def cmd_prop1(args) -> int | None:
     p = args.p
     payload: dict = {"p": p}
     payload["stat_plain"] = series.prop1_statistic_exact(p)
@@ -156,52 +135,37 @@ def cmd_prop1(args, cfg: RunConfig) -> int:
         rows = series.expansion_residuals(p, r=args.r, j_max=args.j_max)
         payload["residuals"] = [
             {
-                "label": row["label"],
-                "value": row["value"],
+                **row,
                 "value_float": float(row["value"]),
-                "bound": row["bound"],
                 "within": None if row["bound"] is None else abs(row["value"]) <= row["bound"],
             }
             for row in rows
         ]
-    emit(payload, cfg, "prop1")
-    return 0
+    emit(payload, args.fmt, "prop1")
 
 
-def cmd_rho(args, cfg: RunConfig) -> int:
+def cmd_rho(args) -> int | None:
     if args.ten_thirds:
-        rep = dickman.rho_ten_thirds_quadrature()
-        emit(rep, cfg, "rho")
-        return 0
-    if args.table:
-        sol = dickman.rho_solution(u_max=args.u if args.u is not None else 20.0, grid_step=args.step, tol=args.tol)
-        rows = [{"u": u, "rho": v, "err": e} for (u, v, e) in sol.values]
-        emit({"grid_step": sol.grid_step, "rows": rows}, cfg, "rho", rows_key="rows")
-        return 0
-    if args.u is None:
+        emit(dickman.rho_ten_thirds_quadrature(), args.fmt, "rho")
+    elif args.table:
+        rows = dickman.rho_solution(u_max=args.u if args.u is not None else dickman.U_MAX, grid_step=args.step, tol=args.tol)
+        emit({"grid_step": args.step, "rows": rows}, args.fmt, "rho", rows_key="rows")
+    elif args.u is None:
         raise PreconditionError("rho needs --u, --table, or --ten-thirds")
-    val = dickman.rho(args.u, tol=args.tol)
-    emit({"u": args.u, "tol": args.tol, "rho": val}, cfg, "rho")
-    return 0
+    else:
+        emit({"u": args.u, "tol": args.tol, "rho": dickman.rho(args.u, tol=args.tol)}, args.fmt, "rho")
 
 
-def cmd_psi(args, cfg: RunConfig) -> int:
-    sc = dickman.smooth_count(args.x, args.y, with_exact=not args.no_exact, budget_mb=cfg.budget_mb)
-    payload = {
-        "x": sc.x,
-        "y": sc.y,
-        "exact": sc.exact,
-        "approx": sc.approx,
-        "band": sc.band,
-    }
+def cmd_psi(args) -> int | None:
+    sc = dickman.smooth_count(args.x, args.y, with_exact=not args.no_exact, budget_mb=args.budget_mb)
+    payload = dict(vars(sc))
     if sc.exact is not None:
         approx = float(sc.approx.value)
         payload["relative_gap"] = abs(sc.exact / approx - 1) if approx else None
-    emit(payload, cfg, "psi")
-    return 0
+    emit(payload, args.fmt, "psi")
 
 
-def cmd_sieve_weights(args, cfg: RunConfig) -> int:
+def cmd_sieve_weights(args) -> int | None:
     ws = sieve.beta_sieve_weights(args.d, args.z)
     payload: dict = {
         "level_D": ws.level_D,
@@ -211,51 +175,49 @@ def cmd_sieve_weights(args, cfg: RunConfig) -> int:
         "lower_support": len(ws.lambda_minus),
     }
     rc = 0
-    if args.n_limit:
-        rep = sieve.verify_sandwich(ws, args.n_limit, budget_mb=cfg.budget_mb)
+    if args.n_limit is not None:
+        rep = sieve.verify_sandwich(ws, args.n_limit, budget_mb=args.budget_mb)
         payload["sandwich"] = rep
         rc = 0 if rep["ok"] else 1
     if args.dump_weights:
         payload["lambda_plus"] = {str(k): v for k, v in sorted(ws.lambda_plus.items())}
         payload["lambda_minus"] = {str(k): v for k, v in sorted(ws.lambda_minus.items())}
-    emit(payload, cfg, "sieve weights")
+    emit(payload, args.fmt, "sieve weights")
     return rc
 
 
-def cmd_sieve_ff(args, cfg: RunConfig) -> int:
+def cmd_sieve_ff(args) -> int | None:
     s = args.s
     payload = {"s": s, "f": sieve.linear_f(s)}  # refuses s outside [0, 6], NaN included
     if s >= 1:
         payload["F"] = sieve.linear_F(s)
         # exact, so the difference keeps every digit the two values carry
         payload["F_minus_f"] = mp.fsub(payload["F"], payload["f"], exact=True)
-    emit(payload, cfg, "sieve Ff")
-    return 0
+    emit(payload, args.fmt, "sieve Ff")
 
 
-def cmd_sieve_flemma(args, cfg: RunConfig) -> int:
+def cmd_sieve_flemma(args) -> int | None:
     t = sieve.FundamentalLemmaTruncation(z=args.z, R=args.r, parity=args.parity)
-    rep = sieve.fundamental_lemma_check(t, args.n_limit, budget_mb=cfg.budget_mb)
-    emit(rep, cfg, "sieve flemma")
+    rep = sieve.fundamental_lemma_check(t, args.n_limit, budget_mb=args.budget_mb)
+    emit(rep, args.fmt, "sieve flemma")
     return 0 if rep["ok"] else 1
 
 
-def cmd_sieve_vector(args, cfg: RunConfig) -> int:
+def cmd_sieve_vector(args) -> int | None:
     if args.tuple:
-        vals = [Fraction(v) for v in args.tuple]
+        vals = [exact_rational(v, "--tuple") for v in args.tuple]
         ok = sieve.vector_sieve_check(*vals)
-        emit({"tuple": vals, "holds": ok}, cfg, "sieve vector")
+        emit({"tuple": vals, "holds": ok}, args.fmt, "sieve vector")
         return 0 if ok else 1
-    rep = sieve.vector_sieve_random_trials(args.trials, seed=cfg.seed, budget_mb=cfg.budget_mb)
-    emit(rep, cfg, "sieve vector")
+    rep = sieve.vector_sieve_random_trials(args.trials, seed=args.seed, budget_mb=args.budget_mb)
+    emit(rep, args.fmt, "sieve vector")
     return 0 if rep["ok"] else 1
 
 
-def cmd_sieve_mertens(args, cfg: RunConfig) -> int:
+def cmd_sieve_mertens(args) -> int | None:
     if args.x is not None:
-        rep = sieve.mertens_window_report(args.x, args.epsilon)
-        emit(rep, cfg, "sieve mertens")
-        return 0
+        emit(sieve.mertens_window_report(args.x, args.epsilon), args.fmt, "sieve mertens")
+        return
     if args.a is None or args.b is None:
         raise PreconditionError("mertens needs either --x/--epsilon or --a/--b")
     payload = {
@@ -264,57 +226,52 @@ def cmd_sieve_mertens(args, cfg: RunConfig) -> int:
         "product": sieve.mertens_product(args.a, args.b),
         "reciprocal_sum": sieve.prime_reciprocal_sum(args.a, args.b),
     }
-    emit(payload, cfg, "sieve mertens")
-    return 0
+    emit(payload, args.fmt, "sieve mertens")
 
 
 def _spec_from_args(args) -> expsums.PhaseSpec:
+    """The phase spec of args.kind from the flags that _add_spec_flags declares."""
     if args.kind == "basic":
         if args.A is None or args.B is None:
             raise PreconditionError("basic phase needs --A and --B")
         return expsums.make_basic_phase(args.A, args.B, args.lo, args.hi)
-    if args.kind == "lemma61":
-        for name in ("h", "m", "r"):
-            if getattr(args, name) is None:
-                raise PreconditionError(f"lemma61 phase needs --{name}")
-        return expsums.make_lemma61_phase(args.h, args.m, args.r, args.lo, args.hi, v=args.v)
-    raise PreconditionError("weyl checks run on basic or lemma61 specs")
+    for name in ("h", "m", "r"):
+        if getattr(args, name) is None:
+            raise PreconditionError(f"lemma61 phase needs --{name}")
+    return expsums.make_lemma61_phase(args.h, args.m, args.r, args.lo, args.hi, v=args.v)
 
 
-def cmd_expsum_basic(args, cfg: RunConfig) -> int:
-    spec = expsums.make_basic_phase(args.A, args.B, args.lo, args.hi)
-    res = expsums.eval_phase(spec, threads=cfg.threads, engine=args.engine, prec_bits=args.prec_bits)
-    emit({"spec": spec, "result": res}, cfg, "expsum basic")
-    return 0
+def cmd_expsum_basic(args) -> int | None:
+    spec = _spec_from_args(args)
+    res = expsums.eval_phase(spec, threads=args.threads, engine=args.engine, prec_bits=args.prec_bits)
+    emit({"spec": spec, "result": res}, args.fmt, "expsum basic")
 
 
-def cmd_expsum_lemma61(args, cfg: RunConfig) -> int:
-    spec = expsums.make_lemma61_phase(args.h, args.m, args.r, args.lo, args.hi, v=args.v)
+def cmd_expsum_lemma61(args) -> int | None:
+    spec = _spec_from_args(args)
     res = expsums.eval_phase(spec, engine=args.engine, prec_bits=args.prec_bits)
     payload = {"spec": spec, "result": res}
     if args.check_rewrite:
         payload["change_of_variables"] = expsums.lemma61_change_of_variables(spec)
         payload["progression_oracle_abs"] = expsums.lemma61_ap_oracle(spec)
-    emit(payload, cfg, "expsum lemma61")
-    return 0
+    emit(payload, args.fmt, "expsum lemma61")
 
 
-def cmd_expsum_weyl(args, cfg: RunConfig) -> int:
+def cmd_expsum_weyl(args) -> int | None:
     spec = _spec_from_args(args)
     rep = expsums.weyl_difference_check(spec, K=args.K, L=args.L)
-    emit(rep, cfg, "expsum weyl")
+    emit(rep, args.fmt, "expsum weyl")
     ok = rep["first_ok"] and (args.L is None or rep["second_ok"])
     return 0 if ok else 1
 
 
-def cmd_expsum_scan(args, cfg: RunConfig) -> int:
-    rep = expsums.cancellation_scan(args.family, count=args.count, seed=cfg.seed)
-    emit(rep, cfg, "expsum scan", rows_key="rows")
-    return 0
+def cmd_expsum_scan(args) -> int | None:
+    rep = expsums.cancellation_scan(args.family, count=args.count, seed=args.seed)
+    emit(rep, args.fmt, "expsum scan", rows_key="rows")
 
 
-def cmd_expsum_window(args, cfg: RunConfig) -> int:
-    w = expsums.smoothing_window(Fraction(args.delta), args.J)
+def cmd_expsum_window(args) -> int | None:
+    w = expsums.smoothing_window(args.delta, args.J)
     rep = {
         "delta": w.delta,
         "J": args.J,
@@ -324,19 +281,14 @@ def cmd_expsum_window(args, cfg: RunConfig) -> int:
         "value_at_3delta": w.value(3 * w.delta),
         "decay": w.decay_check(h_max=args.h_max),
     }
-    emit(rep, cfg, "expsum window")
+    emit(rep, args.fmt, "expsum window")
     return 0 if rep["decay"]["ok"] else 1
 
 
-def _params_for(args, cfg: RunConfig) -> sieve.ScaleParams:
-    overrides = {}
-    if args.z_small is not None:
-        overrides["z_small"] = args.z_small
-    if args.z_lo is not None:
-        overrides["z_quarter_lo"] = args.z_lo
-    if args.z_hi is not None:
-        overrides["z_quarter_hi"] = args.z_hi
-    return sieve.make_scale_params(args.x, preset=cfg.preset, overrides=overrides or None)
+def _params_for(args) -> sieve.ScaleParams:
+    flags = {"z_small": args.z_small, "z_quarter_lo": args.z_lo, "z_quarter_hi": args.z_hi}
+    overrides = {field: v for field, v in flags.items() if v is not None}
+    return sieve.make_scale_params(args.x, preset=args.preset, overrides=overrides or None)
 
 
 def _enumerate_row(rec: special.SpecialPrimeRecord) -> dict:
@@ -364,8 +316,8 @@ def _enumerate_row(rec: special.SpecialPrimeRecord) -> dict:
     return row
 
 
-def cmd_special_enumerate(args, cfg: RunConfig) -> int:
-    params = _params_for(args, cfg)
+def cmd_special_enumerate(args) -> int | None:
+    params = _params_for(args)
     records = special.enumerate_S(params)
     part = special.partition_check(records, params)
     payload = {
@@ -375,30 +327,22 @@ def cmd_special_enumerate(args, cfg: RunConfig) -> int:
         "class_counts": part["class_counts"],
         "partition_ok": part["ok"],
     }
-    emit(payload, cfg, "special enumerate", rows_key="rows")
+    emit(payload, args.fmt, "special enumerate", rows_key="rows")
     return 0 if part["ok"] else 1
 
 
-def cmd_special_sigmas(args, cfg: RunConfig) -> int:
-    params = _params_for(args, cfg)
-    counters = special.count_sigmas(params, args.delta)
+def cmd_special_sigmas(args) -> int | None:
+    counters = special.count_sigmas(_params_for(args), args.delta)
     payload = {
-        "sigma1": counters.sigma1,
-        "sigma2": counters.sigma2,
-        "sigma3": counters.sigma3,
-        "sigma4": counters.sigma4,
-        "S_total": counters.S_total,
-        "delta": counters.delta,
+        **vars(counters),
         "witness_gap": counters.witness_gap(),
         "pair_bound_holds": counters.sigma2 <= counters.sigma3 + counters.sigma4,
-        "parameters": params,
     }
-    emit(payload, cfg, "special sigmas")
-    return 0
+    emit(payload, args.fmt, "special sigmas")
 
 
-def cmd_special_hist(args, cfg: RunConfig) -> int:
-    params = _params_for(args, cfg)
+def cmd_special_hist(args) -> int | None:
+    params = _params_for(args)
     records = special.enumerate_S(params)
     rep = special.near_integer_histogram(records, bins=args.bins)
     rows = [
@@ -417,34 +361,45 @@ def cmd_special_hist(args, cfg: RunConfig) -> int:
         "ks_plain": rep["ks_plain"],
         "ks_r": rep["ks_r"],
     }
-    emit(payload, cfg, "special hist", rows_key="rows")
-    return 0
+    emit(payload, args.fmt, "special hist", rows_key="rows")
 
 
-def cmd_verify_all(args, cfg: RunConfig) -> int:
+def cmd_verify_all(args) -> int | None:
     if args.list:
-        emit({"checks": verify.check_names()}, cfg, "verify-all")
-        return 0
-    ctx: dict = {}
-    if args.inject_bad_weights:
-        ctx["inject_bad_weights"] = True
-    names = [args.only] if args.only else verify.check_names()
-    results = []
-    all_ok = True
-    for name in names:
+        emit({"checks": verify.check_names()}, args.fmt, "verify-all")
+        return
+    ctx = {"inject_bad_weights": True} if args.inject_bad_weights else {}
+    rows = []
+    for name in [args.only] if args.only else verify.check_names():
         res = verify.run_check(name, ctx)
         print(res.line(), file=sys.stderr)
-        results.append(res)
-        all_ok = all_ok and res.ok
-    rows = [to_jsonable(res) for res in results]
-    emit({"results": rows, "all_ok": all_ok}, cfg, "verify-all", rows_key="results")
+        rows.append(to_jsonable(res))
+    all_ok = all(row["ok"] for row in rows)
+    emit({"results": rows, "all_ok": all_ok}, args.fmt, "verify-all", rows_key="results")
     return 0 if all_ok else 1
 
 
 # -- parser ------------------------------------------------------------------------
 
 
-class _SubParser(argparse.ArgumentParser):
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals end like every other bad input.
+
+    A value that starts with a minus sign and reads as a number (-1/3,
+    -inf, -.5) is a value, not an option, and a usage error prints one
+    `error:` line and exits 2.
+    """
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        # argparse's own test for a negative number knows only -5 and -.5
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
+class _SubParser(_Parser):
     """Subcommand parser that accepts the global flags after the name.
 
     add_subparsers on a _SubParser instance reuses this class, so nested
@@ -460,27 +415,50 @@ class _SubParser(argparse.ArgumentParser):
         super().__init__(parents=parents, **kw)
 
 
-def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
-    # the same flags live on the root parser (with real defaults) and on
-    # every subcommand (defaulting to SUPPRESS so a subcommand parse
-    # cannot clobber a value given before the subcommand name)
-    d = argparse.SUPPRESS if suppress else None
-    p.add_argument("--format", choices=("json", "jsonl", "csv"), default=d if suppress else "json", dest="fmt")
-    p.add_argument("--preset", choices=("desk", "paper"), default=d if suppress else "desk")
-    p.add_argument("--seed", type=int, default=d if suppress else 0)
+def _add_global_flags(p: argparse.ArgumentParser) -> None:
+    # the same flags live on the root parser, which sets their defaults,
+    # and on every subcommand, where they default to SUPPRESS so a
+    # subcommand parse cannot clobber a value given before its name
+    d = argparse.SUPPRESS
+    p.add_argument("--format", choices=("json", "jsonl", "csv"), default=d, dest="fmt")
+    p.add_argument("--preset", choices=("desk", "paper"), default=d)
+    p.add_argument("--seed", type=int, default=d)
     p.add_argument("--threads", type=int, default=d, help="worker processes for the exact engine of expsum basic")
     p.add_argument("--budget-mb", type=int, default=d, help="memory budget in MB of psi's exact count and the sieve weights, flemma and vector arrays (default 512)")
 
 
+def _add_spec_flags(p: argparse.ArgumentParser, *kinds: str) -> None:
+    """The flags that _spec_from_args reads for these phase kinds.
+
+    With one kind its flags are required; with several, --kind picks one
+    and _spec_from_args checks that kind's flags.
+    """
+    one = len(kinds) == 1
+    if one:
+        p.set_defaults(kind=kinds[0])
+    else:
+        p.add_argument("--kind", choices=kinds, default=kinds[0])
+    if "basic" in kinds:
+        p.add_argument("--A", required=one)
+        p.add_argument("--B", required=one)
+    if "lemma61" in kinds:
+        for name in ("--h", "--m", "--r"):
+            p.add_argument(name, type=int, required=one)
+        p.add_argument("--v", type=int, default=None)
+    p.add_argument("--lo", type=int, default=0)
+    p.add_argument("--hi", type=int, required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="alpha4",
         description="Desk-scale companion computations for the factorial series of sigma_4.",
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    _add_global_flags(ap, suppress=False)
+    _add_global_flags(ap)
+    ap.set_defaults(fmt="json", preset="desk", seed=0, threads=None, budget_mb=None)
     gp = argparse.ArgumentParser(add_help=False)
-    _add_global_flags(gp, suppress=True)
+    _add_global_flags(gp)
     sub = ap.add_subparsers(dest="command", required=True, parser_class=_SubParser)
     _SubParser.shared_parent = gp
 
@@ -548,36 +526,20 @@ def build_parser() -> argparse.ArgumentParser:
     esub = pe.add_subparsers(dest="subcommand", required=True)
 
     p = esub.add_parser("basic", help="sum the single-variable phase")
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
-    p.add_argument("--lo", type=int, default=0)
-    p.add_argument("--hi", type=int, required=True)
+    _add_spec_flags(p, "basic")
     p.add_argument("--engine", choices=("exact", "mpf"), default=None)
     p.add_argument("--prec-bits", type=int, default=None)
     p.set_defaults(fn=cmd_expsum_basic)
 
     p = esub.add_parser("lemma61", help="sum the progression phase")
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--v", type=int, default=None)
-    p.add_argument("--lo", type=int, default=0)
-    p.add_argument("--hi", type=int, required=True)
+    _add_spec_flags(p, "lemma61")
     p.add_argument("--engine", choices=("exact", "mpf"), default=None)
     p.add_argument("--prec-bits", type=int, default=None)
     p.add_argument("--check-rewrite", action="store_true")
     p.set_defaults(fn=cmd_expsum_lemma61)
 
     p = esub.add_parser("weyl", help="differencing displays for a phase spec")
-    p.add_argument("--kind", choices=("basic", "lemma61"), default="basic")
-    p.add_argument("--A", default=None)
-    p.add_argument("--B", default=None)
-    p.add_argument("--h", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--v", type=int, default=None)
-    p.add_argument("--lo", type=int, default=0)
-    p.add_argument("--hi", type=int, required=True)
+    _add_spec_flags(p, "basic", "lemma61")
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--L", type=int, default=None)
     p.set_defaults(fn=cmd_expsum_weyl)
@@ -618,22 +580,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list[str]) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    cfg = RunConfig(
-        preset=args.preset,
-        fmt=args.fmt,
-        seed=args.seed,
-        budget_mb=args.budget_mb,
-    )
+    args = build_parser().parse_args(argv)
     try:
-        if args.threads is not None:
-            if args.threads < 1:
-                raise PreconditionError(f"--threads must be at least 1, got {args.threads}")
-            cfg.threads = args.threads
+        if args.threads is None:
+            args.threads = max(1, os.cpu_count() or 1)
+        elif args.threads < 1:
+            raise PreconditionError(f"--threads must be at least 1, got {args.threads}")
         if args.budget_mb is not None and args.budget_mb < 0:
             raise PreconditionError(f"--budget-mb must be nonnegative, got {args.budget_mb}")
-        return args.fn(args, cfg)
+        return args.fn(args) or 0  # a command returns its exit status, None for 0
     except (PreconditionError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

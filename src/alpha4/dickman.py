@@ -30,7 +30,6 @@ from .errors import PreconditionError
 __all__ = [
     "U_MAX",
     "rho",
-    "RhoSolution",
     "rho_solution",
     "RhoTenThirds",
     "rho_ten_thirds_quadrature",
@@ -138,8 +137,8 @@ def rho(u, tol: float = DEFAULT_TOL) -> BigRealWithError:
     u = float(u)
     if not 0 <= u <= U_MAX:
         raise PreconditionError(f"rho domain is [0, {U_MAX}], got {u}")
-    if tol < MIN_TOL:
-        raise PreconditionError(f"tol must be >= {MIN_TOL}, got {tol}")
+    if not MIN_TOL <= tol < math.inf:
+        raise PreconditionError(f"tol must be finite and >= {MIN_TOL}, got {tol}")
     if u <= 1:
         return BigRealWithError(mp.mpf(1), mp.mpf(0))
     v, err = _get_panels().value(u)
@@ -148,26 +147,18 @@ def rho(u, tol: float = DEFAULT_TOL) -> BigRealWithError:
     return BigRealWithError(v, err)
 
 
-@dataclass(frozen=True)
-class RhoSolution:
-    """A sampled table of rho: rows (u, value, certified error)."""
-
-    grid_step: float
-    values: tuple[tuple[float, float, float], ...]
-
-
-def rho_solution(u_max: float = U_MAX, grid_step: float = 0.25, tol: float = DEFAULT_TOL) -> RhoSolution:
+def rho_solution(u_max: float = U_MAX, grid_step: float = 0.25, tol: float = DEFAULT_TOL) -> list[dict]:
+    """rho on the grid 0, grid_step, ... up to u_max: JSON-native rows {u, rho, err}."""
     if not 0 < u_max <= U_MAX:
         raise PreconditionError(f"u_max must be in (0, {U_MAX}]")
-    if grid_step <= 0:
-        raise PreconditionError("grid_step must be positive")
+    if not 0 < grid_step < math.inf:
+        raise PreconditionError(f"grid_step must be positive and finite, got {grid_step}")
     rows = []
-    steps = int(math.floor(u_max / grid_step + 1e-9))
-    for i in range(steps + 1):
+    for i in range(int(math.floor(u_max / grid_step + 1e-9)) + 1):
         u = min(i * grid_step, u_max)
         v = rho(u, tol)
-        rows.append((float(u), float(v.value), float(v.err)))
-    return RhoSolution(grid_step=grid_step, values=tuple(rows))
+        rows.append({"u": float(u), "rho": float(v.value), "err": float(v.err)})
+    return rows
 
 
 # -- the value at 10/3 by direct quadrature ----------------------------------

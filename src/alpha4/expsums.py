@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from numbers import Rational
 from typing import NamedTuple
 
 import mpmath as mp
@@ -45,7 +44,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .arith import sigma_k
+from .arith import exact_rational, sigma_k
 from .errors import BudgetError, PreconditionError
 
 __all__ = [
@@ -152,20 +151,13 @@ def _slope62(A: Fraction, j: int, r: int, l1: int, l2: int) -> Fraction:
 
 
 def _coerce_real(x, name: str):
-    """Rationals stay exact; floats are taken at their binary value and
-    strings as exact rationals. Only finite numbers pass."""
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            raise PreconditionError(f"{name} must be a finite number, got {x!r}") from None
-    if isinstance(x, (float, mp.mpf)) and not mp.isfinite(x):
+    """An mpf as it is, anything else exactly (exact_rational). Only
+    finite numbers pass."""
+    if not isinstance(x, mp.mpf):
+        return exact_rational(x, name)
+    if not mp.isfinite(x):
         raise PreconditionError(f"{name} must be a finite number, got {x}")
-    if isinstance(x, (Rational, float)):
-        return Fraction(x)
-    if isinstance(x, mp.mpf):
-        return x
-    raise PreconditionError(f"{name} must be rational, float, mpf or str, got {type(x).__name__}")
+    return x
 
 
 def make_basic_phase(A, B, lo: int, hi: int) -> PhaseSpec:
@@ -741,6 +733,8 @@ def cancellation_scan(
 
     if family not in ("random", "resonant", "lemma61"):
         raise PreconditionError(f"unknown scan family {family!r}")
+    if count < 1:
+        raise PreconditionError(f"count must be >= 1, got {count}")
     rng = random.Random(seed)
     rows: list[dict] = []
     if family == "random":
@@ -887,5 +881,5 @@ def _sinc(x) -> mp.mpf:
 
 
 def smoothing_window(delta, J: int) -> SmoothingWindow:
-    """Build the window; delta is taken exactly (floats at binary value)."""
-    return SmoothingWindow(delta=Fraction(delta), J=int(J))
+    """Build the window; delta is taken exactly (exact_rational)."""
+    return SmoothingWindow(delta=exact_rational(delta, "delta"), J=int(J))

@@ -25,12 +25,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from numbers import Rational
 
 import mpmath as mp
 
-from .arith import primes_in, primes_upto, require_budget
+from .arith import exact_rational, primes_in, primes_upto, require_budget
 from .dickman import delay_panels
 from .errors import PreconditionError
 
@@ -210,7 +208,8 @@ def fundamental_lemma_check(
     if n_limit < 1:
         raise PreconditionError("n_limit must be >= 1")
     require_budget(25 * (n_limit + 1), budget_mb, f"truncated sandwich to n_limit={n_limit}")
-    primes = [int(p) for p in primes_upto(t.z)]
+    # a prime above n_limit divides no n <= n_limit, so z may be far larger
+    primes = [int(p) for p in primes_upto(min(t.z, n_limit))]
     cap = t.omega_cap
     import numpy as np
     acc = np.zeros(n_limit + 1, dtype=np.int64)
@@ -253,12 +252,6 @@ def fundamental_lemma_check(
 # -- the two-variable sandwich -------------------------------------------------
 
 
-def _as_fraction(x, name: str) -> Fraction:
-    if isinstance(x, (Rational, float)):
-        return Fraction(x)
-    raise PreconditionError(f"{name} must be an exact number or float, got {type(x).__name__}")
-
-
 def vector_sieve_check(d1_minus, d1, d1_plus, d2_minus, d2, d2_plus) -> bool:
     """Exact check of d1 d2 >= d1+ d2- + d1- d2+ - d1+ d2+.
 
@@ -271,7 +264,7 @@ def vector_sieve_check(d1_minus, d1, d1_plus, d2_minus, d2, d2_plus) -> bool:
         ("d1_minus", d1_minus), ("d1", d1), ("d1_plus", d1_plus),
         ("d2_minus", d2_minus), ("d2", d2), ("d2_plus", d2_plus),
     ):
-        vals[name] = _as_fraction(x, name)
+        vals[name] = exact_rational(x, name)
     for side in ("d1", "d2"):
         lo, mid, hi = vals[side + "_minus"], vals[side], vals[side + "_plus"]
         if mid < 0:
@@ -478,19 +471,23 @@ def make_scale_params(
 # -- Mertens windows ---------------------------------------------------------------
 
 
-def mertens_product(a, b) -> float:
-    """prod_{a < p <= b} (1 - 1/p), via a compensated log sum."""
+def _window_primes(a, b):
+    """The primes in (a, b] for finite ends a <= b."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise PreconditionError(f"window ends must be finite, got ({a}, {b}]")
     if b < a:
         raise PreconditionError(f"empty-ordered window ({a}, {b}]")
-    logs = [math.log1p(-1.0 / p) for p in primes_in(int(a), int(b))]
-    return math.exp(math.fsum(logs))
+    return primes_in(int(a), int(b))
+
+
+def mertens_product(a, b) -> float:
+    """prod_{a < p <= b} (1 - 1/p), via a compensated log sum."""
+    return math.exp(math.fsum([math.log1p(-1.0 / p) for p in _window_primes(a, b)]))
 
 
 def prime_reciprocal_sum(a, b) -> float:
     """sum_{a < p <= b} 1/p."""
-    if b < a:
-        raise PreconditionError(f"empty-ordered window ({a}, {b}]")
-    return math.fsum(1.0 / p for p in primes_in(int(a), int(b)))
+    return math.fsum(1.0 / p for p in _window_primes(a, b))
 
 
 def mertens_window_report(x: int, epsilon: float) -> dict:
@@ -515,6 +512,6 @@ def mertens_window_report(x: int, epsilon: float) -> dict:
         "reciprocal_sum": s,
         "target": target,
         "gap": s - target,
-        "relative_gap": (s - target) / target if target else float("nan"),
+        "relative_gap": (s - target) / target,  # target > 0 for every epsilon in (0, 1/4)
     }
 

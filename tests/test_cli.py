@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -26,6 +27,39 @@ def test_no_arguments_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as e:
         cli.dispatch([])
     assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nonsense"],
+        ["sieve"],
+        ["alpha", "--zzz"],
+        ["alpha", "--k", "x"],
+        ["expsum", "basic", "--A", "1/3", "--B", "1/7"],
+        ["expsum", "weyl", "--A", "1/3", "--B", "1", "--hi", "10", "--K", "2", "--check-rewrite"],
+        ["expsum", "basic", "--A", "1/3", "--B", "1/7", "--hi", "10", "--kind", "basic"],
+        ["expsum", "lemma61", "--h", "2", "--m", "97", "--r", "13", "--hi", "60", "--A", "1"],
+    ],
+    ids=" ".join,
+)
+def test_usage_errors_are_one_error_line(argv, capsys):
+    # each phase command refuses the spec flags of the other kind
+    with pytest.raises(SystemExit) as e:
+        cli.dispatch(argv)
+    assert e.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+def test_a_value_with_a_leading_minus_is_a_value(capsys):
+    rc, spaced = run_json(["expsum", "basic", "--A", "-1/3", "--B", "1/7", "--hi", "10"], capsys)
+    assert rc == 0
+    assert spaced["result"]["spec"]["A"] == "-1/3"
+    assert run_json(["expsum", "basic", "--A=-1/3", "--B", "1/7", "--hi", "10"], capsys) == (rc, spaced)
 
 
 def test_alpha_payload(capsys):
@@ -158,6 +192,19 @@ def test_sieve_flemma(capsys):
     assert payload["result"]["violations"] == 0
 
 
+def test_flemma_sieves_only_to_n_limit(capsys):
+    # primes above n_limit divide no n <= n_limit, so a huge z costs nothing
+    argv = ["sieve", "flemma", "--r", "1", "--parity", "even", "--n-limit", "100", "--z"]
+    start = time.perf_counter()
+    rc, huge = run_json(argv + ["100000000000"], capsys)
+    assert time.perf_counter() - start < 5
+    _, small = run_json(argv + ["100"], capsys)
+    assert rc == 0
+    assert huge["result"].pop("z") == 100000000000
+    assert small["result"].pop("z") == 100
+    assert huge == small
+
+
 def test_sieve_vector_tuple(capsys):
     rc, payload = run_json(
         ["sieve", "vector", "--tuple", "1", "2", "3", "1", "2", "3"], capsys
@@ -280,7 +327,14 @@ def test_bad_global_flags_are_input_errors(argv, capsys):
     + [["sieve", "weights", "--d", d, "--z", "10", "--n-limit", "100"] for d in ("0", "-1", "nan", "inf")]
     + [["expsum", "basic", "--A", v, "--B", "1/3", "--hi", "60"] for v in ("1/0", "nan", "inf")]
     + [["expsum", "basic", "--A", "1/7", "--B", v, "--hi", "60"] for v in ("1/0", "nan", "inf")]
-    + [["psi", "--x", "100", "--y", y] for y in ("inf", "nan")],
+    + [["psi", "--x", "100", "--y", y] for y in ("inf", "nan", "-inf")]
+    + [["sieve", "vector", "--tuple", v, "1", "1", "1", "1", "1"] for v in ("nan", "1/0")]
+    + [["expsum", "window", "--delta", d] for d in ("nan", "1/0", "abc")]
+    + [["sieve", "mertens", "--a", "10", "--b", "nan"], ["sieve", "mertens", "--a", "inf", "--b", "inf"]]
+    + [["rho", "--table", "--step", s] for s in ("nan", "inf")]
+    + [["rho", "--u", "2", "--tol", "nan"]]
+    + [["sieve", "weights", "--d", "100", "--z", "10", "--n-limit", "0"]]
+    + [["expsum", "scan", "--count", c] for c in ("0", "-1")],
     ids=" ".join,
 )
 def test_numbers_outside_a_domain_are_input_errors(argv, capsys):

@@ -79,12 +79,18 @@ def test_rho_domain_checks():
 
 
 def test_rho_solution_grid():
-    sol = dickman.rho_solution(4.0, grid_step=0.5)
-    us = [row[0] for row in sol.values]
+    rows = dickman.rho_solution(4.0, grid_step=0.5)
+    us = [row["u"] for row in rows]
     assert us[0] == 0.0 and us[-1] == 4.0
     assert len(us) == 9
-    for u, v, err in sol.values:
-        assert abs(v - float(dickman.rho(u).value)) <= err + 1e-16
+    for row in rows:
+        assert abs(row["rho"] - float(dickman.rho(row["u"]).value)) <= row["err"] + 1e-16
+
+
+@pytest.mark.parametrize("step", [0, -0.5, math.nan, math.inf])
+def test_rho_solution_refuses_a_step_that_is_not_positive_and_finite(step):
+    with pytest.raises(PreconditionError, match="grid_step"):
+        dickman.rho_solution(4.0, grid_step=step)
 
 
 def test_rho_ten_thirds_two_routes_agree():

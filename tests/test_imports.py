@@ -49,6 +49,10 @@ NUMPY_FREE = [
     ["expsum", "basic", "--A", "1/3", "--B", "2/7", "--hi", "500"],
     ["expsum", "basic", "--A", "1/3", "--B", "2/7", "--hi", "200", "--engine", "mpf"],
     ["expsum", "weyl", "--A", "1/3", "--B", "2/7", "--hi", "128", "--K", "4", "--L", "4"],
+    ["expsum", "scan", "--count", "2", "--family", "lemma61"],
+    ["expsum", "window", "--h-max", "1000"],
+    ["psi", "--x", "1000", "--y", "10", "--no-exact"],
+    ["sieve", "vector", "--tuple", "1", "2", "3", "1", "2", "3"],
     ["rho", "--u", "3.5"],
     ["rho", "--table", "--step", "0.5"],
     ["rho", "--ten-thirds"],

@@ -132,6 +132,12 @@ def test_vector_check_rejects_disorder():
         sieve.vector_sieve_check(-3, -2, 1, 1, 2, 3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "nan", "1/0"], ids=repr)
+def test_vector_check_refuses_a_value_that_is_not_a_finite_number(bad):
+    with pytest.raises(PreconditionError, match="d1_minus must be a finite number"):
+        sieve.vector_sieve_check(bad, 1, 1, 1, 1, 1)
+
+
 def test_vector_random_trials_deterministic():
     rep = sieve.vector_sieve_random_trials(count=20000, seed=5)
     assert rep["ok"]
@@ -265,3 +271,10 @@ def test_mertens_sums_over_explicit_window():
     assert abs(got - target) < 0.005
     prod = sieve.mertens_product(10**3, 10**6)
     assert prod == pytest.approx(0.5019215452589002, abs=1e-12)
+
+
+@pytest.mark.parametrize("a, b", [(10, math.nan), (math.nan, 10), (math.inf, math.inf), (-math.inf, 10)])
+def test_mertens_windows_need_finite_ends(a, b):
+    for fn in (sieve.mertens_product, sieve.prime_reciprocal_sum):
+        with pytest.raises(PreconditionError, match="finite"):
+            fn(a, b)
