@@ -148,7 +148,7 @@ def cmd_rho(args) -> int | None:
     if args.ten_thirds:
         emit(dickman.rho_ten_thirds_quadrature(), args.fmt, "rho")
     elif args.table:
-        rows = dickman.rho_solution(u_max=args.u if args.u is not None else dickman.U_MAX, grid_step=args.step, tol=args.tol)
+        rows = dickman.rho_solution(args.u if args.u is not None else dickman.U_MAX, args.step, args.tol, args.budget_mb)
         emit({"grid_step": args.step, "rows": rows}, args.fmt, "rho", rows_key="rows")
     elif args.u is None:
         raise PreconditionError("rho needs --u, --table, or --ten-thirds")
@@ -229,8 +229,15 @@ def cmd_sieve_mertens(args) -> int | None:
     emit(payload, args.fmt, "sieve mertens")
 
 
+_KIND_FLAGS = {"basic": ("A", "B"), "lemma61": ("h", "m", "r", "v")}
+
+
 def _spec_from_args(args) -> expsums.PhaseSpec:
-    """The phase spec of args.kind from the flags that _add_spec_flags declares."""
+    """The phase spec of args.kind from the flags that _add_spec_flags
+    declares. A flag of another kind is refused, not ignored."""
+    other = [f"--{n}" for k, ns in _KIND_FLAGS.items() if k != args.kind for n in ns if getattr(args, n, None) is not None]
+    if other:
+        raise PreconditionError(f"--kind {args.kind} takes no {', '.join(other)}")
     if args.kind == "basic":
         if args.A is None or args.B is None:
             raise PreconditionError("basic phase needs --A and --B")
@@ -424,7 +431,7 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=("desk", "paper"), default=d)
     p.add_argument("--seed", type=int, default=d)
     p.add_argument("--threads", type=int, default=d, help="worker processes for the exact engine of expsum basic")
-    p.add_argument("--budget-mb", type=int, default=d, help="memory budget in MB of psi's exact count and the sieve weights, flemma and vector arrays (default 512)")
+    p.add_argument("--budget-mb", type=int, default=d, help="memory budget in MB of psi's exact count, the rho table and the sieve weights, flemma and vector arrays (default 512)")
 
 
 def _add_spec_flags(p: argparse.ArgumentParser, *kinds: str) -> None:
@@ -438,13 +445,9 @@ def _add_spec_flags(p: argparse.ArgumentParser, *kinds: str) -> None:
         p.set_defaults(kind=kinds[0])
     else:
         p.add_argument("--kind", choices=kinds, default=kinds[0])
-    if "basic" in kinds:
-        p.add_argument("--A", required=one)
-        p.add_argument("--B", required=one)
-    if "lemma61" in kinds:
-        for name in ("--h", "--m", "--r"):
-            p.add_argument(name, type=int, required=one)
-        p.add_argument("--v", type=int, default=None)
+    for kind in kinds:  # basic's A and B are exact numbers read from str
+        for name in _KIND_FLAGS[kind]:
+            p.add_argument(f"--{name}", type=int if kind == "lemma61" else None, required=one and name != "v")
     p.add_argument("--lo", type=int, default=0)
     p.add_argument("--hi", type=int, required=True)
 

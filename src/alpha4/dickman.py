@@ -19,12 +19,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import fzero, mpf_add, mpf_mul, round_nearest
+from mpmath.libmp import from_man_exp
 
 from .arith import primes_upto, require_budget
-from .bigreal import BigRealWithError
+from .bigreal import BigRealWithError, add_nearest_int, int_pair, round_nearest_int
 from .errors import PreconditionError
 
 __all__ = [
@@ -47,31 +48,35 @@ HILDEBRAND_U_MAX = 10
 _SERIES_TERMS = 72
 _WORK_DPS = 40
 _WINDOW = 2**18  # psi_exact's residuals per window: 1 MB of uint32
+_ROW_BYTES = 512  # a rho table row in memory (about 260) and while printed (about 230 more)
 
 
 @dataclass(frozen=True)
 class _Panels:
-    """One component of a delay system: panels[k] holds the raw libmp
-    coefficients a_0..a_J of p(c + y) on [k, k+1], c = k + 1/2, |y| <= 1/2,
-    and errs[k] bounds the panel's error. value() runs Horner's rule with
-    mpf_mul and mpf_add at the working precision, round-nearest: the bits
-    of s * y + a_j on mpf objects, without an mpf object per step."""
+    """One component of a delay system: pairs[k] holds the coefficients
+    a_0..a_J of p(c + y) on [k, k+1], c = k + 1/2, |y| <= 1/2, as signed
+    (mantissa, exponent) integer pairs, and errs[k] bounds the panel's
+    error. value() runs Horner's rule in integers at the working
+    precision, each product and each sum rounded once as mpf_mul and
+    mpf_add round them: the bits of s * y + a_j on mpf objects."""
 
-    panels: list
+    pairs: list
     errs: list
     dps: int
+
+    panels = property(lambda self: [[from_man_exp(*c) for c in a] for a in self.pairs], doc="as raw libmp tuples")
 
     def value(self, u) -> tuple[mp.mpf, mp.mpf]:
         k = int(math.floor(u))
         if k == u and k > 0:
             k -= 1  # integer u: evaluate at the right edge of the panel below
         with mp.workdps(self.dps):
-            y = (mp.mpf(u) - (2 * k + 1) / mp.mpf(2))._mpf_
-            prec, rnd = mp.mp.prec, round_nearest
-        s = fzero
-        for c in reversed(self.panels[k]):
-            s = mpf_add(mpf_mul(s, y, prec, rnd), c, prec, rnd)
-        return mp.make_mpf(s), self.errs[k]
+            ym, ye = int_pair((mp.mpf(u) - (2 * k + 1) / mp.mpf(2))._mpf_)
+            prec = mp.mp.prec
+        s = (0, 0)
+        for c in reversed(self.pairs[k]):
+            s = add_nearest_int(round_nearest_int(s[0] * ym, s[1] + ye, prec), c, prec)
+        return mp.make_mpf(from_man_exp(*s)), self.errs[k]
 
 
 def delay_panels(start, sigma: int, u_max: int, terms: int = _SERIES_TERMS, dps: int = _WORK_DPS):
@@ -124,7 +129,7 @@ def delay_panels(start, sigma: int, u_max: int, terms: int = _SERIES_TERMS, dps:
                 for j in range(terms, -1, -1):
                     s = s * half + a[j]
                 left[i] = s
-    return tuple(_Panels([[c._mpf_ for c in a] for a in p], e, dps) for p, e in zip(panels, errs))
+    return tuple(_Panels([[int_pair(c._mpf_) for c in a] for a in p], e, dps) for p, e in zip(panels, errs))
 
 
 @functools.cache
@@ -147,12 +152,16 @@ def rho(u, tol: float = DEFAULT_TOL) -> BigRealWithError:
     return BigRealWithError(v, err)
 
 
-def rho_solution(u_max: float = U_MAX, grid_step: float = 0.25, tol: float = DEFAULT_TOL) -> list[dict]:
-    """rho on the grid 0, grid_step, ... up to u_max: JSON-native rows {u, rho, err}."""
+def rho_solution(
+    u_max: float = U_MAX, grid_step: float = 0.25, tol: float = DEFAULT_TOL, budget_mb: int | None = None
+) -> list[dict]:
+    """rho on the grid 0, grid_step, ... up to u_max: JSON-native rows {u, rho, err}, budgeted first."""
     if not 0 < u_max <= U_MAX:
         raise PreconditionError(f"u_max must be in (0, {U_MAX}]")
     if not 0 < grid_step < math.inf:
         raise PreconditionError(f"grid_step must be positive and finite, got {grid_step}")
+    # exact, since u_max / grid_step overflows a float for a subnormal step
+    require_budget(_ROW_BYTES * (Fraction(u_max) / Fraction(grid_step) + 1), budget_mb, f"rho table at step {grid_step}")
     rows = []
     for i in range(int(math.floor(u_max / grid_step + 1e-9)) + 1):
         u = min(i * grid_step, u_max)

@@ -17,8 +17,10 @@ and combines the chunk partials by a fixed-order pairwise tree, so its
 result does not depend on the worker count. The Weyl inner sums S_k and
 S_{k,l} difference one table of residue pairs (N mod D, D) over products
 of denominators, and lemma61_ap_oracle feeds its own phase formula to
-_sum_e. The mpf engine and phase_mpf share one raw libmp core,
-_phase_raw, which makes the calls the mpf operator form makes.
+_sum_e. The mpf engine and phase_mpf share one core, _phase_raw, which
+replays on signed (mantissa, exponent) integer pairs the libmp calls the
+mpf operator form makes, each rounded as libmp rounds it
+(bigreal.round_nearest_int).
 """
 
 from __future__ import annotations
@@ -30,21 +32,10 @@ from functools import cached_property
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import (
-    from_int,
-    fzero,
-    mpf_add,
-    mpf_cos_sin_pi,
-    mpf_floor,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_pow_int,
-    mpf_rdiv_int,
-    mpf_sub,
-    round_nearest,
-)
+from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, round_nearest
 
 from .arith import exact_rational, sigma_k
+from .bigreal import add_nearest_int, int_pair, round_nearest_int
 from .errors import BudgetError, PreconditionError
 
 __all__ = [
@@ -276,13 +267,13 @@ def _mpf(x):
 
 
 def _phase_raw(spec: PhaseSpec, prec: int):
-    """n -> the phase at n as a raw libmp tuple at prec bits, round-nearest
-    (the rounding of mpmath's context).
+    """n -> the phase at n as a signed (mantissa, exponent) pair at prec
+    bits, round-nearest (the rounding of mpmath's context).
 
     The core of phase_mpf and of the mpf engine. The coefficients go
-    through _mpf once, at prec. Every step then calls the libmp function
-    that the mpf operator form of the phase calls, with the same precision
-    and rounding, so the bits are those of the expressions
+    through _mpf once, at prec. Every step then replays in integers the
+    libmp call that the mpf operator form of the phase makes, with the
+    same precision and rounding, so the bits are those of the expressions
 
         basic:         A (n^2 + 1/n^2) + B (n + 1/n^3)
         lemma61:       A (2 v r n + r^2 n^2 + 1/mpf(v + r n)^2) + (B + lin) r n
@@ -290,48 +281,71 @@ def _phase_raw(spec: PhaseSpec, prec: int):
 
     with n = mpf(n): mpf(int) is from_int(n, prec, rnd), int + mpf adds
     from_int(int) unrounded, 1/x is mpf_rdiv_int and int * x mpf_mul_int.
+    All but _cube are correctly rounded: the exact result rounded once.
     Values the operator form computes twice (n^2, and (B + lin) r in every
     term) are computed once; nothing is reordered or fused.
     """
-    rnd = round_nearest
+    rn, add = round_nearest_int, add_nearest_int
     with mp.workprec(prec):
-        A, B, lin, C = (None if x is None else _mpf(x)._mpf_ for x in spec.coefficients)
+        A, B, lin, C = (None if x is None else int_pair(_mpf(x)._mpf_) for x in spec.coefficients)
+
+    def mul(x, y):  # mpf_mul
+        return rn(x[0] * y[0], x[1] + y[1], prec)
+
     if spec.kind == "basic":
 
         def basic(n):
             if n == 0:
                 raise PreconditionError("basic phase is undefined at n = 0")
-            nn = from_int(n, prec, rnd)
-            n2 = mpf_pow_int(nn, 2, prec, rnd)
-            a_term = mpf_mul(A, mpf_add(n2, mpf_rdiv_int(1, n2, prec, rnd), prec, rnd), prec, rnd)
-            n3 = mpf_pow_int(nn, 3, prec, rnd)
-            b_term = mpf_mul(B, mpf_add(nn, mpf_rdiv_int(1, n3, prec, rnd), prec, rnd), prec, rnd)
-            return mpf_add(a_term, b_term, prec, rnd)
+            nn = rn(n, 0, prec)
+            n2 = mul(nn, nn)  # mpf_pow_int(nn, 2) squares exactly, then rounds
+            a_term = mul(A, add(n2, _inv(n2, prec), prec))
+            b_term = mul(B, add(nn, _inv(_cube(nn, prec), prec), prec))
+            return add(a_term, b_term, prec)
 
         return basic
     if spec.kind == "lemma61":
         v, r = spec.v, spec.r
-        slope = mpf_mul_int(mpf_add(B, lin, prec, rnd), r, prec, rnd)
+        slope = mul(add(B, lin, prec), (r, 0))
 
         def lemma61(n):
-            inv = mpf_rdiv_int(1, mpf_pow_int(from_int(v + r * n, prec, rnd), 2, prec, rnd), prec, rnd)
-            poly = mpf_add(inv, from_int(2 * v * r * n + r**2 * n**2), prec, rnd)
-            return mpf_add(
-                mpf_mul(A, poly, prec, rnd), mpf_mul(slope, from_int(n, prec, rnd), prec, rnd), prec, rnd
-            )
+            q = rn(v + r * n, 0, prec)
+            poly = add(_inv(mul(q, q), prec), (2 * v * r * n + r**2 * n**2, 0), prec)
+            return add(mul(A, poly), mul(slope, rn(n, 0, prec)), prec)
 
         return lemma61
-    return lambda n: mpf_mul(C, from_int(n, prec, rnd), prec, rnd)
+    return lambda n: mul(C, rn(n, 0, prec))
+
+
+def _inv(x, prec: int):
+    """mpf_rdiv_int(1, x): prec + 2 quotient bits and a sticky bit, rounded."""
+    (m, e), k = x, prec + 1 + x[0].bit_length()
+    q, r = divmod(1 << k, abs(m))
+    return round_nearest_int((q << 1 | (r > 0)) * (1 if m > 0 else -1), -e - k - 1, prec)
+
+
+def _cube(x, prec: int):
+    """mpf_pow_int(x, 3): exact while the odd part of the mantissa has bc
+    bits, 3 bc < 1000; past that, libmp truncates a^2, then a a^2, to
+    prec + 12 bits before it rounds."""
+    (m, e), w = x, prec + 12
+    if 3 * (m.bit_length() - (m & -m).bit_length() + 1) < 1000:
+        return round_nearest_int(m**3, 3 * e, prec)
+    a = abs(m)
+    k = max((a * a).bit_length() - w, 0)
+    p = a * (a * a >> k)
+    j = max(p.bit_length() - w, 0)
+    return round_nearest_int(p >> j if m > 0 else -(p >> j), 3 * e + k + j, prec)
 
 
 def phase_mpf(spec: PhaseSpec, n: int) -> mp.mpf:
     """The phase at index n in mpf at the ambient precision, round-nearest.
 
-    It wraps the raw core _phase_raw, which the mpf engine of eval_phase
-    runs per term, so the formula is written once. The core reads the
-    coefficients and never the integer core, so the engines check each
-    other."""
-    return mp.make_mpf(_phase_raw(spec, mp.mp.prec)(n))
+    It wraps the integer core _phase_raw, which the mpf engine of
+    eval_phase runs per term, so the formula is written once. The core
+    reads the coefficients and never the integer core of the exact
+    engine, so the engines check each other."""
+    return mp.make_mpf(from_man_exp(*_phase_raw(spec, mp.mp.prec)(n)))
 
 
 def required_prec_bits(spec: PhaseSpec) -> int:
@@ -402,13 +416,14 @@ def eval_phase(
 
     engine "exact" reduces each integer phase pair (N, D) to the correctly
     rounded double N % D / D and sums unit vectors in compensated double
-    precision. Engine "mpf" works at prec_bits (default: enough for the
-    largest phase plus 64 guard bits) on raw libmp tuples, round-nearest:
-    the phase from _phase_raw, its fraction 2 (ph - floor ph) by mpf_floor,
-    mpf_sub and mpf_mul_int, one mpf_cos_sin_pi call (what mp.cospi_sinpi
-    wraps) for cos and sin, and two mpf_add sums, so the bits are those of
-    the same steps on mpf objects; one mpc is built at the end. Default
-    picks "exact" when the coefficients allow it.
+    precision. Engine "mpf" works at prec_bits >= 1 (default: enough for
+    the largest phase plus 64 guard bits) on integer (mantissa, exponent)
+    pairs, round-nearest: the phase from _phase_raw, its fraction
+    2 (ph - floor ph) rounded as mpf_sub rounds it, one mpf_cos_sin_pi call
+    (what mp.cospi_sinpi wraps; not correctly rounded, so libmp's) for cos
+    and sin, and two sums rounded as mpf_add rounds them, so the bits are
+    those of the same steps on mpf objects; one mpc is built at the end.
+    Default picks "exact" when the coefficients allow it.
     """
     n = spec.n_terms
     if n > term_budget:
@@ -417,6 +432,8 @@ def eval_phase(
         engine = "exact" if _is_exact_spec(spec) else "mpf"
     if engine not in ("exact", "mpf"):
         raise PreconditionError(f"engine must be 'exact' or 'mpf', got {engine!r}")
+    if prec_bits is not None and prec_bits < 1:
+        raise PreconditionError(f"prec_bits must be at least 1, got {prec_bits}")
     if n == 0:
         return ExpSumResult(value=0j, n_terms=0, normalized_modulus=0.0)
 
@@ -435,17 +452,18 @@ def eval_phase(
         mod = abs(total)
     else:
         prec = prec_bits if prec_bits is not None else required_prec_bits(spec)
-        rnd = round_nearest
+        rnd, add = round_nearest, add_nearest_int
         phase = _phase_raw(spec, prec)
-        re = im = fzero
+        re = im = (0, 0)
         for k in range(spec.lo + 1, spec.hi + 1):
-            ph = phase(k)
-            frac = mpf_sub(ph, mpf_floor(ph, prec, rnd), prec, rnd)
-            c, s = mpf_cos_sin_pi(mpf_mul_int(frac, 2, prec, rnd), prec, rnd)
-            re = mpf_add(re, c, prec, rnd)
-            im = mpf_add(im, s, prec, rnd)
+            m, e = phase(k)
+            # ph - floor(ph) is exact unless -1 < ph < 0; mpf_sub rounds it
+            m, e = round_nearest_int(m & ((1 << -e) - 1), e, prec) if e < 0 else (0, 0)
+            c, s = mpf_cos_sin_pi(from_man_exp(m, e + 1), prec, rnd)
+            re = add(re, int_pair(c), prec)
+            im = add(im, int_pair(s), prec)
         with mp.workprec(prec):
-            total = mp.mpc(mp.make_mpf(re), mp.make_mpf(im))
+            total = mp.mpc(mp.make_mpf(from_man_exp(*re)), mp.make_mpf(from_man_exp(*im)))
             mod = float(abs(total))
     return ExpSumResult(value=total, n_terms=n, normalized_modulus=min(1.0, mod / n))
 

@@ -1,11 +1,13 @@
 """Midpoint-radius arithmetic: enclosures must stay honest."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_man_exp, mpf_add, normalize, round_nearest
 
-from alpha4.bigreal import BigRealWithError, _exact_fraction
+from alpha4.bigreal import BigRealWithError, _exact_fraction, add_nearest_int, int_pair, round_nearest_int
 
 
 def enclosure(x: BigRealWithError) -> tuple[Fraction, Fraction]:
@@ -111,3 +113,54 @@ def test_wide_mpf_values_are_not_rerounded():
     x = BigRealWithError(v, mp.mpf(0))
     f = _exact_fraction(x.value)
     assert abs(f - Fraction(1, 3)) < Fraction(1, 2**195)
+
+
+# -- the integer rounding kernel against libmp ---------------------------------
+
+
+def libmp_round(m: int, e: int, prec: int):
+    """libmp's normalize at prec bits, round-nearest, on a signed mantissa."""
+    if m == 0:
+        return from_man_exp(0, e)
+    return normalize(int(m < 0), abs(m), e, abs(m).bit_length(), prec, round_nearest)
+
+
+def kernel_round(m: int, e: int, prec: int):
+    return from_man_exp(*round_nearest_int(m, e, prec))
+
+
+@pytest.mark.parametrize("prec", [1, 2, 53, 136, 320])
+def test_round_nearest_int_matches_libmp_normalize(prec):
+    rng = random.Random(prec)
+    cases = []
+    for kept in (2**prec - 2, 2**prec - 1, 2 ** (prec - 1), 2 ** (prec - 1) + 1):  # even, odd kept bits
+        for below in (1, 2, 5, 70):
+            tie = (2 * kept + 1) << (below - 1)  # exactly half an ulp past kept
+            cases += [tie, tie - 1, tie + 1]
+    cases += [(2 ** (prec + 1) - 1) << 3, 2 ** (prec + 1) - 1]  # round up carries out to 2^prec
+    cases += [2**prec - 1, 2 ** (prec - 1), 1, 3, 0]  # bit_length <= prec: no rounding
+    cases += [rng.getrandbits(rng.randrange(1, 3 * prec + 80)) for _ in range(300)]
+    for m in cases:
+        for signed in (m, -m):
+            e = rng.randrange(-400, 400)
+            assert kernel_round(signed, e, prec) == libmp_round(signed, e, prec), (signed, e)
+    # the carry is kept as 2^prec, one bit more than prec, with the same value
+    assert round_nearest_int(2 ** (prec + 1) - 1, 0, prec) == (2**prec, 1)
+    assert round_nearest_int(-(2**prec) + 1, 5, prec) == (-(2**prec) + 1, 5)
+
+
+@pytest.mark.parametrize("prec", [1, 2, 53, 136, 320])
+def test_add_chains_match_mpf_add_across_wide_gaps(prec):
+    # gaps above 100 bits send mpf_add through its perturbation shortcut,
+    # which must round as the exact sum does
+    rng = random.Random(1000 + prec)
+    for _ in range(40):
+        s = from_man_exp(rng.getrandbits(prec) - 2 ** (prec - 1), rng.randrange(-50, 50), prec, round_nearest)
+        pair = int_pair(s)
+        for _ in range(25):
+            gap = rng.choice([0, 3, 99, 101, 150, prec + 5, prec + 120])
+            t = from_man_exp(rng.getrandbits(prec) - 2 ** (prec - 1), s[2] + rng.choice([gap, -gap]), prec,
+                             round_nearest)
+            s = mpf_add(s, t, prec, round_nearest)
+            pair = add_nearest_int(pair, int_pair(t), prec)
+            assert from_man_exp(*pair) == s

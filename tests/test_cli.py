@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -42,13 +43,19 @@ def test_no_arguments_is_a_usage_error(capsys):
         ["expsum", "weyl", "--A", "1/3", "--B", "1", "--hi", "10", "--K", "2", "--check-rewrite"],
         ["expsum", "basic", "--A", "1/3", "--B", "1/7", "--hi", "10", "--kind", "basic"],
         ["expsum", "lemma61", "--h", "2", "--m", "97", "--r", "13", "--hi", "60", "--A", "1"],
+        ["expsum", "weyl", "--kind", "lemma61", "--A", "1/3", "--h", "1", "--m", "5", "--r", "7", "--hi", "10", "--K", "2"],
+        ["expsum", "weyl", "--kind", "lemma61", "--B", "1", "--h", "1", "--m", "5", "--r", "7", "--hi", "10", "--K", "2"],
+        ["expsum", "weyl", "--A", "1/3", "--B", "1", "--h", "1", "--hi", "10", "--K", "2"],
+        ["expsum", "weyl", "--kind", "basic", "--A", "1/3", "--B", "1", "--v", "2", "--hi", "10", "--K", "2"],
     ],
     ids=" ".join,
 )
-def test_usage_errors_are_one_error_line(argv, capsys):
-    # each phase command refuses the spec flags of the other kind
+def test_usage_errors_are_one_error_line(argv, capsys, monkeypatch):
+    # each phase command refuses the spec flags of the other kind; argparse
+    # refuses some and the command the rest, so run the process entry point
+    monkeypatch.setattr(sys, "argv", ["alpha4", *argv])
     with pytest.raises(SystemExit) as e:
-        cli.dispatch(argv)
+        cli.main()
     assert e.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""
@@ -334,7 +341,12 @@ def test_bad_global_flags_are_input_errors(argv, capsys):
     + [["rho", "--table", "--step", s] for s in ("nan", "inf")]
     + [["rho", "--u", "2", "--tol", "nan"]]
     + [["sieve", "weights", "--d", "100", "--z", "10", "--n-limit", "0"]]
-    + [["expsum", "scan", "--count", c] for c in ("0", "-1")],
+    + [["expsum", "scan", "--count", c] for c in ("0", "-1")]
+    + [["expsum", "basic", "--A", "1/7", "--B", "1/3", "--hi", "5", "--engine", "mpf", "--prec-bits", p]
+       for p in ("0", "-5")]
+    + [["expsum", "lemma61", "--h", "2", "--m", "97", "--r", "13", "--hi", "5", "--engine", "mpf", "--prec-bits", "0"]]
+    + [["rho", "--table", "--step", s] for s in ("1e-300", "5e-324", "1e-5")]
+    + [["--budget-mb", "0", "rho", "--table", "--step", "0.01"]],
     ids=" ".join,
 )
 def test_numbers_outside_a_domain_are_input_errors(argv, capsys):

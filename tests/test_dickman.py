@@ -1,13 +1,14 @@
 """The delay-equation solution, its quadrature cross-check, and smooth counts."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
 import oracles
-from alpha4 import dickman
+from alpha4 import dickman, sieve
 from alpha4.errors import BudgetError, PreconditionError
 
 # frozen from the certified marching run (err <= 6.5e-35); parse at high
@@ -53,6 +54,30 @@ def test_rho_horner_is_bit_identical_to_mpf_operators():
         assert dickman.rho(u).value._mpf_ == want._mpf_, u
 
 
+def test_rho_horner_matches_mpf_operators_at_random_and_mpf_arguments():
+    panels = dickman._get_panels()
+    coefficients = [[mp.make_mpf(c) for c in a] for a in panels.panels]
+    rng = random.Random(20)
+    for u in [rng.uniform(0, dickman.U_MAX) for _ in range(1000)] + [1.0 + 2**-40, 7.5, 19.999999999]:
+        assert dickman.rho(u).value._mpf_ == oracles.rho_horner(coefficients, u, panels.dps)._mpf_, u
+    # sieve's limit functions pass mpf arguments at 30 digits
+    with mp.workdps(30):
+        args = [mp.mpf(1) + mp.mpf(rng.getrandbits(100)) / 2**96 for _ in range(100)] + [mp.mpf(10) / 3]
+    for u in args:
+        assert panels.value(u)[0]._mpf_ == oracles.rho_horner(coefficients, u, panels.dps)._mpf_, u
+
+
+def test_pair_panels_horner_matches_mpf_operators():
+    # the (F, f) pair of the linear sieve reads the same Horner core
+    rng = random.Random(5)
+    points = [rng.uniform(1, 5) for _ in range(199)] + [5.0]
+    for component in sieve._ff_panels():
+        coefficients = [[mp.make_mpf(c) for c in a] for a in component.panels]
+        for u in points:
+            want = oracles.rho_horner(coefficients, u, component.dps)
+            assert component.value(u)[0]._mpf_ == want._mpf_, u
+
+
 def test_rho_monotone_decreasing():
     vals = [float(dickman.rho(u).value) for u in (1.0, 1.5, 2.0, 2.5, 3.0, 10 / 3, 4.0)]
     assert vals == sorted(vals, reverse=True)
@@ -85,6 +110,16 @@ def test_rho_solution_grid():
     assert len(us) == 9
     for row in rows:
         assert abs(row["rho"] - float(dickman.rho(row["u"]).value)) <= row["err"] + 1e-16
+
+
+def test_rho_solution_charges_its_rows_to_the_budget():
+    with pytest.raises(BudgetError, match="rho table"):
+        dickman.rho_solution(20, grid_step=1e-300)
+    with pytest.raises(BudgetError, match="rho table"):
+        dickman.rho_solution(20, grid_step=5e-324)  # 20 / step overflows a float
+    with pytest.raises(BudgetError, match="needs 1 MB, budget is 0 MB"):
+        dickman.rho_solution(20, grid_step=0.01, budget_mb=0)
+    assert len(dickman.rho_solution(20, grid_step=0.01, budget_mb=1)) == 2001
 
 
 @pytest.mark.parametrize("step", [0, -0.5, math.nan, math.inf])

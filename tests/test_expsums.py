@@ -9,9 +9,11 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_man_exp, mpf_neg, mpf_pow_int, mpf_rdiv_int, round_nearest
 
 import oracles
 from alpha4 import cli, expsums
+from alpha4.bigreal import round_nearest_int
 from alpha4.errors import BudgetError, PreconditionError
 
 
@@ -168,6 +170,14 @@ def test_eval_phase_rejects_engine_mismatch():
         expsums.eval_phase(spec, engine="exact")
 
 
+@pytest.mark.parametrize("prec_bits", [0, -5])
+def test_eval_phase_refuses_a_precision_below_one_bit(prec_bits):
+    # libmp's division spun forever at prec 0 and below
+    spec = expsums.make_basic_phase(Fraction(1, 7), Fraction(1, 3), 0, 5)
+    with pytest.raises(PreconditionError, match="prec_bits"):
+        expsums.eval_phase(spec, engine="mpf", prec_bits=prec_bits)
+
+
 # -- progression rewrite -------------------------------------------------------
 
 
@@ -268,6 +278,63 @@ def test_mpf_kernel_is_bit_identical_to_mpf_operators(prec):
         one = dataclasses.replace(negative, lo=n - 1, hi=n)
         got = expsums.eval_phase(one, engine="mpf", prec_bits=prec).value
         assert got._mpc_ == oracles.mpf_phase_sum(one, prec)._mpc_, n
+
+
+def test_mpf_kernel_matches_mpf_operators_past_the_exact_cube():
+    # at n >= 2^340 and 400 bits, n's mantissa has bc >= 334 bits, so
+    # bc * 3 >= 1000 and mpf_pow_int cubes by truncated squaring
+    rng = random.Random(340)
+    specs = [
+        expsums.make_basic_phase(Fraction(rng.randrange(2**39, 2**40), 2**381), Fraction(rng.randrange(2**40), 2**380),
+                                 lo, lo + 50)
+        for lo in (2**340 + 1, 2**340 + rng.getrandbits(339), 2**345 - rng.getrandbits(300) * 2 - 1)
+    ]
+    specs.append(expsums.make_basic_phase(mp.mpf("0.3") / 2**342, mp.mpf("0.7") / 2**340, 2**341 + 7, 2**341 + 57))
+    for spec in specs:
+        got = expsums.eval_phase(spec, engine="mpf", prec_bits=400).value
+        assert got._mpc_ == oracles.mpf_phase_sum(spec, 400)._mpc_, spec
+        assert abs(got) < 40  # the phases spread over the circle
+        with mp.workprec(400):
+            coefficients = tuple(map(oracles.mpf_coefficient, spec.coefficients))
+            for n in range(spec.lo + 1, spec.hi + 1, 7):
+                assert expsums.phase_mpf(spec, n)._mpf_ == oracles.phase_mpf(spec, n, coefficients)._mpf_, n
+
+
+@pytest.mark.parametrize("prec", [53, 160])
+def test_mpf_kernel_rounds_the_fraction_of_a_phase_in_minus_one_to_zero(prec):
+    # ph - floor(ph) = 1 + ph needs more than prec bits there, so mpf_sub rounds it
+    spec = expsums.make_basic_phase(Fraction(-1, 2**13), Fraction(-3, 2**11), 0, 60)
+    assert all(-1 < expsums.phase_fraction(spec, n) < 0 for n in range(1, 61))
+    for n in range(1, 61):
+        one = dataclasses.replace(spec, lo=n - 1, hi=n)
+        got = expsums.eval_phase(one, engine="mpf", prec_bits=prec).value
+        assert got._mpc_ == oracles.mpf_phase_sum(one, prec)._mpc_, n
+
+
+@pytest.mark.parametrize("m", [
+    # mantissas whose cube libmp rounds away from the correctly rounded cube
+    4505477777010006567156597609490429153031917369406270343086960898463974120554243939958904291289046582947,
+    8877298374780324524432489230005949533128709915163447312758510340962282575680149528495710033465364786882528821753,
+], ids=["342 bits", "372 bits"])
+def test_cube_follows_mpf_pow_int_where_it_truncates(m):
+    want = mpf_pow_int(from_man_exp(m, -3), 3, 400, round_nearest)
+    assert from_man_exp(*expsums._cube((m, -3), 400)) == want
+    assert from_man_exp(*expsums._cube((-m, -3), 400)) == mpf_neg(want)
+    assert from_man_exp(*round_nearest_int(m**3, -9, 400)) != want
+
+
+@pytest.mark.parametrize("prec", [1, 2, 53, 136, 320, 400])
+def test_division_and_cube_follow_libmp(prec):
+    # the phase adds 1/n^2 and 1/n^3 to far larger terms, which hides most
+    # of their last bits, so the two kernels are checked on their own
+    rng = random.Random(prec)
+    xs = [(1, 0), (-1, 5), (2**prec - 1, -7), (-(2**prec) + 1, 3), (3, 0), (2 ** (prec - 1) + 1, 0)]
+    xs += [(rng.getrandbits(rng.randrange(1, prec + 1)) | 1, rng.randrange(-60, 60)) for _ in range(400)]
+    for m, e in xs:
+        for x in ((m, e), (-m, e), (m << 3, e - 3)):
+            t = from_man_exp(*x)
+            assert from_man_exp(*expsums._inv(x, prec)) == mpf_rdiv_int(1, t, prec, round_nearest), x
+            assert from_man_exp(*expsums._cube(x, prec)) == mpf_pow_int(t, 3, prec, round_nearest), x
 
 
 def test_lemma61_ap_oracle_matches_phase_sum():
