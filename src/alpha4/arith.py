@@ -56,8 +56,9 @@ def require_budget(need: int, budget_mb: int | None, what: str) -> None:
     DEFAULT_BUDGET_MB) rather than swap."""
     budget = (DEFAULT_BUDGET_MB if budget_mb is None else budget_mb) * 2**20
     if need > budget:
-        # the need rounds up, so a refusal never reads as if it fitted
-        raise BudgetError(f"{what} needs {-(-need // 2**20)} MB, budget is {budget // 2**20} MB")
+        mb = -(-need // 2**20)  # rounded up, so a refusal never reads as if it fitted
+        shown = mb if mb < 10**12 else f"more than 10^{len(str(mb - 1)) - 1}"  # a power of ten below it
+        raise BudgetError(f"{what} needs {shown} MB, budget is {budget // 2**20} MB")
 
 
 def exact_rational(x, name: str) -> Fraction:

@@ -166,7 +166,7 @@ def cmd_psi(args) -> int | None:
 
 
 def cmd_sieve_weights(args) -> int | None:
-    ws = sieve.beta_sieve_weights(args.d, args.z)
+    ws = sieve.beta_sieve_weights(args.d, args.z, budget_mb=args.budget_mb)
     payload: dict = {
         "level_D": ws.level_D,
         "z": ws.z,
@@ -216,15 +216,15 @@ def cmd_sieve_vector(args) -> int | None:
 
 def cmd_sieve_mertens(args) -> int | None:
     if args.x is not None:
-        emit(sieve.mertens_window_report(args.x, args.epsilon), args.fmt, "sieve mertens")
+        emit(sieve.mertens_window_report(args.x, args.epsilon, args.budget_mb), args.fmt, "sieve mertens")
         return
     if args.a is None or args.b is None:
         raise PreconditionError("mertens needs either --x/--epsilon or --a/--b")
     payload = {
         "a": args.a,
         "b": args.b,
-        "product": sieve.mertens_product(args.a, args.b),
-        "reciprocal_sum": sieve.prime_reciprocal_sum(args.a, args.b),
+        "product": sieve.mertens_product(args.a, args.b, args.budget_mb),
+        "reciprocal_sum": sieve.prime_reciprocal_sum(args.a, args.b, args.budget_mb),
     }
     emit(payload, args.fmt, "sieve mertens")
 
@@ -431,7 +431,7 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=("desk", "paper"), default=d)
     p.add_argument("--seed", type=int, default=d)
     p.add_argument("--threads", type=int, default=d, help="worker processes for the exact engine of expsum basic")
-    p.add_argument("--budget-mb", type=int, default=d, help="memory budget in MB of psi's exact count, the rho table and the sieve weights, flemma and vector arrays (default 512)")
+    p.add_argument("--budget-mb", type=int, default=d, help="memory budget in MB of psi's exact count, the rho table, the sieve weights and arrays, and the mertens prime lists (default 512)")
 
 
 def _add_spec_flags(p: argparse.ArgumentParser, *kinds: str) -> None:

@@ -5,8 +5,11 @@ sets are signed Moebius values on squarefree products of sifting primes,
 where a product p_1 > p_2 > ... (written in decreasing order) is kept
 when every odd-position (upper) or even-position (lower) extension step
 m satisfies p_1 ... p_{m-1} p_m^3 < D, and the product itself stays
-at or below D. The truncated Moebius sandwiches behind the fundamental
-lemma, the two-variable sandwich used for simultaneous conditions, and the
+at or below D. The truncated Moebius sums behind the fundamental lemma
+keep the products at most n_limit with at most 2R (+1) primes. One
+enumerator, _squarefree_weights, builds both kinds of weights, and one
+comparison, _sandwich_slacks, reads either against the sifted indicator.
+The two-variable sandwich used for simultaneous conditions and the
 scale-parameter bookkeeping live here too.
 
 The linear-sieve limit functions F and f are closed forms where these
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .arith import exact_rational, primes_in, primes_upto, require_budget
+from .arith import PrimeRange, exact_rational, primes_in, primes_upto, require_budget
 from .dickman import delay_panels
 from .errors import PreconditionError
 
@@ -50,6 +53,69 @@ __all__ = [
 ]
 
 
+# -- one weight enumerator and one sandwich comparison --------------------------
+
+# bytes a weight holds at the enumerator's peak: dict entry, int key, stack
+# tuple and its share of the prime list (tracemalloc peaks reach 170)
+_WEIGHT_BYTES = 200
+
+
+def _squarefree_weights(primes, fits, budget_mb, what, held: int = 0) -> dict[int, int]:
+    """{d: mu(d)} over the products d = p_1 p_2 ... p_k, p_1 > p_2 > ... of
+    the increasing list primes whose every step passes
+    fits(p_1 ... p_{i-1}, p_i, i).
+
+    fits must be monotone in p (when a prime fits, every smaller one does),
+    so a chain grows through the primes below its last one in increasing
+    order and stops at the first that fails: one step per weight. The dict
+    is charged to the budget, on top of held bytes, as it grows.
+    """
+    out = {1: 1}
+    stack = [(1, len(primes), 0)]  # (product, primes below its last factor, factors)
+    charged = 0
+    while stack:
+        prod, below, k = stack.pop()
+        mu = 1 if k % 2 else -1  # mu of a product of k + 1 primes
+        for j in range(below):
+            p = primes[j]
+            if not fits(prod, p, k + 1):
+                break
+            out[prod * p] = mu
+            stack.append((prod * p, j, k + 1))
+        if len(out) - charged >= 4096:
+            charged = len(out)
+            require_budget(held + _WEIGHT_BYTES * charged, budget_mb, what)
+    return out
+
+
+def _sandwich_slacks(sides, primes, n_limit: int) -> list[dict]:
+    """Read sum_{d | n} w(d) against [n has no prime factor in primes] on
+    1..n_limit, for each (weights, sign) in sides: sign is +1 for a
+    majorant, -1 for a minorant, and the slack sign * (sum - indicator) is
+    negative exactly where the sandwich fails. Per side: the violation
+    count, the first violating n (or None) and the extremal slacks. At its
+    peak it holds three int64 columns and a bool mask of n_limit + 1 entries.
+    """
+    import numpy as np
+    ind = np.ones(n_limit + 1, dtype=np.int64)
+    for p in primes:
+        ind[p::p] = 0
+    out = []
+    for weights, sign in sides:
+        acc = np.zeros(n_limit + 1, dtype=np.int64)
+        for d, w in weights.items():
+            if d <= n_limit:
+                acc[d::d] += w
+        acc -= ind
+        acc *= sign  # in place, so the peak stays at three columns
+        slack = acc[1:]
+        bad = slack < 0
+        count = int(np.count_nonzero(bad))
+        out.append({"violations": count, "first_violation": int(bad.argmax()) + 1 if count else None,
+                    "min_slack": int(slack.min()), "max_slack": int(slack.max())})
+    return out
+
+
 # -- beta = 2 weight systems -------------------------------------------------
 
 
@@ -63,106 +129,57 @@ class SieveWeightSystem:
 
     level_D: float
     z: float
-    sift_primes: tuple[int, ...]
     lambda_plus: dict[int, int]
     lambda_minus: dict[int, int]
     s: float
 
 
-def beta_sieve_weights(D, z, primes=None) -> SieveWeightSystem:
+def beta_sieve_weights(D, z, budget_mb: int | None = None) -> SieveWeightSystem:
     """Build the beta = 2 upper/lower weight sets at level D, sifting to z.
 
-    primes defaults to all primes <= z; passing an explicit (sub)set
-    restricts the sifting set. D must be positive and finite; D below 2
-    degenerates to the single weight on d = 1.
+    D must be positive and finite; D below 2 degenerates to the single
+    weight on d = 1. The weight dicts are charged to budget_mb as they
+    grow, and refused before the sieve runs when the primes up to
+    min(z, D), each of them a lower weight, cannot fit.
     """
     if not 0 < D < math.inf:  # NaN fails the comparison too
         raise PreconditionError(f"level D must be positive and finite, got {D}")
-    if z < 2:
+    if not z >= 2:
         raise PreconditionError(f"sifting limit z must be >= 2, got {z}")
-    if primes is None:
-        primes = [int(p) for p in primes_upto(int(z))]
-    else:
-        primes = sorted(int(p) for p in primes)
-        if any(p > z for p in primes):
-            raise PreconditionError("sifting primes must all be <= z")
-    if not primes:
-        raise PreconditionError("empty sifting prime set")
-    desc = sorted(primes, reverse=True)
+    what = f"beta weights at D={D}, z={z}"
+    top = int(min(z, D))  # no weight d <= D holds a prime above D
+    if top >= 17:  # pi(x) > x / log x from 17 on (Rosser & Schoenfeld 1962)
+        require_budget(_WEIGHT_BYTES * int(top / math.log(top)), budget_mb, what)
+    primes = primes_upto(top).tolist()
 
-    def collect(upper: bool) -> dict[int, int]:
-        # chains p_1 > p_2 > ... in decreasing order; position m (1-based)
-        # is constrained when its parity matches the side being built
-        out = {1: 1}
-        stack = [(1, 0, 1)]  # (product so far, next prime index, mu)
-        while stack:
-            prod, start, mu = stack.pop()
-            # mu = (-1)^(chain length); the next position is constrained
-            # after an even chain on the upper side, an odd one on the lower
-            constrained = (mu == 1) == upper
-            for i in range(start, len(desc)):
-                p = desc[i]
-                new = prod * p
-                if new > D:
-                    continue
-                if constrained and prod * p**3 >= D:
-                    continue
-                out[new] = -mu
-                stack.append((new, i + 1, -mu))
-        return out
+    def fits(parity: int):  # positions of this parity need prod * p^3 < D, the others prod * p <= D
+        return lambda prod, p, i: prod * p**3 < D if i % 2 == parity else prod * p <= D
 
-    lam_plus = collect(upper=True)
-    lam_minus = collect(upper=False)
-    return SieveWeightSystem(
-        level_D=float(D),
-        z=float(z),
-        sift_primes=tuple(primes),
-        lambda_plus=lam_plus,
-        lambda_minus=lam_minus,
-        s=math.log(D) / math.log(z),
-    )
+    # the majorant constrains its odd positions, the minorant its even ones
+    plus = _squarefree_weights(primes, fits(1), budget_mb, what)
+    minus = _squarefree_weights(primes, fits(0), budget_mb, what, held=_WEIGHT_BYTES * len(plus))
+    return SieveWeightSystem(float(D), float(z), plus, minus, math.log(D) / math.log(z))
 
 
 def verify_sandwich(ws: SieveWeightSystem, n_limit: int, budget_mb: int | None = None) -> dict:
     """Check lambda- * 1 <= [coprime to P(z)] <= lambda+ * 1 on 1..n_limit.
 
-    Convolutions are accumulated with slice adds; returns counts, the
-    first violating n per side (or None), and the extremal slacks. At its
-    peak it holds five int64 columns and a bool mask of n_limit + 1
-    entries, and refuses more than budget_mb of them.
+    Returns counts, the first violating n per side (or None), and the
+    smallest slacks. Charges 41 bytes per n, more than the comparison
+    holds, and refuses more than budget_mb of them.
     """
     if n_limit < 1:
         raise PreconditionError("n_limit must be >= 1")
     require_budget(41 * (n_limit + 1), budget_mb, f"weight sandwich to n_limit={n_limit}")
-    import numpy as np
-    upper = np.zeros(n_limit + 1, dtype=np.int64)
-    lower = np.zeros(n_limit + 1, dtype=np.int64)
-    for d, mu in ws.lambda_plus.items():
-        if d <= n_limit:
-            upper[d::d] += mu
-    for d, mu in ws.lambda_minus.items():
-        if d <= n_limit:
-            lower[d::d] += mu
-    ind = np.ones(n_limit + 1, dtype=np.int64)
-    for p in ws.sift_primes:
-        if p <= n_limit:
-            ind[p::p] = 0
-    ind[0] = 0
-    up_slack = upper[1:] - ind[1:]
-    low_slack = ind[1:] - lower[1:]
-    up_bad = np.nonzero(up_slack < 0)[0]
-    low_bad = np.nonzero(low_slack < 0)[0]
+    # a prime above n_limit divides no n <= n_limit, so z may be far larger
+    primes = primes_upto(int(min(ws.z, n_limit))).tolist()
+    up, low = _sandwich_slacks(((ws.lambda_plus, 1), (ws.lambda_minus, -1)), primes, n_limit)
     return {
-        "checked": n_limit,
-        "upper_support": len(ws.lambda_plus),
-        "lower_support": len(ws.lambda_minus),
-        "upper_violations": int(up_bad.size),
-        "lower_violations": int(low_bad.size),
-        "first_upper_violation": int(up_bad[0]) + 1 if up_bad.size else None,
-        "first_lower_violation": int(low_bad[0]) + 1 if low_bad.size else None,
-        "min_upper_slack": int(up_slack.min()),
-        "min_lower_slack": int(low_slack.min()),
-        "ok": not up_bad.size and not low_bad.size,
+        "checked": n_limit, "upper_support": len(ws.lambda_plus), "lower_support": len(ws.lambda_minus),
+        "upper_violations": up["violations"], "lower_violations": low["violations"],
+        "first_upper_violation": up["first_violation"], "first_lower_violation": low["first_violation"],
+        "min_upper_slack": up["min_slack"], "min_lower_slack": low["min_slack"],
+        "ok": not (up["violations"] or low["violations"]),
     }
 
 
@@ -195,61 +212,36 @@ class FundamentalLemmaTruncation:
         return 2 * self.R if self.parity == "even" else 2 * self.R + 1
 
 
-def fundamental_lemma_check(
-    t: FundamentalLemmaTruncation, n_limit: int, budget_mb: int | None = None
-) -> dict:
+def fundamental_lemma_check(t: FundamentalLemmaTruncation, n_limit: int, budget_mb: int | None = None) -> dict:
     """Compare the truncated Moebius sum against the sifted indicator.
 
     Returns violation counts (expected zero: the inequality is a
-    theorem) and the extremal slack over 1..n_limit. At its peak it holds
-    three int64 columns and a bool mask of n_limit + 1 entries, and
-    refuses more than budget_mb of them.
+    theorem) and the extremal slack over 1..n_limit. Charges 25 bytes
+    per n, what the comparison holds at its peak, and refuses more than
+    budget_mb of them; the weights are charged as they grow.
     """
     if n_limit < 1:
         raise PreconditionError("n_limit must be >= 1")
     require_budget(25 * (n_limit + 1), budget_mb, f"truncated sandwich to n_limit={n_limit}")
     # a prime above n_limit divides no n <= n_limit, so z may be far larger
-    primes = [int(p) for p in primes_upto(min(t.z, n_limit))]
+    primes = primes_upto(min(t.z, n_limit)).tolist()
     cap = t.omega_cap
-    import numpy as np
-    acc = np.zeros(n_limit + 1, dtype=np.int64)
-    # enumerate squarefree products of sifting primes, <= n_limit, with
-    # at most cap factors, accumulating mu(d) over multiples
-    stack = [(1, 0, 0)]  # (product, next index, count)
-    while stack:
-        prod, start, cnt = stack.pop()
-        if cnt == cap:
-            continue
-        for i in range(start, len(primes)):
-            new = prod * primes[i]
-            if new > n_limit:
-                break
-            mu = -1 if (cnt + 1) % 2 else 1
-            acc[new::new] += mu
-            stack.append((new, i + 1, cnt + 1))
-    acc[1:] += 1  # the d = 1 term
-    ind = np.ones(n_limit + 1, dtype=np.int64)
-    for p in primes:
-        ind[p::p] = 0
-    ind[0] = 0
-    # even cap: acc >= ind everywhere; odd cap: acc <= ind everywhere
-    slack = (acc[1:] - ind[1:]) if t.parity == "even" else (ind[1:] - acc[1:])
-    bad = np.nonzero(slack < 0)[0]
-    return {
-        "z": t.z,
-        "R": t.R,
-        "parity": t.parity,
-        "omega_cap": cap,
-        "checked": n_limit,
-        "violations": int(bad.size),
-        "first_violation": int(bad[0]) + 1 if bad.size else None,
-        "min_slack": int(slack.min()),
-        "max_slack": int(slack.max()),
-        "ok": not bad.size,
-    }
+    weights = _squarefree_weights(
+        primes, lambda prod, p, i: i <= cap and prod * p <= n_limit, budget_mb,
+        f"truncated Moebius weights to n_limit={n_limit}",
+    )
+    (side,) = _sandwich_slacks([(weights, 1 if t.parity == "even" else -1)], primes, n_limit)
+    return {"z": t.z, "R": t.R, "parity": t.parity, "omega_cap": cap, "checked": n_limit, **side,
+            "ok": not side["violations"]}
 
 
 # -- the two-variable sandwich -------------------------------------------------
+
+
+def _vector_slack(d1_minus, d1, d1_plus, d2_minus, d2, d2_plus):
+    """d1 d2 - (d1+ d2- + d1- d2+ - d1+ d2+), on exact numbers and int64
+    columns alike: the two-variable sandwich holds where it is >= 0."""
+    return d1 * d2 - (d1_plus * d2_minus + d1_minus * d2_plus - d1_plus * d2_plus)
 
 
 def vector_sieve_check(d1_minus, d1, d1_plus, d2_minus, d2, d2_plus) -> bool:
@@ -259,29 +251,16 @@ def vector_sieve_check(d1_minus, d1, d1_plus, d2_minus, d2, d2_plus) -> bool:
     and each triple must be ordered minus <= value <= plus with a
     nonnegative plus.
     """
-    vals = {}
-    for name, x in (
-        ("d1_minus", d1_minus), ("d1", d1), ("d1_plus", d1_plus),
-        ("d2_minus", d2_minus), ("d2", d2), ("d2_plus", d2_plus),
-    ):
-        vals[name] = exact_rational(x, name)
-    for side in ("d1", "d2"):
-        lo, mid, hi = vals[side + "_minus"], vals[side], vals[side + "_plus"]
+    names = ("d1_minus", "d1", "d1_plus", "d2_minus", "d2", "d2_plus")
+    vals = [exact_rational(x, name) for x, name in zip((d1_minus, d1, d1_plus, d2_minus, d2, d2_plus), names)]
+    for side, (lo, mid, hi) in (("d1", vals[:3]), ("d2", vals[3:])):
         if mid < 0:
             raise PreconditionError(f"{side} must be nonnegative, got {mid}")
         if not lo <= mid <= hi:
-            raise PreconditionError(
-                f"{side} triple must be ordered: {lo} <= {mid} <= {hi} fails"
-            )
+            raise PreconditionError(f"{side} triple must be ordered: {lo} <= {mid} <= {hi} fails")
         if hi < 0:
             raise PreconditionError(f"{side}_plus must be nonnegative, got {hi}")
-    lhs = vals["d1"] * vals["d2"]
-    rhs = (
-        vals["d1_plus"] * vals["d2_minus"]
-        + vals["d1_minus"] * vals["d2_plus"]
-        - vals["d1_plus"] * vals["d2_plus"]
-    )
-    return lhs >= rhs
+    return _vector_slack(*vals) >= 0
 
 
 def vector_sieve_random_trials(
@@ -297,6 +276,8 @@ def vector_sieve_random_trials(
     """
     if count < 1:
         raise PreconditionError("count must be >= 1")
+    if seed < 0:
+        raise PreconditionError(f"seed must be nonnegative, got {seed}")
     require_budget(81 * count, budget_mb, f"vector sandwich with {count} trials")
     import numpy as np
     rng = np.random.default_rng(seed)
@@ -306,17 +287,16 @@ def vector_sieve_random_trials(
     d2p = d2 + rng.integers(0, span, size=count)
     d1m = d1 - rng.integers(0, span, size=count)
     d2m = d2 - rng.integers(0, span, size=count)
-    lhs = d1 * d2
-    rhs = d1p * d2m + d1m * d2p - d1p * d2p
-    slack = lhs - rhs
-    bad = np.nonzero(slack < 0)[0]
+    slack = _vector_slack(d1m, d1, d1p, d2m, d2, d2p)
+    bad = slack < 0
+    violations = int(np.count_nonzero(bad))
     return {
         "trials": count,
         "seed": seed,
-        "violations": int(bad.size),
-        "first_violation_index": int(bad[0]) if bad.size else None,
+        "violations": violations,
+        "first_violation_index": int(bad.argmax()) if violations else None,
         "min_slack": int(slack.min()),
-        "ok": not bad.size,
+        "ok": not violations,
     }
 
 
@@ -470,48 +450,57 @@ def make_scale_params(
 
 # -- Mertens windows ---------------------------------------------------------------
 
+# bytes a prime holds in a window's list: its int and its list slot
+_PRIME_BYTES = 48
 
-def _window_primes(a, b):
-    """The primes in (a, b] for finite ends a <= b."""
+
+def _window_primes(a, b, budget_mb: int | None = None) -> list[int]:
+    """The primes in (a, b] for finite ends a <= b, charged to budget_mb
+    before the sieve runs: an interval of length y > 1 holds at most
+    2y / log y primes (Montgomery & Vaughan 1973), which bounds the window
+    and the base primes up to sqrt(b)."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise PreconditionError(f"window ends must be finite, got ({a}, {b}]")
     if b < a:
         raise PreconditionError(f"empty-ordered window ({a}, {b}]")
-    return primes_in(int(a), int(b))
+    rng = PrimeRange(int(a), int(b))
+    most = sum(2 * (y / math.log(y)) if y > 1 else 1 for y in (rng.hi - rng.lo, math.isqrt(rng.hi)))
+    require_budget(_PRIME_BYTES * math.ceil(most), budget_mb, f"prime list of the window ({a}, {b}]")
+    return list(rng)
 
 
-def mertens_product(a, b) -> float:
+def mertens_product(a, b, budget_mb: int | None = None) -> float:
     """prod_{a < p <= b} (1 - 1/p), via a compensated log sum."""
-    return math.exp(math.fsum([math.log1p(-1.0 / p) for p in _window_primes(a, b)]))
+    return math.exp(math.fsum(math.log1p(-1.0 / p) for p in _window_primes(a, b, budget_mb)))
 
 
-def prime_reciprocal_sum(a, b) -> float:
+def prime_reciprocal_sum(a, b, budget_mb: int | None = None) -> float:
     """sum_{a < p <= b} 1/p."""
-    return math.fsum(1.0 / p for p in _window_primes(a, b))
+    return math.fsum(1.0 / p for p in _window_primes(a, b, budget_mb))
 
 
-def mertens_window_report(x: int, epsilon: float) -> dict:
+def mertens_window_report(x: int, epsilon: float, budget_mb: int | None = None) -> dict:
     """Reciprocal sum over (x^(1/4-eps), x^(1/4)] against -log(1 - 4 eps).
 
     At desk scales the window holds few primes, so the gap to the
     asymptotic target is reported, not asserted.
     """
-    if x < 16:
-        raise PreconditionError("x too small for a quarter-power window")
+    if not 16 <= x <= 1e300:  # a float power of x must not overflow
+        raise PreconditionError(f"x must be in [16, 1e300] for a quarter-power window, got {x}")
     if not 0 < epsilon < 0.25:
         raise PreconditionError(f"epsilon must be in (0, 1/4), got {epsilon}")
     lo = x ** (0.25 - epsilon)
     hi = x**0.25
-    s = prime_reciprocal_sum(lo, hi)
+    primes = _window_primes(lo, hi, budget_mb)
+    s = math.fsum(1.0 / p for p in primes)
     target = -math.log1p(-4 * epsilon)
     return {
         "x": x,
         "epsilon": epsilon,
         "window": [lo, hi],
-        "primes_in_window": len(primes_in(lo, hi)),
+        "primes_in_window": len(primes),
         "reciprocal_sum": s,
         "target": target,
         "gap": s - target,
         "relative_gap": (s - target) / target,  # target > 0 for every epsilon in (0, 1/4)
     }
-

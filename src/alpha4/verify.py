@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -123,18 +123,10 @@ def check_sieve_sandwich(ctx: dict) -> dict:
         if inject:
             # flip a negative lower weight to +1: raising the minorant at
             # multiples of the victim divisor must break the sandwich
-            lam = dict(ws.lambda_minus)
+            lam = ws.lambda_minus
             negatives = [k for k, wt in lam.items() if k > 1 and wt < 0]
             victim = max(negatives) if negatives else max(k for k in lam if k > 1)
-            lam[victim] = -lam[victim]
-            ws = sieve.SieveWeightSystem(
-                level_D=ws.level_D,
-                z=ws.z,
-                sift_primes=ws.sift_primes,
-                lambda_plus=ws.lambda_plus,
-                lambda_minus=lam,
-                s=ws.s,
-            )
+            ws = replace(ws, lambda_minus={**lam, victim: -lam[victim]})
         rep = sieve.verify_sandwich(ws, 10**5)
         rows.append(rep)
         ok = ok and rep["ok"]

@@ -109,6 +109,42 @@ def psi_buchstab(x: int, y: float) -> int:
     return count(x, len(primes)) if primes else min(x, 1)
 
 
+def beta_weights(D, z) -> tuple[dict[int, int], dict[int, int]]:
+    """The beta = 2 weights (upper, lower) by their definition, d -> mu(d).
+
+    Every d <= D is factored from a least-factor table of its own; d is a
+    weight when it is squarefree, its primes are all <= z, and, written
+    p_1 > p_2 > ..., it keeps p_1 ... p_{m-1} p_m^3 < D at each
+    constrained position m: the odd ones for the upper side, the even ones
+    for the lower.
+    """
+    top = math.floor(D) if D >= 1 else 0
+    least = list(range(top + 1))
+    for p in range(2, math.isqrt(top) + 1):
+        if least[p] == p:
+            for m in range(p * p, top + 1, p):
+                if least[m] == m:
+                    least[m] = p
+    upper, lower = {}, {}
+    for d in range(1, top + 1):
+        chain, m = [], d
+        while m > 1:
+            chain.append(least[m])
+            m //= least[m]
+        if len(set(chain)) < len(chain) or any(p > z for p in chain):
+            continue
+        chain.reverse()
+        for side, first in ((upper, 1), (lower, 2)):
+            prod, kept = 1, True
+            for pos, p in enumerate(chain, 1):
+                if pos % 2 == first % 2 and prod * p**3 >= D:
+                    kept = False
+                prod *= p
+            if kept:
+                side[d] = -1 if len(chain) % 2 else 1
+    return upper, lower
+
+
 def nearest_int_distance(q: Fraction) -> Fraction:
     f = q % 1
     return min(f, 1 - f)

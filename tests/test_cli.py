@@ -1,8 +1,10 @@
 """In-process command-line coverage: payload shape, exit codes, formats."""
 
+import argparse
 import csv
 import io
 import json
+import signal
 import sys
 import time
 
@@ -160,12 +162,39 @@ def test_oversized_sieve_arrays_are_budget_errors(argv, capsys):
     assert "budget is 512 MB" in err
 
 
+@pytest.mark.parametrize("d, z", [("1e30", "1000"), ("1e11", "100000000000")])
+def test_sieve_weights_past_the_budget_are_budget_errors(d, z, capsys):
+    # the weight dicts are charged as they grow, the primes <= min(z, D) before the sieve
+    rc, out, err = run(["sieve", "weights", "--d", d, "--z", z, "--n-limit", "100", "--budget-mb", "16"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: beta weights at D={float(d)}, z={z} needs ") and err.count("\n") == 1
+
+
 def test_budget_refusal_rounds_the_need_up(capsys):
     # 81 bytes a trial: 6,628,036 trials are 4 bytes over 512 MiB
     rc, out, err = run(["sieve", "vector", "--trials", "6628036"], capsys)
     assert rc == 2
     assert out == ""
     assert "needs 513 MB, budget is 512 MB" in err
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["rho", "--table", "--step", "1e-300"], "rho table at step 1e-300 needs more than 10^297 MB"),
+        (["sieve", "mertens", "--a", "10", "--b", "1e300"],
+         "prime list of the window (10.0, 1e+300] needs more than 10^293 MB"),
+        (["sieve", "mertens", "--a", "10", "--b", str(2**63)],
+         "prime list of the window (10.0, 9.223372036854776e+18] needs more than 10^13 MB"),
+    ],
+    ids=["rho", "mertens-1e300", "mertens-2^63"],
+)
+def test_a_huge_need_prints_as_a_power_of_ten_below_it(argv, err, capsys):
+    rc, out, got = run(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert got == f"error: {err}, budget is 512 MB\n"
 
 
 def test_sieve_weights_ok_and_dump(capsys):
@@ -355,6 +384,92 @@ def test_numbers_outside_a_domain_are_input_errors(argv, capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# each sieve subcommand's sound argv, which the sweep varies one option at a time
+_SIEVE_BASES = {
+    "weights": [["--d", "100", "--z", "10", "--n-limit", "100"]],
+    "Ff": [["--s", "3"]],
+    "flemma": [["--z", "10", "--r", "1", "--parity", "even", "--n-limit", "100"]],
+    "vector": [["--trials", "100"]],
+    "mertens": [["--x", "10000"], ["--a", "10", "--b", "100"]],
+}
+_EDGE_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e300", str(2**63), "1/0", ""]
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class _Overran(Exception):
+    pass
+
+
+def _overran(signum, frame):
+    raise _Overran
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _has_failed_verdict(x):
+    if isinstance(x, dict):
+        return x.get("ok") is False or any(_has_failed_verdict(v) for v in x.values())
+    return False
+
+
+@pytest.mark.parametrize("name", list(_SIEVE_BASES))
+def test_sieve_numeric_options_end_cleanly_on_edge_values(name, capsys):
+    # each numeric option of the subcommand gets each edge value under a
+    # 16 MB budget and a 5 s cap: the status is 0, 1 with a failed verdict,
+    # or 2 with one error line, and stdout is strict JSON
+    subcommands = _subcommands(_subcommands(cli.build_parser())["sieve"])
+    assert set(subcommands) == set(_SIEVE_BASES)
+    options = [a.option_strings[0] for a in subcommands[name]._actions
+               if a.type in (int, float) and a.dest != "budget_mb"]
+    assert options
+    bad = []
+    previous = signal.signal(signal.SIGALRM, _overran)
+    try:
+        for base in _SIEVE_BASES[name]:
+            for opt in options:
+                for value in _EDGE_VALUES:
+                    argv = list(base)
+                    if opt in argv:
+                        argv[argv.index(opt) + 1] = value
+                    else:
+                        argv += [opt, value]
+                    argv = ["sieve", name, *argv, "--budget-mb", "16"]
+                    signal.setitimer(signal.ITIMER_REAL, 5)
+                    try:
+                        rc = cli.dispatch(argv)
+                    except SystemExit as e:
+                        rc = e.code
+                    except _Overran:
+                        rc = "over 5 s"
+                    except Exception as e:
+                        rc = f"raised {type(e).__name__}"
+                    finally:
+                        signal.setitimer(signal.ITIMER_REAL, 0)
+                    out, err = capsys.readouterr()
+                    if rc == 2:
+                        fine = out == "" and err.startswith("error: ") and err.count("\n") == 1
+                    elif rc in (0, 1):
+                        try:
+                            payload = json.loads(out, parse_constant=_reject_constant)
+                        except ValueError:
+                            fine = False
+                        else:
+                            fine = "Traceback" not in err and _has_failed_verdict(payload) == (rc == 1)
+                    else:
+                        fine = False
+                    if not fine:
+                        bad.append((" ".join(argv), rc))
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert not bad, bad
 
 
 def test_special_sigmas_honors_budget(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Beta-sieve weights, truncation lemmas, limit functions, scale thresholds."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from mpmath import mp
 
 import oracles
 from alpha4 import sieve
-from alpha4.errors import PreconditionError
+from alpha4.errors import BudgetError, PreconditionError
 
 
 def test_weights_full_table_small_case():
@@ -17,7 +18,6 @@ def test_weights_full_table_small_case():
     # constrained positions (odd for the majorant, even for the minorant)
     ws = sieve.beta_sieve_weights(100, 10)
     assert ws.s == 2.0
-    assert ws.sift_primes == (2, 3, 5, 7)
     assert dict(sorted(ws.lambda_plus.items())) == {1: 1, 2: -1, 3: -1, 6: 1}
     assert dict(sorted(ws.lambda_minus.items())) == {
         1: 1, 2: -1, 3: -1, 5: -1, 6: 1, 7: -1, 10: 1, 14: 1,
@@ -36,18 +36,44 @@ def test_weight_support_sizes_at_reference_levels():
     assert (len(ws.lambda_plus), len(ws.lambda_minus)) == (14, 40)
     ws = sieve.beta_sieve_weights(10**4, 100)
     assert (len(ws.lambda_plus), len(ws.lambda_minus)) == (92, 208)
+    ws = sieve.beta_sieve_weights(10**6, 1000)
+    assert (len(ws.lambda_plus), len(ws.lambda_minus)) == (3274, 7532)
+
+
+@pytest.mark.parametrize(
+    "D, z",
+    [(100, 10), (900, 30), (500, 10**4), (12345.5, 200), (1.5, 10), (100, 2), (10**6, 1000)],
+)
+def test_weights_match_the_brute_force_definition(D, z):
+    # D < z, a non-integer D, D < 2 and z = 2 among them
+    upper, lower = oracles.beta_weights(D, z)
+    ws = sieve.beta_sieve_weights(D, z)
+    assert ws.lambda_plus == upper
+    assert ws.lambda_minus == lower
+
+
+def test_weights_read_no_prime_above_the_level():
+    # no weight d <= D holds a prime above D, so a huge z sieves nothing more
+    huge = sieve.beta_sieve_weights(100, 10**11)
+    small = sieve.beta_sieve_weights(100, 100)
+    assert (huge.lambda_plus, huge.lambda_minus) == (small.lambda_plus, small.lambda_minus)
+    assert sieve.verify_sandwich(huge, 100) == sieve.verify_sandwich(small, 100)
+
+
+def test_weights_are_charged_to_the_budget():
+    # the primes up to min(z, D) are refused before the sieve runs, and a
+    # level whose chains never end is refused as its dicts grow
+    with pytest.raises(BudgetError, match="beta weights"):
+        sieve.beta_sieve_weights(1e11, 10**11)
+    with pytest.raises(BudgetError, match="beta weights at D=1e\\+30, z=1000 needs 2 MB, budget is 1 MB"):
+        sieve.beta_sieve_weights(1e30, 1000, budget_mb=1)
+    assert len(sieve.beta_sieve_weights(10**6, 1000, budget_mb=3).lambda_minus) == 7532
 
 
 def test_weights_degenerate_level():
     ws = sieve.beta_sieve_weights(1.5, 10)
     assert ws.lambda_plus == {1: 1}
     assert ws.lambda_minus == {1: 1}
-
-
-def test_weights_respect_explicit_prime_subset():
-    ws = sieve.beta_sieve_weights(100, 10, primes=[3, 7])
-    for d in list(ws.lambda_plus) + list(ws.lambda_minus):
-        assert d == 1 or all(p in (3, 7) for p in oracles.factor(d))
 
 
 @pytest.mark.parametrize("D", [0, -1, 0.0, math.nan, math.inf])
@@ -93,19 +119,41 @@ def test_fundamental_lemma_even_and_odd():
     assert rep_o["max_slack"] <= 0 or rep_o["min_slack"] <= 0  # odd minorizes
 
 
-def test_fundamental_lemma_against_direct_moebius_sum():
-    t = sieve.FundamentalLemmaTruncation(z=10, R=1, parity="even")
-    cap = t.omega_cap
+@pytest.mark.parametrize("z", [10, 30, 10**9])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_fundamental_lemma_against_direct_moebius_sum(z, parity):
+    # the truncated sum over d | (n, P(z)) with omega(d) <= cap, by divisors
+    t = sieve.FundamentalLemmaTruncation(z=z, R=1, parity=parity)
+    sign = 1 if parity == "even" else -1
+    slacks = []
     for n in range(1, 500):
         total = 0
         for d in oracles.divisors(n):
             f = oracles.factor(d)
-            if any(p > 10 for p in f) or any(e > 1 for e in f.values()):
-                continue
-            if len(f) <= cap:
+            if all(p <= z for p in f) and len(f) <= t.omega_cap:
                 total += oracles.mu(d)
-        sifted = 1 if all(n % p for p in (2, 3, 5, 7)) else 0
-        assert total >= sifted, n
+        sifted = 1 if all(n % p for p in range(2, min(z, n) + 1) if oracles.is_prime(p)) else 0
+        slacks.append(sign * (total - sifted))
+    rep = sieve.fundamental_lemma_check(t, 499)
+    assert min(slacks) >= 0  # the even cap majorizes, the odd one minorizes
+    assert (rep["violations"], rep["first_violation"]) == (0, None)
+    assert (rep["min_slack"], rep["max_slack"]) == (min(slacks), max(slacks))
+
+
+def test_sandwich_peaks_stay_under_their_charges():
+    # the comparisons are charged 41 (weights) and 25 (flemma) bytes per n
+    ws = sieve.beta_sieve_weights(10**4, 100)
+    t = sieve.FundamentalLemmaTruncation(z=30, R=3, parity="odd")
+    n = 2 * 10**5
+    for run, charge in ((lambda: sieve.verify_sandwich(ws, n), 41), (lambda: sieve.fundamental_lemma_check(t, n), 25)):
+        run()  # so the peak holds no first-use import
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= charge * (n + 1)
 
 
 def test_fundamental_lemma_rejects_bad_inputs():
@@ -136,6 +184,11 @@ def test_vector_check_rejects_disorder():
 def test_vector_check_refuses_a_value_that_is_not_a_finite_number(bad):
     with pytest.raises(PreconditionError, match="d1_minus must be a finite number"):
         sieve.vector_sieve_check(bad, 1, 1, 1, 1, 1)
+
+
+def test_vector_random_trials_refuse_a_negative_seed():
+    with pytest.raises(PreconditionError, match="seed must be nonnegative"):
+        sieve.vector_sieve_random_trials(count=100, seed=-1)
 
 
 def test_vector_random_trials_deterministic():
@@ -271,6 +324,17 @@ def test_mertens_sums_over_explicit_window():
     assert abs(got - target) < 0.005
     prod = sieve.mertens_product(10**3, 10**6)
     assert prod == pytest.approx(0.5019215452589002, abs=1e-12)
+
+
+def test_mertens_windows_are_charged_before_the_sieve():
+    # at most 2y / log y primes in a window of length y, 48 bytes each
+    with pytest.raises(BudgetError, match="prime list of the window"):
+        sieve.prime_reciprocal_sum(10, 1e300)
+    with pytest.raises(BudgetError, match="needs 1 MB, budget is 0 MB"):
+        sieve.mertens_product(10, 100, budget_mb=0)
+    with pytest.raises(BudgetError, match="prime list of the window"):
+        sieve.mertens_window_report(10**60, 0.05)
+    assert sieve.mertens_window_report(10**6, 0.05, budget_mb=1)["primes_in_window"] == 5
 
 
 @pytest.mark.parametrize("a, b", [(10, math.nan), (math.nan, 10), (math.inf, math.inf), (-math.inf, 10)])
