@@ -26,6 +26,7 @@ Dickman's rho, over u in [0, 5] (s in [1, 6]).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,68 +56,68 @@ __all__ = [
 
 # -- one weight enumerator and one sandwich comparison --------------------------
 
-# bytes a weight holds at the enumerator's peak: dict entry, int key, stack
-# tuple and its share of the prime list (tracemalloc peaks reach 170)
-_WEIGHT_BYTES = 200
 
-
-def _squarefree_weights(primes, fits, budget_mb, what, held: int = 0) -> dict[int, int]:
-    """{d: mu(d)} over the products d = p_1 p_2 ... p_k, p_1 > p_2 > ... of
-    the increasing list primes whose every step passes
+def _squarefree_weights(primes, fits):
+    """Yield (d, mu(d)) for d = 1 and every product d = p_1 p_2 ... p_k,
+    p_1 > p_2 > ..., of the increasing list primes whose every step passes
     fits(p_1 ... p_{i-1}, p_i, i).
 
     fits must be monotone in p (when a prime fits, every smaller one does),
     so a chain grows through the primes below its last one in increasing
-    order and stops at the first that fails: one step per weight. The dict
-    is charged to the budget, on top of held bytes, as it grows.
+    order and stops at the first that fails: one step per weight. It holds
+    one generator per factor of the current chain and no weight it has
+    yielded.
     """
-    out = {1: 1}
-    stack = [(1, len(primes), 0)]  # (product, primes below its last factor, factors)
-    charged = 0
-    while stack:
-        prod, below, k = stack.pop()
-        mu = 1 if k % 2 else -1  # mu of a product of k + 1 primes
+    def chains(prod, below, k):  # extensions of prod (k factors) by primes[:below]
         for j in range(below):
-            p = primes[j]
-            if not fits(prod, p, k + 1):
-                break
-            out[prod * p] = mu
-            stack.append((prod * p, j, k + 1))
-        if len(out) - charged >= 4096:
-            charged = len(out)
-            require_budget(held + _WEIGHT_BYTES * charged, budget_mb, what)
-    return out
+            if not fits(prod, primes[j], k + 1):
+                return
+            yield prod * primes[j], 1 if k % 2 else -1
+            yield from chains(prod * primes[j], j, k + 1)
+
+    yield 1, 1
+    yield from chains(1, len(primes), 0)
 
 
 def _sandwich_slacks(sides, primes, n_limit: int) -> list[dict]:
     """Read sum_{d | n} w(d) against [n has no prime factor in primes] on
-    1..n_limit, for each (weights, sign) in sides: sign is +1 for a
-    majorant, -1 for a minorant, and the slack sign * (sum - indicator) is
-    negative exactly where the sandwich fails. Per side: the violation
-    count, the first violating n (or None) and the extremal slacks. At its
-    peak it holds three int64 columns and a bool mask of n_limit + 1 entries.
+    1..n_limit, for each (weights, sign) in sides: weights is an iterable
+    of (d, w(d)), sign is +1 for a majorant, -1 for a minorant, and the
+    slack sign * (sum - indicator) is negative exactly where the sandwich
+    fails. Per side: the violation count, the first violating n (or None)
+    and the extremal slacks. Beside what weights holds, its peak is two
+    int64 columns and two bool masks of n_limit + 1 entries.
     """
     import numpy as np
     ind = np.ones(n_limit + 1, dtype=np.int64)
     for p in primes:
         ind[p::p] = 0
     out = []
+    acc = np.empty(n_limit + 1, dtype=np.int64)  # one column for every side
     for weights, sign in sides:
-        acc = np.zeros(n_limit + 1, dtype=np.int64)
-        for d, w in weights.items():
+        acc[:] = 0
+        for d, w in weights:
             if d <= n_limit:
                 acc[d::d] += w
         acc -= ind
-        acc *= sign  # in place, so the peak stays at three columns
+        acc *= sign  # in place, so the peak stays at two columns
         slack = acc[1:]
         bad = slack < 0
         count = int(np.count_nonzero(bad))
-        out.append({"violations": count, "first_violation": int(bad.argmax()) + 1 if count else None,
-                    "min_slack": int(slack.min()), "max_slack": int(slack.max())})
+        out.append({
+            "violations": count,
+            "first_violation": int(bad.argmax()) + 1 if count else None,
+            "min_slack": int(slack.min()),
+            "max_slack": int(slack.max()),
+        })
     return out
 
 
 # -- beta = 2 weight systems -------------------------------------------------
+
+# bytes a kept weight holds: its dict entry and int key, with room for the
+# dict's growth (tracemalloc peaks reach about 105)
+_WEIGHT_BYTES = 200
 
 
 @dataclass(frozen=True)
@@ -155,10 +156,25 @@ def beta_sieve_weights(D, z, budget_mb: int | None = None) -> SieveWeightSystem:
     def fits(parity: int):  # positions of this parity need prod * p^3 < D, the others prod * p <= D
         return lambda prod, p, i: prod * p**3 < D if i % 2 == parity else prod * p <= D
 
+    def collect(parity: int, held: int = 0) -> dict[int, int]:
+        out, weights = {}, _squarefree_weights(primes, fits(parity))
+        while True:  # charged every 4096 weights
+            before = len(out)
+            out.update(itertools.islice(weights, 4096))
+            if len(out) == before:
+                return out
+            require_budget(held + _WEIGHT_BYTES * len(out), budget_mb, what)
+
     # the majorant constrains its odd positions, the minorant its even ones
-    plus = _squarefree_weights(primes, fits(1), budget_mb, what)
-    minus = _squarefree_weights(primes, fits(0), budget_mb, what, held=_WEIGHT_BYTES * len(plus))
-    return SieveWeightSystem(float(D), float(z), plus, minus, math.log(D) / math.log(z))
+    plus = collect(1)
+    minus = collect(0, held=_WEIGHT_BYTES * len(plus))
+    return SieveWeightSystem(
+        level_D=float(D),
+        z=float(z),
+        lambda_plus=plus,
+        lambda_minus=minus,
+        s=math.log(D) / math.log(z),
+    )
 
 
 def verify_sandwich(ws: SieveWeightSystem, n_limit: int, budget_mb: int | None = None) -> dict:
@@ -173,12 +189,18 @@ def verify_sandwich(ws: SieveWeightSystem, n_limit: int, budget_mb: int | None =
     require_budget(41 * (n_limit + 1), budget_mb, f"weight sandwich to n_limit={n_limit}")
     # a prime above n_limit divides no n <= n_limit, so z may be far larger
     primes = primes_upto(int(min(ws.z, n_limit))).tolist()
-    up, low = _sandwich_slacks(((ws.lambda_plus, 1), (ws.lambda_minus, -1)), primes, n_limit)
+    sides = ((ws.lambda_plus.items(), 1), (ws.lambda_minus.items(), -1))
+    up, low = _sandwich_slacks(sides, primes, n_limit)
     return {
-        "checked": n_limit, "upper_support": len(ws.lambda_plus), "lower_support": len(ws.lambda_minus),
-        "upper_violations": up["violations"], "lower_violations": low["violations"],
-        "first_upper_violation": up["first_violation"], "first_lower_violation": low["first_violation"],
-        "min_upper_slack": up["min_slack"], "min_lower_slack": low["min_slack"],
+        "checked": n_limit,
+        "upper_support": len(ws.lambda_plus),
+        "lower_support": len(ws.lambda_minus),
+        "upper_violations": up["violations"],
+        "lower_violations": low["violations"],
+        "first_upper_violation": up["first_violation"],
+        "first_lower_violation": low["first_violation"],
+        "min_upper_slack": up["min_slack"],
+        "min_lower_slack": low["min_slack"],
         "ok": not (up["violations"] or low["violations"]),
     }
 
@@ -212,13 +234,16 @@ class FundamentalLemmaTruncation:
         return 2 * self.R if self.parity == "even" else 2 * self.R + 1
 
 
-def fundamental_lemma_check(t: FundamentalLemmaTruncation, n_limit: int, budget_mb: int | None = None) -> dict:
+def fundamental_lemma_check(
+    t: FundamentalLemmaTruncation, n_limit: int, budget_mb: int | None = None
+) -> dict:
     """Compare the truncated Moebius sum against the sifted indicator.
 
     Returns violation counts (expected zero: the inequality is a
-    theorem) and the extremal slack over 1..n_limit. Charges 25 bytes
-    per n, what the comparison holds at its peak, and refuses more than
-    budget_mb of them; the weights are charged as they grow.
+    theorem) and the extremal slack over 1..n_limit. The weights stream
+    into the comparison as they are enumerated, so none is kept. Charges
+    25 bytes per n, more than the comparison holds, and refuses more than
+    budget_mb of them.
     """
     if n_limit < 1:
         raise PreconditionError("n_limit must be >= 1")
@@ -226,13 +251,17 @@ def fundamental_lemma_check(t: FundamentalLemmaTruncation, n_limit: int, budget_
     # a prime above n_limit divides no n <= n_limit, so z may be far larger
     primes = primes_upto(min(t.z, n_limit)).tolist()
     cap = t.omega_cap
-    weights = _squarefree_weights(
-        primes, lambda prod, p, i: i <= cap and prod * p <= n_limit, budget_mb,
-        f"truncated Moebius weights to n_limit={n_limit}",
-    )
+    weights = _squarefree_weights(primes, lambda prod, p, i: i <= cap and prod * p <= n_limit)
     (side,) = _sandwich_slacks([(weights, 1 if t.parity == "even" else -1)], primes, n_limit)
-    return {"z": t.z, "R": t.R, "parity": t.parity, "omega_cap": cap, "checked": n_limit, **side,
-            "ok": not side["violations"]}
+    return {
+        "z": t.z,
+        "R": t.R,
+        "parity": t.parity,
+        "omega_cap": cap,
+        "checked": n_limit,
+        **side,
+        "ok": not side["violations"],
+    }
 
 
 # -- the two-variable sandwich -------------------------------------------------
@@ -248,8 +277,8 @@ def vector_sieve_check(d1_minus, d1, d1_plus, d2_minus, d2, d2_plus) -> bool:
     """Exact check of d1 d2 >= d1+ d2- + d1- d2+ - d1+ d2+.
 
     Preconditions (each reported by name when violated): d1, d2 >= 0,
-    and each triple must be ordered minus <= value <= plus with a
-    nonnegative plus.
+    and each triple must be ordered minus <= value <= plus, which makes
+    plus nonnegative too.
     """
     names = ("d1_minus", "d1", "d1_plus", "d2_minus", "d2", "d2_plus")
     vals = [exact_rational(x, name) for x, name in zip((d1_minus, d1, d1_plus, d2_minus, d2, d2_plus), names)]
@@ -257,9 +286,9 @@ def vector_sieve_check(d1_minus, d1, d1_plus, d2_minus, d2, d2_plus) -> bool:
         if mid < 0:
             raise PreconditionError(f"{side} must be nonnegative, got {mid}")
         if not lo <= mid <= hi:
-            raise PreconditionError(f"{side} triple must be ordered: {lo} <= {mid} <= {hi} fails")
-        if hi < 0:
-            raise PreconditionError(f"{side}_plus must be nonnegative, got {hi}")
+            raise PreconditionError(
+                f"{side} triple must be ordered: {lo} <= {mid} <= {hi} fails"
+            )
     return _vector_slack(*vals) >= 0
 
 
