@@ -37,7 +37,6 @@ _HOME = {
     "make_lemma61_phase": "expsums",
     "make_lemma62_inner_phase": "expsums",
     "make_scale_params": "sieve",
-    "primes_in": "arith",
     "rho": "dickman",
     "rho_solution": "dickman",
     "rho_ten_thirds_quadrature": "dickman",
@@ -45,7 +44,6 @@ _HOME = {
     "smooth_count": "dickman",
     "smoothing_window": "expsums",
     "tail_expansion": "series",
-    "verify_all": "verify",
     "verify_sandwich": "sieve",
     "weyl_difference_check": "expsums",
 }

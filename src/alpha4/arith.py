@@ -491,8 +491,3 @@ class PrimeRange:
         for seg in self.segments():
             yield from seg.tolist()
 
-
-def primes_in(lo: int, hi: int) -> list[int]:
-    """Primes p with lo < p <= hi."""
-    return list(PrimeRange(lo, hi))
-

@@ -126,7 +126,7 @@ def cmd_prop1(args) -> int | None:
     payload["stat_plain"] = series.prop1_statistic_exact(p)
     if args.r is not None:
         payload["r"] = args.r
-        payload["stat_r"] = series.prop1_statistic_with_r_exact(p, args.r)
+        payload["stat_r"] = series.prop1_statistic_exact(p, args.r)
     if args.expansion and p >= 11:
         exp = series.tail_expansion(p)
         payload["expansion_terms"] = list(exp.terms)
@@ -220,13 +220,8 @@ def cmd_sieve_mertens(args) -> int | None:
         return
     if args.a is None or args.b is None:
         raise PreconditionError("mertens needs either --x/--epsilon or --a/--b")
-    payload = {
-        "a": args.a,
-        "b": args.b,
-        "product": sieve.mertens_product(args.a, args.b, args.budget_mb),
-        "reciprocal_sum": sieve.prime_reciprocal_sum(args.a, args.b, args.budget_mb),
-    }
-    emit(payload, args.fmt, "sieve mertens")
+    _, product, reciprocal_sum = sieve.mertens_window(args.a, args.b, args.budget_mb)
+    emit({"a": args.a, "b": args.b, "product": product, "reciprocal_sum": reciprocal_sum}, args.fmt, "sieve mertens")
 
 
 _KIND_FLAGS = {"basic": ("A", "B"), "lemma61": ("h", "m", "r", "v")}

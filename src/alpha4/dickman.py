@@ -79,7 +79,7 @@ class _Panels:
         return mp.make_mpf(from_man_exp(*s)), self.errs[k]
 
 
-def delay_panels(start, sigma: int, u_max: int, terms: int = _SERIES_TERMS, dps: int = _WORK_DPS):
+def delay_panels(start, sigma: int, u_max: int):
     """March u p_i'(u) = sigma p_{n-1-i}(u-1), i < n = len(start), over [0, u_max].
 
     Component i is the constant start[i] on [0, 1] and is driven by
@@ -99,9 +99,9 @@ def delay_panels(start, sigma: int, u_max: int, terms: int = _SERIES_TERMS, dps:
     panel multiplied by at most 1 + log 2 < 1.7 (the edge value carries
     over, and the driver enters through int_k^u dt/t <= log 2), so the
     larger of the two errors is what propagates. A per-panel rounding
-    floor covers the finite working precision.
+    floor covers the working precision of _WORK_DPS digits; J = _SERIES_TERMS.
     """
-    n = len(start)
+    n, terms, dps = len(start), _SERIES_TERMS, _WORK_DPS
     with mp.workdps(dps):
         half = mp.mpf("0.5")
         rounding_floor = mp.mpf(10) ** (5 - dps)
@@ -190,8 +190,8 @@ class RhoTenThirds:
     agreement: float
 
 
-def rho_ten_thirds_quadrature(dps: int = 30) -> RhoTenThirds:
-    """Evaluate rho(10/3) by unfolding the delay integral three times.
+def rho_ten_thirds_quadrature() -> RhoTenThirds:
+    """Evaluate rho(10/3) by unfolding the delay integral three times, at 30 digits.
 
     With u0 = 10/3: rho on (3, u0] pulls back to integrals of rho on
     [1, 2] where rho = 1 - log t, giving
@@ -202,7 +202,7 @@ def rho_ten_thirds_quadrature(dps: int = 30) -> RhoTenThirds:
 
     and I2 >= 0, so dropping it leaves a one-sided upper bound.
     """
-    with mp.workdps(dps):
+    with mp.workdps(30):
         u0 = mp.mpf(10) / 3
         t1 = 1 - mp.log(u0)
         t2 = mp.quad(lambda t: mp.log(t) / (t + 1), [1, mp.mpf(7) / 3])

@@ -64,7 +64,7 @@ __all__ = [
 
 PHASE_KINDS = ("basic", "lemma61", "lemma62_inner")
 CHUNK = 4096
-DEFAULT_TERM_BUDGET = 10**9
+TERM_BUDGET = 10**9  # eval_phase refuses a longer sum
 TAU = 2 * math.pi
 
 
@@ -410,7 +410,6 @@ def eval_phase(
     threads: int = 1,
     engine: str | None = None,
     prec_bits: int | None = None,
-    term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> ExpSumResult:
     """Sum e(phase(n)) over n in (lo, hi].
 
@@ -426,8 +425,8 @@ def eval_phase(
     Default picks "exact" when the coefficients allow it.
     """
     n = spec.n_terms
-    if n > term_budget:
-        raise BudgetError(f"{n} terms exceed the term budget {term_budget}")
+    if n > TERM_BUDGET:
+        raise BudgetError(f"{n} terms exceed the term budget {TERM_BUDGET}")
     if engine is None:
         engine = "exact" if _is_exact_spec(spec) else "mpf"
     if engine not in ("exact", "mpf"):
@@ -613,15 +612,15 @@ def f_ell_closed(A, B, k: int, l: int, n) -> Fraction:
     return A * sq + B * cu
 
 
-def f_ell_integral(A, B, k: int, l: int, n, dps: int = 30) -> mp.mpf:
-    """The same amplitude as a one-dimensional (wedge) quadrature.
+def f_ell_integral(A, B, k: int, l: int, n) -> mp.mpf:
+    """The same amplitude as a one-dimensional (wedge) quadrature, at 30 digits.
 
     f is the integral of g(n+s+t), g(u) = 6 A u^-4 + 12 B u^-5, over
     [0,k] x [0,l]; with w = s + t it is int_0^(k+l) g(n+w) K(w) dw, where
     K(w) = min(w, min(k,l), k+l-w) is the length of the segment s + t = w
     inside the rectangle. K's corners min(k,l) and max(k,l) are breakpoints.
     """
-    with mp.workdps(dps):
+    with mp.workdps(30):
         Af, Bf, nf = map(_mpf, (A, B, n))
         lo, hi = min(k, l), max(k, l)
         return mp.quad(
@@ -731,7 +730,6 @@ def cancellation_scan(
     count: int = 12,
     seed: int = 0,
     qs: tuple[int, ...] | None = None,
-    x_scale: int = 10**8,
 ) -> dict:
     """Survey normalized moduli across a family of phase sums.
 
@@ -744,7 +742,7 @@ def cancellation_scan(
     onto few phase classes, the normalized modulus stays large, and the
     row is flagged rather than rejected.
 
-    family "lemma61": progression sums at the stated operating scale
+    family "lemma61": progression sums at the operating scale x = 10^8
     (m near x/Q, r near x^(1/4), short l-ranges); magnitudes only.
     """
     import random
@@ -772,7 +770,7 @@ def cancellation_scan(
                 spec = make_basic_phase(A, Fraction(0), Q, 2 * Q)
                 rows.append(_scan_row(family, spec, flag_above=3.0, Q=Q, A_denominator=q))
     else:
-        r = 101
+        r, x_scale = 101, 10**8
         Q = round(x_scale ** 0.35)
         for i in range(count):
             m = x_scale // Q + rng.randrange(1, 50)
@@ -863,24 +861,24 @@ class SmoothingWindow:
     def fourier0(self) -> Fraction:
         return 4 * self.delta
 
-    def fourier(self, h: int, dps: int = 30) -> mp.mpf:
-        """w_hat(h) for integer h (the window is 1-periodic)."""
+    def fourier(self, h: int) -> mp.mpf:
+        """w_hat(h) for integer h (the window is 1-periodic), at 30 digits."""
         h = int(h)
-        with mp.workdps(dps):
+        with mp.workdps(30):
             d = mp.mpf(self.delta.numerator) / self.delta.denominator
             out = 4 * d * _sinc(4 * d * h) * _sinc(2 * d * h / self.J) ** self.J
             return out
 
-    def decay_bound(self, h: int, dps: int = 30) -> mp.mpf:
-        with mp.workdps(dps):
+    def decay_bound(self, h: int) -> mp.mpf:
+        with mp.workdps(30):
             d = mp.mpf(self.delta.numerator) / self.delta.denominator
             return 8 * d * (1 + abs(h) * d / self.J) ** (-self.J)
 
-    def decay_check(self, h_max: int = 10**6, points: int = 200) -> dict:
-        """max over a log grid of |w_hat(h)| / decay_bound(h) (expect <= 1)."""
-        hs = sorted(
-            {int(round(math.exp(i * math.log(h_max) / (points - 1)))) for i in range(points)}
-        )
+    def decay_check(self, h_max: int = 10**6) -> dict:
+        """max of |w_hat(h)| / decay_bound(h) over 200 log-spaced h in [1, h_max] (expect <= 1)."""
+        if h_max < 1:
+            raise PreconditionError(f"h_max must be at least 1, got {h_max}")
+        hs = sorted({int(round(math.exp(i * math.log(h_max) / 199))) for i in range(200)})
         worst = 0.0
         worst_h = None
         for h in hs:

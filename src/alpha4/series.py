@@ -36,11 +36,9 @@ __all__ = [
     "tail_expansion",
     "tail_partial",
     "factorial_tail_exact",
-    "sigma4_window",
     "sigma4_windows",
     "prop1_ratio",
     "prop1_statistic_exact",
-    "prop1_statistic_with_r_exact",
     "expansion_residuals",
 ]
 
@@ -48,14 +46,15 @@ MAX_K = 8
 MAX_BITS = 1 << 14
 
 
-def zeta_upper(k: int, cutoff: int = 40) -> Fraction:
+def zeta_upper(k: int) -> Fraction:
     """A rational upper bound for zeta(k), k >= 2.
 
-    Partial sum to `cutoff` plus the integral tail bound
+    Partial sum to cutoff = 40 plus the integral tail bound
     sum_{n>cutoff} n^-k <= cutoff^(1-k)/(k-1).
     """
     if k < 2:
         raise PreconditionError("zeta_upper needs k >= 2")
+    cutoff = 40
     part = sum(Fraction(1, n**k) for n in range(1, cutoff + 1))
     return part + Fraction(1, (k - 1) * cutoff ** (k - 1))
 
@@ -148,15 +147,10 @@ def sigma4_windows(primes, j_max: int) -> list[list[int]]:
     return [s4[i : i + width] for i in range(0, len(s4), width)]
 
 
-def sigma4_window(p: int, j_max: int) -> list[int]:
-    """sigma4_windows for the one prime p."""
-    return sigma4_windows([p], j_max)[0]
-
-
 def _sigma4_run(p: int, j_lo: int, j_hi: int, sigma4: list[int] | None) -> list[int]:
-    """sigma_4(p+j) for j = j_lo..j_hi, read from a sigma4_window when given."""
+    """sigma_4(p+j) for j = j_lo..j_hi, read from p's sigma4_windows entry when given."""
     if sigma4 is None:
-        sigma4 = sigma4_window(p, j_hi)
+        sigma4 = sigma4_windows([p], j_hi)[0]
     if len(sigma4) <= j_hi:
         raise PreconditionError(f"sigma4 window ends at p+{len(sigma4) - 1}, p+{j_hi} needed")
     return sigma4[j_lo : j_hi + 1]
@@ -166,7 +160,7 @@ def factorial_tail_exact(p: int, n1: int, sigma4: list[int] | None = None) -> Fr
     """Exact (p-1)! * sum_{n=p}^{n1} sigma_4(n)/n!.
 
     (p-1)!/n! collapses to 1/(p(p+1)...n), so no large factorials appear.
-    sigma4, a sigma4_window at p reaching n1, replaces the factoring.
+    sigma4, p's sigma4_windows entry reaching n1, replaces the factoring.
     """
     if p < 2 or n1 < p:
         raise PreconditionError("factorial_tail_exact needs 2 <= p <= n1")
@@ -245,9 +239,12 @@ def tail_partial(p: int, j_max: int, sigma4: list[int] | None = None) -> tuple[F
 # -- the near-integer statistic ---------------------------------------------
 
 
-def _require_prime(p: int) -> None:
+def _require_prime(p: int, r: int | None = None) -> None:
+    """Refuse a p that is not prime, or an r that is not a divisor > 1 of p+2."""
     if not is_prime(p):
         raise PreconditionError(f"expected a prime, got {p}")
+    if r is not None and (r <= 1 or (p + 2) % r != 0):
+        raise PreconditionError(f"r={r} must be a divisor > 1 of p+2 = {p + 2}")
 
 
 def prop1_ratio(p: int, sigma4_p1: int, r: int | None = None) -> tuple[int, int]:
@@ -265,17 +262,10 @@ def prop1_ratio(p: int, sigma4_p1: int, r: int | None = None) -> tuple[int, int]
     return min(f, den - f), den
 
 
-def prop1_statistic_exact(p: int) -> Fraction:
-    """Exact || sigma_4(p+1)/(p(p+1)) + 1/16 || at a prime p."""
-    _require_prime(p)
-    return Fraction(*prop1_ratio(p, sigma_k(p + 1, 4)))
-
-
-def prop1_statistic_with_r_exact(p: int, r: int) -> Fraction:
-    """Exact || sigma_4(p+1)/(p(p+1)) + 1/16 + (p+1)/r^4 || for r | p+2, r > 1."""
-    _require_prime(p)
-    if r <= 1 or (p + 2) % r != 0:
-        raise PreconditionError(f"r={r} must be a divisor > 1 of p+2 = {p + 2}")
+def prop1_statistic_exact(p: int, r: int | None = None) -> Fraction:
+    """Exact || sigma_4(p+1)/(p(p+1)) + 1/16 [+ (p+1)/r^4] || at a prime p,
+    r a divisor > 1 of p+2 when given."""
+    _require_prime(p, r)
     return Fraction(*prop1_ratio(p, sigma_k(p + 1, 4), r))
 
 
@@ -308,9 +298,7 @@ def expansion_residuals(p: int, r: int | None = None, j_max: int = 32) -> list[d
       p2_quartic_drop   3 sigma_4(p+2)/(p+2)^4 - 3, reported without a bound
       tail_majorant     exact j>=4 partial sum + remainder vs the majorant
     """
-    _require_prime(p)
-    if r is not None and (r <= 1 or (p + 2) % r != 0):
-        raise PreconditionError(f"r={r} must be a divisor > 1 of p+2 = {p + 2}")
+    _require_prime(p, r)
     rows: list[dict] = []
 
     # n = p: sigma_4(p) = p^4 + 1, so the term is p^3 + 1/p on the nose

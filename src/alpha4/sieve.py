@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .arith import PrimeRange, exact_rational, primes_in, primes_upto, require_budget
+from .arith import PrimeRange, exact_rational, primes_upto, require_budget
 from .dickman import delay_panels
 from .errors import PreconditionError
 
@@ -48,8 +48,7 @@ __all__ = [
     "linear_f",
     "ScaleParams",
     "make_scale_params",
-    "mertens_product",
-    "prime_reciprocal_sum",
+    "mertens_window",
     "mertens_window_report",
 ]
 
@@ -118,6 +117,9 @@ def _sandwich_slacks(sides, primes, n_limit: int) -> list[dict]:
 # bytes a kept weight holds: its dict entry and int key, with room for the
 # dict's growth (tracemalloc peaks reach about 105)
 _WEIGHT_BYTES = 200
+# bytes per n of _sandwich_slacks: tracemalloc peaks are 18.0 (verify_sandwich),
+# 17.0 (flemma at z = 30) and 20.1-20.6 (flemma at z = n_limit) at n = 2e5 and 1e6
+_SANDWICH_BYTES = 24
 
 
 @dataclass(frozen=True)
@@ -181,12 +183,13 @@ def verify_sandwich(ws: SieveWeightSystem, n_limit: int, budget_mb: int | None =
     """Check lambda- * 1 <= [coprime to P(z)] <= lambda+ * 1 on 1..n_limit.
 
     Returns counts, the first violating n per side (or None), and the
-    smallest slacks. Charges 41 bytes per n, more than the comparison
-    holds, and refuses more than budget_mb of them.
+    smallest slacks. The comparison and the weights it is given, which
+    are held together, are charged first, and refused past budget_mb.
     """
     if n_limit < 1:
         raise PreconditionError("n_limit must be >= 1")
-    require_budget(41 * (n_limit + 1), budget_mb, f"weight sandwich to n_limit={n_limit}")
+    held = _WEIGHT_BYTES * (len(ws.lambda_plus) + len(ws.lambda_minus))
+    require_budget(held + _SANDWICH_BYTES * (n_limit + 1), budget_mb, f"weight sandwich to n_limit={n_limit}")
     # a prime above n_limit divides no n <= n_limit, so z may be far larger
     primes = primes_upto(int(min(ws.z, n_limit))).tolist()
     sides = ((ws.lambda_plus.items(), 1), (ws.lambda_minus.items(), -1))
@@ -241,13 +244,12 @@ def fundamental_lemma_check(
 
     Returns violation counts (expected zero: the inequality is a
     theorem) and the extremal slack over 1..n_limit. The weights stream
-    into the comparison as they are enumerated, so none is kept. Charges
-    25 bytes per n, more than the comparison holds, and refuses more than
-    budget_mb of them.
+    into the comparison as they are enumerated, so none is kept. The
+    comparison is charged first, and refused past budget_mb.
     """
     if n_limit < 1:
         raise PreconditionError("n_limit must be >= 1")
-    require_budget(25 * (n_limit + 1), budget_mb, f"truncated sandwich to n_limit={n_limit}")
+    require_budget(_SANDWICH_BYTES * (n_limit + 1), budget_mb, f"truncated sandwich to n_limit={n_limit}")
     # a prime above n_limit divides no n <= n_limit, so z may be far larger
     primes = primes_upto(min(t.z, n_limit)).tolist()
     cap = t.omega_cap
@@ -293,11 +295,11 @@ def vector_sieve_check(d1_minus, d1, d1_plus, d2_minus, d2, d2_plus) -> bool:
 
 
 def vector_sieve_random_trials(
-    count: int = 10**6, seed: int = 0, span: int = 1 << 15, budget_mb: int | None = None
+    count: int = 10**6, seed: int = 0, budget_mb: int | None = None
 ) -> dict:
     """Bulk-check the two-variable sandwich on random integer tuples.
 
-    Tuples are drawn on an integer grid with |values| <= 2 span, so the
+    Tuples are drawn on an integer grid with |values| <= 2^16, so the
     int64 products are exact; lower bounds may go negative, upper bounds
     stay above the value by construction. At its peak it holds ten int64
     columns and a bool mask of count entries, and refuses more than
@@ -309,7 +311,7 @@ def vector_sieve_random_trials(
         raise PreconditionError(f"seed must be nonnegative, got {seed}")
     require_budget(81 * count, budget_mb, f"vector sandwich with {count} trials")
     import numpy as np
-    rng = np.random.default_rng(seed)
+    rng, span = np.random.default_rng(seed), 1 << 15
     d1 = rng.integers(0, span, size=count)
     d2 = rng.integers(0, span, size=count)
     d1p = d1 + rng.integers(0, span, size=count)
@@ -397,20 +399,19 @@ def _w_from_d0(x: int) -> tuple[float, int, bool]:
     d0 = 0.5 * math.log(math.log(x))
     w = 12
     if d0 > 4:  # below that the window (4, d0] holds no primes
-        for p in primes_in(4, int(d0)):
+        for p in PrimeRange(4, int(d0)):
             w *= p
     lx = math.log(x)
     in_range = lx ** (1 / 3) <= w <= lx ** (2 / 3)
     return d0, w, in_range
 
 
-def make_scale_params(
-    x: int,
-    epsilon: float = 0.005,
-    preset: str = "desk",
-    overrides: dict | None = None,
-) -> ScaleParams:
-    """Thresholds at scale x (>= 10^4).
+# the paper's epsilon, and the exponent y = x^smooth_exp of the smooth part
+_EPSILON, _SMOOTH_EXP = 0.005, 0.3
+
+
+def make_scale_params(x: int, preset: str = "desk", overrides: dict | None = None) -> ScaleParams:
+    """Thresholds at scale x (>= 10^4), with epsilon = 0.005 and smooth_exp = 0.3.
 
     The desk preset uses exponents that keep every window nonempty at
     desk scales: z_small = x^0.05, z_quarter_lo = x^0.22,
@@ -418,14 +419,12 @@ def make_scale_params(
     asymptotic formulas literally -- z_small = (log x)^100,
     z_quarter_lo = x^(1/4 - epsilon), z_quarter_hi = x^(1/4) (log x)^100
     -- and records degeneracies (thresholds crossing each other or x)
-    rather than raising. overrides replaces named fields after the
+    rather than raising. overrides replaces named thresholds after the
     preset computation; desk-preset ordering is then re-checked.
     """
     x = int(x)
     if x < 10**4:
         raise PreconditionError(f"scale x must be >= 10^4, got {x}")
-    if not 0 < epsilon < 0.01:
-        raise PreconditionError(f"epsilon must be in (0, 1/100), got {epsilon}")
     if preset not in ("desk", "paper"):
         raise PreconditionError(f"preset must be 'desk' or 'paper', got {preset!r}")
     d0, w, in_range = _w_from_d0(x)
@@ -438,15 +437,14 @@ def make_scale_params(
     else:
         fields = {
             "z_small": round(math.log(x) ** 100),
-            "z_quarter_lo": round(x ** (0.25 - epsilon)),
+            "z_quarter_lo": round(x ** (0.25 - _EPSILON)),
             "z_quarter_hi": round(x**0.25 * math.log(x) ** 100),
         }
     if overrides:
-        unknown = set(overrides) - {"z_small", "z_quarter_lo", "z_quarter_hi", "smooth_exp"}
+        unknown = set(overrides) - set(fields)
         if unknown:
             raise PreconditionError(f"unknown override fields: {sorted(unknown)}")
-        fields.update({k: v for k, v in overrides.items() if k != "smooth_exp"})
-    smooth_exp = float(overrides.get("smooth_exp", 0.3)) if overrides else 0.3
+        fields.update(overrides)
     zs, zl, zh = fields["z_small"], fields["z_quarter_lo"], fields["z_quarter_hi"]
     for name, v in (("z_small", zs), ("z_quarter_lo", zl), ("z_quarter_hi", zh)):
         if not isinstance(v, int) or v < 1:
@@ -464,13 +462,13 @@ def make_scale_params(
         )
     return ScaleParams(
         x=x,
-        epsilon=float(epsilon),
+        epsilon=_EPSILON,
         D0=d0,
         W=w,
         z_small=zs,
         z_quarter_lo=zl,
         z_quarter_hi=zh,
-        smooth_exp=smooth_exp,
+        smooth_exp=_SMOOTH_EXP,
         preset=preset,
         degeneracies=tuple(degeneracies),
         w_in_range=in_range,
@@ -498,14 +496,12 @@ def _window_primes(a, b, budget_mb: int | None = None) -> list[int]:
     return list(rng)
 
 
-def mertens_product(a, b, budget_mb: int | None = None) -> float:
-    """prod_{a < p <= b} (1 - 1/p), via a compensated log sum."""
-    return math.exp(math.fsum(math.log1p(-1.0 / p) for p in _window_primes(a, b, budget_mb)))
-
-
-def prime_reciprocal_sum(a, b, budget_mb: int | None = None) -> float:
-    """sum_{a < p <= b} 1/p."""
-    return math.fsum(1.0 / p for p in _window_primes(a, b, budget_mb))
+def mertens_window(a, b, budget_mb: int | None = None) -> tuple[int, float, float]:
+    """(count, product, reciprocal sum) over the primes a < p <= b, sieved
+    once: prod (1 - 1/p) via a compensated log sum, and sum 1/p."""
+    primes = _window_primes(a, b, budget_mb)
+    product = math.exp(math.fsum(math.log1p(-1.0 / p) for p in primes))
+    return len(primes), product, math.fsum(1.0 / p for p in primes)
 
 
 def mertens_window_report(x: int, epsilon: float, budget_mb: int | None = None) -> dict:
@@ -520,14 +516,13 @@ def mertens_window_report(x: int, epsilon: float, budget_mb: int | None = None) 
         raise PreconditionError(f"epsilon must be in (0, 1/4), got {epsilon}")
     lo = x ** (0.25 - epsilon)
     hi = x**0.25
-    primes = _window_primes(lo, hi, budget_mb)
-    s = math.fsum(1.0 / p for p in primes)
+    count, _, s = mertens_window(lo, hi, budget_mb)
     target = -math.log1p(-4 * epsilon)
     return {
         "x": x,
         "epsilon": epsilon,
         "window": [lo, hi],
-        "primes_in_window": len(primes),
+        "primes_in_window": count,
         "reciprocal_sum": s,
         "target": target,
         "gap": s - target,

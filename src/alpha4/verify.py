@@ -22,7 +22,7 @@ import mpmath as mp
 from . import dickman, expsums, series, sieve, special
 from .errors import PreconditionError
 
-__all__ = ["CheckResult", "CHECKS", "check_names", "run_check", "verify_all"]
+__all__ = ["CheckResult", "CHECKS", "check_names", "run_check"]
 
 
 @dataclass
@@ -518,9 +518,3 @@ def run_check(name: str, ctx: dict | None = None) -> CheckResult:
                 details["over_time_budget"] = True
             return CheckResult(name=name, ok=ok, elapsed=elapsed, details=details)
     raise PreconditionError(f"unknown check {name!r}; known: {check_names()}")
-
-
-def verify_all(ctx: dict | None = None) -> tuple[list[CheckResult], bool]:
-    ctx = ctx if ctx is not None else {}
-    results = [run_check(name, ctx) for name in check_names()]
-    return results, all(r.ok for r in results)

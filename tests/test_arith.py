@@ -240,15 +240,15 @@ def test_primes_upto_is_the_prime_range():
 
 
 def test_primes_in_half_open_window():
-    assert arith.primes_in(10, 20) == [11, 13, 17, 19]
-    assert arith.primes_in(10, 11) == [11]  # hi inclusive
-    assert arith.primes_in(11, 20) == [13, 17, 19]  # lo exclusive
-    assert arith.primes_in(24, 28) == []
+    assert list(arith.PrimeRange(10, 20)) == [11, 13, 17, 19]
+    assert list(arith.PrimeRange(10, 11)) == [11]  # hi inclusive
+    assert list(arith.PrimeRange(11, 20)) == [13, 17, 19]  # lo exclusive
+    assert list(arith.PrimeRange(24, 28)) == []
 
 
 def test_primes_in_accepts_float_bounds():
     # fractional bounds floor to the same integer window
-    assert arith.primes_in(10.7, 20.3) == arith.primes_in(10, 20)
+    assert list(arith.PrimeRange(10.7, 20.3)) == list(arith.PrimeRange(10, 20))
 
 
 def test_prime_range_segments_concatenate_to_the_range():

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from alpha4 import arith, cli
+from alpha4 import arith, cli, sieve
 
 
 def run(argv, capsys):
@@ -249,6 +249,14 @@ def test_sieve_vector_tuple(capsys):
     assert payload["result"]["holds"]
 
 
+def test_sieve_mertens_window_is_sieved_once(capsys, monkeypatch):
+    calls = []
+    window_primes = sieve._window_primes
+    monkeypatch.setattr(sieve, "_window_primes", lambda *a: calls.append(a) or window_primes(*a))
+    rc, _, _ = run(["sieve", "mertens", "--a", "1000", "--b", "1000000"], capsys)
+    assert rc == 0 and len(calls) == 1
+
+
 def test_sieve_mertens_both_modes(capsys):
     rc, payload = run_json(["sieve", "mertens", "--a", "1000", "--b", "1000000"], capsys)
     assert rc == 0
@@ -420,20 +428,15 @@ def _has_failed_verdict(x):
     return False
 
 
-@pytest.mark.parametrize("name", list(_SIEVE_BASES))
-def test_sieve_numeric_options_end_cleanly_on_edge_values(name, capsys):
-    # each numeric option of the subcommand gets each edge value under a
-    # 16 MB budget and a 5 s cap: the status is 0, 1 with a failed verdict,
-    # or 2 with one error line, and stdout is strict JSON
-    subcommands = _subcommands(_subcommands(cli.build_parser())["sieve"])
-    assert set(subcommands) == set(_SIEVE_BASES)
-    options = [a.option_strings[0] for a in subcommands[name]._actions
-               if a.type in (int, float) and a.dest != "budget_mb"]
-    assert options
+def _edge_value_failures(command, bases, options, capsys) -> list:
+    """Give each option each edge value, one at a time in each sound base
+    argv, under a 16 MB budget and a 5 s cap. A run ends well with status
+    0, 1 with a failed verdict, or 2 with one error line, and stdout is
+    strict JSON; the runs that end otherwise are returned."""
     bad = []
     previous = signal.signal(signal.SIGALRM, _overran)
     try:
-        for base in _SIEVE_BASES[name]:
+        for base in bases:
             for opt in options:
                 for value in _EDGE_VALUES:
                     argv = list(base)
@@ -441,7 +444,7 @@ def test_sieve_numeric_options_end_cleanly_on_edge_values(name, capsys):
                         argv[argv.index(opt) + 1] = value
                     else:
                         argv += [opt, value]
-                    argv = ["sieve", name, *argv, "--budget-mb", "16"]
+                    argv = [*command, *argv, "--budget-mb", "16"]
                     signal.setitimer(signal.ITIMER_REAL, 5)
                     try:
                         rc = cli.dispatch(argv)
@@ -469,6 +472,24 @@ def test_sieve_numeric_options_end_cleanly_on_edge_values(name, capsys):
                         bad.append((" ".join(argv), rc))
     finally:
         signal.signal(signal.SIGALRM, previous)
+    return bad
+
+
+@pytest.mark.parametrize("name", list(_SIEVE_BASES))
+def test_sieve_numeric_options_end_cleanly_on_edge_values(name, capsys):
+    # every numeric option of the subcommand but the budget is swept
+    subcommands = _subcommands(_subcommands(cli.build_parser())["sieve"])
+    assert set(subcommands) == set(_SIEVE_BASES)
+    options = [a.option_strings[0] for a in subcommands[name]._actions
+               if a.type in (int, float) and a.dest != "budget_mb"]
+    assert options
+    bad = _edge_value_failures(["sieve", name], _SIEVE_BASES[name], options, capsys)
+    assert not bad, bad
+
+
+def test_expsum_window_options_end_cleanly_on_edge_values(capsys):
+    # the window's own numbers, the exact --delta among them
+    bad = _edge_value_failures(["expsum", "window"], [[]], ["--h-max", "--J", "--delta"], capsys)
     assert not bad, bad
 
 

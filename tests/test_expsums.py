@@ -159,9 +159,10 @@ def test_eval_phase_threads_bitwise_deterministic():
 
 
 def test_eval_phase_budget():
-    spec = expsums.make_basic_phase(1, 1, 0, 10**7)
-    with pytest.raises(BudgetError):
-        expsums.eval_phase(spec, term_budget=10**6)
+    # refused before a term is summed
+    spec = expsums.make_basic_phase(1, 1, 0, 10**9 + 1)
+    with pytest.raises(BudgetError, match="exceed the term budget"):
+        expsums.eval_phase(spec)
 
 
 def test_eval_phase_rejects_engine_mismatch():
@@ -560,7 +561,7 @@ def test_window_decay_bound_pointwise():
 
 def test_window_decay_check_grid():
     w = expsums.smoothing_window(Fraction(1, 1000), 4)
-    rep = w.decay_check(h_max=10**4, points=40)
+    rep = w.decay_check(h_max=10**4)
     assert rep["ok"]
     assert rep["max_ratio"] <= 1
 

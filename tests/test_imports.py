@@ -1,8 +1,10 @@
 """What a command loads, how long `sieve Ff` takes, and how the CLI ends on a
 closed pipe, in fresh processes."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -92,6 +94,20 @@ def test_every_public_name_resolves():
     for name in ("no_such_name", "Factorization"):
         with pytest.raises(AttributeError):
             getattr(alpha4, name)
+
+
+def test_exports_name_what_their_modules_define():
+    # every name a submodule lists resolves, and the package exports only
+    # what its home module lists; errors, which has no __all__, is exempt
+    stale = []
+    for info in pkgutil.iter_modules(alpha4.__path__):
+        module = importlib.import_module(f"alpha4.{info.name}")
+        stale += [f"{info.name}.{name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    for name, home in alpha4._HOME.items():
+        module = importlib.import_module(f"alpha4.{home}")
+        if home != "errors" and name not in module.__all__:
+            stale.append(f"alpha4._HOME[{name!r}] is not in {home}.__all__")
+    assert not stale, stale
 
 
 def test_closed_stdout_ends_quietly_with_status_141():

@@ -148,16 +148,16 @@ def test_prop1_statistic_matches_oracle():
 
 
 def test_prop1_statistic_with_r():
-    assert series.prop1_statistic_with_r_exact(13, 3) == oracles.stat_r(13, 3)
-    assert series.prop1_statistic_with_r_exact(13, 5) == oracles.stat_r(13, 5)
-    assert series.prop1_statistic_with_r_exact(13, 3) == Fraction(47413, 117936)
+    assert series.prop1_statistic_exact(13, 3) == oracles.stat_r(13, 3)
+    assert series.prop1_statistic_exact(13, 5) == oracles.stat_r(13, 5)
+    assert series.prop1_statistic_exact(13, 3) == Fraction(47413, 117936)
 
 
 def test_prop1_statistic_with_r_rejects_bad_r():
     with pytest.raises(PreconditionError):
-        series.prop1_statistic_with_r_exact(13, 4)  # 4 does not divide 15
+        series.prop1_statistic_exact(13, 4)  # 4 does not divide 15
     with pytest.raises(PreconditionError):
-        series.prop1_statistic_with_r_exact(13, 1)
+        series.prop1_statistic_exact(13, 1)
 
 
 def test_prop1_statistic_rejects_composites():
@@ -232,7 +232,7 @@ def test_tail_sums_against_term_by_term_oracle(j_max):
 def test_tail_sums_read_one_sigma4_window(j_max):
     # a shared window gives the same three values as factoring per sum
     for p in [11, 13] + _random_primes(j_max + 7, 3):
-        window = series.sigma4_window(p, j_max)
+        window = series.sigma4_windows([p], j_max)[0]
         assert window == [oracles.sigma_k(n, 4) for n in range(p, p + j_max + 1)]
         assert series.factorial_tail_exact(p, p + j_max, sigma4=window) == (
             series.factorial_tail_exact(p, p + j_max)
@@ -248,7 +248,7 @@ def test_sigma4_windows_build_no_factorization():
 
 
 def test_short_sigma4_window_is_refused():
-    window = series.sigma4_window(101, 10)
+    window = series.sigma4_windows([101], 10)[0]
     with pytest.raises(PreconditionError, match="p\\+11 needed"):
         series.tail_partial(101, 11, sigma4=window)
     with pytest.raises(PreconditionError):
