@@ -29,6 +29,10 @@ from .errors import BudgetError, PreconditionError
 
 SCHEMA = 1
 
+# numpy's OpenBLAS starts a busy-waiting thread per CPU when numpy loads, which
+# importing this module does not do; nothing in the package calls BLAS
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 
 # -- serialization -------------------------------------------------------------
 

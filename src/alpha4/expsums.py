@@ -32,7 +32,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, round_nearest
+from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_cos_sin_pi, mpf_div, mpf_gt, mpf_lt, mpf_mul,
+                          mpf_mul_int, mpf_pow_int, mpf_sub, round_nearest)
 
 from .arith import exact_rational, sigma_k
 from .bigreal import add_nearest_int, int_pair, round_nearest_int
@@ -65,6 +66,7 @@ __all__ = [
 PHASE_KINDS = ("basic", "lemma61", "lemma62_inner")
 CHUNK = 4096
 TERM_BUDGET = 10**9  # eval_phase refuses a longer sum
+MAX_PREC_BITS = 2**16  # eval_phase refuses a finer explicit precision (the checks use 320)
 TAU = 2 * math.pi
 
 
@@ -415,13 +417,14 @@ def eval_phase(
 
     engine "exact" reduces each integer phase pair (N, D) to the correctly
     rounded double N % D / D and sums unit vectors in compensated double
-    precision. Engine "mpf" works at prec_bits >= 1 (default: enough for
-    the largest phase plus 64 guard bits) on integer (mantissa, exponent)
-    pairs, round-nearest: the phase from _phase_raw, its fraction
-    2 (ph - floor ph) rounded as mpf_sub rounds it, one mpf_cos_sin_pi call
-    (what mp.cospi_sinpi wraps; not correctly rounded, so libmp's) for cos
-    and sin, and two sums rounded as mpf_add rounds them, so the bits are
-    those of the same steps on mpf objects; one mpc is built at the end.
+    precision. Engine "mpf" works at 1 <= prec_bits <= MAX_PREC_BITS
+    (default: enough for the largest phase plus 64 guard bits) on integer
+    (mantissa, exponent) pairs, round-nearest: the phase from _phase_raw,
+    its fraction 2 (ph - floor ph) rounded as mpf_sub rounds it, one
+    mpf_cos_sin_pi call (what mp.cospi_sinpi wraps; not correctly rounded,
+    so libmp's) for cos and sin, and two sums rounded as mpf_add rounds
+    them, so the bits are those of the same steps on mpf objects; one mpc
+    is built at the end.
     Default picks "exact" when the coefficients allow it.
     """
     n = spec.n_terms
@@ -431,8 +434,8 @@ def eval_phase(
         engine = "exact" if _is_exact_spec(spec) else "mpf"
     if engine not in ("exact", "mpf"):
         raise PreconditionError(f"engine must be 'exact' or 'mpf', got {engine!r}")
-    if prec_bits is not None and prec_bits < 1:
-        raise PreconditionError(f"prec_bits must be at least 1, got {prec_bits}")
+    if prec_bits is not None and not 1 <= prec_bits <= MAX_PREC_BITS:
+        raise PreconditionError(f"prec_bits must be between 1 and {MAX_PREC_BITS}, got {prec_bits}")
     if n == 0:
         return ExpSumResult(value=0j, n_terms=0, normalized_modulus=0.0)
 
@@ -619,14 +622,33 @@ def f_ell_integral(A, B, k: int, l: int, n) -> mp.mpf:
     [0,k] x [0,l]; with w = s + t it is int_0^(k+l) g(n+w) K(w) dw, where
     K(w) = min(w, min(k,l), k+l-w) is the length of the segment s + t = w
     inside the rectangle. K's corners min(k,l) and max(k,l) are breakpoints.
+
+    The integrand makes on libmp tuples the calls that the mpf operator form
+    (6 Af / (nf + w)^4 + 12 Bf / (nf + w)^5) * min(w, lo, k + l - w) makes,
+    at the precision mp.quad evaluates it (20 bits above the working one),
+    so every node keeps its bits; min's comparisons pick the same operand.
     """
+    rnd = round_nearest
     with mp.workdps(30):
         Af, Bf, nf = map(_mpf, (A, B, n))
         lo, hi = min(k, l), max(k, l)
-        return mp.quad(
-            lambda w: (6 * Af / (nf + w) ** 4 + 12 * Bf / (nf + w) ** 5) * min(w, lo, k + l - w),
-            [0, lo, hi, k + l],
-        )
+        prec = mp.mp.prec + 20
+        with mp.workprec(prec):
+            a6, b12, nf = (6 * Af)._mpf_, (12 * Bf)._mpf_, nf._mpf_
+        lo_f, kl = from_int(lo), from_int(k + l)
+
+        def g(w):
+            w = w._mpf_
+            u = mpf_add(nf, w, prec, rnd)
+            a = mpf_div(a6, mpf_pow_int(u, 4, prec, rnd), prec, rnd)
+            s = mpf_add(a, mpf_div(b12, mpf_pow_int(u, 5, prec, rnd), prec, rnd), prec, rnd)
+            m = lo_f if mpf_gt(w, lo_f) else w
+            r = mpf_sub(kl, w, prec, rnd)
+            if mpf_lt(r, m):
+                return mp.make_mpf(mpf_mul(s, r, prec, rnd))
+            return mp.make_mpf(mpf_mul_int(s, lo, prec, rnd) if m is lo_f else mpf_mul(s, w, prec, rnd))
+
+        return mp.quad(g, [0, lo, hi, k + l])
 
 
 def f_ell_derivative(A, B, k: int, l: int, n, j: int) -> Fraction:

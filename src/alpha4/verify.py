@@ -319,27 +319,18 @@ def check_amplitude_grid(ctx: dict) -> dict:
 # -- 10: the special set against a from-scratch oracle --------------------------------
 
 
-def _tf(n: int) -> list[tuple[int, int]]:
-    """Trial-division factorization (oracle path, no shared code)."""
+def _tf(n: int, primes: list[int]) -> list[tuple[int, int]]:
+    """Trial-division factorization by primes, which must reach isqrt(n) (oracle path, no shared code)."""
     out = []
-    for p in (2, 3):
+    for p in primes:
+        if p * p > n:
+            break
         e = 0
         while n % p == 0:
             n //= p
             e += 1
         if e:
             out.append((p, e))
-    d = 5
-    step = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e:
-            out.append((d, e))
-        d += step
-        step = 6 - step
     if n > 1:
         out.append((n, 1))
     return out
@@ -366,11 +357,13 @@ def _oracle_special(x, w, zs, zl, zh, y_smooth, delta: Fraction):
     members = []
     s1 = s2 = s3 = s4 = 0
     start = x // 2 + 1
-    root = math.isqrt(x)
+    root = math.isqrt(x + 3)  # the primes up to root factor every value up to p + 3
     small = bytearray(root + 1)  # 1 marks a composite, here and in `composite`
     composite = bytearray(x + 1 - start)  # entry i stands for start + i
+    primes = []
     for d in range(2, root + 1):
         if not small[d]:
+            primes.append(d)
             small[d * d :: d] = b"\x01" * len(range(d * d, root + 1, d))
             lo = max(d * d, -(-start // d) * d)
             composite[lo - start :: d] = b"\x01" * len(range(lo, x + 1, d))
@@ -378,15 +371,15 @@ def _oracle_special(x, w, zs, zl, zh, y_smooth, delta: Fraction):
     for p in range(first, x + 1, w):
         if composite[p - start]:
             continue
-        f3 = _tf((p + 3) // 2)
+        f3 = _tf((p + 3) // 2, primes)
         if f3 and f3[0][0] <= zs:
             continue
-        f2 = _tf(p + 2)
+        f2 = _tf(p + 2, primes)
         window_rs = [q for q, _ in f2 if zl < q <= zh]
         rough = f2[0][0] > zl
         if rough and all(e == 1 for _, e in f2) and len(window_rs) <= 1:
             members.append((p, window_rs[0] if window_rs else None))
-        fac_p1 = _tf(p + 1)
+        fac_p1 = _tf(p + 1, primes)
         if f2[0][0] > zh and _oracle_stat(p, fac_p1, None) <= delta:
             s1 += 1
         if not window_rs:
@@ -394,7 +387,7 @@ def _oracle_special(x, w, zs, zl, zh, y_smooth, delta: Fraction):
         smooth = max(q for q, _ in fac_p1) <= y_smooth
         for r in window_rs:
             cof = (p + 2) // r
-            cof_f = _tf(cof) if cof > 1 else []
+            cof_f = _tf(cof, primes)
             cof_ok = not cof_f or cof_f[0][0] > zh
             if cof_ok and _oracle_stat(p, fac_p1, r) <= delta:
                 s2 += 1

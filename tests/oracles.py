@@ -261,6 +261,18 @@ def rho_horner(panels, u: float, dps: int):
         return s
 
 
+def f_ell_integral(A, B, k: int, l: int, n):
+    """The amplitude's wedge quadrature at 30 digits with its integrand in
+    mpf operator form, the reference for the package's libmp integrand."""
+    with mp.workdps(30):
+        Af, Bf, nf = map(mpf_coefficient, (A, B, n))
+        lo, hi = min(k, l), max(k, l)
+        return mp.quad(
+            lambda w: (6 * Af / (nf + w) ** 4 + 12 * Bf / (nf + w) ** 5) * min(w, lo, k + l - w),
+            [0, lo, hi, k + l],
+        )
+
+
 # -- the linear-sieve limit functions past their elementary closed forms ----
 # From s F(s) = 3 F(3) + int_3^s f(t-1) dt and s f(s) = int_2^s F(t-1) dt
 # with F = 2 e^gamma / s on [1, 3] and f = (2 e^gamma / s) log(s-1) on

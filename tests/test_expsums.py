@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,25 @@ def test_eval_phase_refuses_a_precision_below_one_bit(prec_bits):
     spec = expsums.make_basic_phase(Fraction(1, 7), Fraction(1, 3), 0, 5)
     with pytest.raises(PreconditionError, match="prec_bits"):
         expsums.eval_phase(spec, engine="mpf", prec_bits=prec_bits)
+
+
+@pytest.mark.parametrize("prec_bits", [expsums.MAX_PREC_BITS + 1, 2**20, 2**63])
+def test_eval_phase_refuses_a_precision_past_its_cap_before_allocating(prec_bits):
+    # at 2^63 bits the first coefficient's division raised MemoryError
+    spec = expsums.make_basic_phase(Fraction(1, 7), Fraction(1, 3), 0, 5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="prec_bits"):
+            expsums.eval_phase(spec, engine="mpf", prec_bits=prec_bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20 // 8  # one integer of 2^20 bits would not fit
+
+
+def test_eval_phase_takes_the_cap_itself():
+    spec = expsums.make_basic_phase(Fraction(1, 7), Fraction(1, 3), 0, 2)
+    assert expsums.eval_phase(spec, engine="mpf", prec_bits=expsums.MAX_PREC_BITS).n_terms == 2
 
 
 # -- progression rewrite -------------------------------------------------------
@@ -480,6 +500,25 @@ def _f_ell_gap(A, B, k, l, n) -> float:
 )
 def test_f_ell_wedge_integral_matches_closed_form(A, B, k, l, n):
     assert _f_ell_gap(A, B, k, l, n) < 1e-24
+
+
+@pytest.mark.parametrize(
+    "A, B, k, l, n",
+    [
+        (Fraction(-1, 3), Fraction(5, 7), 7, 19, 1234),  # k < l, A < 0; 6 A needs two bits past 30 digits
+        (Fraction(1, 3), Fraction(0), 19, 7, 999),  # k > l, B = 0
+        (Fraction(-7, 11), Fraction(-2, 3), 13, 13, Fraction(5001, 2)),  # k = l, rational n
+    ],
+    ids=["k<l,A<0", "k>l,B=0", "k=l"],
+)
+def test_f_ell_integral_keeps_the_bits_of_the_operator_form(A, B, k, l, n):
+    assert expsums.f_ell_integral(A, B, k, l, n)._mpf_ == oracles.f_ell_integral(A, B, k, l, n)._mpf_
+
+
+def test_f_ell_integral_keeps_the_bits_of_the_operator_form_on_the_amplitude_grid():
+    for n in (500 + (500 * i) // 49 for i in range(50)):  # check_amplitude_grid's points
+        A, B = Fraction(2), Fraction(1)
+        assert expsums.f_ell_integral(A, B, 30, 20, n)._mpf_ == oracles.f_ell_integral(A, B, 30, 20, n)._mpf_, n
 
 
 def test_f_ell_derivative_profile_brackets():

@@ -1,6 +1,8 @@
 """The special prime set, its class split, counters, and diagnostics."""
 
+import ast
 import hashlib
+import inspect
 import json
 import math
 from collections import Counter
@@ -197,6 +199,42 @@ def test_verify_oracle_walk_gives_members_and_sigmas():
     assert members == [(rec.p, rec.r) for rec in special.enumerate_S(p)]
     assert len(members) == 569
     assert sigmas == [59, 6, 13, 6]
+
+
+def test_verify_oracle_factors_values_past_the_square_root_of_x():
+    # p = 167 and p + 2 = 13^2 with 13 > isqrt(167): trial division must reach
+    # isqrt(p + 2), or 169 reads as a prime and 167 joins S
+    members, _ = verify._oracle_special(167, 1, 2, 5, 20, 167**0.3, Fraction(1, 20))
+    assert members == [(107, None)]
+
+
+VERIFY_ORACLES = ("_tf", "_tf_sigma4", "_oracle_stat", "_oracle_special")
+
+
+def _alpha4_names(module, tree, allowed=()) -> list[str]:
+    # imports of the package, and global names that resolve to its modules, functions, classes or instances
+    found = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "alpha4")
+        or isinstance(node, ast.Import) and any(a.name.split(".")[0] == "alpha4" for a in node.names)
+    ]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id not in allowed:
+            obj = getattr(module, node.id, None)
+            home = obj.__name__ if inspect.ismodule(obj) else getattr(obj, "__module__", None)
+            if isinstance(home, str) and home.split(".")[0] == "alpha4":
+                found.append(node.id)
+    return found
+
+
+def test_oracles_use_no_name_from_the_package():
+    # tests/oracles.py and verify's trial-division oracle recompute from first
+    # principles, so a defect shared with the code they check cannot pass both
+    assert _alpha4_names(oracles, ast.parse(inspect.getsource(oracles))) == []
+    for name in VERIFY_ORACLES:
+        tree = ast.parse(inspect.getsource(getattr(verify, name)))
+        assert _alpha4_names(verify, tree, allowed=VERIFY_ORACLES) == [], name
 
 
 # (preset, overrides, witness): each witness (p, r) puts a window square
