@@ -47,14 +47,15 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17)
 MR_DETERMINISTIC_LIMIT = 330_000_000_000_000
 
 DEFAULT_BUDGET_MB = 512
+budget_mb = DEFAULT_BUDGET_MB  # the running command's memory budget, set by cli.dispatch
 
 _SMALL_LIMIT = 1 << 16
 
 
-def require_budget(need: int, budget_mb: int | None, what: str) -> None:
-    """Refuse an allocation of `need` bytes past the memory budget (default
-    DEFAULT_BUDGET_MB) rather than swap."""
-    budget = (DEFAULT_BUDGET_MB if budget_mb is None else budget_mb) * 2**20
+def require_budget(need: int, what: str) -> None:
+    """Refuse an allocation of `need` bytes past the memory budget
+    (budget_mb) rather than swap."""
+    budget = budget_mb * 2**20
     if need > budget:
         mb = -(-need // 2**20)  # rounded up, so a refusal never reads as if it fitted
         shown = mb if mb < 10**12 else f"more than 10^{len(str(mb - 1)) - 1}"  # a power of ten below it
@@ -126,7 +127,7 @@ class SpfTable:
         return int(self.spf[n])
 
 
-def build_spf_table(limit: int, budget_mb: int | None = None) -> SpfTable:
+def build_spf_table(limit: int) -> SpfTable:
     """Sieve least prime factors up to `limit` (4 bytes per entry).
 
     Refuses to allocate past the memory budget rather than swap.
@@ -135,7 +136,7 @@ def build_spf_table(limit: int, budget_mb: int | None = None) -> SpfTable:
         raise PreconditionError("table limit must be at least 2")
     if limit >= 2**32:
         raise PreconditionError("table entries are uint32; limit must be < 2^32")
-    require_budget(4 * (limit + 1), budget_mb, f"least-factor table for limit={limit}")
+    require_budget(4 * (limit + 1), f"least-factor table for limit={limit}")
     import numpy as np
     spf = np.zeros(limit + 1, dtype=np.uint32)
     for p in range(2, math.isqrt(limit) + 1):

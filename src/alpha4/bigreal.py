@@ -2,15 +2,16 @@
 
 BigRealWithError is a value together with a rigorous absolute error
 radius. It is deliberately not a general interval library: it supports
-exactly the operations the series and density code needs (add, subtract,
-multiply, widening by a known tail bound, certified leading digits) and
-propagates radii conservatively. The enclosure's endpoints are read only
-as exact rationals (_exact_fraction), never as rounded mpf values.
+exactly the operations the series and density code needs (exact
+wrapping, multiplication, widening by a known tail bound, certified
+leading digits) and propagates radii conservatively. The enclosure's
+endpoints are read only as exact rationals (_exact_fraction), never as
+rounded mpf values.
 
-Radius bookkeeping: every arithmetic op adds the incoming radii (with
-cross terms for products), charges one relative ulp for rounding the new
-midpoint, and finally inflates the radius by (1 + 2^-16) so that the
-floating-point evaluation of the radius expression itself can never
+Radius bookkeeping: a product adds each incoming radius times the other
+midpoint, and their cross term, charges one relative ulp for rounding
+the new midpoint, and finally inflates the radius by (1 + 2^-16) so that
+the floating-point evaluation of the radius expression itself can never
 round the bound downward. mpmath's mpf has an unbounded exponent, so a
 nonzero bound never flushes to zero.
 
@@ -149,22 +150,6 @@ class BigRealWithError:
         return s if n <= k else s[:k] + "." + s[k:]
 
     # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other) -> "BigRealWithError":
-        o = _coerce(other)
-        v = self.value + o.value
-        return BigRealWithError(v, _pad(self.err + o.err + _ulp_bound(v)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BigRealWithError":
-        return BigRealWithError(-self.value, self.err)
-
-    def __sub__(self, other) -> "BigRealWithError":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "BigRealWithError":
-        return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "BigRealWithError":
         o = _coerce(other)

@@ -22,8 +22,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from . import __version__, dickman, expsums, series, sieve, special, verify
-from .arith import exact_rational
+from . import __version__, arith, dickman, expsums, series, sieve, special, verify
 from .bigreal import BigRealWithError
 from .errors import BudgetError, PreconditionError
 
@@ -152,7 +151,7 @@ def cmd_rho(args) -> int | None:
     if args.ten_thirds:
         emit(dickman.rho_ten_thirds_quadrature(), args.fmt, "rho")
     elif args.table:
-        rows = dickman.rho_solution(args.u if args.u is not None else dickman.U_MAX, args.step, args.tol, args.budget_mb)
+        rows = dickman.rho_solution(args.u if args.u is not None else dickman.U_MAX, args.step, args.tol)
         emit({"grid_step": args.step, "rows": rows}, args.fmt, "rho", rows_key="rows")
     elif args.u is None:
         raise PreconditionError("rho needs --u, --table, or --ten-thirds")
@@ -161,7 +160,7 @@ def cmd_rho(args) -> int | None:
 
 
 def cmd_psi(args) -> int | None:
-    sc = dickman.smooth_count(args.x, args.y, with_exact=not args.no_exact, budget_mb=args.budget_mb)
+    sc = dickman.smooth_count(args.x, args.y, with_exact=not args.no_exact)
     payload = dict(vars(sc))
     if sc.exact is not None:
         approx = float(sc.approx.value)
@@ -170,7 +169,7 @@ def cmd_psi(args) -> int | None:
 
 
 def cmd_sieve_weights(args) -> int | None:
-    ws = sieve.beta_sieve_weights(args.d, args.z, budget_mb=args.budget_mb)
+    ws = sieve.beta_sieve_weights(args.d, args.z)
     payload: dict = {
         "level_D": ws.level_D,
         "z": ws.z,
@@ -180,7 +179,7 @@ def cmd_sieve_weights(args) -> int | None:
     }
     rc = 0
     if args.n_limit is not None:
-        rep = sieve.verify_sandwich(ws, args.n_limit, budget_mb=args.budget_mb)
+        rep = sieve.verify_sandwich(ws, args.n_limit)
         payload["sandwich"] = rep
         rc = 0 if rep["ok"] else 1
     if args.dump_weights:
@@ -202,29 +201,29 @@ def cmd_sieve_ff(args) -> int | None:
 
 def cmd_sieve_flemma(args) -> int | None:
     t = sieve.FundamentalLemmaTruncation(z=args.z, R=args.r, parity=args.parity)
-    rep = sieve.fundamental_lemma_check(t, args.n_limit, budget_mb=args.budget_mb)
+    rep = sieve.fundamental_lemma_check(t, args.n_limit)
     emit(rep, args.fmt, "sieve flemma")
     return 0 if rep["ok"] else 1
 
 
 def cmd_sieve_vector(args) -> int | None:
     if args.tuple:
-        vals = [exact_rational(v, "--tuple") for v in args.tuple]
+        vals = [arith.exact_rational(v, "--tuple") for v in args.tuple]
         ok = sieve.vector_sieve_check(*vals)
         emit({"tuple": vals, "holds": ok}, args.fmt, "sieve vector")
         return 0 if ok else 1
-    rep = sieve.vector_sieve_random_trials(args.trials, seed=args.seed, budget_mb=args.budget_mb)
+    rep = sieve.vector_sieve_random_trials(args.trials, seed=args.seed)
     emit(rep, args.fmt, "sieve vector")
     return 0 if rep["ok"] else 1
 
 
 def cmd_sieve_mertens(args) -> int | None:
     if args.x is not None:
-        emit(sieve.mertens_window_report(args.x, args.epsilon, args.budget_mb), args.fmt, "sieve mertens")
+        emit(sieve.mertens_window_report(args.x, args.epsilon), args.fmt, "sieve mertens")
         return
     if args.a is None or args.b is None:
         raise PreconditionError("mertens needs either --x/--epsilon or --a/--b")
-    _, product, reciprocal_sum = sieve.mertens_window(args.a, args.b, args.budget_mb)
+    _, product, reciprocal_sum = sieve.mertens_window(args.a, args.b)
     emit({"a": args.a, "b": args.b, "product": product, "reciprocal_sum": reciprocal_sum}, args.fmt, "sieve mertens")
 
 
@@ -339,12 +338,10 @@ def cmd_special_enumerate(args) -> int | None:
 
 def cmd_special_sigmas(args) -> int | None:
     counters = special.count_sigmas(_params_for(args), args.delta)
-    payload = {
-        **vars(counters),
-        "witness_gap": counters.witness_gap(),
-        "pair_bound_holds": counters.sigma2 <= counters.sigma3 + counters.sigma4,
-    }
+    holds = counters.sigma2 <= counters.sigma3 + counters.sigma4
+    payload = {**vars(counters), "witness_gap": counters.witness_gap(), "pair_bound_holds": holds}
     emit(payload, args.fmt, "special sigmas")
+    return 0 if holds else 1
 
 
 def cmd_special_hist(args) -> int | None:
@@ -430,7 +427,7 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=("desk", "paper"), default=d)
     p.add_argument("--seed", type=int, default=d)
     p.add_argument("--threads", type=int, default=d, help="worker processes for the exact engine of expsum basic")
-    p.add_argument("--budget-mb", type=int, default=d, help="memory budget in MB of psi's exact count, the rho table, the sieve weights and arrays, and the mertens prime lists (default 512)")
+    p.add_argument("--budget-mb", type=int, default=d, help="memory budget in MB of every allocation the command charges (default 512)")
 
 
 def _add_spec_flags(p: argparse.ArgumentParser, *kinds: str) -> None:
@@ -458,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     _add_global_flags(ap)
-    ap.set_defaults(fmt="json", preset="desk", seed=0, threads=None, budget_mb=None)
+    ap.set_defaults(fmt="json", preset="desk", seed=0, threads=None, budget_mb=arith.DEFAULT_BUDGET_MB)
     gp = argparse.ArgumentParser(add_help=False)
     _add_global_flags(gp)
     sub = ap.add_subparsers(dest="command", required=True, parser_class=_SubParser)
@@ -588,12 +585,15 @@ def dispatch(argv: list[str]) -> int:
             args.threads = max(1, os.cpu_count() or 1)
         elif args.threads < 1:
             raise PreconditionError(f"--threads must be at least 1, got {args.threads}")
-        if args.budget_mb is not None and args.budget_mb < 0:
+        if args.budget_mb < 0:
             raise PreconditionError(f"--budget-mb must be nonnegative, got {args.budget_mb}")
+        arith.budget_mb = args.budget_mb  # read by every charge of this command
         return args.fn(args) or 0  # a command returns its exit status, None for 0
     except (PreconditionError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        arith.budget_mb = arith.DEFAULT_BUDGET_MB
 
 
 def main() -> None:

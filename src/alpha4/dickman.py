@@ -152,16 +152,14 @@ def rho(u, tol: float = DEFAULT_TOL) -> BigRealWithError:
     return BigRealWithError(v, err)
 
 
-def rho_solution(
-    u_max: float = U_MAX, grid_step: float = 0.25, tol: float = DEFAULT_TOL, budget_mb: int | None = None
-) -> list[dict]:
+def rho_solution(u_max: float = U_MAX, grid_step: float = 0.25, tol: float = DEFAULT_TOL) -> list[dict]:
     """rho on the grid 0, grid_step, ... up to u_max: JSON-native rows {u, rho, err}, budgeted first."""
     if not 0 < u_max <= U_MAX:
         raise PreconditionError(f"u_max must be in (0, {U_MAX}]")
     if not 0 < grid_step < math.inf:
         raise PreconditionError(f"grid_step must be positive and finite, got {grid_step}")
     # exact, since u_max / grid_step overflows a float for a subnormal step
-    require_budget(_ROW_BYTES * (Fraction(u_max) / Fraction(grid_step) + 1), budget_mb, f"rho table at step {grid_step}")
+    require_budget(_ROW_BYTES * (Fraction(u_max) / Fraction(grid_step) + 1), f"rho table at step {grid_step}")
     rows = []
     for i in range(int(math.floor(u_max / grid_step + 1e-9)) + 1):
         u = min(i * grid_step, u_max)
@@ -240,7 +238,7 @@ class SmoothCount:
     band: float
 
 
-def psi_exact(x: int, y: float, budget_mb: int | None = None) -> int:
+def psi_exact(x: int, y: float) -> int:
     """Exact Psi(x, y) by a segmented sieve over 1..x.
 
     The residuals are uint32 (so x < 2^32), held _WINDOW at a time: one
@@ -261,7 +259,7 @@ def psi_exact(x: int, y: float, budget_mb: int | None = None) -> int:
         raise PreconditionError(f"psi_exact needs y >= 1, got {y}")
     if x >= 2**32:
         raise PreconditionError(f"psi_exact keeps residuals in uint32, so x must be < 2^32, got {x}")
-    require_budget(4 * min(x, _WINDOW), budget_mb, f"psi_exact window at x={x}")
+    require_budget(4 * min(x, _WINDOW), f"psi_exact window at x={x}")
     if y < 2:
         return 1  # only n = 1 has no prime factor
     import numpy as np
@@ -300,10 +298,10 @@ def psi_hildebrand(x, y) -> SmoothCount:
     return SmoothCount(x=x, y=float(y), exact=None, approx=approx, band=band)
 
 
-def smooth_count(x, y, with_exact: bool = True, budget_mb: int | None = None) -> SmoothCount:
+def smooth_count(x, y, with_exact: bool = True) -> SmoothCount:
     """Psi(x, y) exactly (optional) and by the density approximation."""
     sc = psi_hildebrand(x, y)
     if not with_exact:
         return sc
-    exact = psi_exact(x, y, budget_mb=budget_mb)
+    exact = psi_exact(x, y)
     return SmoothCount(x=sc.x, y=sc.y, exact=exact, approx=sc.approx, band=sc.band)

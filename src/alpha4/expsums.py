@@ -32,10 +32,10 @@ from functools import cached_property
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_cos_sin_pi, mpf_div, mpf_gt, mpf_lt, mpf_mul,
-                          mpf_mul_int, mpf_pow_int, mpf_sub, round_nearest)
+from mpmath.libmp import (from_int, from_man_exp, from_rational, mpf_add, mpf_cos_sin_pi, mpf_div, mpf_gt, mpf_lt,
+                          mpf_mul, mpf_mul_int, mpf_pow_int, mpf_sub, round_nearest)
 
-from .arith import exact_rational, sigma_k
+from .arith import exact_rational, require_budget, sigma_k
 from .bigreal import add_nearest_int, int_pair, round_nearest_int
 from .errors import BudgetError, PreconditionError
 
@@ -68,6 +68,8 @@ CHUNK = 4096
 TERM_BUDGET = 10**9  # eval_phase refuses a longer sum
 MAX_PREC_BITS = 2**16  # eval_phase refuses a finer explicit precision (the checks use 320)
 TAU = 2 * math.pi
+# bytes a cancellation_scan row holds: 7 or 8 fields, and lemma61's 11 (tracemalloc)
+_SCAN_ROW_BYTES = {"random": 448, "resonant": 448, "lemma61": 704}
 
 
 # -- specs ---------------------------------------------------------------
@@ -351,16 +353,26 @@ def phase_mpf(spec: PhaseSpec, n: int) -> mp.mpf:
 
 
 def required_prec_bits(spec: PhaseSpec) -> int:
-    """Working precision for the mpf engine: bits of the largest phase plus 64."""
-    hi = max(abs(spec.lo) + 1, abs(spec.hi), 1)
-    if spec.kind == "basic":
-        mag = (abs(float(spec.A)) + 1) * hi * hi + (abs(float(spec.B)) + 1) * hi
-    elif spec.kind == "lemma61":
-        a1 = abs(float(spec.coefficients.A))
-        mag = (a1 + 1) * (spec.r * hi + abs(spec.v)) ** 2 + abs(spec.h) * spec.m * hi
-    else:
-        mag = (abs(float(spec.coefficients.C)) + 1) * hi
-    return max(64, int(math.log2(mag + 2))) + 64
+    """Working precision for the mpf engine: bits of the largest phase plus 64.
+
+    The size is summed as in floats, each input and step rounded once to
+    53 bits, but on mpf, whose exponent has no ceiling; its int(log2) adds
+    the exponent to math.log2 of the mantissa, as math.log2 rounds it."""
+    hi, c = max(abs(spec.lo) + 1, abs(spec.hi), 1), spec.coefficients
+
+    def d(x):  # float(x) of a Fraction, int or mpf
+        return mp.mpf(from_rational(x.numerator, x.denominator, 53, round_nearest) if isinstance(x, Fraction) else x)
+
+    with mp.workprec(53):
+        if spec.kind == "basic":
+            mag = (abs(d(c.A)) + 1) * d(hi) * d(hi) + (abs(d(c.B)) + 1) * d(hi)
+        elif spec.kind == "lemma61":
+            mag = (abs(d(c.A)) + 1) * d((spec.r * hi + abs(spec.v)) ** 2) + d(abs(spec.h) * spec.m * hi)
+        else:
+            mag = (abs(d(c.C)) + 1) * d(hi)
+        man, exp = (mag + 2).man_exp
+    bc = man.bit_length()
+    return max(64, int(exp + bc - 1 + math.log2(man / 2 ** (bc - 1)))) + 64
 
 
 # -- deterministic summation ------------------------------------------------
@@ -418,13 +430,13 @@ def eval_phase(
     engine "exact" reduces each integer phase pair (N, D) to the correctly
     rounded double N % D / D and sums unit vectors in compensated double
     precision. Engine "mpf" works at 1 <= prec_bits <= MAX_PREC_BITS
-    (default: enough for the largest phase plus 64 guard bits) on integer
-    (mantissa, exponent) pairs, round-nearest: the phase from _phase_raw,
-    its fraction 2 (ph - floor ph) rounded as mpf_sub rounds it, one
-    mpf_cos_sin_pi call (what mp.cospi_sinpi wraps; not correctly rounded,
-    so libmp's) for cos and sin, and two sums rounded as mpf_add rounds
-    them, so the bits are those of the same steps on mpf objects; one mpc
-    is built at the end.
+    (default: enough for the largest phase plus 64 guard bits, refused
+    past the cap too) on integer (mantissa, exponent) pairs, round-nearest:
+    the phase from _phase_raw, its fraction 2 (ph - floor ph) rounded as
+    mpf_sub rounds it, one mpf_cos_sin_pi call (what mp.cospi_sinpi wraps;
+    not correctly rounded, so libmp's) for cos and sin, and two sums
+    rounded as mpf_add rounds them, so the bits are those of the same steps
+    on mpf objects; one mpc is built at the end.
     Default picks "exact" when the coefficients allow it.
     """
     n = spec.n_terms
@@ -434,8 +446,10 @@ def eval_phase(
         engine = "exact" if _is_exact_spec(spec) else "mpf"
     if engine not in ("exact", "mpf"):
         raise PreconditionError(f"engine must be 'exact' or 'mpf', got {engine!r}")
-    if prec_bits is not None and not 1 <= prec_bits <= MAX_PREC_BITS:
-        raise PreconditionError(f"prec_bits must be between 1 and {MAX_PREC_BITS}, got {prec_bits}")
+    prec = required_prec_bits(spec) if engine == "mpf" and prec_bits is None else prec_bits
+    if prec is not None and not 1 <= prec <= MAX_PREC_BITS:
+        given = "" if prec_bits is not None else " (the default for this phase)"
+        raise PreconditionError(f"prec_bits must be between 1 and {MAX_PREC_BITS}, got {prec}{given}")
     if n == 0:
         return ExpSumResult(value=0j, n_terms=0, normalized_modulus=0.0)
 
@@ -453,7 +467,6 @@ def eval_phase(
         total = _tree_reduce(parts)
         mod = abs(total)
     else:
-        prec = prec_bits if prec_bits is not None else required_prec_bits(spec)
         rnd, add = round_nearest, add_nearest_int
         phase = _phase_raw(spec, prec)
         re = im = (0, 0)
@@ -769,21 +782,22 @@ def cancellation_scan(
     """
     import random
 
-    if family not in ("random", "resonant", "lemma61"):
+    if family not in _SCAN_ROW_BYTES:
         raise PreconditionError(f"unknown scan family {family!r}")
     if count < 1:
         raise PreconditionError(f"count must be >= 1, got {count}")
+    qs = qs or ((1 << 10, 1 << 12, 1 << 14) if family == "random" else (1 << 10,))
+    scales = 1 if family == "lemma61" else len(qs)  # lemma61 has the one scale x = 10^8
+    require_budget(_SCAN_ROW_BYTES[family] * count * scales, f"{family} scan of {count} x {scales} rows")
     rng = random.Random(seed)
     rows: list[dict] = []
     if family == "random":
-        qs = qs or (1 << 10, 1 << 12, 1 << 14)
         for Q in qs:
             for _ in range(count):
                 A = _dyadic_uniform(rng, Fraction(Q) ** 5, Fraction(Q) ** 6)
                 B = A * Fraction(rng.random()) / Q**2
                 rows.append(_scan_row(family, make_basic_phase(A, B, Q, 2 * Q), Q=Q))
     elif family == "resonant":
-        qs = qs or (1 << 10,)
         dens = (2, 3, 4, 6, 8)
         for Q in qs:
             for i in range(count):

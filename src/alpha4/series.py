@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .arith import factor_many, factorize, is_prime, sigma_k
+from .arith import factor_many, factorize, is_prime, require_budget, sigma_k
 from .bigreal import BigRealWithError
 from .errors import PreconditionError
 
@@ -143,6 +143,10 @@ def sigma4_windows(primes, j_max: int) -> list[list[int]]:
     every value the tail sums at p read, all factored in one batch and read
     off its columns by FactorBatch.sigma."""
     width = j_max + 1
+    # a value of b bits peaks at about 200 + 16 b bytes: the value, its factor
+    # columns and its sigma_4 of about 4 b bits (tracemalloc, b = 14 to 47)
+    bits = (max(primes, default=0) + j_max).bit_length()
+    require_budget(len(primes) * width * (200 + 16 * bits), f"sigma_4 windows of {len(primes) * width} values")
     s4 = factor_many(p + j for p in primes for j in range(width)).sigma(4)
     return [s4[i : i + width] for i in range(0, len(s4), width)]
 
@@ -186,7 +190,7 @@ def _tail_remainder_bound(p: int, j_from: int) -> Fraction:
     """
     if p < 2 or j_from < 4:
         raise PreconditionError("remainder bound needs p >= 2 and j_from >= 4")
-    den = _falling_products(p, j_from + 1)[-1]
+    den = math.prod(range(p, p + j_from + 1))
     return ZETA4_UPPER * E_UPPER * Fraction((p + j_from) ** 4, den)
 
 

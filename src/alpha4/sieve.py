@@ -137,11 +137,11 @@ class SieveWeightSystem:
     s: float
 
 
-def beta_sieve_weights(D, z, budget_mb: int | None = None) -> SieveWeightSystem:
+def beta_sieve_weights(D, z) -> SieveWeightSystem:
     """Build the beta = 2 upper/lower weight sets at level D, sifting to z.
 
     D must be positive and finite; D below 2 degenerates to the single
-    weight on d = 1. The weight dicts are charged to budget_mb as they
+    weight on d = 1. The weight dicts are charged to the budget as they
     grow, and refused before the sieve runs when the primes up to
     min(z, D), each of them a lower weight, cannot fit.
     """
@@ -152,7 +152,7 @@ def beta_sieve_weights(D, z, budget_mb: int | None = None) -> SieveWeightSystem:
     what = f"beta weights at D={D}, z={z}"
     top = int(min(z, D))  # no weight d <= D holds a prime above D
     if top >= 17:  # pi(x) > x / log x from 17 on (Rosser & Schoenfeld 1962)
-        require_budget(_WEIGHT_BYTES * int(top / math.log(top)), budget_mb, what)
+        require_budget(_WEIGHT_BYTES * int(top / math.log(top)), what)
     primes = primes_upto(top).tolist()
 
     def fits(parity: int):  # positions of this parity need prod * p^3 < D, the others prod * p <= D
@@ -165,7 +165,7 @@ def beta_sieve_weights(D, z, budget_mb: int | None = None) -> SieveWeightSystem:
             out.update(itertools.islice(weights, 4096))
             if len(out) == before:
                 return out
-            require_budget(held + _WEIGHT_BYTES * len(out), budget_mb, what)
+            require_budget(held + _WEIGHT_BYTES * len(out), what)
 
     # the majorant constrains its odd positions, the minorant its even ones
     plus = collect(1)
@@ -179,17 +179,17 @@ def beta_sieve_weights(D, z, budget_mb: int | None = None) -> SieveWeightSystem:
     )
 
 
-def verify_sandwich(ws: SieveWeightSystem, n_limit: int, budget_mb: int | None = None) -> dict:
+def verify_sandwich(ws: SieveWeightSystem, n_limit: int) -> dict:
     """Check lambda- * 1 <= [coprime to P(z)] <= lambda+ * 1 on 1..n_limit.
 
     Returns counts, the first violating n per side (or None), and the
     smallest slacks. The comparison and the weights it is given, which
-    are held together, are charged first, and refused past budget_mb.
+    are held together, are charged first, and refused past the budget.
     """
     if n_limit < 1:
         raise PreconditionError("n_limit must be >= 1")
     held = _WEIGHT_BYTES * (len(ws.lambda_plus) + len(ws.lambda_minus))
-    require_budget(held + _SANDWICH_BYTES * (n_limit + 1), budget_mb, f"weight sandwich to n_limit={n_limit}")
+    require_budget(held + _SANDWICH_BYTES * (n_limit + 1), f"weight sandwich to n_limit={n_limit}")
     # a prime above n_limit divides no n <= n_limit, so z may be far larger
     primes = primes_upto(int(min(ws.z, n_limit))).tolist()
     sides = ((ws.lambda_plus.items(), 1), (ws.lambda_minus.items(), -1))
@@ -237,19 +237,17 @@ class FundamentalLemmaTruncation:
         return 2 * self.R if self.parity == "even" else 2 * self.R + 1
 
 
-def fundamental_lemma_check(
-    t: FundamentalLemmaTruncation, n_limit: int, budget_mb: int | None = None
-) -> dict:
+def fundamental_lemma_check(t: FundamentalLemmaTruncation, n_limit: int) -> dict:
     """Compare the truncated Moebius sum against the sifted indicator.
 
     Returns violation counts (expected zero: the inequality is a
     theorem) and the extremal slack over 1..n_limit. The weights stream
     into the comparison as they are enumerated, so none is kept. The
-    comparison is charged first, and refused past budget_mb.
+    comparison is charged first, and refused past the budget.
     """
     if n_limit < 1:
         raise PreconditionError("n_limit must be >= 1")
-    require_budget(_SANDWICH_BYTES * (n_limit + 1), budget_mb, f"truncated sandwich to n_limit={n_limit}")
+    require_budget(_SANDWICH_BYTES * (n_limit + 1), f"truncated sandwich to n_limit={n_limit}")
     # a prime above n_limit divides no n <= n_limit, so z may be far larger
     primes = primes_upto(min(t.z, n_limit)).tolist()
     cap = t.omega_cap
@@ -294,22 +292,20 @@ def vector_sieve_check(d1_minus, d1, d1_plus, d2_minus, d2, d2_plus) -> bool:
     return _vector_slack(*vals) >= 0
 
 
-def vector_sieve_random_trials(
-    count: int = 10**6, seed: int = 0, budget_mb: int | None = None
-) -> dict:
+def vector_sieve_random_trials(count: int = 10**6, seed: int = 0) -> dict:
     """Bulk-check the two-variable sandwich on random integer tuples.
 
     Tuples are drawn on an integer grid with |values| <= 2^16, so the
     int64 products are exact; lower bounds may go negative, upper bounds
     stay above the value by construction. At its peak it holds ten int64
-    columns and a bool mask of count entries, and refuses more than
-    budget_mb of them.
+    columns and a bool mask of count entries, and refuses more than the
+    budget of them.
     """
     if count < 1:
         raise PreconditionError("count must be >= 1")
     if seed < 0:
         raise PreconditionError(f"seed must be nonnegative, got {seed}")
-    require_budget(81 * count, budget_mb, f"vector sandwich with {count} trials")
+    require_budget(81 * count, f"vector sandwich with {count} trials")
     import numpy as np
     rng, span = np.random.default_rng(seed), 1 << 15
     d1 = rng.integers(0, span, size=count)
@@ -481,8 +477,8 @@ def make_scale_params(x: int, preset: str = "desk", overrides: dict | None = Non
 _PRIME_BYTES = 48
 
 
-def _window_primes(a, b, budget_mb: int | None = None) -> list[int]:
-    """The primes in (a, b] for finite ends a <= b, charged to budget_mb
+def _window_primes(a, b) -> list[int]:
+    """The primes in (a, b] for finite ends a <= b, charged to the budget
     before the sieve runs: an interval of length y > 1 holds at most
     2y / log y primes (Montgomery & Vaughan 1973), which bounds the window
     and the base primes up to sqrt(b)."""
@@ -492,19 +488,19 @@ def _window_primes(a, b, budget_mb: int | None = None) -> list[int]:
         raise PreconditionError(f"empty-ordered window ({a}, {b}]")
     rng = PrimeRange(int(a), int(b))
     most = sum(2 * (y / math.log(y)) if y > 1 else 1 for y in (rng.hi - rng.lo, math.isqrt(rng.hi)))
-    require_budget(_PRIME_BYTES * math.ceil(most), budget_mb, f"prime list of the window ({a}, {b}]")
+    require_budget(_PRIME_BYTES * math.ceil(most), f"prime list of the window ({a}, {b}]")
     return list(rng)
 
 
-def mertens_window(a, b, budget_mb: int | None = None) -> tuple[int, float, float]:
+def mertens_window(a, b) -> tuple[int, float, float]:
     """(count, product, reciprocal sum) over the primes a < p <= b, sieved
     once: prod (1 - 1/p) via a compensated log sum, and sum 1/p."""
-    primes = _window_primes(a, b, budget_mb)
+    primes = _window_primes(a, b)
     product = math.exp(math.fsum(math.log1p(-1.0 / p) for p in primes))
     return len(primes), product, math.fsum(1.0 / p for p in primes)
 
 
-def mertens_window_report(x: int, epsilon: float, budget_mb: int | None = None) -> dict:
+def mertens_window_report(x: int, epsilon: float) -> dict:
     """Reciprocal sum over (x^(1/4-eps), x^(1/4)] against -log(1 - 4 eps).
 
     At desk scales the window holds few primes, so the gap to the
@@ -516,7 +512,7 @@ def mertens_window_report(x: int, epsilon: float, budget_mb: int | None = None) 
         raise PreconditionError(f"epsilon must be in (0, 1/4), got {epsilon}")
     lo = x ** (0.25 - epsilon)
     hi = x**0.25
-    count, _, s = mertens_window(lo, hi, budget_mb)
+    count, _, s = mertens_window(lo, hi)
     target = -math.log1p(-4 * epsilon)
     return {
         "x": x,

@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import PrimeRange, factor_many, primes_upto
+from .arith import PrimeRange, factor_many, primes_upto, require_budget
 from .errors import PreconditionError
 from .series import prop1_ratio
 from .sieve import ScaleParams
@@ -61,6 +61,7 @@ __all__ = [
 
 CLASS_NO_MID = "no_mid_factor"
 CLASS_ONE_MID = "one_mid_factor"
+_BIN_BYTES = 320  # a histogram bin's edge, its two counts and its CLI row (tracemalloc)
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,8 @@ class SigmaCounters:
     sigma1 counts primes; sigma2..sigma4 count (p, r) pairs. By
     construction every sigma2 pair lands in sigma3 or sigma4, so
     sigma2 <= sigma3 + sigma4 always; a violation means the conditions
-    were implemented wrong and is raised loudly.
+    were implemented wrong. It is data, not an exception: `special
+    sigmas` prints it and exits 1, and verify-all's special_set fails.
     """
 
     sigma1: int
@@ -218,11 +220,6 @@ class SigmaCounters:
     def __post_init__(self):
         if min(self.sigma1, self.sigma2, self.sigma3, self.sigma4, self.S_total) < 0:
             raise PreconditionError("counters must be nonnegative")
-        if self.sigma2 > self.sigma3 + self.sigma4:
-            raise PreconditionError(
-                f"sigma2 = {self.sigma2} exceeds sigma3 + sigma4 = "
-                f"{self.sigma3 + self.sigma4}; the pair conditions are inconsistent"
-            )
 
     def witness_gap(self) -> int:
         """max(0, |S| - sigma1 - sigma2): how much of S the two near-integer
@@ -390,6 +387,7 @@ def near_integer_histogram(records: list[SpecialPrimeRecord], bins: int = 20) ->
     """
     if bins < 1:
         raise PreconditionError("bins must be >= 1")
+    require_budget(_BIN_BYTES * bins, f"histogram of {bins} bins")
     # float(Fraction(a, den)) is this same correctly rounded a / den
     plain = sorted(a / den for a, den in (rec.ratio_plain for rec in records))
     withr = sorted(a / den for a, den in (rec.ratio_r for rec in records if rec.ratio_r is not None))

@@ -285,6 +285,21 @@ def test_expsum_basic_and_lemma61(capsys):
     assert res["progression_oracle_abs"] == pytest.approx(direct, abs=1e-9)
 
 
+def test_mpf_engine_takes_a_coefficient_past_the_float_range(capsys):
+    # its default precision overflowed a float here; the exact engine agrees
+    argv = ["expsum", "basic", "--A", "1e3000", "--B", "0", "--hi", "3"]
+    rc, mpf = run_json([*argv, "--engine", "mpf"], capsys)
+    assert rc == 0
+    rc, exact = run_json([*argv, "--engine", "exact"], capsys)
+    assert rc == 0
+    got, want = mpf["result"]["result"]["value"], exact["result"]["result"]["value"]
+    assert abs(complex(float(got["re"]), float(got["im"])) - complex(want["re"], want["im"])) < 1e-9
+    # past MAX_PREC_BITS, the default is refused like an explicit precision
+    rc, out, err = run(["expsum", "basic", "--A", "1e30000", "--B", "0", "--hi", "3", "--engine", "mpf"], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: prec_bits must be between 1 and 65536") and err.count("\n") == 1
+
+
 def test_expsum_weyl_exit_codes(capsys):
     rc, payload = run_json(
         ["expsum", "weyl", "--A", "1/7", "--B", "0", "--hi", "300", "--K", "10"], capsys
@@ -493,18 +508,50 @@ def test_expsum_window_options_end_cleanly_on_edge_values(capsys):
     assert not bad, bad
 
 
+def test_prop1_options_end_cleanly_on_edge_values(capsys):
+    # --j-max is read only with --residuals, whose tail sums it bounds
+    bad = _edge_value_failures(["prop1"], [["--p", "13", "--residuals"]], ["--p", "--r", "--j-max"], capsys)
+    assert not bad, bad
+
+
+def test_expsum_scan_options_end_cleanly_on_edge_values(capsys):
+    bad = _edge_value_failures(["expsum", "scan"], [["--count", "1"]], ["--count", "--seed"], capsys)
+    assert not bad, bad
+
+
+def test_special_hist_options_end_cleanly_on_edge_values(capsys):
+    # --x stays out: a walk over (x/2, x] needs a work budget, not a memory charge
+    options = ["--bins", "--z-small", "--z-lo", "--z-hi"]
+    bad = _edge_value_failures(["special", "hist"], [["--x", "10000"]], options, capsys)
+    assert not bad, bad
+
+
+def test_budget_mb_holds_for_the_command_it_is_given(capsys):
+    # verify-all's checks read the same budget as every other command, and
+    # dispatch restores the default after each command, refused or not
+    rc, out, err = run(["verify-all", "--only", "vector_sandwich", "--budget-mb", "16"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: vector sandwich with 1000000 trials needs 78 MB, budget is 16 MB\n"
+    assert arith.budget_mb == arith.DEFAULT_BUDGET_MB
+    assert sieve.vector_sieve_random_trials(10**6)["ok"]
+    rc, out, err = run(["sieve", "vector", "--trials", "1000", "--budget-mb", "16"], capsys)
+    assert rc == 0 and err == ""
+    assert arith.budget_mb == arith.DEFAULT_BUDGET_MB
+    assert sieve.vector_sieve_random_trials(10**6)["ok"]
+
+
 def test_special_sigmas_honors_budget(capsys, monkeypatch):
-    # the budget governs psi and the sieve arrays only: the special walk
-    # builds no least-factor table, so a zero budget changes nothing
+    # the special walk charges nothing to the budget and builds no
+    # least-factor table, so a zero budget changes nothing
     argv = ["special", "sigmas", "--x", "100000", "--delta", "0.05"]
     rc, plain, err = run(argv, capsys)
     assert rc == 0 and err == ""
     calls = []
     real = arith.build_spf_table
 
-    def spy(limit, budget_mb=None):
-        calls.append((limit, budget_mb))
-        return real(limit, budget_mb=budget_mb)
+    def spy(limit):
+        calls.append(limit)
+        return real(limit)
 
     monkeypatch.setattr(arith, "build_spf_table", spy)
     rc, out, err = run(argv + ["--budget-mb", "0"], capsys)

@@ -8,7 +8,7 @@ import pytest
 from mpmath import mp
 
 import oracles
-from alpha4 import dickman, sieve
+from alpha4 import arith, dickman, sieve
 from alpha4.errors import BudgetError, PreconditionError
 
 # frozen from the certified marching run (err <= 6.5e-35); parse at high
@@ -112,14 +112,16 @@ def test_rho_solution_grid():
         assert abs(row["rho"] - float(dickman.rho(row["u"]).value)) <= row["err"] + 1e-16
 
 
-def test_rho_solution_charges_its_rows_to_the_budget():
+def test_rho_solution_charges_its_rows_to_the_budget(monkeypatch):
     with pytest.raises(BudgetError, match="rho table"):
         dickman.rho_solution(20, grid_step=1e-300)
     with pytest.raises(BudgetError, match="rho table"):
         dickman.rho_solution(20, grid_step=5e-324)  # 20 / step overflows a float
+    monkeypatch.setattr(arith, "budget_mb", 0)
     with pytest.raises(BudgetError, match="needs 1 MB, budget is 0 MB"):
-        dickman.rho_solution(20, grid_step=0.01, budget_mb=0)
-    assert len(dickman.rho_solution(20, grid_step=0.01, budget_mb=1)) == 2001
+        dickman.rho_solution(20, grid_step=0.01)
+    monkeypatch.setattr(arith, "budget_mb", 1)
+    assert len(dickman.rho_solution(20, grid_step=0.01)) == 2001
 
 
 @pytest.mark.parametrize("step", [0, -0.5, math.nan, math.inf])
@@ -204,19 +206,22 @@ def test_psi_dyadic_window():
     assert window == brute
 
 
-def test_psi_budget_refusal():
+def test_psi_budget_refusal(monkeypatch):
     # the count holds one 1 MB window whatever x is, so only a budget below it refuses
+    monkeypatch.setattr(arith, "budget_mb", 0)
     with pytest.raises(BudgetError):
-        dickman.psi_exact(10**9, 100, budget_mb=0)
+        dickman.psi_exact(10**9, 100)
 
 
-def test_psi_refuses_x_beyond_uint32_residuals():
+def test_psi_refuses_x_beyond_uint32_residuals(monkeypatch):
     # refused before the budget is consulted or anything is allocated
+    monkeypatch.setattr(arith, "budget_mb", 2**20)
     with pytest.raises(PreconditionError, match="2\\^32"):
-        dickman.psi_exact(2**32, 100, budget_mb=2**20)
+        dickman.psi_exact(2**32, 100)
     # one below, the budget is what refuses
+    monkeypatch.setattr(arith, "budget_mb", 0)
     with pytest.raises(BudgetError, match="needs 1 MB"):
-        dickman.psi_exact(2**32 - 1, 100, budget_mb=0)
+        dickman.psi_exact(2**32 - 1, 100)
 
 
 def test_psi_refuses_a_y_that_is_not_finite():

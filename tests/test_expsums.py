@@ -13,7 +13,7 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp, mpf_neg, mpf_pow_int, mpf_rdiv_int, round_nearest
 
 import oracles
-from alpha4 import cli, expsums
+from alpha4 import cli, expsums, verify
 from alpha4.bigreal import round_nearest_int
 from alpha4.errors import BudgetError, PreconditionError
 
@@ -170,6 +170,67 @@ def test_eval_phase_rejects_engine_mismatch():
     spec = expsums.make_basic_phase(mp.mpf("0.25"), 0, 0, 100)
     with pytest.raises(PreconditionError):
         expsums.eval_phase(spec, engine="exact")
+
+
+def _double_prec_bits(spec) -> int:
+    """required_prec_bits as it was summed in floats, which overflowed past 2^1024."""
+    hi = max(abs(spec.lo) + 1, abs(spec.hi), 1)
+    if spec.kind == "basic":
+        mag = (abs(float(spec.A)) + 1) * hi * hi + (abs(float(spec.B)) + 1) * hi
+    elif spec.kind == "lemma61":
+        a1 = abs(float(spec.coefficients.A))
+        mag = (a1 + 1) * (spec.r * hi + abs(spec.v)) ** 2 + abs(spec.h) * spec.m * hi
+    else:
+        mag = (abs(float(spec.coefficients.C)) + 1) * hi
+    return max(64, int(math.log2(mag + 2))) + 64
+
+
+def _seeded_spec_sweep(rng):
+    """Specs of all three kinds, wide coefficients (mpf ones too) and wide ranges."""
+    lo = rng.randrange(10 ** rng.randrange(1, 12))
+    hi = lo + rng.randrange(1000)
+    kind = rng.randrange(3)
+    if kind == 0:
+        A, B = (Fraction(rng.randrange(-(2 ** rng.randrange(1, 300)), 2 ** rng.randrange(1, 300)),
+                         rng.randrange(1, 2 ** rng.randrange(1, 200))) for _ in range(2))
+        if rng.random() < 0.3:
+            with mp.workprec(rng.choice([30, 53, 100, 300])):
+                A = mp.mpf(A.numerator) / A.denominator
+        return expsums.make_basic_phase(A, B, lo, hi)
+    if kind == 1:
+        r = rng.choice([3, 5, 7, 101, 1009])
+        m = rng.randrange(1, 10 ** rng.randrange(1, 15))
+        while math.gcd(m, r) != 1:
+            m += 1
+        return expsums.make_lemma61_phase(rng.randrange(-(10**6), 10**6), m, r, lo, hi)
+    return expsums.make_lemma62_inner_phase(rng.randrange(1, 10**6), rng.randrange(1, 10**8), rng.randrange(1, 200),
+                                            rng.randrange(1, 5), rng.randrange(1, 10**6), rng.randrange(1, 10**6), lo, hi)
+
+
+def test_default_precision_is_the_double_formula_wherever_that_was_finite():
+    specs = verify._seeded_specs(random.Random(20260819), 100)  # phase_engines' specs
+    for seed in range(10):  # the mpf sums of perfbench's long_sums workload at seeds 0..9
+        rng = random.Random(seed)
+        A, B = Fraction(rng.randrange(1, 2**40), 2**20), Fraction(rng.randrange(0, 2**20), 2**20)
+        specs.append(expsums.make_basic_phase(A, B, 0, 20000))
+    rng = random.Random(24)
+    specs += [_seeded_spec_sweep(rng) for _ in range(1500)]
+    # a float sum that rounds up to a power of two, and log2 that rounds up to one
+    specs += [expsums.make_basic_phase(2**e - t, 0, 0, hi)
+              for e in range(62, 140) for t in (3, 5, 2 ** (e - 47), 2 ** (e - 45)) for hi in (1, 2)]
+    for spec in specs:
+        assert expsums.required_prec_bits(spec) == _double_prec_bits(spec), spec
+
+
+def test_default_precision_past_the_float_range():
+    # the float formula overflowed here; the mpf engine now runs, and its cap holds
+    spec = expsums.make_basic_phase(Fraction(10**3000), 0, 0, 3)
+    with pytest.raises(OverflowError):
+        _double_prec_bits(spec)
+    assert expsums.required_prec_bits(spec) == (9 * 10**3000).bit_length() - 1 + 64  # (A + 1) hi^2 + hi
+    assert expsums.eval_phase(spec, engine="mpf").n_terms == 3
+    with pytest.raises(PreconditionError, match="prec_bits must be between 1 and 65536, got 99725 \\(the default"):
+        expsums.eval_phase(expsums.make_basic_phase(Fraction(10**30000), 0, 0, 3), engine="mpf")
 
 
 @pytest.mark.parametrize("prec_bits", [0, -5])
@@ -566,6 +627,23 @@ def test_cancellation_scan_lemma61_family_runs():
     assert len(rep["rows"]) == 2
     for row in rep["rows"]:
         assert row["normalized_modulus"] <= 1
+
+
+def test_scan_rows_stay_under_their_charge(monkeypatch):
+    # one constant per family covers the traced peak of its rows without
+    # overstating it by half
+    charges = []
+    monkeypatch.setattr(expsums, "require_budget", lambda need, what: charges.append(need))
+    for family in ("random", "resonant", "lemma61"):
+        expsums.cancellation_scan(family, count=2, qs=(16,))  # so the peak holds no first-use import
+        for count in (100, 400):
+            tracemalloc.start()
+            try:
+                expsums.cancellation_scan(family, count=count, qs=(16,))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= charges[-1] <= 1.5 * peak, (family, count)
 
 
 def test_cancellation_scan_rejects_unknown_family():

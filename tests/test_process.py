@@ -1,14 +1,24 @@
 """The CLI's process-wide settings, each checked in a fresh process: the
-OpenBLAS thread count, and the precision cap under a memory limit."""
+OpenBLAS thread count, and the precision cap and the memory budget under
+a memory limit."""
 
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the CLI in a process that may map at most 1 GB
+_CAPPED_CLI = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "from alpha4 import cli\n"
+    "sys.exit(cli.dispatch(sys.argv[1:]))\n"
+)
 
 
 def _python(code: str, *args: str, **env: str | None) -> subprocess.CompletedProcess:
@@ -43,13 +53,27 @@ def test_cli_runs_openblas_on_one_thread_unless_the_user_set_a_count(setting):
 def test_a_precision_past_the_cap_exits_2_under_a_memory_limit(kind):
     # without the cap, 2^63 bits ended in a MemoryError traceback; the limit
     # keeps a regression from taking the machine's memory
-    code = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-        "from alpha4 import cli\n"
-        "sys.exit(cli.dispatch(sys.argv[1:]))\n"
-    )
-    done = _python(code, "expsum", *kind, "--hi", "5", "--engine", "mpf", "--prec-bits", str(2**63))
+    done = _python(_CAPPED_CLI, "expsum", *kind, "--hi", "5", "--engine", "mpf", "--prec-bits", str(2**63))
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: prec_bits") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["special", "hist", "--x", "10000", "--bins", str(2**63 - 1)],
+        ["expsum", "scan", "--count", str(2**63 - 1)],
+        ["prop1", "--p", "13", "--residuals", "--j-max", str(2**63 - 1)],
+    ],
+    ids=["special_hist_bins", "expsum_scan_count", "prop1_j_max"],
+)
+def test_a_list_past_the_budget_exits_2_at_once_under_a_memory_limit(argv):
+    # without its charge, each list grows item by item for longer than 10 s
+    start = time.monotonic()
+    done = _python(_CAPPED_CLI, *argv)
+    assert time.monotonic() - start < 10
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.endswith(", budget is 512 MB\n")
+    assert done.stderr.count("\n") == 1

@@ -1,6 +1,7 @@
 """The divisor-power series, its tail expansion, and the near-integer statistic."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -245,6 +246,35 @@ def test_sigma4_windows_build_no_factorization():
     primes = [101, 103, 10007]
     windows = series.sigma4_windows(primes, 40)
     assert windows == [[oracles.sigma_k(n, 4) for n in range(p, p + 41)] for p in primes]
+
+
+def test_sigma4_window_peaks_stay_under_their_charge(monkeypatch):
+    # the charge per value grows with its bits; it must cover the traced
+    # peak without overstating it by half, for a small and a large p
+    charges = []
+    monkeypatch.setattr(series, "require_budget", lambda need, what: charges.append(need))
+    series.sigma4_windows([13], 10)  # so the peak holds no first-use import
+    for p, j_max in ((13, 5000), (10**6 + 3, 20000)):
+        tracemalloc.start()
+        try:
+            series.sigma4_windows([p], j_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= charges[-1] <= 1.5 * peak, p
+
+
+def test_expansion_residuals_hold_memory_linear_in_j_max():
+    # the remainder bound multiplies p..p+j_max once; it kept every partial
+    # product, 71 MB at j_max = 10^4 and 310 MB at 2 * 10^4
+    series.expansion_residuals(13, j_max=50)
+    tracemalloc.start()
+    try:
+        series.expansion_residuals(13, j_max=10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_short_sigma4_window_is_refused():

@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp
 
 import oracles
-from alpha4 import cli, sieve
+from alpha4 import arith, cli, sieve
 from alpha4.arith import PrimeRange
 from alpha4.errors import BudgetError, PreconditionError
 
@@ -62,14 +62,16 @@ def test_weights_read_no_prime_above_the_level():
     assert sieve.verify_sandwich(huge, 100) == sieve.verify_sandwich(small, 100)
 
 
-def test_weights_are_charged_to_the_budget():
+def test_weights_are_charged_to_the_budget(monkeypatch):
     # the primes up to min(z, D) are refused before the sieve runs, and a
     # level whose chains never end is refused as its dicts grow
     with pytest.raises(BudgetError, match="beta weights"):
         sieve.beta_sieve_weights(1e11, 10**11)
+    monkeypatch.setattr(arith, "budget_mb", 1)
     with pytest.raises(BudgetError, match="beta weights at D=1e\\+30, z=1000 needs 2 MB, budget is 1 MB"):
-        sieve.beta_sieve_weights(1e30, 1000, budget_mb=1)
-    assert len(sieve.beta_sieve_weights(10**6, 1000, budget_mb=3).lambda_minus) == 7532
+        sieve.beta_sieve_weights(1e30, 1000)
+    monkeypatch.setattr(arith, "budget_mb", 3)
+    assert len(sieve.beta_sieve_weights(10**6, 1000).lambda_minus) == 7532
 
 
 def test_weights_degenerate_level():
@@ -152,7 +154,7 @@ def test_sandwich_peaks_stay_under_their_charges(monkeypatch):
     few = sieve.FundamentalLemmaTruncation(z=30, R=3, parity="odd")
     most = sieve.FundamentalLemmaTruncation(z=n, R=3, parity="even")
     charges = []
-    monkeypatch.setattr(sieve, "require_budget", lambda need, budget_mb, what: charges.append(need))
+    monkeypatch.setattr(sieve, "require_budget", lambda need, what: charges.append(need))
     for run in (
         lambda: sieve.verify_sandwich(ws, n),
         lambda: sieve.fundamental_lemma_check(few, n),
@@ -336,15 +338,17 @@ def test_mertens_sums_over_explicit_window():
     assert prod == pytest.approx(0.5019215452589002, abs=1e-12)
 
 
-def test_mertens_windows_are_charged_before_the_sieve():
+def test_mertens_windows_are_charged_before_the_sieve(monkeypatch):
     # at most 2y / log y primes in a window of length y, 48 bytes each
     with pytest.raises(BudgetError, match="prime list of the window"):
         sieve.mertens_window(10, 1e300)
-    with pytest.raises(BudgetError, match="needs 1 MB, budget is 0 MB"):
-        sieve.mertens_window(10, 100, budget_mb=0)
     with pytest.raises(BudgetError, match="prime list of the window"):
         sieve.mertens_window_report(10**60, 0.05)
-    assert sieve.mertens_window_report(10**6, 0.05, budget_mb=1)["primes_in_window"] == 5
+    monkeypatch.setattr(arith, "budget_mb", 0)
+    with pytest.raises(BudgetError, match="needs 1 MB, budget is 0 MB"):
+        sieve.mertens_window(10, 100)
+    monkeypatch.setattr(arith, "budget_mb", 1)
+    assert sieve.mertens_window_report(10**6, 0.05)["primes_in_window"] == 5
 
 
 @pytest.mark.parametrize("a, b", [(10, math.nan), (math.nan, 10), (math.inf, math.inf), (-math.inf, 10)])

@@ -5,6 +5,9 @@ import hashlib
 import inspect
 import json
 import math
+import os
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -288,13 +291,19 @@ def test_prefiltered_walk_matches_oracle(case, spf, spf_million):
         assert c.S_total == len(want_members)
 
 
-def test_sigma_counter_consistency_is_enforced():
-    params = params_at_1e4()
-    with pytest.raises(PreconditionError, match="sigma2"):
-        special.SigmaCounters(
-            sigma1=1, sigma2=5, sigma3=1, sigma4=1, S_total=10,
-            parameters=params, delta=0.05,
-        )
+def test_a_failed_pair_bound_is_printed_and_exits_1(capsys, monkeypatch):
+    # sigma2 > sigma3 + sigma4 is a wrong count, not a bad input: it is
+    # printed as data and fails the command with status 1, not 2
+    def wrong(params, delta):
+        return special.SigmaCounters(sigma1=1, sigma2=5, sigma3=1, sigma4=1, S_total=10, parameters=params, delta=delta)
+
+    monkeypatch.setattr(special, "count_sigmas", wrong)
+    rc = cli.dispatch(["special", "sigmas", "--x", "10000", "--delta", "0.05"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and err == ""
+    res = json.loads(out)["result"]
+    assert res["pair_bound_holds"] is False
+    assert [res["sigma2"], res["sigma3"], res["sigma4"]] == [5, 1, 1]
 
 
 def test_witness_gap():
@@ -402,6 +411,29 @@ def test_histogram_mass_and_ks(desk_records):
     assert 0 <= rep["ks_plain"] <= 1
     assert 0 <= rep["ks_r"] <= 1
     assert rep["edges"][0] == 0 and rep["edges"][-1] == 0.5
+
+
+def test_histogram_bins_stay_under_their_charge(monkeypatch):
+    # a bin's edge, its counts and its `special hist` row are charged one
+    # constant; it must cover the traced peak without overstating it by
+    # half. jsonl streams the rows, so no JSON document adds to the peak
+    records = special.enumerate_S(params_at_1e4())
+    monkeypatch.setattr(special, "enumerate_S", lambda params: records)
+    charges = []
+    monkeypatch.setattr(special, "require_budget", lambda need, what: charges.append(need))
+    parse = cli.build_parser().parse_args
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        cli.cmd_special_hist(parse(["special", "hist", "--x", "10000", "--bins", "10", "--format", "jsonl"]))
+        for bins in (5000, 20000):
+            args = parse(["special", "hist", "--x", "10000", "--bins", str(bins), "--format", "jsonl"])
+            tracemalloc.start()
+            try:
+                cli.cmd_special_hist(args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= charges[-1] <= 1.5 * peak, bins
 
 
 def test_histogram_empty_r_column():
