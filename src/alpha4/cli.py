@@ -27,6 +27,7 @@ from .bigreal import BigRealWithError
 from .errors import BudgetError, PreconditionError
 
 SCHEMA = 1
+MAX_THREADS = 64  # --threads above it is refused; the pool forks every worker at its first task
 
 # numpy's OpenBLAS starts a busy-waiting thread per CPU when numpy loads, which
 # importing this module does not do; nothing in the package calls BLAS
@@ -37,7 +38,12 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 def _ratio(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # past Python's int-to-str limit
+        limit = sys.get_int_max_str_digits()
+        raise PreconditionError(f"an exact rational with a numerator or denominator of more than {limit} digits "
+                                "passes Python's int-to-str limit") from None
 
 
 def to_jsonable(x):
@@ -56,11 +62,9 @@ def to_jsonable(x):
         return {f.name: to_jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
     if isinstance(x, dict):
         return {str(k): to_jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple, set)):
+    if isinstance(x, (list, tuple)):
         return [to_jsonable(v) for v in x]
-    if hasattr(x, "item"):  # numpy scalars
-        return to_jsonable(x.item())
-    return str(x)
+    raise TypeError(f"no JSON form for {type(x).__name__}")
 
 
 def emit(payload, fmt: str, command: str, rows_key: str | None = None) -> None:
@@ -426,7 +430,7 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "jsonl", "csv"), default=d, dest="fmt")
     p.add_argument("--preset", choices=("desk", "paper"), default=d)
     p.add_argument("--seed", type=int, default=d)
-    p.add_argument("--threads", type=int, default=d, help="worker processes for the exact engine of expsum basic")
+    p.add_argument("--threads", type=int, default=d, help=f"worker processes for the exact engine of expsum basic (at most {MAX_THREADS})")
     p.add_argument("--budget-mb", type=int, default=d, help="memory budget in MB of every allocation the command charges (default 512)")
 
 
@@ -582,9 +586,9 @@ def dispatch(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.threads is None:
-            args.threads = max(1, os.cpu_count() or 1)
-        elif args.threads < 1:
-            raise PreconditionError(f"--threads must be at least 1, got {args.threads}")
+            args.threads = min(os.cpu_count() or 1, MAX_THREADS)
+        elif not 1 <= args.threads <= MAX_THREADS:
+            raise PreconditionError(f"--threads must be between 1 and {MAX_THREADS}, got {args.threads}")
         if args.budget_mb < 0:
             raise PreconditionError(f"--budget-mb must be nonnegative, got {args.budget_mb}")
         arith.budget_mb = args.budget_mb  # read by every charge of this command

@@ -3,9 +3,8 @@
 Phases come in three shapes: a quadratic-plus-inverse phase in a single
 variable, its restriction to an arithmetic progression n = v + r*l
 rewritten in the progression variable, and the linear inner phase left
-by double differencing. Coefficients are exact rationals in the
-arithmetic families and may be arbitrary reals (mpf) in the basic one;
-each spec computes them once (PhaseSpec.coefficients).
+by double differencing. Coefficients are exact rationals (Fraction) in
+all three; each spec computes them once (PhaseSpec.coefficients).
 
 Every exact phase comes from one integer core: _phase_ratio(spec) does
 the per-spec work once and returns n -> (N, D), phase(n) = N/D, with no
@@ -90,8 +89,8 @@ class PhaseSpec:
     kind: str
     lo: int
     hi: int
-    A: object = None
-    B: object = None
+    A: Fraction | None = None
+    B: Fraction | None = None
     h: int = 0
     m: int = 0
     r: int = 0
@@ -128,8 +127,8 @@ class PhaseSpec:
 
 
 class _Coefficients(NamedTuple):
-    A: object
-    B: object = None
+    A: Fraction
+    B: Fraction | None = None
     lin: Fraction | None = None
     C: Fraction | None = None
 
@@ -145,20 +144,10 @@ def _slope62(A: Fraction, j: int, r: int, l1: int, l2: int) -> Fraction:
     )
 
 
-def _coerce_real(x, name: str):
-    """An mpf as it is, anything else exactly (exact_rational). Only
-    finite numbers pass."""
-    if not isinstance(x, mp.mpf):
-        return exact_rational(x, name)
-    if not mp.isfinite(x):
-        raise PreconditionError(f"{name} must be a finite number, got {x}")
-    return x
-
-
 def make_basic_phase(A, B, lo: int, hi: int) -> PhaseSpec:
     if lo < 0:
         raise PreconditionError("basic phase needs lo >= 0 (n^-2 requires n >= 1)")
-    return PhaseSpec(kind="basic", lo=lo, hi=hi, A=_coerce_real(A, "A"), B=_coerce_real(B, "B"))
+    return PhaseSpec(kind="basic", lo=lo, hi=hi, A=exact_rational(A, "A"), B=exact_rational(B, "B"))
 
 
 def minus_inverse_residue(m: int, r: int) -> int:
@@ -216,14 +205,8 @@ def make_lemma62_inner_phase(
 # -- coefficients and phase values -----------------------------------------
 
 
-def _is_exact_spec(spec: PhaseSpec) -> bool:
-    if spec.kind != "basic":
-        return True
-    return isinstance(spec.A, Fraction) and isinstance(spec.B, Fraction)
-
-
 def _phase_ratio(spec: PhaseSpec):
-    """n -> (N, D) with phase(n) = N/D, D > 0 and no gcd taken (rational coefficients).
+    """n -> (N, D) with phase(n) = N/D, D > 0 and no gcd taken.
 
     basic:         (n^4 + 1)(a n + b) / (d0 n^3), with A = a/d0, B = b/d0
     lemma61:       (a ((q^2 - v^2) q^2 + 1) + b n q^2) / (d0 q^2), q = v + r n,
@@ -234,8 +217,6 @@ def _phase_ratio(spec: PhaseSpec):
     if spec.kind == "lemma62_inner":
         num, den = c.C.numerator, c.C.denominator
         return lambda n: (num * n, den)
-    if not _is_exact_spec(spec):
-        raise PreconditionError("exact phase needs rational coefficients; use phase_mpf")
     # lemma61: B r l + (h m / r^3) l = (B + lin) r l
     second = c.B if spec.kind == "basic" else (c.B + c.lin) * spec.r
     d0 = math.lcm(c.A.denominator, second.denominator)
@@ -258,16 +239,13 @@ def _phase_ratio(spec: PhaseSpec):
 
 
 def phase_fraction(spec: PhaseSpec, n: int) -> Fraction:
-    """The exact phase value at index n (requires rational coefficients)."""
+    """The exact phase value at index n."""
     return Fraction(*_phase_ratio(spec)(n))
 
 
-def _mpf(x):
-    """x at the ambient precision, rounded once from its exact value (mpf and None pass)."""
-    if x is None or isinstance(x, mp.mpf):
-        return x
-    x = Fraction(x)
-    return mp.mpf(x.numerator) / x.denominator
+def _mpf(x: Fraction | int | None) -> mp.mpf | None:
+    """x at the ambient precision, rounded once from its exact value (None passes)."""
+    return None if x is None else mp.make_mpf(from_rational(x.numerator, x.denominator, mp.mp.prec, round_nearest))
 
 
 def _phase_raw(spec: PhaseSpec, prec: int):
@@ -360,8 +338,8 @@ def required_prec_bits(spec: PhaseSpec) -> int:
     the exponent to math.log2 of the mantissa, as math.log2 rounds it."""
     hi, c = max(abs(spec.lo) + 1, abs(spec.hi), 1), spec.coefficients
 
-    def d(x):  # float(x) of a Fraction, int or mpf
-        return mp.mpf(from_rational(x.numerator, x.denominator, 53, round_nearest) if isinstance(x, Fraction) else x)
+    def d(x):  # float(x) of a Fraction or int
+        return mp.make_mpf(from_rational(x.numerator, x.denominator, 53, round_nearest))
 
     with mp.workprec(53):
         if spec.kind == "basic":
@@ -437,13 +415,12 @@ def eval_phase(
     not correctly rounded, so libmp's) for cos and sin, and two sums
     rounded as mpf_add rounds them, so the bits are those of the same steps
     on mpf objects; one mpc is built at the end.
-    Default picks "exact" when the coefficients allow it.
+    Both engines read the same exact coefficients; the default is "exact".
     """
     n = spec.n_terms
     if n > TERM_BUDGET:
         raise BudgetError(f"{n} terms exceed the term budget {TERM_BUDGET}")
-    if engine is None:
-        engine = "exact" if _is_exact_spec(spec) else "mpf"
+    engine = "exact" if engine is None else engine
     if engine not in ("exact", "mpf"):
         raise PreconditionError(f"engine must be 'exact' or 'mpf', got {engine!r}")
     prec = required_prec_bits(spec) if engine == "mpf" and prec_bits is None else prec_bits
@@ -454,8 +431,6 @@ def eval_phase(
         return ExpSumResult(value=0j, n_terms=0, normalized_modulus=0.0)
 
     if engine == "exact":
-        if not _is_exact_spec(spec):
-            raise PreconditionError("exact engine needs rational coefficients")
         bounds = list(range(spec.lo, spec.hi, CHUNK)) + [spec.hi]
         jobs = [(spec, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         if threads > 1 and n >= 4 * CHUNK:
@@ -564,16 +539,21 @@ def weyl_difference_check(spec: PhaseSpec, K: int, L: int | None = None) -> dict
 
         |S|^4 <= 3 ( N^4/K^2 + N^4/L + N^3 max_{k<=K, l<=L} |S_{k,l}| ).
     """
-    if not _is_exact_spec(spec):
-        raise PreconditionError("differencing checks need rational coefficients")
     N = spec.n_terms
     if not 1 <= K <= N:
         raise PreconditionError(f"need 1 <= K <= N = {N}, got K = {K}")
     if L is not None and not 1 <= L <= N:
         raise PreconditionError(f"need 1 <= L <= N = {N}, got L = {L}")
+    ratio = _phase_ratio(spec)
+    # one table of N pairs of b-bit ints lives beside one of S_k's 2b-bit pairs
+    # and, with L, one of S_{k,l}'s 4b-bit pairs; a pair holds a list slot, a
+    # tuple and two ints of 28 + 4 ceil(w / 30) bytes (CPython, tracemalloc)
+    b = max(ratio(n)[1].bit_length() for n in (spec.lo + 1, spec.hi))
+    widths = (b, 2 * b, 4 * b) if L is not None else (b, 2 * b)
+    require_budget(N * sum(120 + 8 * -(-w // 30) for w in widths), f"Weyl residue tables of {N} terms")
     S = abs(eval_phase(spec).value)
     # R[i]: the residue of n = lo+1+i as (N mod D, D)
-    R = [(N % D, D) for N, D in map(_phase_ratio(spec), range(spec.lo + 1, spec.hi + 1))]
+    R = [(N % D, D) for N, D in map(ratio, range(spec.lo + 1, spec.hi + 1))]
     sum_sk = 0.0
     max_skl = 0.0
     for k in range(1, K + 1):
@@ -581,6 +561,7 @@ def weyl_difference_check(spec: PhaseSpec, K: int, L: int | None = None) -> dict
         sum_sk += 2 * abs(_sum_e(a / d for a, d in Rk))  # |S_-k| = |S_k|
         for l in range(1, (L or 0) + 1):
             max_skl = max(max_skl, abs(_sum_e(a / d for a, d in _diff_mod1(Rk, l))))
+        del Rk  # so the next S_k's table is not built beside this one
     lhs2 = S**2
     rhs2 = 3 * (N**2 / K + (N / K) * sum_sk)
     out = {
@@ -618,14 +599,11 @@ def _delta2(g, n, k, l):
 
 
 def f_ell_closed(A, B, k: int, l: int, n) -> Fraction:
-    """A [n^-2 - (n+k)^-2 - (n+l)^-2 + (n+k+l)^-2] + B [same with cubes]."""
-    A, B = Fraction(A), Fraction(B)
-    n = Fraction(n)
+    """A [n^-2 - (n+k)^-2 - (n+l)^-2 + (n+k+l)^-2] + B [same with cubes]:
+    the derivative of order 0."""
     if min(n, n + k, n + l, n + k + l) <= 0:
         raise PreconditionError("arguments must stay positive")
-    sq = _delta2(lambda t: 1 / t**2, n, k, l)
-    cu = _delta2(lambda t: 1 / t**3, n, k, l)
-    return A * sq + B * cu
+    return f_ell_derivative(A, B, k, l, n, 0)
 
 
 def f_ell_integral(A, B, k: int, l: int, n) -> mp.mpf:
@@ -861,7 +839,7 @@ class SmoothingWindow:
 
     def __post_init__(self):
         if not 0 < self.delta <= Fraction(1, 12):
-            raise PreconditionError(f"delta must be in (0, 1/12], got {self.delta}")
+            raise PreconditionError("delta must be in (0, 1/12]")  # an exact delta may be too long to print
         if not 1 <= self.J <= 8:
             raise PreconditionError(f"J must be in 1..8, got {self.J}")
 

@@ -212,11 +212,13 @@ def phase_lemma62_inner(h: int, m: int, r: int, j: int, l1: int, l2: int, n: int
 
 def mpf_coefficient(x):
     """A phase coefficient at the ambient precision, rounded once from its
-    exact value (mpf and None pass through)."""
-    if x is None or isinstance(x, mp.mpf):
+    exact value (None passes through): the numerator is read exactly, at a
+    precision of its own length, and one division rounds the quotient."""
+    if x is None:
         return x
     x = Fraction(x)
-    return mp.mpf(x.numerator) / x.denominator
+    num = mp.mpf(x.numerator, prec=max(1, x.numerator.bit_length()))
+    return mp.fdiv(num, x.denominator)
 
 
 def phase_mpf(spec, n: int, coefficients):

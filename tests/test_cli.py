@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from alpha4 import arith, cli, sieve
+from alpha4 import arith, cli, expsums, sieve
 
 
 def run(argv, capsys):
@@ -369,15 +369,41 @@ def test_special_sigmas_rejects_bad_delta(delta, capsys):
     [
         ["--threads", "0", "expsum", "basic", "--A", "1/7", "--B", "1/3", "--hi", "60"],
         ["expsum", "basic", "--A", "1/7", "--B", "1/3", "--hi", "60", "--threads", "-4"],
+        ["expsum", "basic", "--A", "1/7", "--B", "1/3", "--hi", "60", "--threads", "65"],
+        ["expsum", "basic", "--A", "1/7", "--B", "1/3", "--hi", "60", "--threads", "100000"],
         ["special", "sigmas", "--x", "10000", "--delta", "0.05", "--budget-mb", "-1"],
     ],
-    ids=["threads=0", "threads=-4", "budget-mb=-1"],
+    ids=["threads=0", "threads=-4", "threads=65", "threads=100000", "budget-mb=-1"],
 )
 def test_bad_global_flags_are_input_errors(argv, capsys):
     rc, out, err = run(argv, capsys)
     assert rc == 2
     assert out == ""
     assert err.startswith("error: --") and err.count("\n") == 1
+
+
+def test_default_threads_stop_at_the_cap(monkeypatch, capsys):
+    # the default is the CPU count, but never a count that --threads refuses
+    seen = []
+    real = expsums.eval_phase
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4096)
+    monkeypatch.setattr(expsums, "eval_phase", lambda spec, threads, **kw: seen.append(threads) or real(spec, **kw))
+    rc, out, err = run(["expsum", "basic", "--A", "1/7", "--B", "1/3", "--hi", "60"], capsys)
+    assert (rc, err, seen) == (0, "", [cli.MAX_THREADS])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["prop1", "--p", "13", "--residuals", "--j-max", "2000"], ["expsum", "basic", "--A", "1e5000", "--B", "0", "--hi", "3"]],
+    ids=["prop1_tail_majorant", "expsum_basic_A"],
+)
+def test_a_rational_past_the_int_to_str_limit_is_refused(argv, capsys):
+    # a 5,001-digit A, and the tail majorant at j_max = 2000, have no decimal
+    # string under Python's default limit of 4,300 digits
+    rc, out, err = run(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert err == ("error: an exact rational with a numerator or denominator of more than 4300 digits "
+                   "passes Python's int-to-str limit\n")
 
 
 @pytest.mark.parametrize(
@@ -417,7 +443,7 @@ _SIEVE_BASES = {
     "vector": [["--trials", "100"]],
     "mertens": [["--x", "10000"], ["--a", "10", "--b", "100"]],
 }
-_EDGE_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e300", str(2**63), "1/0", ""]
+_EDGE_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e300", "1e5000", str(2**63), "1/0", ""]
 
 
 def _subcommands(parser):
@@ -516,6 +542,27 @@ def test_prop1_options_end_cleanly_on_edge_values(capsys):
 
 def test_expsum_scan_options_end_cleanly_on_edge_values(capsys):
     bad = _edge_value_failures(["expsum", "scan"], [["--count", "1"]], ["--count", "--seed"], capsys)
+    assert not bad, bad
+
+
+# expsum's summing subcommands, one sound argv per phase kind and engine; each
+# sums under 16,384 terms, so no swept --threads value can start a pool
+_EXPSUM_BASES = {
+    "basic": [["--A", "1/7", "--B", "1/3", "--hi", "60"], ["--A", "1/7", "--B", "1/3", "--hi", "60", "--engine", "mpf"]],
+    "lemma61": [["--h", "2", "--m", "97", "--r", "13", "--hi", "60"],
+                ["--h", "2", "--m", "97", "--r", "13", "--hi", "60", "--engine", "mpf"]],
+    "weyl": [["--A", "1/7", "--B", "1/3", "--hi", "60", "--K", "2", "--L", "2"],
+             ["--kind", "lemma61", "--h", "2", "--m", "97", "--r", "13", "--hi", "60", "--K", "2", "--L", "2"]],
+}
+
+
+@pytest.mark.parametrize("name", list(_EXPSUM_BASES))
+def test_expsum_sum_options_end_cleanly_on_edge_values(name, capsys):
+    # every int option but the budget, and the exact --A and --B where the subcommand has them
+    parser = _subcommands(_subcommands(cli.build_parser())["expsum"])[name]
+    options = [a.option_strings[0] for a in parser._actions
+               if a.type is int and a.dest != "budget_mb" or a.dest in ("A", "B")]
+    bad = _edge_value_failures(["expsum", name], _EXPSUM_BASES[name], options, capsys)
     assert not bad, bad
 
 

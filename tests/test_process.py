@@ -65,11 +65,13 @@ def test_a_precision_past_the_cap_exits_2_under_a_memory_limit(kind):
         ["special", "hist", "--x", "10000", "--bins", str(2**63 - 1)],
         ["expsum", "scan", "--count", str(2**63 - 1)],
         ["prop1", "--p", "13", "--residuals", "--j-max", str(2**63 - 1)],
+        ["expsum", "weyl", "--A", "1/7", "--B", "0", "--hi", "100000000", "--K", "1"],
     ],
-    ids=["special_hist_bins", "expsum_scan_count", "prop1_j_max"],
+    ids=["special_hist_bins", "expsum_scan_count", "prop1_j_max", "expsum_weyl_hi"],
 )
 def test_a_list_past_the_budget_exits_2_at_once_under_a_memory_limit(argv):
     # without its charge, each list grows item by item for longer than 10 s
+    # (the Weyl check first sums its 10^8 terms, then builds its residue tables)
     start = time.monotonic()
     done = _python(_CAPPED_CLI, *argv)
     assert time.monotonic() - start < 10
