@@ -151,6 +151,14 @@ def test_eval_phase_against_direct_unit_vector_sum():
     assert abs(got.value - direct) < 1e-10
 
 
+def test_engines_agree_on_the_same_phase():
+    # the same exact coefficients, the exact engine vs the mpf engine
+    spec = expsums.make_basic_phase(Fraction(1, 2), 0, 1000, 3000)
+    exact = expsums.eval_phase(spec)
+    with_mpf = expsums.eval_phase(spec, engine="mpf")
+    assert abs(complex(with_mpf.value) - exact.value) < 1e-9
+
+
 def test_eval_phase_threads_bitwise_deterministic():
     spec = expsums.make_basic_phase(Fraction(3, 17), Fraction(1, 5), 0, 40000)
     one = expsums.eval_phase(spec, threads=1)
@@ -163,6 +171,14 @@ def test_eval_phase_budget():
     spec = expsums.make_basic_phase(1, 1, 0, 10**9 + 1)
     with pytest.raises(BudgetError, match="exceed the term budget"):
         expsums.eval_phase(spec)
+
+
+def test_eval_phase_rejects_engine_mismatch():
+    # an engine that is neither "exact" nor "mpf" is refused before a term is summed
+    spec = expsums.make_basic_phase(Fraction(1, 4), 0, 0, 100)
+    for engine in ("float", "EXACT", ""):
+        with pytest.raises(PreconditionError, match="engine must be 'exact' or 'mpf'"):
+            expsums.eval_phase(spec, engine=engine)
 
 
 def _double_prec_bits(spec) -> int:
