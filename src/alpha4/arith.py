@@ -48,6 +48,7 @@ MR_DETERMINISTIC_LIMIT = 330_000_000_000_000
 
 DEFAULT_BUDGET_MB = 512
 budget_mb = DEFAULT_BUDGET_MB  # the running command's memory budget, set by cli.dispatch
+WORK_BUDGET = 10**9  # the most terms, trials or integers one command may walk
 
 _SMALL_LIMIT = 1 << 16
 
@@ -60,6 +61,12 @@ def require_budget(need: int, what: str) -> None:
         mb = -(-need // 2**20)  # rounded up, so a refusal never reads as if it fitted
         shown = mb if mb < 10**12 else f"more than 10^{len(str(mb - 1)) - 1}"  # a power of ten below it
         raise BudgetError(f"{what} needs {shown} MB, budget is {budget // 2**20} MB")
+
+
+def require_work(steps: int, what: str) -> None:
+    """Refuse a walk of more than WORK_BUDGET steps rather than run without end."""
+    if steps > WORK_BUDGET:
+        raise BudgetError(f"{what} exceed the work budget {WORK_BUDGET}")
 
 
 def exact_rational(x, name: str) -> Fraction:

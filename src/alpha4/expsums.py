@@ -34,9 +34,9 @@ import mpmath as mp
 from mpmath.libmp import (from_int, from_man_exp, from_rational, mpf_add, mpf_cos_sin_pi, mpf_div, mpf_gt, mpf_lt,
                           mpf_mul, mpf_mul_int, mpf_pow_int, mpf_sub, round_nearest)
 
-from .arith import exact_rational, require_budget, sigma_k
+from .arith import exact_rational, require_budget, require_work, sigma_k
 from .bigreal import add_nearest_int, int_pair, round_nearest_int
-from .errors import BudgetError, PreconditionError
+from .errors import PreconditionError
 
 __all__ = [
     "PHASE_KINDS",
@@ -64,7 +64,6 @@ __all__ = [
 
 PHASE_KINDS = ("basic", "lemma61", "lemma62_inner")
 CHUNK = 4096
-TERM_BUDGET = 10**9  # eval_phase refuses a longer sum
 MAX_PREC_BITS = 2**16  # eval_phase refuses a finer explicit precision (the checks use 320)
 TAU = 2 * math.pi
 # bytes a cancellation_scan row holds: 7 or 8 fields, and lemma61's 11 (tracemalloc)
@@ -418,8 +417,7 @@ def eval_phase(
     Both engines read the same exact coefficients; the default is "exact".
     """
     n = spec.n_terms
-    if n > TERM_BUDGET:
-        raise BudgetError(f"{n} terms exceed the term budget {TERM_BUDGET}")
+    require_work(n, f"{n} terms")
     engine = "exact" if engine is None else engine
     if engine not in ("exact", "mpf"):
         raise PreconditionError(f"engine must be 'exact' or 'mpf', got {engine!r}")
@@ -544,6 +542,8 @@ def weyl_difference_check(spec: PhaseSpec, K: int, L: int | None = None) -> dict
         raise PreconditionError(f"need 1 <= K <= N = {N}, got K = {K}")
     if L is not None and not 1 <= L <= N:
         raise PreconditionError(f"need 1 <= L <= N = {N}, got L = {L}")
+    inner = K * N * (1 + (L or 0))  # at most N terms in each S_k and S_{k,l}
+    require_work(inner, f"{inner} inner terms of the Weyl sums")
     ratio = _phase_ratio(spec)
     # one table of N pairs of b-bit ints lives beside one of S_k's 2b-bit pairs
     # and, with L, one of S_{k,l}'s 4b-bit pairs; a pair holds a list slot, a

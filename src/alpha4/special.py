@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import PrimeRange, factor_many, primes_upto, require_budget
+from .arith import PrimeRange, factor_many, primes_upto, require_budget, require_work
 from .errors import PreconditionError
 from .series import prop1_ratio
 from .sieve import ScaleParams
@@ -135,8 +135,9 @@ def _walk(params: ScaleParams):
     left by them is then above z_small or, when z_small lies beyond
     sqrt(x+3), a prime; either way the odd-half rule is half > z_small.
     """
-    import numpy as np
     x, w, zs = params.x, params.W, params.z_small
+    require_work(x - x // 2, f"the {x - x // 2} integers of ({x // 2}, {x}]")
+    import numpy as np
     top = math.isqrt(x + 3)
     divides_p2 = primes_upto(min(params.z_quarter_lo, params.z_quarter_hi, top)).tolist()
     divides_half = primes_upto(min(zs, top)).tolist()

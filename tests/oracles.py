@@ -145,6 +145,27 @@ def beta_weights(D, z) -> tuple[dict[int, int], dict[int, int]]:
     return upper, lower
 
 
+def vector_trials(count: int, seed: int, shift: int = 0) -> dict:
+    """The two-variable sandwich d1 d2 >= d1+ d2- + d1- d2+ - d1+ d2+ on
+    count tuples, all held at once: the columns d1, d2 and the steps up to
+    d1+, d2+ and down to d1-, d2- are six consecutive integers(0, 2^15,
+    size=count) draws from one default_rng(seed). A trial fails where its
+    slack is below shift."""
+    import numpy as np
+    rng = np.random.default_rng(seed)
+    d1, d2, up1, up2, down1, down2 = [rng.integers(0, 1 << 15, size=count) for _ in range(6)]
+    slack = d1 * d2 - ((d1 + up1) * (d2 - down2) + (d1 - down1) * (d2 + up2) - (d1 + up1) * (d2 + up2)) - shift
+    bad = slack < 0
+    return {
+        "trials": count,
+        "seed": seed,
+        "violations": int(bad.sum()),
+        "first_violation_index": int(bad.argmax()) if bad.any() else None,
+        "min_slack": int(slack.min()),
+        "ok": not bad.any(),
+    }
+
+
 def nearest_int_distance(q: Fraction) -> Fraction:
     f = q % 1
     return min(f, 1 - f)

@@ -145,21 +145,23 @@ def test_psi_budget_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, reason",
     [
-        ["sieve", "weights", "--d", "900", "--z", "30", "--n-limit", str(2**62)],
-        ["sieve", "flemma", "--z", "30", "--r", "1", "--parity", "even", "--n-limit", str(2**62)],
-        ["sieve", "vector", "--trials", str(2**62)],
+        (["sieve", "weights", "--d", "900", "--z", "30", "--n-limit", str(2**62)], "budget is 512 MB"),
+        (["sieve", "flemma", "--z", "30", "--r", "1", "--parity", "even", "--n-limit", str(2**62)], "budget is 512 MB"),
+        (["sieve", "vector", "--trials", str(2**62)], "trials exceed the work budget 1000000000"),
     ],
     ids=["weights", "flemma", "vector"],
 )
-def test_oversized_sieve_arrays_are_budget_errors(argv, capsys):
-    # refused before any n-sized array exists, with status 2, not a traceback
+def test_oversized_sieve_arrays_are_budget_errors(argv, reason, capsys):
+    # refused before any n-sized array exists or any trial is drawn, with
+    # status 2, not a traceback; the trials are drawn a block at a time, so
+    # only the work budget bounds their number
     rc, out, err = run(argv, capsys)
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "budget is 512 MB" in err
+    assert reason in err
 
 
 @pytest.mark.parametrize("d, z", [("1e30", "1000"), ("1e11", "100000000000")])
@@ -172,11 +174,11 @@ def test_sieve_weights_past_the_budget_are_budget_errors(d, z, capsys):
 
 
 def test_budget_refusal_rounds_the_need_up(capsys):
-    # 81 bytes a trial: 6,628,036 trials are 4 bytes over 512 MiB
-    rc, out, err = run(["sieve", "vector", "--trials", "6628036"], capsys)
+    # 24 bytes an n: n_limit 22,369,621 is 16 bytes over 512 MiB, one less fits
+    rc, out, err = run(["sieve", "flemma", "--z", "30", "--r", "1", "--parity", "even", "--n-limit", "22369621"], capsys)
     assert rc == 2
     assert out == ""
-    assert "needs 513 MB, budget is 512 MB" in err
+    assert err == "error: truncated sandwich to n_limit=22369621 needs 513 MB, budget is 512 MB\n"
 
 
 @pytest.mark.parametrize(
@@ -567,8 +569,8 @@ def test_expsum_sum_options_end_cleanly_on_edge_values(name, capsys):
 
 
 def test_special_hist_options_end_cleanly_on_edge_values(capsys):
-    # --x stays out: a walk over (x/2, x] needs a work budget, not a memory charge
-    options = ["--bins", "--z-small", "--z-lo", "--z-hi"]
+    # the walk over (x/2, x] is held to the work budget, so --x ends too
+    options = ["--x", "--bins", "--z-small", "--z-lo", "--z-hi"]
     bad = _edge_value_failures(["special", "hist"], [["--x", "10000"]], options, capsys)
     assert not bad, bad
 
@@ -576,12 +578,12 @@ def test_special_hist_options_end_cleanly_on_edge_values(capsys):
 def test_budget_mb_holds_for_the_command_it_is_given(capsys):
     # verify-all's checks read the same budget as every other command, and
     # dispatch restores the default after each command, refused or not
-    rc, out, err = run(["verify-all", "--only", "vector_sandwich", "--budget-mb", "16"], capsys)
+    rc, out, err = run(["verify-all", "--only", "vector_sandwich", "--budget-mb", "1"], capsys)
     assert (rc, out) == (2, "")
-    assert err == "error: vector sandwich with 1000000 trials needs 78 MB, budget is 16 MB\n"
+    assert err == "error: vector sandwich in blocks of 16384 trials needs 2 MB, budget is 1 MB\n"
     assert arith.budget_mb == arith.DEFAULT_BUDGET_MB
     assert sieve.vector_sieve_random_trials(10**6)["ok"]
-    rc, out, err = run(["sieve", "vector", "--trials", "1000", "--budget-mb", "16"], capsys)
+    rc, out, err = run(["sieve", "vector", "--trials", "1000", "--budget-mb", "2"], capsys)
     assert rc == 0 and err == ""
     assert arith.budget_mb == arith.DEFAULT_BUDGET_MB
     assert sieve.vector_sieve_random_trials(10**6)["ok"]

@@ -169,7 +169,7 @@ def test_eval_phase_threads_bitwise_deterministic():
 def test_eval_phase_budget():
     # refused before a term is summed
     spec = expsums.make_basic_phase(1, 1, 0, 10**9 + 1)
-    with pytest.raises(BudgetError, match="exceed the term budget"):
+    with pytest.raises(BudgetError, match="terms exceed the work budget"):
         expsums.eval_phase(spec)
 
 

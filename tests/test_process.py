@@ -1,6 +1,6 @@
 """The CLI's process-wide settings, each checked in a fresh process: the
-OpenBLAS thread count, and the precision cap and the memory budget under
-a memory limit."""
+OpenBLAS thread count, and the precision cap, the memory budget and the
+work budget under a memory limit."""
 
 import os
 import subprocess
@@ -21,12 +21,12 @@ _CAPPED_CLI = (
 )
 
 
-def _python(code: str, *args: str, **env: str | None) -> subprocess.CompletedProcess:
+def _python(code: str, *args: str, timeout: float = 120, **env: str | None) -> subprocess.CompletedProcess:
     full = {k: v for k, v in os.environ.items() if k not in env}
     full.update({k: v for k, v in env.items() if v is not None})
     full["PYTHONPATH"] = str(SRC) + (os.pathsep + full["PYTHONPATH"] if full.get("PYTHONPATH") else "")
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=full, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code, *args], env=full, capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -78,4 +78,24 @@ def test_a_list_past_the_budget_exits_2_at_once_under_a_memory_limit(argv):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.endswith(", budget is 512 MB\n")
+    assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expsum", "weyl", "--A", "1/7", "--B", "0", "--hi", "200000", "--K", "200000"],
+        ["special", "sigmas", "--x", str(2**63), "--delta", "0.05"],
+        ["special", "enumerate", "--x", str(10**12)],
+        ["sieve", "vector", "--trials", str(2**62)],
+    ],
+    ids=["expsum_weyl_K", "special_sigmas_x", "special_enumerate_x", "sieve_vector_trials"],
+)
+def test_a_walk_past_the_work_budget_exits_2_within_a_second(argv):
+    # without the work budget the first three ran for longer than 8 s, and
+    # the trials, drawn a block at a time, would run without end
+    done = _python(_CAPPED_CLI, *argv, timeout=1)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.endswith(" exceed the work budget 1000000000\n")
     assert done.stderr.count("\n") == 1

@@ -214,6 +214,36 @@ def test_vector_random_trials_deterministic():
     assert again == rep
 
 
+_TRIAL_CASES = [(1, 0), (7, 3), (20000, 5), (65537, 2), (131071, 9), (999999, 1), (10**6, 0), (3 << 14, 4)]
+
+
+@pytest.mark.parametrize("count, seed", _TRIAL_CASES, ids=[f"{c}-{s}" for c, s in _TRIAL_CASES])
+def test_vector_random_trials_in_blocks_equal_the_full_columns(count, seed):
+    # odd counts start columns in the high half of a 64-bit draw; 3 * 2^14 is whole blocks
+    assert sieve.vector_sieve_random_trials(count, seed) == oracles.vector_trials(count, seed)
+
+
+def test_vector_random_trials_add_up_violations_across_blocks(monkeypatch):
+    # no valid tuple breaks the sandwich, so shift the slack: seed 0 then
+    # fails 3 of 65,537 trials, in the third and fourth blocks
+    real, shift = sieve._vector_slack, 2 * 10**7
+    monkeypatch.setattr(sieve, "_vector_slack", lambda *cols: real(*cols) - shift)
+    rep = sieve.vector_sieve_random_trials(65537, 0)
+    assert rep == oracles.vector_trials(65537, 0, shift)
+    assert rep["violations"] == 3 and rep["first_violation_index"] == 44850
+
+
+def test_vector_random_trials_charge_one_block():
+    sieve.vector_sieve_random_trials(1)  # numpy's import is not the check's
+    tracemalloc.start()
+    try:
+        sieve.vector_sieve_random_trials(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sieve._TRIAL_BLOCK_BYTES <= 1.5 * peak
+
+
 def test_limit_function_values():
     with mp.workdps(30):
         assert abs(sieve.linear_F(2) - 2 * mp.exp(mp.euler) / 2) < mp.mpf("1e-25")
