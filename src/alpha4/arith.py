@@ -10,11 +10,12 @@ which strips the small primes from a column of remainders in numpy and
 returns a FactorBatch: the batch's (value index, prime, exponent) pairs
 as checked numpy columns, from which sigma_k, the least and greatest
 prime factors, squarefreeness and each value's pair tuple are read.
-Both finish cofactors above 2^32 with a Brent-cycle splitter, and both
-check that the pairs multiply back to n. Primes come from one segmented
-sieve, PrimeRange.segments; primes_upto is its concatenation. numpy is
-imported inside the functions that use it, so importing this module does
-not load it.
+Both finish cofactors above 2^32 with a Brent-cycle splitter, refuse a
+cofactor (n without its primes below 2^16) of 3.3e14 or more, prime or
+not, and check that the pairs multiply back to n. Primes come from one
+segmented sieve, PrimeRange.segments; primes_upto is its concatenation.
+numpy is imported inside the functions that use it, so importing this
+module does not load it.
 """
 
 from __future__ import annotations
@@ -225,8 +226,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     pure Python (a composite divisor never divides what its prime factors
     left). The cofactor rem this leaves has no prime factor <= 2^16, or
     none <= its square root, so below 2^32 it is 1 or prime; above,
-    certified primality or the splitter decides (inputs whose cofactors
-    reach 3.3e14 are rejected rather than guessed at).
+    certified primality or the splitter decides. A cofactor of 3.3e14 or
+    more is refused, prime or not, rather than guessed at.
     """
     n = int(n)
     if n < 1:
@@ -388,7 +389,8 @@ class FactorBatch:
 
 
 def factor_many(values) -> FactorBatch:
-    """Full factorizations of a batch of integers 1 <= n < 2^63, in order.
+    """Full factorizations, in order, of a batch of integers 1 <= n < 2^63
+    whose cofactors stay below 3.3e14, as in factorize.
 
     The one bulk factoring core. Each prime q <= isqrt(max) (at most
     2^16) that divides some value is stripped from the remainder column

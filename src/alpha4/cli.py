@@ -75,7 +75,8 @@ def emit(payload, fmt: str, command: str, rows_key: str | None = None) -> None:
     str, int, float, bool, None, and lists or tuples of these), so jsonl
     writes each one as it arrives. The remaining fields go through
     to_jsonable, to a trailing summary line in jsonl, and are dropped in
-    csv.
+    csv. Every encoder is strict: a NaN or an infinity raises ValueError
+    rather than print a token that is not JSON.
     """
     if rows_key is None:
         data, rows = to_jsonable(payload), None
@@ -86,16 +87,16 @@ def emit(payload, fmt: str, command: str, rows_key: str | None = None) -> None:
     if fmt == "json" or (rows is None and fmt == "jsonl"):
         if rows is not None:
             data[rows_key] = list(rows)
-        print(json.dumps({"schema": SCHEMA, "command": command, "result": data}, sort_keys=True))
+        print(json.dumps({"schema": SCHEMA, "command": command, "result": data}, sort_keys=True, allow_nan=False))
         return
     if rows is None:
         w = _csv.writer(sys.stdout)
         w.writerow(["result"])
-        w.writerow([json.dumps(data, sort_keys=True)])
+        w.writerow([json.dumps(data, sort_keys=True, allow_nan=False)])
         return
     if fmt == "jsonl":
         # rows are built fresh and hold no cycles, so the encoder skips its check
-        encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+        encode = json.JSONEncoder(sort_keys=True, check_circular=False, allow_nan=False).encode
         write = sys.stdout.write
         for row in rows:
             write(encode(row) + "\n")
@@ -107,9 +108,10 @@ def emit(payload, fmt: str, command: str, rows_key: str | None = None) -> None:
     header = list(dict.fromkeys(k for row in rows for k in row))
     w = _csv.writer(sys.stdout)
     w.writerow(header)
+    encode = json.JSONEncoder(allow_nan=False).encode
     for row in rows:
         cells = (row.get(k) for k in header)
-        w.writerow([json.dumps(v) if isinstance(v, (dict, list, tuple)) else v for v in cells])
+        w.writerow([encode(v) if isinstance(v, (dict, list, tuple)) else v for v in cells])
 
 
 # -- command bodies --------------------------------------------------------------

@@ -31,8 +31,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import (from_int, from_man_exp, from_rational, mpf_add, mpf_cos_sin_pi, mpf_div, mpf_gt, mpf_lt,
-                          mpf_mul, mpf_mul_int, mpf_pow_int, mpf_sub, round_nearest)
+from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin_pi, round_nearest
 
 from .arith import exact_rational, require_budget, require_work, sigma_k
 from .bigreal import add_nearest_int, int_pair, round_nearest_int
@@ -598,48 +597,40 @@ def _delta2(g, n, k, l):
     return g(n) - g(n + k) - g(n + l) + g(n + k + l)
 
 
+def _require_positive(k: int, l: int, n) -> None:
+    if min(n, n + k, n + l, n + k + l) <= 0:
+        raise PreconditionError("arguments must stay positive")
+
+
 def f_ell_closed(A, B, k: int, l: int, n) -> Fraction:
     """A [n^-2 - (n+k)^-2 - (n+l)^-2 + (n+k+l)^-2] + B [same with cubes]:
     the derivative of order 0."""
-    if min(n, n + k, n + l, n + k + l) <= 0:
-        raise PreconditionError("arguments must stay positive")
+    _require_positive(k, l, n)
     return f_ell_derivative(A, B, k, l, n, 0)
 
 
-def f_ell_integral(A, B, k: int, l: int, n) -> mp.mpf:
-    """The same amplitude as a one-dimensional (wedge) quadrature, at 30 digits.
+def f_ell_integral(A, B, k: int, l: int, n) -> Fraction:
+    """The same amplitude as the exact wedge integral.
 
     f is the integral of g(n+s+t), g(u) = 6 A u^-4 + 12 B u^-5, over
     [0,k] x [0,l]; with w = s + t it is int_0^(k+l) g(n+w) K(w) dw, where
     K(w) = min(w, min(k,l), k+l-w) is the length of the segment s + t = w
-    inside the rectangle. K's corners min(k,l) and max(k,l) are breakpoints.
-
-    The integrand makes on libmp tuples the calls that the mpf operator form
-    (6 Af / (nf + w)^4 + 12 Bf / (nf + w)^5) * min(w, lo, k + l - w) makes,
-    at the precision mp.quad evaluates it (20 bits above the working one),
-    so every node keeps its bits; min's comparisons pick the same operand.
+    inside the rectangle. Between K's corners min(k,l) and max(k,l),
+    K(w) = a w + b; with u = n + w and c = b - a n, (a u + c) g(u) has the
+    antiderivative -3 A a u^-2 - (2 A c + 4 B a) u^-3 - 3 B c u^-4, so each
+    piece, and the sum, is an exact rational.
     """
-    rnd = round_nearest
-    with mp.workdps(30):
-        Af, Bf, nf = map(_mpf, (A, B, n))
-        lo, hi = min(k, l), max(k, l)
-        prec = mp.mp.prec + 20
-        with mp.workprec(prec):
-            a6, b12, nf = (6 * Af)._mpf_, (12 * Bf)._mpf_, nf._mpf_
-        lo_f, kl = from_int(lo), from_int(k + l)
+    _require_positive(k, l, n)
+    A, B, n = Fraction(A), Fraction(B), Fraction(n)
 
-        def g(w):
-            w = w._mpf_
-            u = mpf_add(nf, w, prec, rnd)
-            a = mpf_div(a6, mpf_pow_int(u, 4, prec, rnd), prec, rnd)
-            s = mpf_add(a, mpf_div(b12, mpf_pow_int(u, 5, prec, rnd), prec, rnd), prec, rnd)
-            m = lo_f if mpf_gt(w, lo_f) else w
-            r = mpf_sub(kl, w, prec, rnd)
-            if mpf_lt(r, m):
-                return mp.make_mpf(mpf_mul(s, r, prec, rnd))
-            return mp.make_mpf(mpf_mul_int(s, lo, prec, rnd) if m is lo_f else mpf_mul(s, w, prec, rnd))
+    def antiderivative(u, a, c):
+        return -(3 * A * a + (2 * A * c + 4 * B * a + 3 * B * c / u) / u) / u**2
 
-        return mp.quad(g, [0, lo, hi, k + l])
+    lo, hi = min(k, l), max(k, l)
+    total = Fraction(0)
+    for w0, w1, a, b in ((0, lo, 1, 0), (lo, hi, 0, lo), (hi, k + l, -1, k + l)):
+        total += antiderivative(n + w1, a, b - a * n) - antiderivative(n + w0, a, b - a * n)
+    return total
 
 
 def f_ell_derivative(A, B, k: int, l: int, n, j: int) -> Fraction:

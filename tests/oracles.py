@@ -286,7 +286,8 @@ def rho_horner(panels, u: float, dps: int):
 
 def f_ell_integral(A, B, k: int, l: int, n):
     """The amplitude's wedge quadrature at 30 digits with its integrand in
-    mpf operator form, the reference for the package's libmp integrand."""
+    mpf operator form, a numerical reference for the package's exact
+    wedge integral."""
     with mp.workdps(30):
         Af, Bf, nf = map(mpf_coefficient, (A, B, n))
         lo, hi = min(k, l), max(k, l)

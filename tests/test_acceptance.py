@@ -147,7 +147,8 @@ def test_phase_engines(result):
 def test_amplitude_grid(result):
     assert result.ok, result.line()
     d = result.details
-    assert float(d["worst_relative_gap"]) < 1e-24
+    assert d["points_equal"] == d["grid_points"] == 50
+    assert "first_unequal_n" not in d
     assert d["profile_in_bracket"]
     assert d["profile_sign_ok"]
 

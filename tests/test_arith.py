@@ -97,6 +97,15 @@ def test_factorize_rejects_uncertifiable_cofactor():
         arith.factorize(p * p)
 
 
+@pytest.mark.parametrize("n", [1000000000000037, (10**9 + 7) * (10**9 + 9)], ids=["prime", "semiprime"])
+def test_factoring_refuses_a_cofactor_past_the_certified_limit(n):
+    # the domain is a cofactor below 3.3e14, not n < 2^63: a prime cofactor is refused like a composite one
+    with pytest.raises(PreconditionError, match="is_prime is certified only below 330000000000000"):
+        arith.factorize(n)
+    with pytest.raises(PreconditionError, match="is_prime is certified only below 330000000000000"):
+        arith.factor_many([n])
+
+
 def test_factorize_refuses_pairs_that_do_not_multiply_back(monkeypatch):
     # a wrong split of the cofactor must not pass as n's factorization
     p, q = 1000003, 1000033

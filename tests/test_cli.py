@@ -575,6 +575,25 @@ def test_special_hist_options_end_cleanly_on_edge_values(capsys):
     assert not bad, bad
 
 
+# the remaining commands, each with its sound argvs and the options swept in
+# them; rho's three bases are its three modes: one value, the table, both routes at 10/3
+_COMMAND_SWEEPS = {
+    "alpha": ([[]], ["--k", "--bits"]),
+    "rho": ([["--u", "2.5"], ["--table", "--step", "1"], ["--ten-thirds"]], ["--u", "--tol", "--step"]),
+    "psi": ([["--x", "100000", "--y", "10"]], ["--x", "--y"]),
+    "special enumerate": ([["--x", "10000"]], ["--x", "--z-small", "--z-lo", "--z-hi"]),
+    "special sigmas": ([["--x", "10000", "--delta", "0.05"]], ["--x", "--z-small", "--z-lo", "--z-hi", "--delta"]),
+    "verify-all": ([["--only", "alpha_digits"]], ["--seed"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_COMMAND_SWEEPS))
+def test_command_options_end_cleanly_on_edge_values(name, capsys):
+    bases, options = _COMMAND_SWEEPS[name]
+    bad = _edge_value_failures(name.split(), bases, options, capsys)
+    assert not bad, bad
+
+
 def test_budget_mb_holds_for_the_command_it_is_given(capsys):
     # verify-all's checks read the same budget as every other command, and
     # dispatch restores the default after each command, refused or not
@@ -674,6 +693,26 @@ def test_csv_format(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert rows
     assert "normalized_modulus" in rows[0]
+
+
+@pytest.mark.parametrize(
+    "fmt, rows_key, payload",
+    [
+        ("json", None, {"x": float("nan")}),
+        ("json", "rows", {"rows": [{"x": [float("inf")]}]}),
+        ("jsonl", None, {"x": float("-inf")}),
+        ("jsonl", "rows", {"rows": [{"x": float("nan")}]}),
+        ("jsonl", "rows", {"rows": [], "x": float("inf")}),  # the summary line
+        ("csv", None, {"x": float("nan")}),
+        ("csv", "rows", {"rows": [{"x": [float("inf")]}]}),  # a JSON cell
+    ],
+    ids=["json", "json-rows", "jsonl-document", "jsonl-row", "jsonl-summary", "csv-result", "csv-cell"],
+)
+def test_emit_refuses_a_float_that_is_not_json(fmt, rows_key, payload, capsys):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli.emit(payload, fmt, "probe", rows_key)
+    out = capsys.readouterr().out
+    assert "NaN" not in out and "Infinity" not in out
 
 
 def test_unknown_check_name_is_an_input_error(capsys):

@@ -570,28 +570,6 @@ def test_weyl_tables_stay_under_their_charge(monkeypatch):
 # -- the amplitude function f_l ---------------------------------------------
 
 
-def test_f_ell_closed_matches_integral():
-    A, B = Fraction(1, 977), Fraction(0)
-    fc = expsums.f_ell_closed(A, B, 5, 17, 3000)
-    fi = expsums.f_ell_integral(A, B, 5, 17, 3000)
-    assert abs(fi - mp.mpf(fc.numerator) / fc.denominator) < mp.mpf("1e-25")
-
-
-def test_f_ell_closed_matches_integral_with_linear_term():
-    A, B = Fraction(1, 977), Fraction(1, 10**7)
-    fc = expsums.f_ell_closed(A, B, 3, 11, 2500)
-    fi = expsums.f_ell_integral(A, B, 3, 11, 2500)
-    assert abs(fi - mp.mpf(fc.numerator) / fc.denominator) < mp.mpf("1e-22")
-
-
-def _f_ell_gap(A, B, k, l, n) -> float:
-    fc = expsums.f_ell_closed(A, B, k, l, n)
-    fi = expsums.f_ell_integral(A, B, k, l, n)
-    with mp.workdps(30):
-        cf = mp.mpf(fc.numerator) / fc.denominator
-        return float(abs(fi - cf) / abs(cf))
-
-
 @pytest.mark.parametrize(
     "A, B, k, l, n",
     [
@@ -600,30 +578,43 @@ def _f_ell_gap(A, B, k, l, n) -> float:
         (Fraction(2), Fraction(1), 25, 25, 700),  # k = l: the kernel is a triangle
         (Fraction(3), Fraction(-7, 5), 1, 64, 1024),  # B != 0, thin rectangle
         (Fraction(1, 977), Fraction(1, 10**7), 3, 11, Fraction(5001, 2)),  # rational n
+        (Fraction(1, 977), Fraction(1, 10**7), 3, 11, 2500),  # the same at an integer n
+        (Fraction(1, 977), Fraction(0), 5, 17, 3000),  # B = 0, k < l
+        (Fraction(-1, 3), Fraction(5, 7), 7, 19, 1234),  # A < 0, k < l
+        (Fraction(1, 3), Fraction(0), 19, 7, 999),  # B = 0, k > l
+        (Fraction(-7, 11), Fraction(-2, 3), 13, 13, Fraction(5001, 2)),  # k = l, both negative, rational n
     ],
-    ids=["k<l", "k>l", "k=l", "B<0", "fraction_n"],
+    ids=["k<l", "k>l", "k=l", "B<0", "fraction_n", "integer_n", "B=0,k<l", "k<l,A<0", "k>l,B=0", "k=l,fraction_n"],
 )
 def test_f_ell_wedge_integral_matches_closed_form(A, B, k, l, n):
-    assert _f_ell_gap(A, B, k, l, n) < 1e-24
+    # two derivations of one rational: the wedge integral of g and the second difference of G
+    assert expsums.f_ell_integral(A, B, k, l, n) == expsums.f_ell_closed(A, B, k, l, n)
 
 
-@pytest.mark.parametrize(
-    "A, B, k, l, n",
-    [
-        (Fraction(-1, 3), Fraction(5, 7), 7, 19, 1234),  # k < l, A < 0; 6 A needs two bits past 30 digits
-        (Fraction(1, 3), Fraction(0), 19, 7, 999),  # k > l, B = 0
-        (Fraction(-7, 11), Fraction(-2, 3), 13, 13, Fraction(5001, 2)),  # k = l, rational n
-    ],
-    ids=["k<l,A<0", "k>l,B=0", "k=l"],
-)
-def test_f_ell_integral_keeps_the_bits_of_the_operator_form(A, B, k, l, n):
-    assert expsums.f_ell_integral(A, B, k, l, n)._mpf_ == oracles.f_ell_integral(A, B, k, l, n)._mpf_
-
-
-def test_f_ell_integral_keeps_the_bits_of_the_operator_form_on_the_amplitude_grid():
+def test_f_ell_integral_is_within_the_oracle_quadrature_on_the_amplitude_grid():
+    A, B = Fraction(2), Fraction(1)
     for n in (500 + (500 * i) // 49 for i in range(50)):  # check_amplitude_grid's points
-        A, B = Fraction(2), Fraction(1)
-        assert expsums.f_ell_integral(A, B, 30, 20, n)._mpf_ == oracles.f_ell_integral(A, B, 30, 20, n)._mpf_, n
+        exact = expsums.f_ell_integral(A, B, 30, 20, n)
+        with mp.workdps(30):
+            quad = oracles.f_ell_integral(A, B, 30, 20, n)
+            assert abs(quad - mp.mpf(exact.numerator) / exact.denominator) <= mp.mpf("1e-25") * abs(quad), n
+
+
+@pytest.mark.parametrize("k, l, n", [(3, 4, 0), (3, 4, -1), (-5, 3, 5), (3, -3, 2)])
+def test_f_ell_refuses_a_non_positive_argument(k, l, n):
+    for f in (expsums.f_ell_closed, expsums.f_ell_integral):
+        with pytest.raises(PreconditionError, match="arguments must stay positive"):
+            f(Fraction(2), Fraction(1), k, l, n)
+
+
+def test_amplitude_grid_fails_on_an_integral_off_by_a_hair(monkeypatch):
+    # 10^-40 is far inside any float tolerance; only exact equality sees it
+    exact = expsums.f_ell_integral
+    monkeypatch.setattr(expsums, "f_ell_integral", lambda *a: exact(*a) + Fraction(1, 10**40))
+    res = verify.run_check("amplitude_grid")
+    assert not res.ok
+    assert res.details["points_equal"] == 0
+    assert res.details["first_unequal_n"] == 500
 
 
 def test_f_ell_derivative_profile_brackets():
