@@ -28,6 +28,10 @@ from .errors import BudgetError, PreconditionError
 
 SCHEMA = 1
 MAX_THREADS = 64  # --threads above it is refused; the pool forks every worker at its first task
+# a `special enumerate` row that json or csv holds to the end, with its share
+# of the printed document (tracemalloc peaks of 1,362-1,449 and 844-1,122
+# bytes a row from x = 4*10^6 to 2*10^7)
+_ENUMERATE_ROW_BYTES = {"json": 1500, "csv": 1150}
 
 # numpy's OpenBLAS starts a busy-waiting thread per CPU when numpy loads, which
 # importing this module does not do; nothing in the package calls BLAS
@@ -67,7 +71,16 @@ def to_jsonable(x):
     raise TypeError(f"no JSON form for {type(x).__name__}")
 
 
-def emit(payload, fmt: str, command: str, rows_key: str | None = None) -> None:
+def _held(rows, row_bytes: int, what: str) -> list:
+    """The rows as a list, charged row_bytes for each one held as it grows."""
+    out = []
+    for row in rows:
+        out.append(row)
+        arith.require_budget(row_bytes * len(out), what)
+    return out
+
+
+def emit(payload, fmt: str, command: str, rows_key: str | None = None, *, summary=None, row_bytes: int = 0) -> None:
     """Print the payload as fmt: json, jsonl, or csv.
 
     jsonl and csv need tabular content: rows_key names an iterable of
@@ -75,18 +88,36 @@ def emit(payload, fmt: str, command: str, rows_key: str | None = None) -> None:
     str, int, float, bool, None, and lists or tuples of these), so jsonl
     writes each one as it arrives. The remaining fields go through
     to_jsonable, to a trailing summary line in jsonl, and are dropped in
-    csv. Every encoder is strict: a NaN or an infinity raises ValueError
-    rather than print a token that is not JSON.
+    csv; summary, if given, returns more such fields and is called once
+    the rows are consumed, so a stream can report on what it passed.
+    json and csv hold every row before they print; each is charged
+    row_bytes as they grow. Every encoder is strict: a NaN or an infinity
+    raises ValueError rather than print a token that is not JSON.
     """
     if rows_key is None:
         data, rows = to_jsonable(payload), None
     else:
         data = to_jsonable({k: v for k, v in payload.items() if k != rows_key})
         rows = payload[rows_key]
+    if fmt == "jsonl" and rows is not None:
+        # rows are built fresh and hold no cycles, so the encoder skips its check
+        encode = json.JSONEncoder(sort_keys=True, check_circular=False, allow_nan=False).encode
+        write = sys.stdout.write
+        for row in rows:
+            write(encode(row) + "\n")
+        if summary is not None:
+            data.update(to_jsonable(summary()))
+        if data:
+            write(encode({"type": "summary", **data}) + "\n")
+        return
+    if rows is not None:
+        rows = _held(rows, row_bytes, f"the {fmt} output of {command}")
+    if summary is not None:
+        data.update(to_jsonable(summary()))
     # a non-tabular payload is one document in jsonl too, one cell in csv
-    if fmt == "json" or (rows is None and fmt == "jsonl"):
+    if fmt != "csv":
         if rows is not None:
-            data[rows_key] = list(rows)
+            data[rows_key] = rows
         print(json.dumps({"schema": SCHEMA, "command": command, "result": data}, sort_keys=True, allow_nan=False))
         return
     if rows is None:
@@ -94,17 +125,7 @@ def emit(payload, fmt: str, command: str, rows_key: str | None = None) -> None:
         w.writerow(["result"])
         w.writerow([json.dumps(data, sort_keys=True, allow_nan=False)])
         return
-    if fmt == "jsonl":
-        # rows are built fresh and hold no cycles, so the encoder skips its check
-        encode = json.JSONEncoder(sort_keys=True, check_circular=False, allow_nan=False).encode
-        write = sys.stdout.write
-        for row in rows:
-            write(encode(row) + "\n")
-        if data:
-            write(encode({"type": "summary", **data}) + "\n")
-        return
     # csv
-    rows = list(rows)
     header = list(dict.fromkeys(k for row in rows for k in row))
     w = _csv.writer(sys.stdout)
     w.writerow(header)
@@ -328,17 +349,18 @@ def _enumerate_row(rec: special.SpecialPrimeRecord) -> dict:
 
 
 def cmd_special_enumerate(args) -> int | None:
+    # S streams from the walk through the partition check to stdout; jsonl
+    # holds one segment of it, json and csv hold every row and charge it
     params = _params_for(args)
-    records = special.enumerate_S(params)
-    part = special.partition_check(records, params)
-    payload = {
-        "rows": map(_enumerate_row, records),
-        "parameters": params,
-        "count": len(records),
-        "class_counts": part["class_counts"],
-        "partition_ok": part["ok"],
-    }
-    emit(payload, args.fmt, "special enumerate", rows_key="rows")
+    part: dict = {}  # the partition report, filled once the stream ends
+    records = special.partition_stream(special.iter_S(params), params, part)
+
+    def summary():
+        return {"count": part["n_records"], "class_counts": part["class_counts"], "partition_ok": part["ok"]}
+
+    payload = {"rows": map(_enumerate_row, records), "parameters": params}
+    emit(payload, args.fmt, "special enumerate", rows_key="rows", summary=summary,
+         row_bytes=_ENUMERATE_ROW_BYTES.get(args.fmt, 0))
     return 0 if part["ok"] else 1
 
 
@@ -351,9 +373,7 @@ def cmd_special_sigmas(args) -> int | None:
 
 
 def cmd_special_hist(args) -> int | None:
-    params = _params_for(args)
-    records = special.enumerate_S(params)
-    rep = special.near_integer_histogram(records, bins=args.bins)
+    rep = special.near_integer_histogram(special.iter_S(_params_for(args)), bins=args.bins)
     rows = [
         {
             "bin_lo": rep["edges"][i],

@@ -13,16 +13,19 @@ often the near-integer statistic is small, with and without the
 r-correction, and how the smooth/rough split of p+1 interacts; their
 exact definitions are in count_sigmas.
 
-Both enumerate_S and count_sigmas consume one walk over the base
-candidates (_walk): the primes p = -1 mod W in (x/2, x] whose odd half
+iter_S and count_sigmas consume one walk over the base candidates
+(_walk): the primes p = -1 mod W in (x/2, x] whose odd half
 clears z_small, yielded a segment at a time as columns. p+1 and p+2 are
 factored in one FactorBatch; the least and greatest prime factors, the
 window pairs of p+2 and membership in S are read off its columns in
 numpy. sigma_4(p+1) is summed only for the candidates whose statistic is
 read, and each statistic, plain or r-corrected, is computed once.
-enumerate_S keeps each member's factorizations as the (prime, exponent)
-pair tuples sliced from the batch, factoring the odd halves of the
-members alone, and its statistics as reduced integer pairs.
+iter_S yields S one segment at a time; each record keeps the member's
+factorizations as the (prime, exponent) pair tuples sliced from the
+batch, factoring the odd halves of the members alone, and its
+statistics as reduced integer pairs. enumerate_S is the list of that
+stream, and every reader of S (`special enumerate`, `special hist`,
+verify-all) reads the same generator.
 
 Before any factoring, the walk drops, in numpy over each segment of
 primes, every p for which p+2 has a prime factor <= min(z_lo, z_hi) or
@@ -36,7 +39,10 @@ rules then still decide what the prefilter leaves. The survivors of each
 segment are factored in one batch, so memory follows the segment, not x.
 
 partition_check stays an independent re-derivation of every condition,
-and multiplies each record's pairs back to p+1, p+2 and (p+3)/2.
+and multiplies each record's pairs back to p+1, p+2 and (p+3)/2. It
+reads any stream of records in one pass with constant state (p must
+strictly increase, which also catches a repeat), and partition_stream
+passes the records on as it checks them.
 """
 
 from __future__ import annotations
@@ -53,15 +59,18 @@ from .sieve import ScaleParams
 __all__ = [
     "SpecialPrimeRecord",
     "SigmaCounters",
+    "iter_S",
     "enumerate_S",
     "count_sigmas",
     "partition_check",
+    "partition_stream",
     "near_integer_histogram",
 ]
 
 CLASS_NO_MID = "no_mid_factor"
 CLASS_ONE_MID = "one_mid_factor"
 _BIN_BYTES = 320  # a histogram bin's edge, its two counts and its CLI row (tracemalloc)
+_VALUE_BYTES = 40  # a statistic in a histogram's sorted list of floats (tracemalloc: 36.5)
 
 
 @dataclass(frozen=True)
@@ -161,42 +170,52 @@ def _reduced_stat(p: int, sigma4_p1: int, r: int | None = None) -> tuple[int, in
     return a // g, den // g
 
 
-def enumerate_S(params: ScaleParams) -> list[SpecialPrimeRecord]:
-    """All members of S at the given scale, in increasing order of p.
+def _members(seg: _Segment):
+    """The members of S in one segment, in increasing p.
 
     The records hold pairs sliced from the walk's batch (p+1, p+2) and
     from a batch of the members' odd halves, and integer statistics; no
     Fraction is built.
     """
     import numpy as np
-    out: list[SpecialPrimeRecord] = []
+    rows = np.flatnonzero(seg.in_S)
+    ps = seg.p[rows]
+    halves = factor_many((ps + 3) // 2).pairs(range(rows.size))
+    sigma4 = seg.sigma4_p1(rows)
+    window = np.zeros(seg.n, dtype=np.int64)
+    window[seg.win_i] = seg.win_r  # members have at most one window prime
+    rows_l = rows.tolist()
+    pairs1 = seg.f.pairs(rows_l)
+    pairs2 = seg.f.pairs(i + seg.n for i in rows_l)
+    for i, p, r, p1, p2, p3 in zip(rows_l, ps.tolist(), window[rows].tolist(), pairs1, pairs2, halves):
+        r = r or None
+        yield SpecialPrimeRecord(
+            p=p,
+            klass=CLASS_NO_MID if r is None else CLASS_ONE_MID,
+            r=r,
+            pairs_p1=p1,
+            pairs_p2=p2,
+            pairs_p3=p3,
+            ratio_plain=_reduced_stat(p, sigma4[i]),
+            ratio_r=None if r is None else _reduced_stat(p, sigma4[i], r),
+        )
+
+
+def iter_S(params: ScaleParams):
+    """The members of S at the given scale, in increasing order of p,
+    built one segment of the walk at a time.
+
+    A segment's batch and pairs are dropped before the walk builds the
+    next segment, so what the stream holds follows the segment, not x.
+    """
     for seg in _walk(params):
-        rows = np.flatnonzero(seg.in_S)
-        ps = seg.p[rows]
-        halves = factor_many((ps + 3) // 2).pairs(range(rows.size))
-        sigma4 = seg.sigma4_p1(rows)
-        window = np.zeros(seg.n, dtype=np.int64)
-        window[seg.win_i] = seg.win_r  # members have at most one window prime
-        rows_l = rows.tolist()
-        pairs1 = seg.f.pairs(rows_l)
-        pairs2 = seg.f.pairs(i + seg.n for i in rows_l)
-        for i, p, r, p1, p2, p3 in zip(
-            rows_l, ps.tolist(), window[rows].tolist(), pairs1, pairs2, halves
-        ):
-            r = r or None
-            out.append(
-                SpecialPrimeRecord(
-                    p=p,
-                    klass=CLASS_NO_MID if r is None else CLASS_ONE_MID,
-                    r=r,
-                    pairs_p1=p1,
-                    pairs_p2=p2,
-                    pairs_p3=p3,
-                    ratio_plain=_reduced_stat(p, sigma4[i]),
-                    ratio_r=None if r is None else _reduced_stat(p, sigma4[i], r),
-                )
-            )
-    return out
+        yield from _members(seg)
+        del seg
+
+
+def enumerate_S(params: ScaleParams) -> list[SpecialPrimeRecord]:
+    """All members of S at the given scale, in increasing order of p."""
+    return list(iter_S(params))
 
 
 @dataclass(frozen=True)
@@ -297,13 +316,13 @@ def count_sigmas(params: ScaleParams, delta: float) -> SigmaCounters:
     )
 
 
-def partition_check(records: list[SpecialPrimeRecord], params: ScaleParams) -> dict:
-    """Re-derive every membership condition and the two-class split.
+def partition_stream(records, params: ScaleParams, report: dict):
+    """Yield each record of the stream once it is checked; when the stream
+    ends, fill report with what partition_check returns.
 
-    Returns per-condition failure counts (all zero for a correct
-    enumeration) and the class tallies. pair_products counts the records
-    whose pairs do not multiply back to p+1, p+2 and (p+3)/2, so the
-    conditions read off the pairs are about this p.
+    The state is constant: a counter per condition and class, and the
+    previous p, since members come in strictly increasing p (a repeat or
+    a swapped pair fails `range`).
     """
     zs, zl, zh = params.z_small, params.z_quarter_lo, params.z_quarter_hi
     fails: dict[str, int] = {
@@ -319,8 +338,10 @@ def partition_check(records: list[SpecialPrimeRecord], params: ScaleParams) -> d
     }
     first_bad = None
     counts = {CLASS_NO_MID: 0, CLASS_ONE_MID: 0}
-    seen = set()
+    n_records = 0
+    prev = None
     for rec in records:
+        n_records += 1
         bad = []
         p = rec.p
         if not params.x // 2 < p <= params.x:
@@ -359,39 +380,66 @@ def partition_check(records: list[SpecialPrimeRecord], params: ScaleParams) -> d
             if rec.ratio_r is None:
                 bad.append("stat_fields")
         counts[rec.klass] += 1
-        if p in seen:
+        if prev is not None and p <= prev:
             bad.append("range")
-        seen.add(p)
+        prev = p
         for b in bad:
             fails[b] += 1
         if bad and first_bad is None:
             first_bad = {"p": p, "failed": bad}
+        yield rec
     total_fail = sum(fails.values())
-    return {
-        "n_records": len(records),
-        "class_counts": counts,
-        "classes_sum_to_total": counts[CLASS_NO_MID] + counts[CLASS_ONE_MID] == len(records),
-        "condition_failures": fails,
-        "first_failure": first_bad,
-        "ok": total_fail == 0
-        and counts[CLASS_NO_MID] + counts[CLASS_ONE_MID] == len(records),
-    }
+    classes_sum = counts[CLASS_NO_MID] + counts[CLASS_ONE_MID] == n_records
+    report.update(
+        n_records=n_records,
+        class_counts=counts,
+        classes_sum_to_total=classes_sum,
+        condition_failures=fails,
+        first_failure=first_bad,
+        ok=total_fail == 0 and classes_sum,
+    )
 
 
-def near_integer_histogram(records: list[SpecialPrimeRecord], bins: int = 20) -> dict:
+def partition_check(records, params: ScaleParams) -> dict:
+    """Re-derive every membership condition and the two-class split of a
+    stream of records, in one pass.
+
+    Returns per-condition failure counts (all zero for a correct
+    enumeration) and the class tallies. pair_products counts the records
+    whose pairs do not multiply back to p+1, p+2 and (p+3)/2, so the
+    conditions read off the pairs are about this p.
+    """
+    report: dict = {}
+    for _ in partition_stream(records, params, report):
+        pass
+    return report
+
+
+def near_integer_histogram(records, bins: int = 20) -> dict:
     """Distribution of the statistics over [0, 1/2], with a uniformity score.
 
     If the underlying angles were uniform mod 1, the distance statistic
     would have CDF 2t on [0, 1/2]; the report includes the empirical
     sup-deviation from that line (a Kolmogorov-Smirnov-style statistic,
-    purely diagnostic).
+    purely diagnostic). records is read in one pass; only the statistics
+    are kept, as two lists of floats charged with the bins as they grow.
     """
     if bins < 1:
         raise PreconditionError("bins must be >= 1")
-    require_budget(_BIN_BYTES * bins, f"histogram of {bins} bins")
-    # float(Fraction(a, den)) is this same correctly rounded a / den
-    plain = sorted(a / den for a, den in (rec.ratio_plain for rec in records))
-    withr = sorted(a / den for a, den in (rec.ratio_r for rec in records if rec.ratio_r is not None))
+    bin_bytes = _BIN_BYTES * bins
+    require_budget(bin_bytes, f"histogram of {bins} bins")
+    what = f"histogram of {bins} bins and its statistics"
+    plain, withr = [], []
+    for rec in records:
+        # float(Fraction(a, den)) is this same correctly rounded a / den
+        a, den = rec.ratio_plain
+        plain.append(a / den)
+        if rec.ratio_r is not None:
+            a, den = rec.ratio_r
+            withr.append(a / den)
+        require_budget(bin_bytes + _VALUE_BYTES * (len(plain) + len(withr)), what)
+    plain.sort()
+    withr.sort()
 
     def hist(vals):
         counts = [0] * bins

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from alpha4 import arith, cli, expsums, sieve
+from alpha4.errors import BudgetError
 
 
 def run(argv, capsys):
@@ -713,6 +714,39 @@ def test_emit_refuses_a_float_that_is_not_json(fmt, rows_key, payload, capsys):
         cli.emit(payload, fmt, "probe", rows_key)
     out = capsys.readouterr().out
     assert "NaN" not in out and "Infinity" not in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "jsonl", "csv"])
+def test_emit_reads_the_summary_after_the_rows(fmt, capsys):
+    seen = []
+
+    def rows():
+        for i in range(3):
+            seen.append(i)
+            yield {"i": i}
+
+    cli.emit({"rows": rows(), "k": 1}, fmt, "probe", "rows", summary=lambda: {"n": len(seen)})
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out)["result"] == {"k": 1, "n": 3, "rows": [{"i": 0}, {"i": 1}, {"i": 2}]}
+    elif fmt == "jsonl":
+        assert out.splitlines()[-1] == '{"k": 1, "n": 3, "type": "summary"}'
+    else:
+        assert out.splitlines() == ["i", "0", "1", "2"]
+
+
+def test_emit_charges_the_rows_it_holds(capsys):
+    # 1024 rows of 1 KB fill a 1 MB budget; one more is refused before
+    # anything is printed
+    rows = [{"i": 0}] * 1025
+    arith.budget_mb = 1
+    try:
+        cli.emit({"rows": rows[:-1]}, "csv", "probe", "rows", row_bytes=1024)
+        with pytest.raises(BudgetError, match="^the json output of probe needs 2 MB, budget is 1 MB$"):
+            cli.emit({"rows": iter(rows)}, "json", "probe", "rows", row_bytes=1024)
+    finally:
+        arith.budget_mb = arith.DEFAULT_BUDGET_MB
+    assert capsys.readouterr().out.count("\n") == 1025
 
 
 def test_unknown_check_name_is_an_input_error(capsys):

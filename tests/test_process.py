@@ -81,6 +81,17 @@ def test_a_list_past_the_budget_exits_2_at_once_under_a_memory_limit(argv):
     assert done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_enumerate_rows_past_the_budget_exit_2(fmt):
+    # json and csv hold every row of S before they print; uncharged, the
+    # json run reached 194 MB of RSS and exited 0
+    done = _python(_CAPPED_CLI, "special", "enumerate", "--x", "30000000", "--format", fmt, "--budget-mb", "16")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith(f"error: the {fmt} output of special enumerate needs ")
+    assert done.stderr.endswith(", budget is 16 MB\n") and done.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,6 +1,7 @@
 """The special prime set, its class split, counters, and diagnostics."""
 
 import ast
+import contextlib
 import hashlib
 import inspect
 import json
@@ -370,6 +371,77 @@ def test_partition_check_multiplies_the_pairs_back():
     assert rep["first_failure"] == {"p": 50051, "failed": ["pair_products"]}
 
 
+@pytest.mark.parametrize("order", ["duplicate", "swap"])
+def test_partition_check_wants_p_strictly_increasing(order, desk_params, desk_records):
+    # the check keeps the previous p, not a set of every p: a repeat and a
+    # swapped pair each break the strict increase once
+    recs = list(desk_records[:5])
+    if order == "duplicate":
+        recs.insert(3, recs[2])
+    else:
+        recs[2], recs[3] = recs[3], recs[2]
+    rep = special.partition_check(iter(recs), desk_params)
+    assert not rep["ok"]
+    assert rep["n_records"] == len(recs)
+    assert rep["condition_failures"] == dict.fromkeys(rep["condition_failures"], 0) | {"range": 1}
+    assert rep["first_failure"] == {"p": recs[3].p, "failed": ["range"]}
+
+
+def test_partition_stream_passes_every_record_on(desk_params, desk_records):
+    report = {}
+    stream = special.partition_stream(iter(desk_records), desk_params, report)
+    assert next(stream) is desk_records[0] and report == {}
+    assert list(stream) == desk_records[1:]
+    assert report == special.partition_check(desk_records, desk_params)
+
+
+def test_iter_S_is_enumerate_S_in_segments():
+    # (1.5*10^6, 3*10^6] is two segments of the walk
+    params = sieve.make_scale_params(3 * 10**6)
+    stream = special.iter_S(params)
+    first = next(stream)
+    assert [first, *stream] == special.enumerate_S(params)
+
+
+def _enumerate_peak(x: int, fmt: str) -> int:
+    """The tracemalloc peak of `special enumerate --x x --format fmt`, stdout to devnull,
+    after a small walk has loaded numpy outside the trace."""
+    special.enumerate_S(params_at_1e4())
+    args = cli.build_parser().parse_args(["special", "enumerate", "--x", str(x), "--format", fmt])
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert cli.cmd_special_enumerate(args) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_enumerate_jsonl_memory_follows_the_segment():
+    # x = 2*10^6 walks one segment, 4*10^6 two; jsonl holds one at a time,
+    # where holding every record made the second peak 1.5 times the first
+    one = _enumerate_peak(2 * 10**6, "jsonl")
+    two = _enumerate_peak(4 * 10**6, "jsonl")
+    assert two <= 1.2 * one, (one, two)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_enumerate_rows_stay_under_their_charge(fmt, monkeypatch):
+    # json and csv hold every row; the charge for the rows must cover the
+    # command's traced peak, walk included, without overstating it by half
+    charged = {}
+    real = cli.arith.require_budget
+
+    def spy(need, what):
+        charged["last"] = need
+        real(need, what)
+
+    monkeypatch.setattr(cli.arith, "require_budget", spy)
+    peak = _enumerate_peak(3 * 10**6, fmt)
+    assert charged["last"] == cli._ENUMERATE_ROW_BYTES[fmt] * 10973
+    assert peak <= charged["last"] <= 1.5 * peak, (peak, charged["last"])
+
+
 def test_overrides_config_at_1e6(desk_params):
     params = sieve.make_scale_params(
         10**6, overrides={"z_small": 20, "z_quarter_lo": 25, "z_quarter_hi": 60}
@@ -418,7 +490,7 @@ def test_histogram_bins_stay_under_their_charge(monkeypatch):
     # constant; it must cover the traced peak without overstating it by
     # half. jsonl streams the rows, so no JSON document adds to the peak
     records = special.enumerate_S(params_at_1e4())
-    monkeypatch.setattr(special, "enumerate_S", lambda params: records)
+    monkeypatch.setattr(special, "iter_S", lambda params: iter(records))
     charges = []
     monkeypatch.setattr(special, "require_budget", lambda need, what: charges.append(need))
     parse = cli.build_parser().parse_args
@@ -434,6 +506,28 @@ def test_histogram_bins_stay_under_their_charge(monkeypatch):
             finally:
                 tracemalloc.stop()
             assert peak <= charges[-1] <= 1.5 * peak, bins
+
+
+def test_histogram_statistics_stay_under_their_charge(monkeypatch):
+    # the histogram keeps only its two lists of floats from the stream,
+    # charged with the bins as they grow
+    from types import SimpleNamespace
+
+    records = [
+        SimpleNamespace(ratio_plain=(k, 2 * 10**4 + 1), ratio_r=(k, 3 * 10**4) if k % 3 == 0 else None)
+        for k in range(10**4)
+    ]
+    charged = {}
+    monkeypatch.setattr(special, "require_budget", lambda need, what: charged.update(last=need))
+    tracemalloc.start()
+    try:
+        rep = special.near_integer_histogram(iter(records), bins=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["n_plain"] + rep["n_r"] == 13334
+    assert charged["last"] == special._BIN_BYTES + special._VALUE_BYTES * 13334
+    assert peak <= charged["last"] <= 1.5 * peak, (peak, charged["last"])
 
 
 def test_histogram_empty_r_column():
