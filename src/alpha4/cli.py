@@ -32,6 +32,9 @@ MAX_THREADS = 64  # --threads above it is refused; the pool forks every worker a
 # of the printed document (tracemalloc peaks of 1,362-1,449 and 844-1,122
 # bytes a row from x = 4*10^6 to 2*10^7)
 _ENUMERATE_ROW_BYTES = {"json": 1500, "csv": 1150}
+# jsonl rows go out joined into writes of at least this many characters:
+# unbuffered (PYTHONUNBUFFERED), one write a row is one system call a row
+_JSONL_WRITE_CHARS = 1 << 16
 
 # numpy's OpenBLAS starts a busy-waiting thread per CPU when numpy loads, which
 # importing this module does not do; nothing in the package calls BLAS
@@ -86,13 +89,14 @@ def emit(payload, fmt: str, command: str, rows_key: str | None = None, *, summar
     jsonl and csv need tabular content: rows_key names an iterable of
     rows inside the payload. Rows must already be JSON-native (str keys;
     str, int, float, bool, None, and lists or tuples of these), so jsonl
-    writes each one as it arrives. The remaining fields go through
-    to_jsonable, to a trailing summary line in jsonl, and are dropped in
-    csv; summary, if given, returns more such fields and is called once
-    the rows are consumed, so a stream can report on what it passed.
-    json and csv hold every row before they print; each is charged
-    row_bytes as they grow. Every encoder is strict: a NaN or an infinity
-    raises ValueError rather than print a token that is not JSON.
+    encodes each one as it arrives and writes them in blocks of about
+    _JSONL_WRITE_CHARS. The remaining fields go through to_jsonable, to a
+    trailing summary line in jsonl, and are dropped in csv; summary, if
+    given, returns more such fields and is called once the rows are
+    consumed, so a stream can report on what it passed. json and csv hold
+    every row before they print; each is charged row_bytes as they grow.
+    Every encoder is strict: a NaN or an infinity raises ValueError rather
+    than print a token that is not JSON.
     """
     if rows_key is None:
         data, rows = to_jsonable(payload), None
@@ -102,13 +106,22 @@ def emit(payload, fmt: str, command: str, rows_key: str | None = None, *, summar
     if fmt == "jsonl" and rows is not None:
         # rows are built fresh and hold no cycles, so the encoder skips its check
         encode = json.JSONEncoder(sort_keys=True, check_circular=False, allow_nan=False).encode
-        write = sys.stdout.write
-        for row in rows:
-            write(encode(row) + "\n")
-        if summary is not None:
-            data.update(to_jsonable(summary()))
-        if data:
-            write(encode({"type": "summary", **data}) + "\n")
+        pending, size = [], 0
+        try:
+            for row in rows:
+                line = encode(row) + "\n"
+                pending.append(line)
+                size += len(line)
+                if size >= _JSONL_WRITE_CHARS:
+                    sys.stdout.write("".join(pending))
+                    pending, size = [], 0
+            if summary is not None:
+                data.update(to_jsonable(summary()))
+            if data:
+                pending.append(encode({"type": "summary", **data}) + "\n")
+        finally:
+            # rows encoded before a failure are printed, as they were row by row
+            sys.stdout.write("".join(pending))
         return
     if rows is not None:
         rows = _held(rows, row_bytes, f"the {fmt} output of {command}")

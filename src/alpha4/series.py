@@ -36,6 +36,9 @@ __all__ = [
     "tail_expansion",
     "tail_partial",
     "factorial_tail_exact",
+    "tail_sum_pair",
+    "tail_remainder_bound",
+    "sigma4_window_bytes",
     "sigma4_windows",
     "prop1_ratio",
     "prop1_statistic_exact",
@@ -62,6 +65,8 @@ def zeta_upper(k: int) -> Fraction:
 ZETA4_UPPER = zeta_upper(4)
 # rational upper bound for e, used in geometric tail majorants
 E_UPPER = Fraction(27183, 10000)
+# the coefficient of tail_remainder_bound's first term
+_TAIL_COEF = ZETA4_UPPER * E_UPPER
 
 
 def alpha_partial(k: int, n_terms: int) -> Fraction:
@@ -70,7 +75,7 @@ def alpha_partial(k: int, n_terms: int) -> Fraction:
         raise PreconditionError("alpha_partial needs k >= 1 and n_terms >= 1")
     # n_terms is at most a few thousand: single values factor faster in
     # pure Python than numpy loads
-    return _factorial_series([sigma_k(n, k) for n in range(1, n_terms + 1)], 1)
+    return Fraction(*_factorial_series([sigma_k(n, k) for n in range(1, n_terms + 1)], 1))
 
 
 def _majorant(k: int) -> tuple[int, Fraction]:
@@ -128,14 +133,23 @@ def alpha_k(k: int, target_precision: int = 128) -> BigRealWithError:
 # -- the tail at a prime ----------------------------------------------------
 
 
-def _factorial_series(values: list[int], a: int, den: int = 1) -> Fraction:
-    """Exact sum_i values[i] / (den * a (a+1) ... (a+i)), by integer
-    Horner from the top; the only gcd is the one in the final Fraction."""
+def _factorial_series(values: list[int], a: int) -> tuple[int, int]:
+    """(num, d) with d = a (a+1) ... (a+len(values)-1) and num/d =
+    sum_i values[i] / (a (a+1) ... (a+i)), by integer Horner from the top;
+    no gcd is taken, so a caller can compare num/d in integers."""
     num, d = 0, 1
     for n in range(a + len(values) - 1, a - 1, -1):
         num = values[n - a] * d + num
         d *= n
-    return Fraction(num, d * den)
+    return num, d
+
+
+def sigma4_window_bytes(count: int, p_max: int, j_max: int) -> int:
+    """The bytes sigma4_windows charges for count windows of j_max + 1
+    values, the largest reaching p_max + j_max."""
+    # a value of b bits peaks at about 200 + 16 b bytes: the value, its factor
+    # columns and its sigma_4 of about 4 b bits (tracemalloc, b = 14 to 47)
+    return count * (j_max + 1) * (200 + 16 * (p_max + j_max).bit_length())
 
 
 def sigma4_windows(primes, j_max: int) -> list[list[int]]:
@@ -143,10 +157,8 @@ def sigma4_windows(primes, j_max: int) -> list[list[int]]:
     every value the tail sums at p read, all factored in one batch and read
     off its columns by FactorBatch.sigma."""
     width = j_max + 1
-    # a value of b bits peaks at about 200 + 16 b bytes: the value, its factor
-    # columns and its sigma_4 of about 4 b bits (tracemalloc, b = 14 to 47)
-    bits = (max(primes, default=0) + j_max).bit_length()
-    require_budget(len(primes) * width * (200 + 16 * bits), f"sigma_4 windows of {len(primes) * width} values")
+    need = sigma4_window_bytes(len(primes), max(primes, default=0), j_max)
+    require_budget(need, f"sigma_4 windows of {len(primes) * width} values")
     s4 = factor_many(p + j for p in primes for j in range(width)).sigma(4)
     return [s4[i : i + width] for i in range(0, len(s4), width)]
 
@@ -160,6 +172,14 @@ def _sigma4_run(p: int, j_lo: int, j_hi: int, sigma4: list[int] | None) -> list[
     return sigma4[j_lo : j_hi + 1]
 
 
+def tail_sum_pair(p: int, j_lo: int, j_hi: int, sigma4: list[int] | None = None) -> tuple[int, int]:
+    """(num, den) with den = p (p+1) ... (p+j_hi) and num/den =
+    (p-1)! * sum_{n=p+j_lo}^{p+j_hi} sigma_4(n)/n!, no gcd taken, so sums
+    over one p share den (sigma4 as in factorial_tail_exact)."""
+    num, d = _factorial_series(_sigma4_run(p, j_lo, j_hi, sigma4), p + j_lo)
+    return num, d * math.prod(range(p, p + j_lo))
+
+
 def factorial_tail_exact(p: int, n1: int, sigma4: list[int] | None = None) -> Fraction:
     """Exact (p-1)! * sum_{n=p}^{n1} sigma_4(n)/n!.
 
@@ -168,7 +188,7 @@ def factorial_tail_exact(p: int, n1: int, sigma4: list[int] | None = None) -> Fr
     """
     if p < 2 or n1 < p:
         raise PreconditionError("factorial_tail_exact needs 2 <= p <= n1")
-    return _factorial_series(_sigma4_run(p, 0, n1 - p, sigma4), p)
+    return Fraction(*tail_sum_pair(p, 0, n1 - p, sigma4))
 
 
 def _falling_products(p: int, count: int) -> list[int]:
@@ -181,7 +201,7 @@ def _falling_products(p: int, count: int) -> list[int]:
     return out
 
 
-def _tail_remainder_bound(p: int, j_from: int) -> Fraction:
+def tail_remainder_bound(p: int, j_from: int) -> Fraction:
     """Majorant for (p-1)! sum_{n >= p+j_from} sigma_4(n)/n!, j_from >= 4.
 
     Each term is at most ZETA4_UPPER (p+j)^4 / (p...(p+j)); the term
@@ -191,7 +211,7 @@ def _tail_remainder_bound(p: int, j_from: int) -> Fraction:
     if p < 2 or j_from < 4:
         raise PreconditionError("remainder bound needs p >= 2 and j_from >= 4")
     den = math.prod(range(p, p + j_from + 1))
-    return ZETA4_UPPER * E_UPPER * Fraction((p + j_from) ** 4, den)
+    return _TAIL_COEF * Fraction((p + j_from) ** 4, den)
 
 
 @dataclass(frozen=True)
@@ -227,7 +247,7 @@ def tail_expansion(p: int, sigma4: list[int] | None = None) -> TailExpansion:
         raise PreconditionError(f"tail_expansion needs a prime, got {p}")
     dens = _falling_products(p, 4)
     terms = tuple(map(Fraction, _sigma4_run(p, 0, 3, sigma4), dens))
-    return TailExpansion(p=p, terms=terms, remainder_bound=_tail_remainder_bound(p, 4))
+    return TailExpansion(p=p, terms=terms, remainder_bound=tail_remainder_bound(p, 4))
 
 
 def tail_partial(p: int, j_max: int, sigma4: list[int] | None = None) -> tuple[Fraction, Fraction]:
@@ -235,9 +255,7 @@ def tail_partial(p: int, j_max: int, sigma4: list[int] | None = None) -> tuple[F
     (sigma4 as in factorial_tail_exact)."""
     if j_max < 4:
         raise PreconditionError("tail_partial needs j_max >= 4")
-    values = _sigma4_run(p, 4, j_max, sigma4)
-    part = _factorial_series(values, p + 4, _falling_products(p, 4)[3])
-    return part, _tail_remainder_bound(p, j_max + 1)
+    return Fraction(*tail_sum_pair(p, 4, j_max, sigma4)), tail_remainder_bound(p, j_max + 1)
 
 
 # -- the near-integer statistic ---------------------------------------------
@@ -367,7 +385,7 @@ def expansion_residuals(p: int, r: int | None = None, j_max: int = 32) -> list[d
         {
             "label": "tail_majorant",
             "value": part + rem,
-            "bound": _tail_remainder_bound(p, 4),
+            "bound": tail_remainder_bound(p, 4),
         }
     )
     return rows

@@ -16,6 +16,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import zip_longest
 
 import mpmath as mp
 
@@ -331,6 +332,16 @@ def _tf(n: int, primes: list[int]) -> list[tuple[int, int]]:
     return out
 
 
+def _lpf(n: int, primes: list[int]) -> int:
+    """Least prime factor of n > 1 by trial division by primes, which must reach isqrt(n) (oracle path, no shared code)."""
+    for p in primes:
+        if p * p > n:
+            break
+        if n % p == 0:
+            return p
+    return n
+
+
 def _tf_sigma4(fac: list[tuple[int, int]]) -> int:
     out = 1
     for p, e in fac:
@@ -366,8 +377,7 @@ def _oracle_special(x, w, zs, zl, zh, y_smooth, delta: Fraction):
     for p in range(first, x + 1, w):
         if composite[p - start]:
             continue
-        f3 = _tf((p + 3) // 2, primes)
-        if f3 and f3[0][0] <= zs:
+        if _lpf((p + 3) // 2, primes) <= zs:
             continue
         f2 = _tf(p + 2, primes)
         window_rs = [q for q, _ in f2 if zl < q <= zh]
@@ -382,8 +392,7 @@ def _oracle_special(x, w, zs, zl, zh, y_smooth, delta: Fraction):
         smooth = max(q for q, _ in fac_p1) <= y_smooth
         for r in window_rs:
             cof = (p + 2) // r
-            cof_f = _tf(cof, primes)
-            cof_ok = not cof_f or cof_f[0][0] > zh
+            cof_ok = cof == 1 or _lpf(cof, primes) > zh
             if cof_ok and _oracle_stat(p, fac_p1, r) <= delta:
                 s2 += 1
             if rough:
@@ -417,12 +426,13 @@ def check_special_set(ctx: dict) -> dict:
         params.x**params.smooth_exp,
         Fraction(delta),
     )
-    members_match = [(rec.p, rec.r) for rec in records] == oracle_members
+    members = [(rec.p, rec.r) for rec in records]
+    members_match = members == oracle_members
     sigmas = [counters.sigma1, counters.sigma2, counters.sigma3, counters.sigma4]
     sigmas_match = sigmas == oracle_sigmas
     pair_bound = counters.sigma2 <= counters.sigma3 + counters.sigma4
     ok = members_match and sigmas_match and part["ok"] and pair_bound
-    return {
+    out = {
         "ok": ok,
         "x": params.x,
         "preset": params.preset,
@@ -437,16 +447,36 @@ def check_special_set(ctx: dict) -> dict:
         "witness_gap": counters.witness_gap(),
         "budget_s": 60.0,
     }
+    if not members_match:
+        # the first place where they part: [walk's (p, r), oracle's (p, r)], None past an end
+        out["first_member_mismatch"] = next([a, b] for a, b in zip_longest(members, oracle_members) if a != b)
+    if not sigmas_match:
+        out["first_sigma_mismatch"] = next(i for i, (a, b) in enumerate(zip(sigmas, oracle_sigmas)) if a != b)
+    return out
 
 
 # -- 11: the exact tail identity over S ------------------------------------------------
 
 
+# series.sigma4_windows charges one block of tail windows at most this much:
+# 196 primes at x = 10^6. A fixed 512 primes (10.4 MB charged, 8.2 MB traced)
+# made tail_identity the largest verify-all process at 49.0 MB of RSS; with
+# 196 it peaks at 41.7 MB, below special_set's 43.0 MB
+WINDOW_BLOCK_BYTES = 4 << 20
+
+
+def _window_block(p_max: int, j_max: int) -> int:
+    """How many primes up to p_max one sigma4_windows call takes."""
+    return max(1, WINDOW_BLOCK_BYTES // series.sigma4_window_bytes(1, p_max, j_max))
+
+
 def check_tail_identity(ctx: dict) -> dict:
     _, records = _special_context(ctx)
-    j_max, block = 40, 512
+    j_max = 40
     checked = 0
+    worst = 0.0  # the largest (tail from p+4) / (its bound)
     primes = [rec.p for rec in records]
+    block = _window_block(max(primes, default=0), j_max)
     # one sigma_4 window per prime feeds both sides of the identity; the
     # windows are factored a block of primes at a time
     windows = (
@@ -455,20 +485,29 @@ def check_tail_identity(ctx: dict) -> dict:
         for w in series.sigma4_windows(primes[i : i + block], j_max)
     )
     for p, window in zip(primes, windows):
-        lhs = series.factorial_tail_exact(p, p + j_max, sigma4=window)
+        # the four leading terms, with tail_expansion's primality and 6/p guards
         exp = series.tail_expansion(p, sigma4=window)
-        part, _ = series.tail_partial(p, j_max, sigma4=window)
-        if lhs != exp.leading_sum() + part:
-            return {
-                "ok": False,
-                "failed_p": p,
-                "gap": float(lhs - exp.leading_sum() - part),
-            }
-        # terms[0] = sigma_4(p)/p; tail_expansion already refused a remainder bound above 6/p
-        if exp.terms[0] - p**3 != Fraction(1, p):
+        lead, bound = exp.leading_sum(), exp.remainder_bound
+        # both sums are over den = p (p+1) ... (p+j_max)
+        whole, den = series.tail_sum_pair(p, 0, j_max, window)
+        part, _ = series.tail_sum_pair(p, 4, j_max, window)
+        if (whole - part) * lead.denominator != lead.numerator * den:
+            return {"ok": False, "failed_p": p, "gap": float(Fraction(whole - part, den) - lead)}
+        # terms[0] = sigma_4(p)/p, and terms[0] - p^3 = 1/p says sigma_4(p) = p^4 + 1
+        if window[0] != p**4 + 1:
             return {"ok": False, "failed_p": p, "reason": "p-term residual is not 1/p"}
+        # the exact terms j = 4..j_max and the bound past j_max stay under the
+        # bound for everything from p+4: this reads the other window values
+        rem = series.tail_remainder_bound(p, j_max + 1)
+        top = (part * rem.denominator + rem.numerator * den) * bound.denominator
+        bottom = bound.numerator * den * rem.denominator
+        # int / int rounds once, and rounding keeps the order, so worst is the largest ratio rounded
+        ratio = top / bottom
+        if top > bottom:
+            return {"ok": False, "failed_p": p, "reason": "tail from p+4 exceeds its bound", "ratio": ratio}
+        worst = max(worst, ratio)
         checked += 1
-    return {"ok": True, "primes_checked": checked, "j_max": j_max, "budget_s": 60.0}
+    return {"ok": True, "primes_checked": checked, "j_max": j_max, "max_tail_to_bound": worst, "budget_s": 60.0}
 
 
 # -- registry ---------------------------------------------------------------------------

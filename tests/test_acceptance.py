@@ -170,6 +170,7 @@ def test_tail_identity(result):
     assert result.ok, result.line()
     assert result.details["primes_checked"] == 4110
     assert result.details["j_max"] == 40
+    assert 0 < result.details["max_tail_to_bound"] < 1
 
 
 @pytest.mark.parametrize("name", verify.check_names())

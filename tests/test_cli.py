@@ -735,6 +735,17 @@ def test_emit_reads_the_summary_after_the_rows(fmt, capsys):
         assert out.splitlines() == ["i", "0", "1", "2"]
 
 
+def test_emit_writes_jsonl_rows_in_blocks(monkeypatch):
+    # one write a row is one system call a row when stdout is unbuffered
+    writes = []
+    monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": lambda self, s: writes.append(s)})())
+    rows = [{"i": i, "pad": "x" * (i % 50)} for i in range(20000)]
+    cli.emit({"rows": iter(rows), "k": 1}, "jsonl", "probe", "rows")
+    want = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows) + '{"k": 1, "type": "summary"}\n'
+    assert "".join(writes) == want
+    assert len(writes) <= len(want) // 2**16 + 2
+
+
 def test_emit_charges_the_rows_it_holds(capsys):
     # 1024 rows of 1 KB fill a 1 MB budget; one more is refused before
     # anything is printed

@@ -1,5 +1,6 @@
 """The divisor-power series, its tail expansion, and the near-integer statistic."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from mpmath import mp
 
 import oracles
-from alpha4 import series
+from alpha4 import series, sieve, verify
 from alpha4.bigreal import _exact_fraction
 from alpha4.errors import PreconditionError
 
@@ -226,6 +227,8 @@ def test_tail_sums_against_term_by_term_oracle(j_max):
         te = series.tail_expansion(p)
         part, _ = series.tail_partial(p, j_max)
         assert part == naive - oracles.factorial_tail_exact(p, p + 3), p
+        num, den = series.tail_sum_pair(p, 4, j_max)
+        assert den == math.prod(range(p, p + j_max + 1)) and Fraction(num, den) == part, p
         assert series.factorial_tail_exact(p, p + j_max) == te.leading_sum() + part, p
 
 
@@ -240,6 +243,48 @@ def test_tail_sums_read_one_sigma4_window(j_max):
         )
         assert series.tail_expansion(p, sigma4=window) == series.tail_expansion(p)
         assert series.tail_partial(p, j_max, sigma4=window) == series.tail_partial(p, j_max)
+
+
+def test_tail_identity_block_stays_under_its_charge_cap(desk_records):
+    # the charge formula of sigma4_windows, not a traced run: the block is
+    # the most primes whose windows it charges at most WINDOW_BLOCK_BYTES
+    p_max = max(rec.p for rec in desk_records)
+    block = verify._window_block(p_max, 40)
+    assert series.sigma4_window_bytes(block, p_max, 40) <= verify.WINDOW_BLOCK_BYTES
+    assert series.sigma4_window_bytes(block + 1, p_max, 40) > verify.WINDOW_BLOCK_BYTES
+    assert block == 196
+
+
+def _tail_identity_with(monkeypatch, edit):
+    """tail_identity over S at x = 10^5, with edit(p, window) applied to every window."""
+    real = series.sigma4_windows
+
+    def edited(primes, j_max):
+        windows = real(primes, j_max)
+        for p, w in zip(primes, windows):
+            edit(p, w)
+        return windows
+
+    monkeypatch.setattr(series, "sigma4_windows", edited)
+    return verify.run_check("tail_identity", {"params": sieve.make_scale_params(10**5)})
+
+
+def test_tail_identity_reads_the_window_past_p(monkeypatch):
+    # the identity holds for any window values; the bound for the terms from
+    # p+4 on does not hold once sigma_4(p+4) is tripled
+    res = _tail_identity_with(monkeypatch, lambda p, w: None)
+    assert res.ok and 0 < res.details["max_tail_to_bound"] < 0.35
+    victim = 50591  # the eighth member of S at 10^5
+    res = _tail_identity_with(monkeypatch, lambda p, w: w.__setitem__(4, 3 * w[4]) if p == victim else None)
+    assert not res.ok
+    assert res.details["failed_p"] == victim
+    assert res.details["ratio"] > 1
+
+
+def test_tail_identity_fails_on_sigma4_p_off_by_one(monkeypatch):
+    res = _tail_identity_with(monkeypatch, lambda p, w: w.__setitem__(0, w[0] + 1))
+    assert not res.ok
+    assert res.details == {"failed_p": 50051, "reason": "p-term residual is not 1/p"}
 
 
 def test_sigma4_windows_build_no_factorization():

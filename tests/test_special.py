@@ -212,7 +212,31 @@ def test_verify_oracle_factors_values_past_the_square_root_of_x():
     assert members == [(107, None)]
 
 
-VERIFY_ORACLES = ("_tf", "_tf_sigma4", "_oracle_stat", "_oracle_special")
+def test_special_set_names_where_walk_and_oracle_part(monkeypatch):
+    real = verify._oracle_special
+
+    def skewed(*args):
+        members, sigmas = real(*args)
+        return members[:5] + members[6:], sigmas[:2] + [sigmas[2] + 1, sigmas[3]]
+
+    ctx = {"params": sieve.make_scale_params(10**5)}
+    monkeypatch.setattr(verify, "_oracle_special", skewed)
+    res = verify.run_check("special_set", ctx)
+    assert not res.ok
+    members, _ = real(*_oracle_args(ctx["params"]))
+    assert res.details["first_member_mismatch"] == [members[5], members[6]]
+    assert res.details["first_sigma_mismatch"] == 2
+    monkeypatch.setattr(verify, "_oracle_special", real)
+    res = verify.run_check("special_set", ctx)
+    assert res.ok
+    assert "first_member_mismatch" not in res.details and "first_sigma_mismatch" not in res.details
+
+
+def _oracle_args(p):
+    return p.x, p.W, p.z_small, p.z_quarter_lo, p.z_quarter_hi, p.x**p.smooth_exp, Fraction(0.05)
+
+
+VERIFY_ORACLES = ("_tf", "_lpf", "_tf_sigma4", "_oracle_stat", "_oracle_special")
 
 
 def _alpha4_names(module, tree, allowed=()) -> list[str]:
