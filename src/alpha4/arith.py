@@ -1,7 +1,9 @@
-"""Exact integer arithmetic: primality, factoring, multiplicative functions.
+"""Exact integer arithmetic: primality, factoring, multiplicative functions,
+and libmp's round-to-nearest on the (mantissa, exponent) pairs of raw mpf
+tuples.
 
-Everything in this module is deterministic. Primality uses a fixed
-strong-pseudoprime base set that is a proven classifier below 3.3e14 and
+Everything in this module is deterministic. Primality uses fixed
+strong-pseudoprime base sets that are proven classifiers below 2^64 and
 refuses larger inputs rather than degrade to "probably". A factorization
 is one form throughout: the tuple of (prime, exponent) pairs in
 increasing prime order. A single n is factored by trial division to
@@ -10,12 +12,13 @@ which strips the small primes from a column of remainders in numpy and
 returns a FactorBatch: the batch's (value index, prime, exponent) pairs
 as checked numpy columns, from which sigma_k, the least and greatest
 prime factors, squarefreeness and each value's pair tuple are read.
-Both finish cofactors above 2^32 with a Brent-cycle splitter, refuse a
-cofactor (n without its primes below 2^16) of 3.3e14 or more, prime or
-not, and check that the pairs multiply back to n. Primes come from one
-segmented sieve, PrimeRange.segments; primes_upto is its concatenation.
-numpy is imported inside the functions that use it, so importing this
-module does not load it.
+Both finish cofactors above 2^32 with a Brent-cycle splitter, so
+factorize answers every n below 2^64 and factor_many, on int64 columns,
+every n below 2^63. Both refuse a cofactor (n without its primes below
+2^16) of 2^64 or more, prime or not, and check that the pairs multiply
+back to n. Primes come from one segmented sieve, PrimeRange.segments;
+primes_upto is its concatenation. numpy is imported inside the functions
+that use it, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -40,12 +43,18 @@ __all__ = [
     "factorize",
     "factor_many",
     "sigma_k",
+    "int_pair",
+    "round_nearest_int",
+    "add_nearest_int",
 ]
 
-# Strong-pseudoprime bases 2..17 admit no composite below 3.4e14
-# (Jaeschke; Sorenson-Webster). Stay under it with a round margin.
+# The least strong pseudoprime to the bases 2..17 is 341,550,071,728,321
+# (Jaeschke, Math. Comp. 61, 1993); the twelve prime bases 2..37 admit no
+# composite below 3.18e23 > 2^64 (Sorenson and Webster, Math. Comp. 86, 2017)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17)
-MR_DETERMINISTIC_LIMIT = 330_000_000_000_000
+_MR_BASES_LARGE = (*_MR_BASES, 19, 23, 29, 31, 37)
+_MR_SMALL_LIMIT = 341_550_071_728_321
+MR_DETERMINISTIC_LIMIT = 2**64
 
 DEFAULT_BUDGET_MB = 512
 budget_mb = DEFAULT_BUDGET_MB  # the running command's memory budget, set by cli.dispatch
@@ -68,6 +77,35 @@ def require_work(steps: int, what: str) -> None:
     """Refuse a walk of more than WORK_BUDGET steps rather than run without end."""
     if steps > WORK_BUDGET:
         raise BudgetError(f"{what} exceed the work budget {WORK_BUDGET}")
+
+
+def int_pair(t) -> tuple[int, int]:
+    """A finite raw mpf tuple as a signed (mantissa, exponent) pair."""
+    sign, man, exp, _ = t
+    return (-man if sign else man), exp
+
+
+def round_nearest_int(m: int, e: int, prec: int) -> tuple[int, int]:
+    """m 2^e rounded to prec bits, half to even: libmp's round_nearest on a
+    signed mantissa (it is symmetric, so the floor shift serves), without
+    stripping trailing zeros (a carry may leave 2^prec)."""
+    n = m.bit_length() - prec
+    if n <= 0:
+        return m, e
+    t = m >> (n - 1)
+    if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
+        t += 1
+    return t >> 1, e + n
+
+
+def add_nearest_int(x: tuple[int, int], y: tuple[int, int], prec: int) -> tuple[int, int]:
+    """mpf_add on (mantissa, exponent) pairs: the exact sum rounded once.
+    libmp's shortcut for operands far apart rounds the same when the larger
+    has at most prec bits or its last bit outweighs the smaller."""
+    (a, e), (b, f) = x, y
+    if e < f:
+        return round_nearest_int(a + (b << (f - e)), e, prec)
+    return round_nearest_int((a << (e - f)) + b, f, prec)
 
 
 def exact_rational(x, name: str) -> Fraction:
@@ -94,7 +132,7 @@ def primes_upto(n: int) -> np.ndarray:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for 0 <= n < 3.3e14 (errors above)."""
+    """Deterministic primality for 0 <= n < 2^64 (errors above)."""
     if n < 0 or n >= MR_DETERMINISTIC_LIMIT:
         raise PreconditionError(
             f"is_prime is certified only below {MR_DETERMINISTIC_LIMIT}, got {n}"
@@ -107,7 +145,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for a in _MR_BASES if n < _MR_SMALL_LIMIT else _MR_BASES_LARGE:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -226,8 +264,9 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     pure Python (a composite divisor never divides what its prime factors
     left). The cofactor rem this leaves has no prime factor <= 2^16, or
     none <= its square root, so below 2^32 it is 1 or prime; above,
-    certified primality or the splitter decides. A cofactor of 3.3e14 or
-    more is refused, prime or not, rather than guessed at.
+    certified primality or the splitter decides. So every n < 2^64 is
+    answered; a cofactor of 2^64 or more is refused, prime or not,
+    rather than guessed at.
     """
     n = int(n)
     if n < 1:
@@ -389,8 +428,8 @@ class FactorBatch:
 
 
 def factor_many(values) -> FactorBatch:
-    """Full factorizations, in order, of a batch of integers 1 <= n < 2^63
-    whose cofactors stay below 3.3e14, as in factorize.
+    """Full factorizations, in order, of a batch of integers 1 <= n < 2^63,
+    every one of which factorize answers too.
 
     The one bulk factoring core. Each prime q <= isqrt(max) (at most
     2^16) that divides some value is stripped from the remainder column

@@ -14,9 +14,6 @@ the new midpoint, and finally inflates the radius by (1 + 2^-16) so that
 the floating-point evaluation of the radius expression itself can never
 round the bound downward. mpmath's mpf has an unbounded exponent, so a
 nonzero bound never flushes to zero.
-
-The module also holds the rounding that the integer kernels of expsums
-and dickman share: libmp's round-to-nearest on (mantissa, exponent) pairs.
 """
 
 from __future__ import annotations
@@ -27,36 +24,9 @@ from numbers import Rational
 
 import mpmath as mp
 
-__all__ = ["BigRealWithError", "int_pair", "round_nearest_int", "add_nearest_int"]
+from .arith import int_pair
 
-
-def int_pair(t) -> tuple[int, int]:
-    """A finite raw mpf tuple as a signed (mantissa, exponent) pair."""
-    sign, man, exp, _ = t
-    return (-man if sign else man), exp
-
-
-def round_nearest_int(m: int, e: int, prec: int) -> tuple[int, int]:
-    """m 2^e rounded to prec bits, half to even: libmp's round_nearest on a
-    signed mantissa (it is symmetric, so the floor shift serves), without
-    stripping trailing zeros (a carry may leave 2^prec)."""
-    n = m.bit_length() - prec
-    if n <= 0:
-        return m, e
-    t = m >> (n - 1)
-    if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
-        t += 1
-    return t >> 1, e + n
-
-
-def add_nearest_int(x: tuple[int, int], y: tuple[int, int], prec: int) -> tuple[int, int]:
-    """mpf_add on (mantissa, exponent) pairs: the exact sum rounded once.
-    libmp's shortcut for operands far apart rounds the same when the larger
-    has at most prec bits or its last bit outweighs the smaller."""
-    (a, e), (b, f) = x, y
-    if e < f:
-        return round_nearest_int(a + (b << (f - e)), e, prec)
-    return round_nearest_int((a << (e - f)) + b, f, prec)
+__all__ = ["BigRealWithError"]
 
 
 def _ulp_bound(x: mp.mpf) -> mp.mpf:

@@ -20,10 +20,7 @@ import re
 import sys
 from fractions import Fraction
 
-import mpmath as mp
-
-from . import __version__, arith, dickman, expsums, series, sieve, special, verify
-from .bigreal import BigRealWithError
+from . import __version__
 from .errors import BudgetError, PreconditionError
 
 SCHEMA = 1
@@ -58,13 +55,20 @@ def to_jsonable(x):
         return x
     if isinstance(x, Fraction):
         return _ratio(x)
-    if isinstance(x, mp.mpf):
-        return mp.nstr(x, 25)
-    if isinstance(x, (complex, mp.mpc)):
-        return {"re": to_jsonable(x.real if isinstance(x, complex) else mp.mpf(x.real)),
-                "im": to_jsonable(x.imag if isinstance(x, complex) else mp.mpf(x.imag))}
-    if isinstance(x, BigRealWithError):
-        return {"value": mp.nstr(x.value, 40), "err": mp.nstr(x.err, 10)}
+    if isinstance(x, complex):
+        return {"re": x.real, "im": x.imag}
+    # an mpf, an mpc or a BigRealWithError exists only once its module has
+    # loaded, so a command that never loads mpmath never imports it here
+    mp = sys.modules.get("mpmath")
+    if mp is not None:
+        if isinstance(x, mp.mpf):
+            return mp.nstr(x, 25)
+        if isinstance(x, mp.mpc):
+            # each part rounded to the ambient precision, then printed
+            return {"re": mp.nstr(mp.mpf(x.real), 25), "im": mp.nstr(mp.mpf(x.imag), 25)}
+        bigreal = sys.modules.get("alpha4.bigreal")
+        if bigreal is not None and isinstance(x, bigreal.BigRealWithError):
+            return {"value": mp.nstr(x.value, 40), "err": mp.nstr(x.err, 10)}
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         return {f.name: to_jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
     if isinstance(x, dict):
@@ -76,6 +80,7 @@ def to_jsonable(x):
 
 def _held(rows, row_bytes: int, what: str) -> list:
     """The rows as a list, charged row_bytes for each one held as it grows."""
+    from . import arith
     out = []
     for row in rows:
         out.append(row)
@@ -152,6 +157,8 @@ def emit(payload, fmt: str, command: str, rows_key: str | None = None, *, summar
 
 
 def cmd_alpha(args) -> int | None:
+    import mpmath as mp
+    from . import series
     val = series.alpha_k(args.k, target_precision=args.bits)
     payload = {
         "k": args.k,
@@ -164,6 +171,7 @@ def cmd_alpha(args) -> int | None:
 
 
 def cmd_prop1(args) -> int | None:
+    from . import series
     p = args.p
     payload: dict = {"p": p}
     payload["stat_plain"] = series.prop1_statistic_exact(p)
@@ -188,6 +196,8 @@ def cmd_prop1(args) -> int | None:
 
 
 def cmd_rho(args) -> int | None:
+    from . import dickman
+    args.tol = dickman.DEFAULT_TOL if args.tol is None else args.tol
     if args.ten_thirds:
         emit(dickman.rho_ten_thirds_quadrature(), args.fmt, "rho")
     elif args.table:
@@ -200,6 +210,7 @@ def cmd_rho(args) -> int | None:
 
 
 def cmd_psi(args) -> int | None:
+    from . import dickman
     sc = dickman.smooth_count(args.x, args.y, with_exact=not args.no_exact)
     payload = dict(vars(sc))
     if sc.exact is not None:
@@ -209,6 +220,7 @@ def cmd_psi(args) -> int | None:
 
 
 def cmd_sieve_weights(args) -> int | None:
+    from . import sieve
     ws = sieve.beta_sieve_weights(args.d, args.z)
     payload: dict = {
         "level_D": ws.level_D,
@@ -230,6 +242,8 @@ def cmd_sieve_weights(args) -> int | None:
 
 
 def cmd_sieve_ff(args) -> int | None:
+    import mpmath as mp
+    from . import sieve
     s = args.s
     payload = {"s": s, "f": sieve.linear_f(s)}  # refuses s outside [0, 6], NaN included
     if s >= 1:
@@ -240,6 +254,7 @@ def cmd_sieve_ff(args) -> int | None:
 
 
 def cmd_sieve_flemma(args) -> int | None:
+    from . import sieve
     t = sieve.FundamentalLemmaTruncation(z=args.z, R=args.r, parity=args.parity)
     rep = sieve.fundamental_lemma_check(t, args.n_limit)
     emit(rep, args.fmt, "sieve flemma")
@@ -247,6 +262,7 @@ def cmd_sieve_flemma(args) -> int | None:
 
 
 def cmd_sieve_vector(args) -> int | None:
+    from . import arith, sieve
     if args.tuple:
         vals = [arith.exact_rational(v, "--tuple") for v in args.tuple]
         ok = sieve.vector_sieve_check(*vals)
@@ -258,6 +274,7 @@ def cmd_sieve_vector(args) -> int | None:
 
 
 def cmd_sieve_mertens(args) -> int | None:
+    from . import sieve
     if args.x is not None:
         emit(sieve.mertens_window_report(args.x, args.epsilon), args.fmt, "sieve mertens")
         return
@@ -273,6 +290,7 @@ _KIND_FLAGS = {"basic": ("A", "B"), "lemma61": ("h", "m", "r", "v")}
 def _spec_from_args(args) -> expsums.PhaseSpec:
     """The phase spec of args.kind from the flags that _add_spec_flags
     declares. A flag of another kind is refused, not ignored."""
+    from . import expsums
     other = [f"--{n}" for k, ns in _KIND_FLAGS.items() if k != args.kind for n in ns if getattr(args, n, None) is not None]
     if other:
         raise PreconditionError(f"--kind {args.kind} takes no {', '.join(other)}")
@@ -287,12 +305,14 @@ def _spec_from_args(args) -> expsums.PhaseSpec:
 
 
 def cmd_expsum_basic(args) -> int | None:
+    from . import expsums
     spec = _spec_from_args(args)
     res = expsums.eval_phase(spec, threads=args.threads, engine=args.engine, prec_bits=args.prec_bits)
     emit({"spec": spec, "result": res}, args.fmt, "expsum basic")
 
 
 def cmd_expsum_lemma61(args) -> int | None:
+    from . import expsums
     spec = _spec_from_args(args)
     res = expsums.eval_phase(spec, engine=args.engine, prec_bits=args.prec_bits)
     payload = {"spec": spec, "result": res}
@@ -303,6 +323,7 @@ def cmd_expsum_lemma61(args) -> int | None:
 
 
 def cmd_expsum_weyl(args) -> int | None:
+    from . import expsums
     spec = _spec_from_args(args)
     rep = expsums.weyl_difference_check(spec, K=args.K, L=args.L)
     emit(rep, args.fmt, "expsum weyl")
@@ -311,11 +332,13 @@ def cmd_expsum_weyl(args) -> int | None:
 
 
 def cmd_expsum_scan(args) -> int | None:
+    from . import expsums
     rep = expsums.cancellation_scan(args.family, count=args.count, seed=args.seed)
     emit(rep, args.fmt, "expsum scan", rows_key="rows")
 
 
 def cmd_expsum_window(args) -> int | None:
+    from . import expsums
     w = expsums.smoothing_window(args.delta, args.J)
     rep = {
         "delta": w.delta,
@@ -331,6 +354,7 @@ def cmd_expsum_window(args) -> int | None:
 
 
 def _params_for(args) -> sieve.ScaleParams:
+    from . import sieve
     flags = {"z_small": args.z_small, "z_quarter_lo": args.z_lo, "z_quarter_hi": args.z_hi}
     overrides = {field: v for field, v in flags.items() if v is not None}
     return sieve.make_scale_params(args.x, preset=args.preset, overrides=overrides or None)
@@ -362,6 +386,7 @@ def _enumerate_row(rec: special.SpecialPrimeRecord) -> dict:
 
 
 def cmd_special_enumerate(args) -> int | None:
+    from . import special
     # S streams from the walk through the partition check to stdout; jsonl
     # holds one segment of it, json and csv hold every row and charge it
     params = _params_for(args)
@@ -378,6 +403,7 @@ def cmd_special_enumerate(args) -> int | None:
 
 
 def cmd_special_sigmas(args) -> int | None:
+    from . import special
     counters = special.count_sigmas(_params_for(args), args.delta)
     holds = counters.sigma2 <= counters.sigma3 + counters.sigma4
     payload = {**vars(counters), "witness_gap": counters.witness_gap(), "pair_bound_holds": holds}
@@ -386,6 +412,7 @@ def cmd_special_sigmas(args) -> int | None:
 
 
 def cmd_special_hist(args) -> int | None:
+    from . import special
     rep = special.near_integer_histogram(special.iter_S(_params_for(args)), bins=args.bins)
     rows = [
         {
@@ -407,6 +434,7 @@ def cmd_special_hist(args) -> int | None:
 
 
 def cmd_verify_all(args) -> int | None:
+    from . import verify
     if args.list:
         emit({"checks": verify.check_names()}, args.fmt, "verify-all")
         return
@@ -488,6 +516,7 @@ def _add_spec_flags(p: argparse.ArgumentParser, *kinds: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import arith
     ap = _Parser(
         prog="alpha4",
         description="Desk-scale companion computations for the factorial series of sigma_4.",
@@ -515,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rho", help="the smooth-density function")
     p.add_argument("--u", type=float, default=None)
-    p.add_argument("--tol", type=float, default=dickman.DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=None)  # cmd_rho reads None as dickman.DEFAULT_TOL
     p.add_argument("--ten-thirds", action="store_true", help="both evaluation routes at u = 10/3")
     p.add_argument("--table", action="store_true")
     p.add_argument("--step", type=float, default=0.25)
@@ -618,6 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list[str]) -> int:
+    from . import arith  # the budget every charge of the command reads
     args = build_parser().parse_args(argv)
     try:
         if args.threads is None:

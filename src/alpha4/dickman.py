@@ -24,8 +24,8 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath.libmp import from_man_exp
 
-from .arith import primes_upto, require_budget
-from .bigreal import BigRealWithError, add_nearest_int, int_pair, round_nearest_int
+from .arith import add_nearest_int, int_pair, primes_upto, require_budget, round_nearest_int
+from .bigreal import BigRealWithError
 from .errors import PreconditionError
 
 __all__ = [

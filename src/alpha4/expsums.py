@@ -19,7 +19,8 @@ of denominators, and lemma61_ap_oracle feeds its own phase formula to
 _sum_e. The mpf engine and phase_mpf share one core, _phase_raw, which
 replays on signed (mantissa, exponent) integer pairs the libmp calls the
 mpf operator form makes, each rounded as libmp rounds it
-(bigreal.round_nearest_int).
+(arith.round_nearest_int). mpmath is imported by the functions that
+compute with it, so the exact and Weyl sums never load it.
 """
 
 from __future__ import annotations
@@ -30,11 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-import mpmath as mp
-from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin_pi, round_nearest
-
-from .arith import exact_rational, require_budget, require_work, sigma_k
-from .bigreal import add_nearest_int, int_pair, round_nearest_int
+from .arith import add_nearest_int, exact_rational, int_pair, require_budget, require_work, round_nearest_int, sigma_k
 from .errors import PreconditionError
 
 __all__ = [
@@ -241,17 +238,12 @@ def phase_fraction(spec: PhaseSpec, n: int) -> Fraction:
     return Fraction(*_phase_ratio(spec)(n))
 
 
-def _mpf(x: Fraction | int | None) -> mp.mpf | None:
-    """x at the ambient precision, rounded once from its exact value (None passes)."""
-    return None if x is None else mp.make_mpf(from_rational(x.numerator, x.denominator, mp.mp.prec, round_nearest))
-
-
 def _phase_raw(spec: PhaseSpec, prec: int):
     """n -> the phase at n as a signed (mantissa, exponent) pair at prec
     bits, round-nearest (the rounding of mpmath's context).
 
-    The core of phase_mpf and of the mpf engine. The coefficients go
-    through _mpf once, at prec. Every step then replays in integers the
+    The core of phase_mpf and of the mpf engine. Each coefficient is
+    rounded once from its exact value, at prec. Every step then replays in integers the
     libmp call that the mpf operator form of the phase makes, with the
     same precision and rounding, so the bits are those of the expressions
 
@@ -265,9 +257,10 @@ def _phase_raw(spec: PhaseSpec, prec: int):
     Values the operator form computes twice (n^2, and (B + lin) r in every
     term) are computed once; nothing is reordered or fused.
     """
+    from mpmath.libmp import from_rational, round_nearest
     rn, add = round_nearest_int, add_nearest_int
-    with mp.workprec(prec):
-        A, B, lin, C = (None if x is None else int_pair(_mpf(x)._mpf_) for x in spec.coefficients)
+    A, B, lin, C = (None if x is None else int_pair(from_rational(x.numerator, x.denominator, prec, round_nearest))
+                    for x in spec.coefficients)
 
     def mul(x, y):  # mpf_mul
         return rn(x[0] * y[0], x[1] + y[1], prec)
@@ -325,6 +318,8 @@ def phase_mpf(spec: PhaseSpec, n: int) -> mp.mpf:
     eval_phase runs per term, so the formula is written once. The core
     reads the coefficients and never the integer core of the exact
     engine, so the engines check each other."""
+    import mpmath as mp
+    from mpmath.libmp import from_man_exp
     return mp.make_mpf(from_man_exp(*_phase_raw(spec, mp.mp.prec)(n)))
 
 
@@ -334,6 +329,8 @@ def required_prec_bits(spec: PhaseSpec) -> int:
     The size is summed as in floats, each input and step rounded once to
     53 bits, but on mpf, whose exponent has no ceiling; its int(log2) adds
     the exponent to math.log2 of the mantissa, as math.log2 rounds it."""
+    import mpmath as mp
+    from mpmath.libmp import from_rational, round_nearest
     hi, c = max(abs(spec.lo) + 1, abs(spec.hi), 1), spec.coefficients
 
     def d(x):  # float(x) of a Fraction or int
@@ -439,6 +436,8 @@ def eval_phase(
         total = _tree_reduce(parts)
         mod = abs(total)
     else:
+        import mpmath as mp
+        from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, round_nearest
         rnd, add = round_nearest, add_nearest_int
         phase = _phase_raw(spec, prec)
         re = im = (0, 0)
@@ -868,6 +867,7 @@ class SmoothingWindow:
 
     def fourier(self, h: int) -> mp.mpf:
         """w_hat(h) for integer h (the window is 1-periodic), at 30 digits."""
+        import mpmath as mp
         h = int(h)
         with mp.workdps(30):
             d = mp.mpf(self.delta.numerator) / self.delta.denominator
@@ -875,6 +875,7 @@ class SmoothingWindow:
             return out
 
     def decay_bound(self, h: int) -> mp.mpf:
+        import mpmath as mp
         with mp.workdps(30):
             d = mp.mpf(self.delta.numerator) / self.delta.denominator
             return 8 * d * (1 + abs(h) * d / self.J) ** (-self.J)
@@ -896,6 +897,7 @@ class SmoothingWindow:
 
 
 def _sinc(x) -> mp.mpf:
+    import mpmath as mp
     if x == 0:
         return mp.mpf(1)
     return mp.sinpi(x) / (mp.pi * x)

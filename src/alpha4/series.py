@@ -9,7 +9,8 @@ an exact expansion whose residuals this module tracks term by term.
 sigma_k of a single n comes from arith.sigma_k, which reads the (prime,
 exponent) pairs of factorize; the sigma_4 windows of the tail sums are
 read off one FactorBatch per call. The near-integer statistic is written
-once, in prop1_ratio, as an integer pair.
+once, in prop1_ratio, as an integer pair. Only alpha_k computes in mpf,
+so only it imports mpmath and bigreal.
 """
 
 from __future__ import annotations
@@ -18,10 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-
 from .arith import factor_many, factorize, is_prime, require_budget, sigma_k
-from .bigreal import BigRealWithError
 from .errors import PreconditionError
 
 __all__ = [
@@ -114,6 +112,8 @@ def terms_needed(k: int, bits: int) -> int:
 
 def alpha_k(k: int, target_precision: int = 128) -> BigRealWithError:
     """Certified value of sum_n sigma_k(n)/n! with err <= 2^-target_precision."""
+    import mpmath as mp
+    from .bigreal import BigRealWithError
     if not 1 <= k <= MAX_K:
         raise PreconditionError(f"k must be in 1..{MAX_K}, got {k}")
     if not 1 <= target_precision <= MAX_BITS:

@@ -20,7 +20,8 @@ H(u) = (u+1) f(u+1), scaled by 1/(2 e^gamma), solve the unit-delay pair
     u G'(u) = H(u-1),   u H'(u) = G(u-1),   G = 1, H = 0 on [0, 1],
 
 which dickman.delay_panels marches on the same power-series panels as
-Dickman's rho, over u in [0, 5] (s in [1, 6]).
+Dickman's rho, over u in [0, 5] (s in [1, 6]). Only F and f import
+mpmath and dickman, so the rest of the module never loads them.
 """
 
 from __future__ import annotations
@@ -30,10 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
-
 from .arith import PrimeRange, exact_rational, primes_upto, require_budget, require_work
-from .dickman import delay_panels
 from .errors import PreconditionError
 
 __all__ = [
@@ -350,10 +348,12 @@ _FF_DPS = 30
 @functools.cache
 def _ff_panels():
     """(G, H) of the module docstring."""
+    from .dickman import delay_panels
     return delay_panels((1, 0), 1, 5)
 
 
 def _ff_arg(s, lo: int, name: str) -> mp.mpf:
+    import mpmath as mp
     s = mp.mpf(str(s)) if isinstance(s, float) else mp.mpf(s)
     if not lo <= s <= 6:
         raise PreconditionError(f"{name} domain is [{lo}, 6], got {float(s)}")
@@ -363,6 +363,7 @@ def _ff_arg(s, lo: int, name: str) -> mp.mpf:
 def linear_F(s) -> mp.mpf:
     """Upper limit function: 2 e^gamma / s on [1, 3], and (2 e^gamma / s) G(s-1)
     beyond, supported on 1 <= s <= 6."""
+    import mpmath as mp
     with mp.workdps(_FF_DPS):
         s = _ff_arg(s, 1, "linear_F")
         out = 2 * mp.exp(mp.euler) / s
@@ -372,6 +373,7 @@ def linear_F(s) -> mp.mpf:
 def linear_f(s) -> mp.mpf:
     """Lower limit function: 0 on [0, 2], (2 e^gamma / s) log(s-1) on [2, 4], and
     (2 e^gamma / s) H(s-1) beyond, supported on 0 <= s <= 6."""
+    import mpmath as mp
     with mp.workdps(_FF_DPS):
         s = _ff_arg(s, 0, "linear_f")
         if s <= 2:

@@ -305,6 +305,7 @@ def count_sigmas(params: ScaleParams, delta: float) -> SigmaCounters:
             if within(ps[k], sigma4[k], r):
                 s2 += c2
                 s4 += c4
+        del seg  # so the walk does not build the next segment beside this one
     return SigmaCounters(
         sigma1=s1,
         sigma2=s2,

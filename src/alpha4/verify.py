@@ -7,7 +7,10 @@ green test run certify the same thing.
 
 The special-set check carries its own independent oracle: a pure trial-
 division enumeration that shares no code with the package's sieve or
-factorization paths.
+factorization paths. The tail-identity check recomputes a seeded sample
+of its sigma_4 windows by the same trial division. Each check imports
+the layers it runs, so the registry, and a run of one check, load
+nothing else.
 """
 
 from __future__ import annotations
@@ -18,9 +21,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import zip_longest
 
-import mpmath as mp
-
-from . import dickman, expsums, series, sieve, special
 from .errors import PreconditionError
 
 __all__ = ["CheckResult", "CHECKS", "check_names", "run_check"]
@@ -41,6 +41,8 @@ class CheckResult:
 
 
 def check_alpha_digits(ctx: dict) -> dict:
+    import mpmath as mp
+    from . import series
     val = series.alpha_k(4, target_precision=128)
     printed = val.leading_decimal(7)
     return {
@@ -55,6 +57,7 @@ def check_alpha_digits(ctx: dict) -> dict:
 
 
 def check_rho_two_routes(ctx: dict) -> dict:
+    from . import dickman
     r = dickman.rho_ten_thirds_quadrature()
     ok = (
         r.agreement <= 1e-8
@@ -86,6 +89,7 @@ def check_smooth_counts(ctx: dict) -> dict:
     (measured: 3.7 at x = 10^5, shrinking as x grows). Both inequalities
     are asserted at those constants and both gaps are reported.
     """
+    from . import dickman
     rho_val = float(dickman.rho(10 / 3).value)
     rows = []
     ok = True
@@ -116,6 +120,7 @@ def check_smooth_counts(ctx: dict) -> dict:
 
 
 def check_sieve_sandwich(ctx: dict) -> dict:
+    from . import sieve
     inject = bool(ctx.get("inject_bad_weights"))
     rows = []
     ok = True
@@ -138,6 +143,7 @@ def check_sieve_sandwich(ctx: dict) -> dict:
 
 
 def check_fundamental_lemma(ctx: dict) -> dict:
+    from . import sieve
     rows = []
     ok = True
     for R in (1, 2, 3):
@@ -153,6 +159,8 @@ def check_fundamental_lemma(ctx: dict) -> dict:
 
 
 def check_limit_functions(ctx: dict) -> dict:
+    import mpmath as mp
+    from . import sieve
     with mp.workdps(30):
         tge = 2 * mp.exp(mp.euler)
         h = mp.mpf("1e-11")
@@ -190,6 +198,7 @@ def check_limit_functions(ctx: dict) -> dict:
 
 
 def check_vector_sandwich(ctx: dict) -> dict:
+    from . import sieve
     rep = sieve.vector_sieve_random_trials(10**6, seed=0)
     return {"ok": rep["ok"], "report": rep, "budget_s": 30.0}
 
@@ -198,6 +207,7 @@ def check_vector_sandwich(ctx: dict) -> dict:
 
 
 def _seeded_specs(rng, count: int) -> list[expsums.PhaseSpec]:
+    from . import expsums
     specs = []
     primes_r = (101, 103, 211, 401)
     for i in range(count):
@@ -235,7 +245,7 @@ def _seeded_specs(rng, count: int) -> list[expsums.PhaseSpec]:
 
 def check_phase_engines(ctx: dict) -> dict:
     import random
-
+    from . import expsums
     rng = random.Random(20260819)
     specs = _seeded_specs(rng, 100)
     worst_pp = 0.0
@@ -293,6 +303,7 @@ def check_phase_engines(ctx: dict) -> dict:
 
 
 def check_amplitude_grid(ctx: dict) -> dict:
+    from . import expsums
     A, B = Fraction(2), Fraction(1)
     k, l = 30, 20
     Q = 500
@@ -313,6 +324,17 @@ def check_amplitude_grid(ctx: dict) -> dict:
 
 
 # -- 10: the special set against a from-scratch oracle --------------------------------
+
+
+def _tf_primes(n: int) -> list[int]:
+    """The primes up to n by a sieve of Eratosthenes (oracle path, no shared code)."""
+    composite = bytearray(n + 1)
+    primes = []
+    for d in range(2, n + 1):
+        if not composite[d]:
+            primes.append(d)
+            composite[d * d :: d] = b"\x01" * len(range(d * d, n + 1, d))
+    return primes
 
 
 def _tf(n: int, primes: list[int]) -> list[tuple[int, int]]:
@@ -363,16 +385,11 @@ def _oracle_special(x, w, zs, zl, zh, y_smooth, delta: Fraction):
     members = []
     s1 = s2 = s3 = s4 = 0
     start = x // 2 + 1
-    root = math.isqrt(x + 3)  # the primes up to root factor every value up to p + 3
-    small = bytearray(root + 1)  # 1 marks a composite, here and in `composite`
-    composite = bytearray(x + 1 - start)  # entry i stands for start + i
-    primes = []
-    for d in range(2, root + 1):
-        if not small[d]:
-            primes.append(d)
-            small[d * d :: d] = b"\x01" * len(range(d * d, root + 1, d))
-            lo = max(d * d, -(-start // d) * d)
-            composite[lo - start :: d] = b"\x01" * len(range(lo, x + 1, d))
+    primes = _tf_primes(math.isqrt(x + 3))  # they factor every value up to p + 3
+    composite = bytearray(x + 1 - start)  # entry i stands for start + i; 1 marks a composite
+    for d in primes:
+        lo = max(d * d, -(-start // d) * d)
+        composite[lo - start :: d] = b"\x01" * len(range(lo, x + 1, d))
     first = start + ((w - 1 - start) % w)
     for p in range(first, x + 1, w):
         if composite[p - start]:
@@ -404,6 +421,7 @@ def _oracle_special(x, w, zs, zl, zh, y_smooth, delta: Fraction):
 
 
 def _special_context(ctx: dict):
+    from . import sieve, special
     if "params" not in ctx:
         ctx["params"] = sieve.make_scale_params(10**6)
     if "records" not in ctx:
@@ -412,6 +430,7 @@ def _special_context(ctx: dict):
 
 
 def check_special_set(ctx: dict) -> dict:
+    from . import special
     params, records = _special_context(ctx)
     delta = 0.05
     counters = special.count_sigmas(params, delta)
@@ -463,20 +482,30 @@ def check_special_set(ctx: dict) -> dict:
 # made tail_identity the largest verify-all process at 49.0 MB of RSS; with
 # 196 it peaks at 41.7 MB, below special_set's 43.0 MB
 WINDOW_BLOCK_BYTES = 4 << 20
+# how many primes' windows tail_identity recomputes by the oracle's trial
+# division: 1,968 values, about 16 ms at 10^6
+ORACLE_WINDOWS = 48
 
 
 def _window_block(p_max: int, j_max: int) -> int:
     """How many primes up to p_max one sigma4_windows call takes."""
+    from . import series
     return max(1, WINDOW_BLOCK_BYTES // series.sigma4_window_bytes(1, p_max, j_max))
 
 
 def check_tail_identity(ctx: dict) -> dict:
+    import random
+    from . import series
     _, records = _special_context(ctx)
     j_max = 40
-    checked = 0
+    checked = oracle_values = 0
     worst = 0.0  # the largest (tail from p+4) / (its bound)
     primes = [rec.p for rec in records]
-    block = _window_block(max(primes, default=0), j_max)
+    # the windows of a seeded sample of the primes face the oracle's trial division
+    p_max = max(primes, default=0)
+    sample = set(random.Random(20261020).sample(primes, min(ORACLE_WINDOWS, len(primes))))
+    oracle_primes = _tf_primes(math.isqrt(p_max + j_max))
+    block = _window_block(p_max, j_max)
     # one sigma_4 window per prime feeds both sides of the identity; the
     # windows are factored a block of primes at a time
     windows = (
@@ -505,9 +534,15 @@ def check_tail_identity(ctx: dict) -> dict:
         ratio = top / bottom
         if top > bottom:
             return {"ok": False, "failed_p": p, "reason": "tail from p+4 exceeds its bound", "ratio": ratio}
+        if p in sample:
+            for j, value in enumerate(window):
+                if value != _tf_sigma4(_tf(p + j, oracle_primes)):
+                    return {"ok": False, "failed_p": p, "j": j, "reason": "sigma_4(p+j) differs from the oracle's"}
+            oracle_values += len(window)
         worst = max(worst, ratio)
         checked += 1
-    return {"ok": True, "primes_checked": checked, "j_max": j_max, "max_tail_to_bound": worst, "budget_s": 60.0}
+    return {"ok": True, "primes_checked": checked, "j_max": j_max, "max_tail_to_bound": worst,
+            "oracle_window_values": oracle_values, "budget_s": 60.0}
 
 
 # -- registry ---------------------------------------------------------------------------

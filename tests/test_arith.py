@@ -1,5 +1,6 @@
 """Integer utilities: factorization, divisor sums, tables, prime ranges."""
 
+import math
 import random
 
 import pytest
@@ -91,19 +92,40 @@ def test_factorize_semiprime_beyond_trial_division():
 
 
 def test_factorize_rejects_uncertifiable_cofactor():
-    # beyond the deterministic primality limit the split is refused
-    p = 2147483647
-    with pytest.raises(PreconditionError, match="certified"):
+    # beyond the deterministic primality limit 2^64 the split is refused
+    p = 2**61 - 1
+    assert arith.factorize(p) == ((p, 1),)
+    with pytest.raises(PreconditionError, match=f"is_prime is certified only below {2**64}"):
         arith.factorize(p * p)
 
 
-@pytest.mark.parametrize("n", [1000000000000037, (10**9 + 7) * (10**9 + 9)], ids=["prime", "semiprime"])
-def test_factoring_refuses_a_cofactor_past_the_certified_limit(n):
-    # the domain is a cofactor below 3.3e14, not n < 2^63: a prime cofactor is refused like a composite one
-    with pytest.raises(PreconditionError, match="is_prime is certified only below 330000000000000"):
-        arith.factorize(n)
-    with pytest.raises(PreconditionError, match="is_prime is certified only below 330000000000000"):
-        arith.factor_many([n])
+@pytest.mark.parametrize("n, pairs", [
+    (1000000000000037, ((1000000000000037, 1),)),
+    ((10**9 + 7) * (10**9 + 9), ((10**9 + 7, 1), (10**9 + 9, 1))),
+    ((2**31 - 1) ** 2, ((2**31 - 1, 2),)),
+], ids=["prime", "semiprime", "square"])
+def test_factoring_answers_a_cofactor_past_the_old_limit(n, pairs):
+    # cofactors of 3.3e14 and more were refused; below 2^63 every n is answered
+    assert arith.factorize(n) == pairs
+    assert arith.factor_many([n]).pairs([0]) == [pairs]
+
+
+@pytest.mark.parametrize("n, primes", [
+    (341_550_071_728_321, (10670053, 32010157)),
+    (3_825_123_056_546_413_051, (149491, 747451, 34233211)),
+], ids=["bases_2_to_19", "bases_2_to_31"])
+def test_is_prime_rejects_the_strong_pseudoprimes_of_the_small_bases(n, primes):
+    # the least strong pseudoprimes to the bases 2..19 and 2..31 (Jaeschke)
+    assert math.prod(primes) == n and all(oracles.is_prime(q) for q in primes)
+    assert not arith.is_prime(n)
+    assert arith.factorize(n) == tuple((q, 1) for q in primes)
+
+
+def test_is_prime_answers_up_to_2_64():
+    assert arith.is_prime(2**64 - 59)  # the largest prime below 2^64
+    assert not arith.is_prime(2**64 - 1)
+    with pytest.raises(PreconditionError, match="certified only below"):
+        arith.is_prime(2**64)
 
 
 def test_factorize_refuses_pairs_that_do_not_multiply_back(monkeypatch):

@@ -7,7 +7,8 @@ import pytest
 from mpmath import mp
 from mpmath.libmp import from_man_exp, mpf_add, normalize, round_nearest
 
-from alpha4.bigreal import BigRealWithError, _exact_fraction, add_nearest_int, int_pair, round_nearest_int
+from alpha4.arith import add_nearest_int, int_pair, round_nearest_int
+from alpha4.bigreal import BigRealWithError, _exact_fraction
 
 
 def enclosure(x: BigRealWithError) -> tuple[Fraction, Fraction]:

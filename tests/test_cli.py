@@ -104,6 +104,14 @@ def test_prop1_exact_fraction(capsys):
     assert payload["result"]["stat_r"] == "47413/117936"
 
 
+def test_prop1_answers_past_the_old_primality_limit(capsys):
+    # 10^15 + 37 is prime; bases 2..17 certified primes only below 3.3e14,
+    # so it exited 2. sympy's divisor_sigma(p + 1, 4) gives the same statistic
+    rc, payload = run_json(["prop1", "--p", "1000000000000037"], capsys)
+    assert rc == 0
+    assert payload["result"]["stat_plain"] == "2163362551104915659040839306737/8000000000000600000000000011248"
+
+
 def test_prop1_residuals_within(capsys):
     rc, payload = run_json(["prop1", "--p", "101", "--residuals"], capsys)
     assert rc == 0

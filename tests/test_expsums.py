@@ -14,7 +14,7 @@ from mpmath.libmp import from_man_exp, from_rational, mpf_mul_int, mpf_neg, mpf_
 
 import oracles
 from alpha4 import cli, expsums, verify
-from alpha4.bigreal import round_nearest_int
+from alpha4.arith import round_nearest_int
 from alpha4.errors import BudgetError, PreconditionError
 
 

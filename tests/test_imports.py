@@ -35,6 +35,22 @@ def test_cli_import_loads_neither_numpy_nor_the_process_pool():
     assert out.split() == ["False", "False"]
 
 
+# the alpha4 modules and mpmath that a process holds; `verify-all --list` needs
+# verify's registry and arith, which holds the budget dispatch sets for every command
+_LOADED = "print(sorted(m for m in sys.modules if m == 'mpmath' or m.startswith('alpha4.')))"
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import sys, alpha4.cli", ["alpha4.cli", "alpha4.errors"]),
+    ("import sys, alpha4.verify", ["alpha4.errors", "alpha4.verify"]),
+    ("import contextlib, io, sys\nfrom alpha4 import cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+     "    assert cli.dispatch(['verify-all', '--list']) == 0",
+     ["alpha4.arith", "alpha4.cli", "alpha4.errors", "alpha4.verify"]),
+], ids=["cli", "verify", "verify-all --list"])
+def test_the_front_ends_load_no_layer_they_do_not_run(code, loaded):
+    assert _python(code + "\n" + _LOADED).strip() == repr(loaded)
+
+
 def test_arith_imports_neither_mpmath_nor_bigreal():
     out = _python("import sys, alpha4.arith; print('mpmath' in sys.modules, 'alpha4.bigreal' in sys.modules)")
     assert out.split() == ["False", "False"]
@@ -76,6 +92,46 @@ def test_numpy_free_commands_never_load_numpy(argv):
         "print(rc, 'numpy' in sys.modules)\n"
     )
     assert _python(code, *argv).split() == ["0", "False"]
+
+
+# every command here computes without mpmath: the special walk, prop1's
+# statistics, the exact and Weyl sums and the sieve sandwiches are integer,
+# rational and float work
+MPMATH_FREE = [
+    ["special", "sigmas", "--x", "100000", "--delta", "0.05"],
+    ["special", "enumerate", "--x", "100000"],
+    ["verify-all", "--only", "special_set"],
+    ["verify-all", "--only", "tail_identity"],
+    ["verify-all", "--only", "sieve_sandwich"],
+    ["verify-all", "--only", "fundamental_lemma"],
+    ["verify-all", "--only", "vector_sandwich"],
+    ["expsum", "weyl", "--A", "1/3", "--B", "2/7", "--hi", "128", "--K", "4", "--L", "4"],
+    ["expsum", "weyl", "--kind", "lemma61", "--h", "1", "--m", "12345", "--r", "101", "--hi", "64",
+     "--K", "4", "--L", "4"],
+    ["expsum", "basic", "--engine", "exact", "--A", "1/3", "--B", "2/7", "--hi", "500"],
+    ["expsum", "basic", "--A", "1/3", "--B", "2/7", "--hi", "500"],
+    ["special", "hist", "--x", "100000"],
+    ["prop1", "--p", "13", "--r", "3", "--expansion", "--residuals"],
+    ["sieve", "weights", "--d", "100", "--z", "10", "--n-limit", "2000"],
+    ["sieve", "flemma", "--z", "10", "--r", "2", "--parity", "even", "--n-limit", "2000"],
+    ["sieve", "vector", "--trials", "1000"],
+    ["sieve", "mertens", "--x", "1000000"],
+    ["expsum", "lemma61", "--h", "2", "--m", "97", "--r", "13", "--hi", "60", "--check-rewrite"],
+    ["expsum", "scan", "--count", "2"],
+    ["verify-all", "--only", "amplitude_grid"],
+]
+
+
+@pytest.mark.parametrize("argv", MPMATH_FREE, ids=" ".join)
+def test_mpmath_free_commands_never_load_mpmath(argv):
+    code = (
+        "import contextlib, io, sys\n"
+        "from alpha4 import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    rc = cli.dispatch(sys.argv[1:])\n"
+        "print(rc, 'mpmath' in sys.modules, 'alpha4.bigreal' in sys.modules)\n"
+    )
+    assert _python(code, *argv).split() == ["0", "False", "False"]
 
 
 @pytest.mark.parametrize("s, name, digits", [

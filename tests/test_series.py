@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp
 
 import oracles
-from alpha4 import series, sieve, verify
+from alpha4 import series, sieve, special, verify
 from alpha4.bigreal import _exact_fraction
 from alpha4.errors import PreconditionError
 
@@ -285,6 +285,28 @@ def test_tail_identity_fails_on_sigma4_p_off_by_one(monkeypatch):
     res = _tail_identity_with(monkeypatch, lambda p, w: w.__setitem__(0, w[0] + 1))
     assert not res.ok
     assert res.details == {"failed_p": 50051, "reason": "p-term residual is not 1/p"}
+
+
+@pytest.mark.parametrize("j, edit", [(5, lambda w: w.__setitem__(5, w[5] + 12345)),
+                                     (4, lambda w: w.__setitem__(4, 2 * w[4])),
+                                     (17, lambda w: w.__setitem__(17, 0))],
+                         ids=["p+5_plus_12345", "p+4_doubled", "p+17_zero"])
+def test_tail_identity_checks_windows_against_the_oracle(monkeypatch, j, edit):
+    # each edit leaves the identity and the bound standing; the sampled
+    # windows, recomputed by trial division, still catch it
+    res = _tail_identity_with(monkeypatch, lambda p, w: edit(w))
+    assert not res.ok
+    members = {rec.p for rec in special.enumerate_S(sieve.make_scale_params(10**5))}
+    assert res.details["failed_p"] in members
+    assert res.details["j"] == j
+    assert "oracle" in res.details["reason"]
+
+
+def test_tail_identity_counts_the_oracle_values():
+    res = verify.run_check("tail_identity", {"params": sieve.make_scale_params(10**5)})
+    assert res.ok
+    n = min(verify.ORACLE_WINDOWS, res.details["primes_checked"])
+    assert res.details["oracle_window_values"] == 41 * n
 
 
 def test_sigma4_windows_build_no_factorization():

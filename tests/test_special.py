@@ -9,6 +9,7 @@ import math
 import os
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -16,7 +17,7 @@ from functools import partial
 import pytest
 
 import oracles
-from alpha4 import cli, sieve, special, verify
+from alpha4 import arith, cli, sieve, special, verify
 from alpha4.errors import PreconditionError
 
 X4 = 10**4
@@ -236,7 +237,7 @@ def _oracle_args(p):
     return p.x, p.W, p.z_small, p.z_quarter_lo, p.z_quarter_hi, p.x**p.smooth_exp, Fraction(0.05)
 
 
-VERIFY_ORACLES = ("_tf", "_lpf", "_tf_sigma4", "_oracle_stat", "_oracle_special")
+VERIFY_ORACLES = ("_tf_primes", "_tf", "_lpf", "_tf_sigma4", "_oracle_stat", "_oracle_special")
 
 
 def _alpha4_names(module, tree, allowed=()) -> list[str]:
@@ -427,6 +428,26 @@ def test_iter_S_is_enumerate_S_in_segments():
     assert [first, *stream] == special.enumerate_S(params)
 
 
+@pytest.mark.parametrize("walk", [
+    lambda params: special.count_sigmas(params, 0.05),
+    lambda params: [rec.p for rec in special.iter_S(params)],
+], ids=["count_sigmas", "iter_S"])
+def test_the_walk_holds_one_segment_at_a_time(walk, monkeypatch):
+    # (1.5*10^6, 3*10^6] is two segments; the first must be gone by the time
+    # the second is built, or the walk holds two batches and their pairs
+    alive_at_build, built = [], []
+
+    class Spy(special._Segment):
+        def __init__(self, *args):
+            alive_at_build.append(sum(ref() is not None for ref in built))
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(special, "_Segment", Spy)
+    walk(sieve.make_scale_params(3 * 10**6))
+    assert alive_at_build == [0, 0]
+
+
 def _enumerate_peak(x: int, fmt: str) -> int:
     """The tracemalloc peak of `special enumerate --x x --format fmt`, stdout to devnull,
     after a small walk has loaded numpy outside the trace."""
@@ -454,13 +475,13 @@ def test_enumerate_rows_stay_under_their_charge(fmt, monkeypatch):
     # json and csv hold every row; the charge for the rows must cover the
     # command's traced peak, walk included, without overstating it by half
     charged = {}
-    real = cli.arith.require_budget
+    real = arith.require_budget
 
     def spy(need, what):
         charged["last"] = need
         real(need, what)
 
-    monkeypatch.setattr(cli.arith, "require_budget", spy)
+    monkeypatch.setattr(arith, "require_budget", spy)
     peak = _enumerate_peak(3 * 10**6, fmt)
     assert charged["last"] == cli._ENUMERATE_ROW_BYTES[fmt] * 10973
     assert peak <= charged["last"] <= 1.5 * peak, (peak, charged["last"])
