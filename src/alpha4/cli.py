@@ -25,13 +25,9 @@ from .errors import BudgetError, PreconditionError
 
 SCHEMA = 1
 MAX_THREADS = 64  # --threads above it is refused; the pool forks every worker at its first task
-# a `special enumerate` row that json or csv holds to the end, with its share
-# of the printed document (tracemalloc peaks of 1,362-1,449 and 844-1,122
-# bytes a row from x = 4*10^6 to 2*10^7)
-_ENUMERATE_ROW_BYTES = {"json": 1500, "csv": 1150}
-# jsonl rows go out joined into writes of at least this many characters:
-# unbuffered (PYTHONUNBUFFERED), one write a row is one system call a row
-_JSONL_WRITE_CHARS = 1 << 16
+# rows go out joined into writes of at least this many characters: unbuffered
+# (PYTHONUNBUFFERED), one write a row is one system call a row
+_WRITE_CHARS = 1 << 16
 
 # numpy's OpenBLAS starts a busy-waiting thread per CPU when numpy loads, which
 # importing this module does not do; nothing in the package calls BLAS
@@ -78,79 +74,85 @@ def to_jsonable(x):
     raise TypeError(f"no JSON form for {type(x).__name__}")
 
 
-def _held(rows, row_bytes: int, what: str) -> list:
-    """The rows as a list, charged row_bytes for each one held as it grows."""
-    from . import arith
-    out = []
+def _csv_lines(rows):
+    """csv lines: a header of the first row's keys (an empty line if there
+    are no rows), then each row's cells, a list or dict as its JSON text."""
+    line = _csv.writer(argparse.Namespace(write=str)).writerow  # write, so writerow, returns the line
+    cell = json.JSONEncoder(allow_nan=False).encode
+    header = None
     for row in rows:
-        out.append(row)
-        arith.require_budget(row_bytes * len(out), what)
-    return out
+        if header is None:
+            header = row.keys()
+            yield line(header)
+        if row.keys() != header:
+            raise ValueError(f"a csv row has the columns {list(row)}, not {list(header)}")
+        yield line([cell(v) if isinstance(v, (dict, list, tuple)) else v for v in map(row.__getitem__, header)])
+    if header is None:
+        yield line(())
 
 
-def emit(payload, fmt: str, command: str, rows_key: str | None = None, *, summary=None, row_bytes: int = 0) -> None:
+def emit(payload, fmt: str, command: str, rows_key: str | None = None, *, summary=None) -> None:
     """Print the payload as fmt: json, jsonl, or csv.
 
-    jsonl and csv need tabular content: rows_key names an iterable of
-    rows inside the payload. Rows must already be JSON-native (str keys;
-    str, int, float, bool, None, and lists or tuples of these), so jsonl
-    encodes each one as it arrives and writes them in blocks of about
-    _JSONL_WRITE_CHARS. The remaining fields go through to_jsonable, to a
+    Without rows_key the payload is one document, in jsonl too, or one csv
+    cell. rows_key names an iterable of JSON-native rows (str keys; str,
+    int, float, bool, None, and lists or tuples of these) that one loop
+    encodes as they arrive: jsonl and csv write them in blocks of about
+    _WRITE_CHARS characters, with csv's columns the first row's keys, and
+    json holds each row's text, charged at its measured size, until it
+    prints the document. The other fields go through to_jsonable, to a
     trailing summary line in jsonl, and are dropped in csv; summary, if
-    given, returns more such fields and is called once the rows are
-    consumed, so a stream can report on what it passed. json and csv hold
-    every row before they print; each is charged row_bytes as they grow.
-    Every encoder is strict: a NaN or an infinity raises ValueError rather
-    than print a token that is not JSON.
+    given, returns more of them once the rows are consumed. Every encoder
+    is strict: a NaN or an infinity raises ValueError, not a token that is
+    not JSON.
     """
     if rows_key is None:
-        data, rows = to_jsonable(payload), None
-    else:
-        data = to_jsonable({k: v for k, v in payload.items() if k != rows_key})
-        rows = payload[rows_key]
-    if fmt == "jsonl" and rows is not None:
-        # rows are built fresh and hold no cycles, so the encoder skips its check
-        encode = json.JSONEncoder(sort_keys=True, check_circular=False, allow_nan=False).encode
-        pending, size = [], 0
-        try:
-            for row in rows:
-                line = encode(row) + "\n"
-                pending.append(line)
-                size += len(line)
-                if size >= _JSONL_WRITE_CHARS:
-                    sys.stdout.write("".join(pending))
-                    pending, size = [], 0
-            if summary is not None:
-                data.update(to_jsonable(summary()))
-            if data:
-                pending.append(encode({"type": "summary", **data}) + "\n")
-        finally:
-            # rows encoded before a failure are printed, as they were row by row
-            sys.stdout.write("".join(pending))
+        data = to_jsonable(payload)
+        if fmt == "csv":
+            _csv.writer(sys.stdout).writerows([["result"], [json.dumps(data, sort_keys=True, allow_nan=False)]])
+        else:
+            print(json.dumps({"schema": SCHEMA, "command": command, "result": data}, sort_keys=True, allow_nan=False))
         return
-    if rows is not None:
-        rows = _held(rows, row_bytes, f"the {fmt} output of {command}")
-    if summary is not None:
-        data.update(to_jsonable(summary()))
-    # a non-tabular payload is one document in jsonl too, one cell in csv
-    if fmt != "csv":
-        if rows is not None:
-            data[rows_key] = rows
-        print(json.dumps({"schema": SCHEMA, "command": command, "result": data}, sort_keys=True, allow_nan=False))
-        return
-    if rows is None:
-        w = _csv.writer(sys.stdout)
-        w.writerow(["result"])
-        w.writerow([json.dumps(data, sort_keys=True, allow_nan=False)])
-        return
-    # csv
-    header = list(dict.fromkeys(k for row in rows for k in row))
-    w = _csv.writer(sys.stdout)
-    w.writerow(header)
-    encode = json.JSONEncoder(allow_nan=False).encode
-    for row in rows:
-        cells = (row.get(k) for k in header)
-        w.writerow([encode(v) if isinstance(v, (dict, list, tuple)) else v for v in cells])
+    from . import arith
+    data = to_jsonable({k: v for k, v in payload.items() if k != rows_key})
+    # rows are built fresh and hold no cycles, so the encoder skips its check
+    encode = json.JSONEncoder(sort_keys=True, check_circular=False, allow_nan=False).encode
+    texts = _csv_lines(payload[rows_key]) if fmt == "csv" else map(encode, payload[rows_key])
+    sep = {"json": ", ", "jsonl": "\n", "csv": ""}[fmt]  # a csv line ends in its own terminator
+    pending, size = [], 0
+    held, charged = [], 0  # json's blocks of row texts, and their bytes
+
+    def flush():
+        nonlocal pending, size, charged
+        block, pending, size = pending, [], 0  # taken first, so a failed flush leaves none to repeat
+        if block and fmt != "json":
+            sys.stdout.write(sep.join(block) + sep)
+        elif block:  # each text at its measured size, with its slot in the block
+            held.append(block)
+            charged += sum(map(sys.getsizeof, block)) + 8 * len(block)
+            arith.require_budget(charged, f"the json output of {command}")
+
+    try:
+        for text in texts:
+            pending.append(text)
+            size += len(text)
+            if size >= _WRITE_CHARS:
+                flush()
+        if summary is not None:
+            data.update(to_jsonable(summary()))
+        if fmt == "jsonl" and data:
+            pending.append(encode({"type": "summary", **data}))
+    finally:
+        flush()  # a stream prints the rows encoded before a failure; json holds them
+    if fmt == "json":
+        # the document with an empty list at rows_key, cut after its "[": keys
+        # sort, so the cut is where it would end without the later fields, less "]}}"
+        doc = encode({"schema": SCHEMA, "command": command, "result": {**data, rows_key: []}})
+        cut = len(encode({"command": command, "result": {k: v for k, v in data.items() if k < rows_key} | {rows_key: []}})) - 3
+        sys.stdout.write(doc[:cut])
+        for i, block in enumerate(held):
+            sys.stdout.write((sep if i else "") + sep.join(block))
+        sys.stdout.write(doc[cut:] + "\n")
 
 
 # -- command bodies --------------------------------------------------------------
@@ -388,7 +390,7 @@ def _enumerate_row(rec: special.SpecialPrimeRecord) -> dict:
 def cmd_special_enumerate(args) -> int | None:
     from . import special
     # S streams from the walk through the partition check to stdout; jsonl
-    # holds one segment of it, json and csv hold every row and charge it
+    # and csv hold one segment of it, json each row's text, charged
     params = _params_for(args)
     part: dict = {}  # the partition report, filled once the stream ends
     records = special.partition_stream(special.iter_S(params), params, part)
@@ -397,8 +399,7 @@ def cmd_special_enumerate(args) -> int | None:
         return {"count": part["n_records"], "class_counts": part["class_counts"], "partition_ok": part["ok"]}
 
     payload = {"rows": map(_enumerate_row, records), "parameters": params}
-    emit(payload, args.fmt, "special enumerate", rows_key="rows", summary=summary,
-         row_bytes=_ENUMERATE_ROW_BYTES.get(args.fmt, 0))
+    emit(payload, args.fmt, "special enumerate", rows_key="rows", summary=summary)
     return 0 if part["ok"] else 1
 
 

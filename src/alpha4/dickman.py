@@ -64,8 +64,6 @@ class _Panels:
     errs: list
     dps: int
 
-    panels = property(lambda self: [[from_man_exp(*c) for c in a] for a in self.pairs], doc="as raw libmp tuples")
-
     def value(self, u) -> tuple[mp.mpf, mp.mpf]:
         k = int(math.floor(u))
         if k == u and k > 0:

@@ -755,17 +755,38 @@ def test_emit_writes_jsonl_rows_in_blocks(monkeypatch):
 
 
 def test_emit_charges_the_rows_it_holds(capsys):
-    # 1024 rows of 1 KB fill a 1 MB budget; one more is refused before
-    # anything is printed
-    rows = [{"i": 0}] * 1025
+    # json holds each row's text, 119 bytes with its list slot here, so 10^4
+    # rows pass a 1 MB budget before anything is printed; csv holds none
+    # and prints every row under the same budget
+    rows = [{"i": i, "pad": "x" * 40} for i in range(1000, 11000)]
     arith.budget_mb = 1
     try:
-        cli.emit({"rows": rows[:-1]}, "csv", "probe", "rows", row_bytes=1024)
         with pytest.raises(BudgetError, match="^the json output of probe needs 2 MB, budget is 1 MB$"):
-            cli.emit({"rows": iter(rows)}, "json", "probe", "rows", row_bytes=1024)
+            cli.emit({"rows": iter(rows)}, "json", "probe", "rows")
+        assert capsys.readouterr().out == ""
+        cli.emit({"rows": iter(rows)}, "csv", "probe", "rows")
     finally:
         arith.budget_mb = arith.DEFAULT_BUDGET_MB
-    assert capsys.readouterr().out.count("\n") == 1025
+    assert capsys.readouterr().out.count("\n") == 1 + len(rows)
+
+
+@pytest.mark.parametrize(
+    "fmt, want",
+    [
+        ("json", '{"command": "probe", "result": {"k": 1, "rows": []}, "schema": 1}\n'),
+        ("jsonl", '{"k": 1, "type": "summary"}\n'),
+        ("csv", "\r\n"),
+    ],
+)
+def test_emit_prints_no_rows_as_it_always_has(fmt, want, capsys):
+    cli.emit({"rows": iter([]), "k": 1}, fmt, "probe", "rows")
+    assert capsys.readouterr().out == want
+
+
+def test_emit_refuses_csv_rows_whose_columns_differ(capsys):
+    with pytest.raises(ValueError, match="columns"):
+        cli.emit({"rows": [{"a": 1, "b": 2}, {"a": 1, "c": 2}]}, "csv", "probe", "rows")
+    assert capsys.readouterr().out == "a,b\r\n1,2\r\n"
 
 
 def test_unknown_check_name_is_an_input_error(capsys):

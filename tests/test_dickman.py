@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 import oracles
 from alpha4 import arith, dickman, sieve
@@ -46,7 +47,7 @@ def test_rho_horner_is_bit_identical_to_mpf_operators():
     # every value of `rho --table --step 0.01` against Horner's rule on
     # mpf objects: equal tuples, not nearby values
     panels = dickman._get_panels()
-    coefficients = [[mp.make_mpf(c) for c in a] for a in panels.panels]
+    coefficients = [[mp.make_mpf(from_man_exp(*c)) for c in a] for a in panels.pairs]
     steps = math.floor(dickman.U_MAX / 0.01 + 1e-9)
     for i in range(steps + 1):
         u = min(i * 0.01, dickman.U_MAX)
@@ -56,7 +57,7 @@ def test_rho_horner_is_bit_identical_to_mpf_operators():
 
 def test_rho_horner_matches_mpf_operators_at_random_and_mpf_arguments():
     panels = dickman._get_panels()
-    coefficients = [[mp.make_mpf(c) for c in a] for a in panels.panels]
+    coefficients = [[mp.make_mpf(from_man_exp(*c)) for c in a] for a in panels.pairs]
     rng = random.Random(20)
     for u in [rng.uniform(0, dickman.U_MAX) for _ in range(1000)] + [1.0 + 2**-40, 7.5, 19.999999999]:
         assert dickman.rho(u).value._mpf_ == oracles.rho_horner(coefficients, u, panels.dps)._mpf_, u
@@ -72,7 +73,7 @@ def test_pair_panels_horner_matches_mpf_operators():
     rng = random.Random(5)
     points = [rng.uniform(1, 5) for _ in range(199)] + [5.0]
     for component in sieve._ff_panels():
-        coefficients = [[mp.make_mpf(c) for c in a] for a in component.panels]
+        coefficients = [[mp.make_mpf(from_man_exp(*c)) for c in a] for a in component.pairs]
         for u in points:
             want = oracles.rho_horner(coefficients, u, component.dps)
             assert component.value(u)[0]._mpf_ == want._mpf_, u

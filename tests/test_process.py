@@ -81,15 +81,27 @@ def test_a_list_past_the_budget_exits_2_at_once_under_a_memory_limit(argv):
     assert done.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_enumerate_rows_past_the_budget_exit_2(fmt):
-    # json and csv hold every row of S before they print; uncharged, the
-    # json run reached 194 MB of RSS and exited 0
-    done = _python(_CAPPED_CLI, "special", "enumerate", "--x", "30000000", "--format", fmt, "--budget-mb", "16")
+def test_enumerate_json_past_the_budget_exits_2():
+    # json holds every row's text before it prints; uncharged, the run
+    # reached 194 MB of RSS and exited 0
+    done = _python(_CAPPED_CLI, "special", "enumerate", "--x", "30000000", "--format", "json", "--budget-mb", "16")
     assert done.returncode == 2
     assert done.stdout == ""
-    assert done.stderr.startswith(f"error: the {fmt} output of special enumerate needs ")
+    assert done.stderr.startswith("error: the json output of special enumerate needs ")
     assert done.stderr.endswith(", budget is 16 MB\n") and done.stderr.count("\n") == 1
+
+
+def test_enumerate_csv_streams_under_a_budget_that_refuses_json():
+    # at x = 10^6 json's 4,110 row texts need 2 MB; csv holds none of them
+    argv = [_CAPPED_CLI, "special", "enumerate", "--x", "1000000"]
+    small = _python(*argv, "--format", "csv", "--budget-mb", "1")
+    assert small.returncode == 0
+    assert small.stdout == _python(*argv, "--format", "csv", "--budget-mb", "512").stdout
+    refused = _python(*argv, "--format", "json", "--budget-mb", "1")
+    assert refused.returncode == 2
+    assert refused.stdout == ""
+    assert refused.stderr.startswith("error: the json output of special enumerate needs ")
+    assert refused.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import pytest
 
@@ -448,9 +448,11 @@ def test_the_walk_holds_one_segment_at_a_time(walk, monkeypatch):
     assert alive_at_build == [0, 0]
 
 
+@cache
 def _enumerate_peak(x: int, fmt: str) -> int:
     """The tracemalloc peak of `special enumerate --x x --format fmt`, stdout to devnull,
-    after a small walk has loaded numpy outside the trace."""
+    after a small walk has loaded numpy outside the trace; one run per x and
+    format in a session."""
     special.enumerate_S(params_at_1e4())
     args = cli.build_parser().parse_args(["special", "enumerate", "--x", str(x), "--format", fmt])
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
@@ -464,27 +466,34 @@ def _enumerate_peak(x: int, fmt: str) -> int:
 
 def test_enumerate_jsonl_memory_follows_the_segment():
     # x = 2*10^6 walks one segment, 4*10^6 two; jsonl holds one at a time,
-    # where holding every record made the second peak 1.5 times the first
+    # where holding every record made the second peak 1.5 times the first.
+    # csv holds nothing more, so it peaks with jsonl; holding its rows put
+    # it 1.23 times above at 2*10^6
     one = _enumerate_peak(2 * 10**6, "jsonl")
     two = _enumerate_peak(4 * 10**6, "jsonl")
     assert two <= 1.2 * one, (one, two)
+    csv = _enumerate_peak(2 * 10**6, "csv")
+    assert csv <= 1.1 * one, (one, csv)
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_enumerate_rows_stay_under_their_charge(fmt, monkeypatch):
-    # json and csv hold every row; the charge for the rows must cover the
-    # command's traced peak, walk included, without overstating it by half
-    charged = {}
+def test_enumerate_json_charges_the_text_it_holds(monkeypatch):
+    # json holds each row's text until the rows end: the charge is their
+    # measured size, each with its list slot, and it must cover json's traced
+    # growth over jsonl at the same x without overstating it by half
+    x = 2 * 10**6
+    charged = []
     real = arith.require_budget
 
     def spy(need, what):
-        charged["last"] = need
+        if what == "the json output of special enumerate":
+            charged.append(need)
         real(need, what)
 
     monkeypatch.setattr(arith, "require_budget", spy)
-    peak = _enumerate_peak(3 * 10**6, fmt)
-    assert charged["last"] == cli._ENUMERATE_ROW_BYTES[fmt] * 10973
-    assert peak <= charged["last"] <= 1.5 * peak, (peak, charged["last"])
+    grown = _enumerate_peak(x, "json") - _enumerate_peak(x, "jsonl")
+    rows = map(cli._enumerate_row, special.iter_S(sieve.make_scale_params(x)))
+    assert charged[-1] == sum(sys.getsizeof(json.dumps(row, sort_keys=True)) + 8 for row in rows)
+    assert grown <= charged[-1] <= 1.5 * grown, (grown, charged[-1])
 
 
 def test_overrides_config_at_1e6(desk_params):
@@ -617,6 +626,9 @@ FROZEN_OUTPUT = {
         "df98b109666a69e45f33ffafa620320da00a79ef3dfb0ea754faba55aede50c9",
     "special enumerate --x 100000 --format json":
         "6f07fb9671502f3c9c827f6452c6bb6bf5a44610366c4fc66c0eb67adefb2364",
+    # frozen before csv streamed its rows with a header from the first row
+    "special enumerate --x 10000 --format csv":
+        "0dd4cadd5c07436d98025335ad485d4559182784d20f7ad150f06e041b33366f",
 }
 
 

@@ -49,6 +49,13 @@ TOUR = {
     "special sigmas --x 10000 --delta 0.05": "559b6c49eeaaae44f2b0e90b53737344e163b7a27862620800323e8f88a6949d",
     "special hist --x 10000 --bins 20": "76bf263973ae9fed2b7662229400d618d1616ffc575e8eb7e3a6dcc8cb2c7337",
     "verify-all --list": "ec655bf1f7329c966825391b6e6fb1638aef850bdaf33c694b6206dc59a39ffd",
+    # tables in json and csv, and a one-cell csv, frozen before every format
+    # went through one row loop
+    "special hist --x 10000 --bins 20 --format csv":
+        "4d365615833720c381b57ab500f47a571eb173b665d9a6f0a04a26c13be5bb58",
+    "rho --table --step 0.5": "0490eebc98a1420f4e90cc7ed05fe88aba991a56acf11dcfed5b0649f66be589",
+    "rho --table --step 0.5 --format csv": "92ab0b6f7d983a21447778cdb82effbdb2858490ede9ed60958644ea405be36a",
+    "alpha --format csv": "70ae023bcfe8a68a72377c9f0f81f5d07af3e536ccfb209fe632ff722f6d1a73",
 }
 
 
