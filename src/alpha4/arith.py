@@ -292,6 +292,35 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def strip_exponents(rem: np.ndarray, hit: np.ndarray, q: int) -> np.ndarray:
+    """Divide every factor q out of rem[hit] (int64, each divisible by q) in
+    place and return the exponents: the one numpy stripping loop, trusted
+    only as far as the caller's multiply-back (require_products)."""
+    import numpy as np
+    sub = rem[hit] // q
+    e = np.ones(hit.size, dtype=np.int64)
+    more = np.flatnonzero(sub // q * q == sub)
+    while more.size:
+        sub[more] //= q
+        e[more] += 1
+        more = more[sub[more] // q * q == sub[more]]
+    rem[hit] = sub
+    return e
+
+
+def require_products(m: np.ndarray, mag: np.ndarray, n: np.ndarray) -> None:
+    """Refuse pairs whose product of q^e is not each value n < 2^63, given as
+    m (int64, exact mod 2^64) and mag (float64). A wrong m equal to n mod 2^64
+    is >= 2^64, above mag's bound; a true one is <= n < 2^63, below it."""
+    import numpy as np
+    bad = np.flatnonzero((mag >= 2**63.5) | (m != n))
+    if bad.size:
+        i = int(bad[0])
+        if mag[i] >= 2**63.5:
+            raise PreconditionError("factor pairs multiply past their value")
+        raise PreconditionError(f"pairs multiply to {int(m[i])}, not {int(n[i])}")
+
+
 class FactorBatch:
     """The factorizations of a batch of integers, held as checked numpy columns.
 
@@ -336,11 +365,7 @@ class FactorBatch:
         ):
             raise PreconditionError("factor pairs must have increasing primes and e >= 1")
         n = self.values
-        # one reduceat per dtype over each value's pairs: the int64 product
-        # is exact mod 2^64, the float64 one its magnitude. A wrong product
-        # equal to n mod 2^64 is >= 2^64, above the float bound; a true one
-        # is <= n < 2^63, below it whatever the float rounding. Values with
-        # no pair (n = 1) keep the empty product 1.
+        # one reduceat per dtype over each value's pairs; n = 1, with none, keeps the product 1
         m = np.ones_like(n)
         mag = np.zeros(n.size)
         starts = self.offsets[:-1]
@@ -349,12 +374,7 @@ class FactorBatch:
             with np.errstate(over="ignore"):
                 m[has] = np.multiply.reduceat(q**e, starts[has])
                 mag[has] = np.multiply.reduceat(q.astype(np.float64) ** e, starts[has])
-        bad = np.flatnonzero((mag >= 2**63.5) | (m != n))
-        if bad.size:
-            i = int(bad[0])
-            if mag[i] >= 2**63.5:
-                raise PreconditionError("factor pairs multiply past their value")
-            raise PreconditionError(f"pairs multiply to {int(m[i])}, not {int(n[i])}")
+        require_products(m, mag, n)
 
     def __len__(self) -> int:
         return self.values.size
@@ -394,10 +414,8 @@ class FactorBatch:
             for i, ei in zip(idx.tolist(), e.tolist()):
                 out[i] *= ei + 1
             return out
-        # one Python step per pair: on the 485,298 pairs of the x = 10^6
-        # tail windows, a memo dict, an object array and int64 terms with
-        # math.prod each took as long or longer (a quarter of the pairs
-        # have q^4 beyond int64 or e > 1)
+        # one Python step per pair: a memo dict, an object array and int64
+        # terms with math.prod each took as long or longer
         for i, qi, ei in zip(idx.tolist(), q.tolist(), e.tolist()):
             qk = qi**k
             out[i] *= qk + 1 if ei == 1 else (qk ** (ei + 1) - 1) // (qk - 1)
@@ -451,17 +469,9 @@ def factor_many(values) -> FactorBatch:
         hit = np.flatnonzero(rem // q * q == rem)
         if not hit.size:
             continue
-        sub = rem[hit] // q
-        e = np.ones(hit.size, dtype=np.int64)
-        more = np.flatnonzero(sub // q * q == sub)
-        while more.size:
-            sub[more] //= q
-            e[more] += 1
-            more = more[sub[more] // q * q == sub[more]]
-        rem[hit] = sub
         idx.append(hit)
         qs.append(np.full(hit.size, q, dtype=np.int64))
-        es.append(e)
+        es.append(strip_exponents(rem, hit, q))
     # below 2^32 a remainder with no prime factor <= min(2^16, isqrt(max)) is 1 or prime
     left = np.flatnonzero(rem > 1)
     fits = rem[left] < _SMALL_LIMIT * _SMALL_LIMIT

@@ -8,8 +8,8 @@ an exact expansion whose residuals this module tracks term by term.
 
 sigma_k of a single n comes from arith.sigma_k, which reads the (prime,
 exponent) pairs of factorize; the sigma_4 windows of the tail sums are
-read off one FactorBatch per call. The near-integer statistic is written
-once, in prop1_ratio, as an integer pair. Only alpha_k computes in mpf,
+sieved as runs. The near-integer statistic is written once, in
+prop1_ratio, as an integer pair. Only alpha_k computes in mpf,
 so only it imports mpmath and bigreal.
 """
 
@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factor_many, factorize, is_prime, require_budget, sigma_k
+from .arith import (_SMALL_LIMIT, _cofactor_pairs, factorize, is_prime, primes_upto, require_budget,
+                    require_products, sigma_k, strip_exponents)
 from .errors import PreconditionError
 
 __all__ = [
@@ -35,7 +36,9 @@ __all__ = [
     "tail_partial",
     "factorial_tail_exact",
     "tail_sum_pair",
+    "factorial_series",
     "tail_remainder_bound",
+    "tail_remainder_scaled",
     "sigma4_window_bytes",
     "sigma4_windows",
     "prop1_ratio",
@@ -73,7 +76,7 @@ def alpha_partial(k: int, n_terms: int) -> Fraction:
         raise PreconditionError("alpha_partial needs k >= 1 and n_terms >= 1")
     # n_terms is at most a few thousand: single values factor faster in
     # pure Python than numpy loads
-    return Fraction(*_factorial_series([sigma_k(n, k) for n in range(1, n_terms + 1)], 1))
+    return Fraction(*factorial_series([sigma_k(n, k) for n in range(1, n_terms + 1)], 1))
 
 
 def _majorant(k: int) -> tuple[int, Fraction]:
@@ -133,11 +136,11 @@ def alpha_k(k: int, target_precision: int = 128) -> BigRealWithError:
 # -- the tail at a prime ----------------------------------------------------
 
 
-def _factorial_series(values: list[int], a: int) -> tuple[int, int]:
+def factorial_series(values: list[int], a: int, num: int = 0, d: int = 1) -> tuple[int, int]:
     """(num, d) with d = a (a+1) ... (a+len(values)-1) and num/d =
     sum_i values[i] / (a (a+1) ... (a+i)), by integer Horner from the top;
-    no gcd is taken, so a caller can compare num/d in integers."""
-    num, d = 0, 1
+    no gcd is taken, so a caller can compare num/d in integers. A given
+    (num, d), the series from a + len(values) on, is continued."""
     for n in range(a + len(values) - 1, a - 1, -1):
         num = values[n - a] * d + num
         d *= n
@@ -147,20 +150,53 @@ def _factorial_series(values: list[int], a: int) -> tuple[int, int]:
 def sigma4_window_bytes(count: int, p_max: int, j_max: int) -> int:
     """The bytes sigma4_windows charges for count windows of j_max + 1
     values, the largest reaching p_max + j_max."""
-    # a value of b bits peaks at about 200 + 16 b bytes: the value, its factor
-    # columns and its sigma_4 of about 4 b bits (tracemalloc, b = 14 to 47)
-    return count * (j_max + 1) * (200 + 16 * (p_max + j_max).bit_length())
+    # a value of b bits peaks at about 100 + b bytes: its int64 columns, its sigma_4 of
+    # about 4 b bits and the leftover prime's term (tracemalloc: 93 to 117, b = 13 to 41)
+    return count * (j_max + 1) * (100 + (p_max + j_max).bit_length())
 
 
 def sigma4_windows(primes, j_max: int) -> list[list[int]]:
     """For each p in primes, [sigma_4(p), sigma_4(p+1), ..., sigma_4(p+j_max)]:
-    every value the tail sums at p read, all factored in one batch and read
-    off its columns by FactorBatch.sigma."""
-    width = j_max + 1
-    need = sigma4_window_bytes(len(primes), max(primes, default=0), j_max)
-    require_budget(need, f"sigma_4 windows of {len(primes) * width} values")
-    s4 = factor_many(p + j for p in primes for j in range(width)).sigma(4)
-    return [s4[i : i + width] for i in range(0, len(s4), width)]
+    every value the tail sums at p read, p + j_max < 2^63. A run sieve: each
+    prime q <= min(isqrt(max), 2^16) hits a run at (-p mod q) + k q, where
+    strip_exponents counts e and sigma_4(q^e) joins the value's column; the
+    rest is 1 or a prime below 2^32, else _cofactor_pairs splits it. The
+    (q, e) must multiply back to every value (require_products), or
+    PreconditionError."""
+    import numpy as np
+    width, top = j_max + 1, max(primes, default=0) + j_max
+    require_budget(sigma4_window_bytes(len(primes), top - j_max, j_max), f"sigma_4 windows of {len(primes) * width} values")
+    if min(primes, default=1) < 1 or top >= 2**63:
+        raise PreconditionError(f"sigma4_windows needs 1 <= p, p + j_max < 2^63; got {min(primes)}..{top - j_max}")
+    starts = np.array(primes, dtype=np.int64)
+    values = (starts[:, None] + np.arange(width)).ravel()
+    rem, acc = values.copy(), np.ones(values.size, dtype=object)  # acc: sigma_4 of the pairs found so far
+    back, mag = np.ones_like(values), np.ones(values.size)  # their product, as require_products reads it
+
+    def absorb(hit, q: int, e) -> None:
+        q4 = q**4
+        acc[hit] *= np.array([(q4 ** (k + 1) - 1) // (q4 - 1) for k in range(e.max() + 1)], dtype=object)[e]
+        back[hit] *= q**e
+        mag[hit] *= float(q) ** e
+
+    first = np.arange(starts.size)[:, None] * width
+    for q in primes_upto(min(math.isqrt(top), _SMALL_LIMIT)).tolist():
+        off = (-starts % q)[:, None] + np.arange(0, width, q)
+        hit = (first + off)[off < width]
+        if hit.size:
+            absorb(hit, q, strip_exponents(rem, hit, q))
+    for i in np.flatnonzero(rem >= _SMALL_LIMIT**2).tolist():
+        for q, e in _cofactor_pairs(int(rem[i])):
+            absorb(np.array([i]), q, np.array([e]))
+        rem[i] = 1  # the splitter's pairs stand for it in the multiply-back
+    # below 2^32 a remainder with no prime factor <= min(2^16, isqrt(max)) is 1 or prime
+    require_products(back * rem, mag * rem, values)
+    last = np.where(rem > 1, rem, 0).astype(object)  # 0^4 + 1 = 1 = sigma_4(1)
+    del values, rem, back, mag  # so the peak holds the sigma_4 columns and not these
+    last **= 4  # in place, so each new term replaces its prime
+    last += 1
+    acc *= last
+    return acc.reshape(-1, width).tolist()
 
 
 def _sigma4_run(p: int, j_lo: int, j_hi: int, sigma4: list[int] | None) -> list[int]:
@@ -176,7 +212,7 @@ def tail_sum_pair(p: int, j_lo: int, j_hi: int, sigma4: list[int] | None = None)
     """(num, den) with den = p (p+1) ... (p+j_hi) and num/den =
     (p-1)! * sum_{n=p+j_lo}^{p+j_hi} sigma_4(n)/n!, no gcd taken, so sums
     over one p share den (sigma4 as in factorial_tail_exact)."""
-    num, d = _factorial_series(_sigma4_run(p, j_lo, j_hi, sigma4), p + j_lo)
+    num, d = factorial_series(_sigma4_run(p, j_lo, j_hi, sigma4), p + j_lo)
     return num, d * math.prod(range(p, p + j_lo))
 
 
@@ -210,8 +246,14 @@ def tail_remainder_bound(p: int, j_from: int) -> Fraction:
     """
     if p < 2 or j_from < 4:
         raise PreconditionError("remainder bound needs p >= 2 and j_from >= 4")
-    den = math.prod(range(p, p + j_from + 1))
-    return _TAIL_COEF * Fraction((p + j_from) ** 4, den)
+    a, b = tail_remainder_scaled(p, j_from)
+    return Fraction(a, b * math.prod(range(p, p + j_from)))
+
+
+def tail_remainder_scaled(p: int, j_from: int) -> tuple[int, int]:
+    """(a, b) with tail_remainder_bound(p, j_from) = a / (b p (p+1) ... (p+j_from-1)),
+    for a caller that holds that product and compares in integers."""
+    return _TAIL_COEF.numerator * (p + j_from) ** 3, _TAIL_COEF.denominator
 
 
 @dataclass(frozen=True)
@@ -235,7 +277,9 @@ class TailExpansion:
             )
 
     def leading_sum(self) -> Fraction:
-        return sum(self.terms, Fraction(0))
+        # one Fraction over p (p+1) (p+2) (p+3), which each term's denominator divides
+        d = math.prod(range(self.p, self.p + 4))
+        return Fraction(sum(t.numerator * (d // t.denominator) for t in self.terms), d)
 
 
 def tail_expansion(p: int, sigma4: list[int] | None = None) -> TailExpansion:

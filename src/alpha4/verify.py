@@ -371,12 +371,15 @@ def _tf_sigma4(fac: list[tuple[int, int]]) -> int:
     return out
 
 
-def _oracle_stat(p: int, fac_p1: list[tuple[int, int]], r: int | None) -> Fraction:
-    theta = Fraction(_tf_sigma4(fac_p1), p * (p + 1)) + Fraction(1, 16)
+def _oracle_stat(p: int, fac_p1: list[tuple[int, int]], r: int | None, delta: Fraction) -> bool:
+    """Whether ||sigma_4(p+1)/(p(p+1)) + 1/16 [+ (p+1)/r^4]|| = ||a/b|| <= delta,
+    in integers (oracle path, no shared code)."""
+    b = 16 * p * (p + 1)
+    a = 16 * _tf_sigma4(fac_p1) + p * (p + 1)
     if r is not None:
-        theta += Fraction(p + 1, r**4)
-    f = theta % 1
-    return min(f, 1 - f)
+        a, b = a * r**4 + b * (p + 1), b * r**4
+    f = a % b
+    return min(f, b - f) * delta.denominator <= delta.numerator * b
 
 
 def _oracle_special(x, w, zs, zl, zh, y_smooth, delta: Fraction):
@@ -402,7 +405,7 @@ def _oracle_special(x, w, zs, zl, zh, y_smooth, delta: Fraction):
         if rough and all(e == 1 for _, e in f2) and len(window_rs) <= 1:
             members.append((p, window_rs[0] if window_rs else None))
         fac_p1 = _tf(p + 1, primes)
-        if f2[0][0] > zh and _oracle_stat(p, fac_p1, None) <= delta:
+        if f2[0][0] > zh and _oracle_stat(p, fac_p1, None, delta):
             s1 += 1
         if not window_rs:
             continue
@@ -410,12 +413,12 @@ def _oracle_special(x, w, zs, zl, zh, y_smooth, delta: Fraction):
         for r in window_rs:
             cof = (p + 2) // r
             cof_ok = cof == 1 or _lpf(cof, primes) > zh
-            if cof_ok and _oracle_stat(p, fac_p1, r) <= delta:
+            if cof_ok and _oracle_stat(p, fac_p1, r, delta):
                 s2 += 1
             if rough:
                 if smooth:
                     s3 += 1
-                elif _oracle_stat(p, fac_p1, r) <= delta:
+                elif _oracle_stat(p, fac_p1, r, delta):
                     s4 += 1
     return members, [s1, s2, s3, s4]
 
@@ -478,10 +481,10 @@ def check_special_set(ctx: dict) -> dict:
 
 
 # series.sigma4_windows charges one block of tail windows at most this much:
-# 196 primes at x = 10^6. A fixed 512 primes (10.4 MB charged, 8.2 MB traced)
-# made tail_identity the largest verify-all process at 49.0 MB of RSS; with
-# 196 it peaks at 41.7 MB, below special_set's 43.0 MB
-WINDOW_BLOCK_BYTES = 4 << 20
+# 426 primes at x = 10^6. Its Python ints cost more RSS than traced bytes:
+# 4 MiB (852 primes) peaked tail_identity at 39.0-39.3 MB, above special_set's
+# 39.05 MB; with 2 MiB it stays at the 37.6 MB it holds before its first block
+WINDOW_BLOCK_BYTES = 2 << 20
 # how many primes' windows tail_identity recomputes by the oracle's trial
 # division: 1,968 values, about 16 ms at 10^6
 ORACLE_WINDOWS = 48
@@ -494,6 +497,9 @@ def _window_block(p_max: int, j_max: int) -> int:
 
 
 def check_tail_identity(ctx: dict) -> dict:
+    """The exact tail identity at every prime of S, in integers, on windows
+    sigma_4(p..p+40) whose run sieve multiplied its pairs back to each value;
+    a seeded sample of windows faces the oracle's trial division."""
     import random
     from . import series
     _, records = _special_context(ctx)
@@ -507,7 +513,7 @@ def check_tail_identity(ctx: dict) -> dict:
     oracle_primes = _tf_primes(math.isqrt(p_max + j_max))
     block = _window_block(p_max, j_max)
     # one sigma_4 window per prime feeds both sides of the identity; the
-    # windows are factored a block of primes at a time
+    # windows are sieved a block of primes at a time
     windows = (
         w
         for i in range(0, len(primes), block)
@@ -517,19 +523,19 @@ def check_tail_identity(ctx: dict) -> dict:
         # the four leading terms, with tail_expansion's primality and 6/p guards
         exp = series.tail_expansion(p, sigma4=window)
         lead, bound = exp.leading_sum(), exp.remainder_bound
-        # both sums are over den = p (p+1) ... (p+j_max)
-        whole, den = series.tail_sum_pair(p, 0, j_max, window)
-        part, _ = series.tail_sum_pair(p, 4, j_max, window)
+        # one Horner pass: the sum from p+4, continued to the sum from p over den = p ... (p+j_max)
+        part, d = series.factorial_series(window[4:], p + 4)
+        whole, den = series.factorial_series(window[:4], p, part, d)
         if (whole - part) * lead.denominator != lead.numerator * den:
             return {"ok": False, "failed_p": p, "gap": float(Fraction(whole - part, den) - lead)}
         # terms[0] = sigma_4(p)/p, and terms[0] - p^3 = 1/p says sigma_4(p) = p^4 + 1
         if window[0] != p**4 + 1:
             return {"ok": False, "failed_p": p, "reason": "p-term residual is not 1/p"}
-        # the exact terms j = 4..j_max and the bound past j_max stay under the
-        # bound for everything from p+4: this reads the other window values
-        rem = series.tail_remainder_bound(p, j_max + 1)
-        top = (part * rem.denominator + rem.numerator * den) * bound.denominator
-        bottom = bound.numerator * den * rem.denominator
+        # the exact terms j = 4..j_max and the bound past j_max, rem_a / (rem_b den),
+        # stay under the bound for everything from p+4: this reads the other window values
+        rem_a, rem_b = series.tail_remainder_scaled(p, j_max + 1)
+        top = (part * rem_b + rem_a) * bound.denominator
+        bottom = bound.numerator * den * rem_b
         # int / int rounds once, and rounding keeps the order, so worst is the largest ratio rounded
         ratio = top / bottom
         if top > bottom:

@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp
 
 import oracles
-from alpha4 import series, sieve, special, verify
+from alpha4 import arith, series, sieve, special, verify
 from alpha4.bigreal import _exact_fraction
 from alpha4.errors import PreconditionError
 
@@ -252,7 +252,7 @@ def test_tail_identity_block_stays_under_its_charge_cap(desk_records):
     block = verify._window_block(p_max, 40)
     assert series.sigma4_window_bytes(block, p_max, 40) <= verify.WINDOW_BLOCK_BYTES
     assert series.sigma4_window_bytes(block + 1, p_max, 40) > verify.WINDOW_BLOCK_BYTES
-    assert block == 196
+    assert block == 426
 
 
 def _tail_identity_with(monkeypatch, edit):
@@ -313,6 +313,58 @@ def test_sigma4_windows_build_no_factorization():
     primes = [101, 103, 10007]
     windows = series.sigma4_windows(primes, 40)
     assert windows == [[oracles.sigma_k(n, 4) for n in range(p, p + 41)] for p in primes]
+
+
+# (start, j_max): runs from 2, 11 and 13; runs crossing q^2 and q^3 for q
+# below the width (11^2 = 121 and 5^3 = 125 in a run of 21) and above it
+# (47^2 = 2209, 53^3 = 148877), and powers of two (2^17, 2^20)
+SIEVE_RUNS = [(2, 40), (11, 40), (13, 40), (115, 20), (2200, 20), (148870, 20),
+              (131060, 20), (1048570, 20)]
+
+
+@pytest.mark.parametrize("start, j_max", SIEVE_RUNS)
+def test_sigma4_run_sieve_matches_the_oracle(start, j_max):
+    window = series.sigma4_windows([start], j_max)[0]
+    assert window == [oracles.sigma_k(n, 4) for n in range(start, start + j_max + 1)]
+
+
+def test_sigma4_run_sieve_matches_the_oracle_on_a_wide_run():
+    window = series.sigma4_windows([13], 20000)[0]
+    assert window == [oracles.sigma_k(n, 4) for n in range(13, 20014)]
+
+
+def test_sigma4_run_sieve_splits_a_leftover_past_2_32(monkeypatch):
+    # p itself is a prime past 2^32, so its leftover goes to the splitter
+    p = 4294967311
+    split = []
+    real = series._cofactor_pairs
+    monkeypatch.setattr(series, "_cofactor_pairs", lambda n: split.append(n) or real(n))
+    window = series.sigma4_windows([p], 8)[0]
+    assert p in split
+    assert window == [oracles.sigma_k(n, 4) for n in range(p, p + 9)]
+
+
+def test_sigma4_run_sieve_matches_factor_many_on_the_desk_windows(desk_records):
+    primes = [rec.p for rec in desk_records]
+    windows = series.sigma4_windows(primes, 40)
+    flat = [v for w in windows for v in w]
+    assert len(flat) == 168510
+    assert flat == arith.factor_many(p + j for p in primes for j in range(41)).sigma(4)
+
+
+def test_sigma4_run_sieve_refuses_exponents_that_do_not_multiply_back(monkeypatch):
+    # the stripping is right, the exponent fed to the accumulation is not
+    real = series.strip_exponents
+
+    def one_too_many(rem, hit, q):
+        e = real(rem, hit, q)
+        if q == 3:
+            e[0] += 1
+        return e
+
+    monkeypatch.setattr(series, "strip_exponents", one_too_many)
+    with pytest.raises(PreconditionError, match="multiply"):
+        series.sigma4_windows([101], 40)
 
 
 def test_sigma4_window_peaks_stay_under_their_charge(monkeypatch):

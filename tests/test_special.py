@@ -257,6 +257,26 @@ def _alpha4_names(module, tree, allowed=()) -> list[str]:
     return found
 
 
+@pytest.mark.parametrize("delta", [Fraction(0.05), Fraction(0.5)], ids=["0.05", "0.5"])
+def test_oracle_stat_agrees_with_the_test_oracle(monkeypatch, delta):
+    # verify's integer comparison decides every call as tests/oracles.py's
+    # Fraction statistics do, at each call the special-set oracle makes
+    calls = []
+    real = verify._oracle_stat
+
+    def recorded(p, fac_p1, r, d):
+        calls.append((p, r, real(p, fac_p1, r, d)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(verify, "_oracle_stat", recorded)
+    args = list(_oracle_args(sieve.make_scale_params(10**5)))
+    verify._oracle_special(*args[:-1], delta)
+    assert any(r is None for _, r, _ in calls) and any(r is not None for _, r, _ in calls)
+    for p, r, within in calls:
+        stat = oracles.stat(p) if r is None else oracles.stat_r(p, r)
+        assert within == (stat <= delta), (p, r)
+
+
 def test_oracles_use_no_name_from_the_package():
     # tests/oracles.py and verify's trial-division oracle recompute from first
     # principles, so a defect shared with the code they check cannot pass both
