@@ -7,13 +7,15 @@ strong-pseudoprime base sets that are proven classifiers below 2^64 and
 refuses larger inputs rather than degrade to "probably". A factorization
 is one form throughout: the tuple of (prime, exponent) pairs in
 increasing prime order. A single n is factored by trial division to
-2^16, in pure Python (factorize). A batch is factored by factor_many,
-which strips the small primes from a column of remainders in numpy and
-returns a FactorBatch: the batch's (value index, prime, exponent) pairs
-as checked numpy columns, from which sigma_k, the least and greatest
-prime factors, squarefreeness and each value's pair tuple are read.
-Both finish cofactors above 2^32 with a Brent-cycle splitter, so
-factorize answers every n below 2^64 and factor_many, on int64 columns,
+2^16, in pure Python (factorize). A batch, runs of width consecutive
+integers (width 1 takes any values), is factored by one numpy loop,
+sieve_runs, which strips each small prime from a column of remainders at
+the runs' multiples of it. factor_many collects its pairs into a
+FactorBatch: checked numpy columns, from which sigma_k, the least and
+greatest prime factors, squarefreeness and each value's pair tuple are
+read; series.sigma4_windows multiplies them into sigma_4 columns. Both
+loops finish cofactors above 2^32 with a Brent-cycle splitter, so
+factorize answers every n below 2^64 and sieve_runs, on int64 columns,
 every n below 2^63. Both refuse a cofactor (n without its primes below
 2^16) of 2^64 or more, prime or not, and check that the pairs multiply
 back to n. Primes come from one segmented sieve, PrimeRange.segments;
@@ -41,6 +43,7 @@ __all__ = [
     "is_prime",
     "build_spf_table",
     "factorize",
+    "sieve_runs",
     "factor_many",
     "sigma_k",
     "int_pair",
@@ -445,47 +448,59 @@ class FactorBatch:
         return out
 
 
-def factor_many(values) -> FactorBatch:
-    """Full factorizations, in order, of a batch of integers 1 <= n < 2^63,
-    every one of which factorize answers too.
-
-    The one bulk factoring core. Each prime q <= isqrt(max) (at most
-    2^16) that divides some value is stripped from the remainder column
-    in numpy, its exponents counted there. A remainder left above 1 is
-    prime below 2^32 and becomes its value's last pair; above, certified
-    primality or the splitter finishes it, as in factorize. Memory is
-    O(batch), whatever the values.
+def sieve_runs(values: np.ndarray, width: int):
+    """The one batch factoring loop: (rows, q, e) for each prime power q^e
+    exactly dividing values[rows], where values (int64, 1 <= v < 2^63) is
+    runs n, n+1, ..., n+width-1, one after another. Each prime q <=
+    min(isqrt(max), 2^16) hits a run at its last multiple (n + width - 1)
+    // q * q and, for q < width, below it. Remainders of 2^32 or more yield
+    the splitter's pairs, one row each; the primes left come last, with q
+    an int64 column. The caller multiplies the pairs back.
     """
     import numpy as np
-    ints = values.tolist() if isinstance(values, np.ndarray) else [int(v) for v in values]
-    lo, hi = min(ints, default=1), max(ints, default=1)
-    if lo < 1 or hi >= 2**63:
-        raise PreconditionError(f"factor_many needs 1 <= n < 2^63, got {lo if lo < 1 else hi}")
-    vals = np.array(ints, dtype=np.int64)
-    rem = vals.copy()
-    idx, qs, es = [], [], []
-    for q in primes_upto(min(math.isqrt(hi), _SMALL_LIMIT)).tolist():
+    # contiguous, for numpy's fast floor division
+    starts, ends = np.ascontiguousarray(values[::width]), np.ascontiguousarray(values[width - 1 :: width])
+    rem = values.copy()
+    top = int(values.max(initial=1))
+    for q in primes_upto(min(math.isqrt(top), _SMALL_LIMIT)).tolist():
         # floor division by a scalar is numpy's fast path; % is not
-        hit = np.flatnonzero(rem // q * q == rem)
-        if not hit.size:
-            continue
-        idx.append(hit)
-        qs.append(np.full(hit.size, q, dtype=np.int64))
-        es.append(strip_exponents(rem, hit, q))
+        last = ends // q * q  # each run's last multiple of q, below its start if it has none
+        if q < width:
+            off = (last - starts)[:, None] - np.arange(0, width, q)
+            rows = (np.arange(0, values.size, width)[:, None] + off)[off >= 0]
+        else:
+            hit = np.flatnonzero(last >= starts)
+            rows = hit if width == 1 else hit * width + (last[hit] - starts[hit])
+        if rows.size:
+            yield rows, q, strip_exponents(rem, rows, q)
     # below 2^32 a remainder with no prime factor <= min(2^16, isqrt(max)) is 1 or prime
     left = np.flatnonzero(rem > 1)
-    fits = rem[left] < _SMALL_LIMIT * _SMALL_LIMIT
-    small, big = left[fits], left[~fits]
-    idx.append(small)
-    qs.append(rem[small])
-    es.append(np.ones(small.size, dtype=np.int64))
-    for i in big.tolist():
+    big = rem[left] >= _SMALL_LIMIT * _SMALL_LIMIT
+    for i in left[big].tolist():
         for q, e in _cofactor_pairs(int(rem[i])):
-            idx.append(np.array([i]))
-            qs.append(np.array([q]))
-            es.append(np.array([e]))
+            yield np.array([i]), q, np.array([e])
+    left = left[~big]
+    yield left, rem[left], np.ones(left.size, dtype=np.int64)
+
+
+def factor_many(starts, width: int = 1) -> FactorBatch:
+    """Full factorizations of the runs n, n+1, ..., n+width-1, n in starts,
+    n + width - 1 < 2^63: value i*width + j is starts[i] + j. sieve_runs'
+    pairs, checked by FactorBatch; memory is O(batch), whatever the values.
+    """
+    import numpy as np
+    ints = starts.tolist() if isinstance(starts, np.ndarray) else [int(v) for v in starts]
+    lo, hi = min(ints, default=1), max(ints, default=1) + width - 1
+    if lo < 1 or width < 1 or hi >= 2**63:
+        raise PreconditionError(f"factor_many needs width >= 1, 1 <= n and n + width - 1 < 2^63; got {lo}..{hi}")
+    vals = (np.array(ints, dtype=np.int64)[:, None] + np.arange(width)).ravel()
+    idx, qs, es = [], [], []
+    for rows, q, e in sieve_runs(vals, width):
+        idx.append(rows)
+        qs.append(np.full(rows.size, q, dtype=np.int64) if isinstance(q, int) else q)  # the last q is a column
+        es.append(e)
     idx_all = np.concatenate(idx)
-    # stable: within a value, primes were appended in increasing order
+    # stable: within a value, primes were yielded in increasing order
     order = np.argsort(idx_all, kind="stable")
     return FactorBatch(vals, idx_all[order], np.concatenate(qs)[order], np.concatenate(es)[order])
 

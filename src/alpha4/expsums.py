@@ -16,9 +16,9 @@ and combines the chunk partials by a fixed-order pairwise tree, so its
 result does not depend on the worker count. The Weyl inner sums S_k and
 S_{k,l} difference one table of residue pairs (N mod D, D) over products
 of denominators, and lemma61_ap_oracle feeds its own phase formula to
-_sum_e. The mpf engine and phase_mpf share one core, _phase_raw, which
-replays on signed (mantissa, exponent) integer pairs the libmp calls the
-mpf operator form makes, each rounded as libmp rounds it
+_sum_e. The mpf engine runs one core, _phase_raw, which replays on
+signed (mantissa, exponent) integer pairs the libmp calls the mpf
+operator form makes, each rounded as libmp rounds it
 (arith.round_nearest_int). mpmath is imported by the functions that
 compute with it, so the exact and Weyl sums never load it.
 """
@@ -43,7 +43,6 @@ __all__ = [
     "make_lemma62_inner_phase",
     "minus_inverse_residue",
     "phase_fraction",
-    "phase_mpf",
     "required_prec_bits",
     "eval_phase",
     "lemma61_change_of_variables",
@@ -242,7 +241,8 @@ def _phase_raw(spec: PhaseSpec, prec: int):
     """n -> the phase at n as a signed (mantissa, exponent) pair at prec
     bits, round-nearest (the rounding of mpmath's context).
 
-    The core of phase_mpf and of the mpf engine. Each coefficient is
+    The core of the mpf engine. It reads the coefficients and never
+    _phase_ratio, so the two engines check each other. Each coefficient is
     rounded once from its exact value, at prec. Every step then replays in integers the
     libmp call that the mpf operator form of the phase makes, with the
     same precision and rounding, so the bits are those of the expressions
@@ -309,18 +309,6 @@ def _cube(x, prec: int):
     p = a * (a * a >> k)
     j = max(p.bit_length() - w, 0)
     return round_nearest_int(p >> j if m > 0 else -(p >> j), 3 * e + k + j, prec)
-
-
-def phase_mpf(spec: PhaseSpec, n: int) -> mp.mpf:
-    """The phase at index n in mpf at the ambient precision, round-nearest.
-
-    It wraps the integer core _phase_raw, which the mpf engine of
-    eval_phase runs per term, so the formula is written once. The core
-    reads the coefficients and never the integer core of the exact
-    engine, so the engines check each other."""
-    import mpmath as mp
-    from mpmath.libmp import from_man_exp
-    return mp.make_mpf(from_man_exp(*_phase_raw(spec, mp.mp.prec)(n)))
 
 
 def required_prec_bits(spec: PhaseSpec) -> int:

@@ -8,9 +8,11 @@ an exact expansion whose residuals this module tracks term by term.
 
 sigma_k of a single n comes from arith.sigma_k, which reads the (prime,
 exponent) pairs of factorize; the sigma_4 windows of the tail sums are
-sieved as runs. The near-integer statistic is written once, in
-prop1_ratio, as an integer pair. Only alpha_k computes in mpf,
-so only it imports mpmath and bigreal.
+arith.sieve_runs' runs, their pairs multiplied into sigma_4 columns. The
+near-integer statistic is written once, in prop1_ratio, as an integer
+pair, and the four-term expansion holds integers, building Fractions
+only when they are read. Only alpha_k computes in mpf, so only it
+imports mpmath and bigreal.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import (_SMALL_LIMIT, _cofactor_pairs, factorize, is_prime, primes_upto, require_budget,
-                    require_products, sigma_k, strip_exponents)
+from .arith import factorize, is_prime, require_budget, require_products, sieve_runs, sigma_k
 from .errors import PreconditionError
 
 __all__ = [
@@ -149,18 +150,21 @@ def factorial_series(values: list[int], a: int, num: int = 0, d: int = 1) -> tup
 
 def sigma4_window_bytes(count: int, p_max: int, j_max: int) -> int:
     """The bytes sigma4_windows charges for count windows of j_max + 1
-    values, the largest reaching p_max + j_max."""
-    # a value of b bits peaks at about 100 + b bytes: its int64 columns, its sigma_4 of
-    # about 4 b bits and the leftover prime's term (tracemalloc: 93 to 117, b = 13 to 41)
-    return count * (j_max + 1) * (100 + (p_max + j_max).bit_length())
+    values, the largest reaching p_max + j_max: a term per value and one
+    for the sieving primes, whatever the count."""
+    # a value peaks at up to 120 bytes: its int64 columns, its sigma_4 and the leftover
+    # prime's term (tracemalloc: 100 to 116, at 13 to 50 bits); a sieving prime q <= L
+    # at 48, its int64, list slot and int, and there are at most 1.25506 L / ln L of them
+    # (Rosser and Schoenfeld, Illinois J. Math. 6, 1962)
+    top = max(2, min(math.isqrt(p_max + j_max), 1 << 16))
+    return count * (j_max + 1) * 120 + 48 * math.ceil(1.25506 * top / math.log(top))
 
 
 def sigma4_windows(primes, j_max: int) -> list[list[int]]:
     """For each p in primes, [sigma_4(p), sigma_4(p+1), ..., sigma_4(p+j_max)]:
-    every value the tail sums at p read, p + j_max < 2^63. A run sieve: each
-    prime q <= min(isqrt(max), 2^16) hits a run at (-p mod q) + k q, where
-    strip_exponents counts e and sigma_4(q^e) joins the value's column; the
-    rest is 1 or a prime below 2^32, else _cofactor_pairs splits it. The
+    every value the tail sums at p read, p + j_max < 2^63. The windows are
+    arith.sieve_runs' runs: each (q, e) it yields multiplies sigma_4(q^e)
+    into its value's column, and the primes it leaves give q^4 + 1. The
     (q, e) must multiply back to every value (require_products), or
     PreconditionError."""
     import numpy as np
@@ -168,31 +172,20 @@ def sigma4_windows(primes, j_max: int) -> list[list[int]]:
     require_budget(sigma4_window_bytes(len(primes), top - j_max, j_max), f"sigma_4 windows of {len(primes) * width} values")
     if min(primes, default=1) < 1 or top >= 2**63:
         raise PreconditionError(f"sigma4_windows needs 1 <= p, p + j_max < 2^63; got {min(primes)}..{top - j_max}")
-    starts = np.array(primes, dtype=np.int64)
-    values = (starts[:, None] + np.arange(width)).ravel()
-    rem, acc = values.copy(), np.ones(values.size, dtype=object)  # acc: sigma_4 of the pairs found so far
+    values = (np.array(primes, dtype=np.int64)[:, None] + np.arange(width)).ravel()
+    acc = np.ones(values.size, dtype=object)  # sigma_4 of the pairs found so far
     back, mag = np.ones_like(values), np.ones(values.size)  # their product, as require_products reads it
-
-    def absorb(hit, q: int, e) -> None:
-        q4 = q**4
-        acc[hit] *= np.array([(q4 ** (k + 1) - 1) // (q4 - 1) for k in range(e.max() + 1)], dtype=object)[e]
-        back[hit] *= q**e
-        mag[hit] *= float(q) ** e
-
-    first = np.arange(starts.size)[:, None] * width
-    for q in primes_upto(min(math.isqrt(top), _SMALL_LIMIT)).tolist():
-        off = (-starts % q)[:, None] + np.arange(0, width, q)
-        hit = (first + off)[off < width]
-        if hit.size:
-            absorb(hit, q, strip_exponents(rem, hit, q))
-    for i in np.flatnonzero(rem >= _SMALL_LIMIT**2).tolist():
-        for q, e in _cofactor_pairs(int(rem[i])):
-            absorb(np.array([i]), q, np.array([e]))
-        rem[i] = 1  # the splitter's pairs stand for it in the multiply-back
-    # below 2^32 a remainder with no prime factor <= min(2^16, isqrt(max)) is 1 or prime
-    require_products(back * rem, mag * rem, values)
-    last = np.where(rem > 1, rem, 0).astype(object)  # 0^4 + 1 = 1 = sigma_4(1)
-    del values, rem, back, mag  # so the peak holds the sigma_4 columns and not these
+    for rows, q, e in sieve_runs(values, width):
+        back[rows] *= q**e
+        mag[rows] *= np.float64(q) ** e
+        if isinstance(q, int):  # the last yield's q is an int64 column, the primes left over
+            q4 = q**4
+            acc[rows] *= np.array([(q4 ** (k + 1) - 1) // (q4 - 1) for k in range(e.max() + 1)], dtype=object)[e]
+    require_products(back, mag, values)
+    del values, back, mag, e  # so the peak holds the sigma_4 columns and not these
+    last = np.zeros(acc.size, dtype=object)  # 0^4 + 1 = 1 = sigma_4(1)
+    last[rows] = q  # the last yield's primes, each once
+    del rows, q
     last **= 4  # in place, so each new term replaces its prime
     last += 1
     acc *= last
@@ -227,16 +220,6 @@ def factorial_tail_exact(p: int, n1: int, sigma4: list[int] | None = None) -> Fr
     return Fraction(*tail_sum_pair(p, 0, n1 - p, sigma4))
 
 
-def _falling_products(p: int, count: int) -> list[int]:
-    """[p, p(p+1), p(p+1)(p+2), ...] with `count` entries."""
-    out = []
-    acc = 1
-    for i in range(count):
-        acc *= p + i
-        out.append(acc)
-    return out
-
-
 def tail_remainder_bound(p: int, j_from: int) -> Fraction:
     """Majorant for (p-1)! sum_{n >= p+j_from} sigma_4(n)/n!, j_from >= 4.
 
@@ -258,28 +241,41 @@ def tail_remainder_scaled(p: int, j_from: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class TailExpansion:
-    """Four leading terms of (p-1)! sum_{n>=p} sigma_4(n)/n!, plus a tail bound.
+    """Four leading terms of (p-1)! sum_{n>=p} sigma_4(n)/n!, plus a tail bound,
+    held as integers.
 
-    terms[j] = sigma_4(p+j) / (p (p+1) ... (p+j)) exactly, j = 0..3;
-    remainder_bound majorizes everything from n = p+4 on.
+    Term j = 0..3 is sigma4[j] / (p (p+1) ... (p+j)), sigma4[j] = sigma_4(p+j);
+    bound = (a, b), b >= 1, is tail_remainder_scaled(p, 4): a / (b p (p+1)
+    (p+2) (p+3)) majorizes everything from n = p+4 on. terms and
+    remainder_bound build their Fractions on demand.
     """
 
     p: int
-    terms: tuple[Fraction, Fraction, Fraction, Fraction]
-    remainder_bound: Fraction
+    sigma4: tuple[int, int, int, int]
+    bound: tuple[int, int]
 
     def __post_init__(self):
-        if self.remainder_bound < 0:
+        a, b = self.bound
+        if a < 0 or b < 1:
             raise PreconditionError("remainder bound must be nonnegative")
-        if self.remainder_bound > Fraction(6, self.p):
+        # a / (b p (p+1) (p+2) (p+3)) > 6/p, in integers
+        if a * self.p > 6 * b * math.prod(range(self.p, self.p + 4)):
             raise PreconditionError(
                 f"remainder bound {float(self.remainder_bound):.4g} exceeds 6/p at p={self.p}"
             )
 
-    def leading_sum(self) -> Fraction:
-        # one Fraction over p (p+1) (p+2) (p+3), which each term's denominator divides
-        d = math.prod(range(self.p, self.p + 4))
-        return Fraction(sum(t.numerator * (d // t.denominator) for t in self.terms), d)
+    @property
+    def terms(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        return tuple(Fraction(v, math.prod(range(self.p, self.p + j + 1))) for j, v in enumerate(self.sigma4))
+
+    @property
+    def remainder_bound(self) -> Fraction:
+        a, b = self.bound
+        return Fraction(a, b * math.prod(range(self.p, self.p + 4)))
+
+    def leading_pair(self) -> tuple[int, int]:
+        """(num, d), d = p (p+1) (p+2) (p+3), with num/d the four terms' sum."""
+        return factorial_series(list(self.sigma4), self.p)
 
 
 def tail_expansion(p: int, sigma4: list[int] | None = None) -> TailExpansion:
@@ -289,9 +285,7 @@ def tail_expansion(p: int, sigma4: list[int] | None = None) -> TailExpansion:
         raise PreconditionError(f"tail_expansion needs p >= 11, got {p}")
     if not is_prime(p):
         raise PreconditionError(f"tail_expansion needs a prime, got {p}")
-    dens = _falling_products(p, 4)
-    terms = tuple(map(Fraction, _sigma4_run(p, 0, 3, sigma4), dens))
-    return TailExpansion(p=p, terms=terms, remainder_bound=tail_remainder_bound(p, 4))
+    return TailExpansion(p=p, sigma4=tuple(_sigma4_run(p, 0, 3, sigma4)), bound=tail_remainder_scaled(p, 4))
 
 
 def tail_partial(p: int, j_max: int, sigma4: list[int] | None = None) -> tuple[Fraction, Fraction]:
@@ -373,12 +367,10 @@ def expansion_residuals(p: int, r: int | None = None, j_max: int = 32) -> list[d
         raise PreconditionError("sigma_4(p)/p - p^3 != 1/p; p is not prime")
     rows.append({"label": "p_term", "value": v0, "bound": Fraction(1, p)})
 
-    dens = _falling_products(p, 4)
-
     # n = p+3: for p = 3 mod 4, (p+3)/2 is odd and sigma_4(p+3) = 17 sigma_4((p+3)/2)
     if p % 4 == 3:
         m = (p + 3) // 2
-        v3 = Fraction(sigma_k(p + 3, 4), dens[3]) - Fraction(17, 16)
+        v3 = Fraction(sigma_k(p + 3, 4), math.prod(range(p, p + 4))) - Fraction(17, 16)
         defect = _divisor_defect_bound(m)
         b3 = Fraction(17, 16) * (ZETA4_UPPER * Fraction(8, p) + defect)
         rows.append({"label": "seventeen_sixteenths", "value": v3, "bound": b3})
@@ -386,7 +378,7 @@ def expansion_residuals(p: int, r: int | None = None, j_max: int = 32) -> list[d
     # n = p+2: replacing 1/(p(p+1)(p+2)) by (p+2)^-3 + 3(p+2)^-4
     s4p2 = sigma_k(p + 2, 4)
     split = (
-        Fraction(1, dens[2])
+        Fraction(1, p * (p + 1) * (p + 2))
         - Fraction(1, (p + 2) ** 3)
         - Fraction(3, (p + 2) ** 4)
     )

@@ -16,10 +16,11 @@ exact definitions are in count_sigmas.
 iter_S and count_sigmas consume one walk over the base candidates
 (_walk): the primes p = -1 mod W in (x/2, x] whose odd half
 clears z_small, yielded a segment at a time as columns. p+1 and p+2 are
-factored in one FactorBatch; the least and greatest prime factors, the
-window pairs of p+2 and membership in S are read off its columns in
-numpy. sigma_4(p+1) is summed only for the candidates whose statistic is
-read, and each statistic, plain or r-corrected, is computed once.
+factored as runs of two, in one FactorBatch; the least and greatest
+prime factors, the window pairs of p+2 and membership in S are read off
+its columns in numpy. sigma_4(p+1) is summed only for the candidates
+whose statistic is read, and each statistic, plain or r-corrected, is
+computed once.
 iter_S yields S one segment at a time; each record keeps the member's
 factorizations as the (prime, exponent) pair tuples sliced from the
 batch, factoring the odd halves of the members alone, and its
@@ -106,7 +107,7 @@ class SpecialPrimeRecord:
 class _Segment:
     """The base candidates of one segment of primes, as columns.
 
-    f factors p+1 (rows 0..n-1) and p+2 (rows n..2n-1) in one batch.
+    f factors p+1, p+2 as runs of two: candidate i's are rows 2i and 2i+1.
     lpf2 and gpf1 are P-(p+2) and P+(p+1); the window pairs (win_i, win_r,
     win_e) are p+2's prime factors r in (z_lo, z_hi] with the candidate
     row i and exponent e; low2 counts p+2's prime factors <= z_hi. in_S is
@@ -119,19 +120,18 @@ class _Segment:
         zl, zh = params.z_quarter_lo, params.z_quarter_hi
         n = self.n = p.size
         self.p = p
-        f = self.f = factor_many(np.concatenate([p + 1, p + 2]))
-        self.lpf2, self.gpf1 = f.least[n:], f.greatest[:n]
-        row2 = f.index - n  # p+2's pairs have rows >= 0
-        on2 = row2 >= 0
+        f = self.f = factor_many(p + 1, 2)
+        self.lpf2, self.gpf1 = f.least[1::2], f.greatest[::2]
+        row, on2 = f.index >> 1, (f.index & 1).astype(bool)  # p+2's pairs have odd rows
         win = on2 & (f.primes > zl) & (f.primes <= zh)
-        self.win_i, self.win_r, self.win_e = row2[win], f.primes[win], f.exps[win]
-        self.low2 = np.bincount(row2[on2 & (f.primes <= zh)], minlength=n)
+        self.win_i, self.win_r, self.win_e = row[win], f.primes[win], f.exps[win]
+        self.low2 = np.bincount(row[on2 & (f.primes <= zh)], minlength=n)
         n_win = np.bincount(self.win_i, minlength=n)
-        self.in_S = f.squarefree[n:] & (self.lpf2 > zl) & (n_win <= 1)
+        self.in_S = f.squarefree[1::2] & (self.lpf2 > zl) & (n_win <= 1)
 
     def sigma4_p1(self, rows: np.ndarray) -> dict[int, int]:
         """sigma_4(p+1) for the candidate rows given, keyed by row."""
-        return dict(zip(rows.tolist(), self.f.sigma(4, rows)))
+        return dict(zip(rows.tolist(), self.f.sigma(4, 2 * rows)))
 
 
 def _walk(params: ScaleParams):
@@ -185,8 +185,8 @@ def _members(seg: _Segment):
     window = np.zeros(seg.n, dtype=np.int64)
     window[seg.win_i] = seg.win_r  # members have at most one window prime
     rows_l = rows.tolist()
-    pairs1 = seg.f.pairs(rows_l)
-    pairs2 = seg.f.pairs(i + seg.n for i in rows_l)
+    pairs1 = seg.f.pairs(2 * i for i in rows_l)
+    pairs2 = seg.f.pairs(2 * i + 1 for i in rows_l)
     for i, p, r, p1, p2, p3 in zip(rows_l, ps.tolist(), window[rows].tolist(), pairs1, pairs2, halves):
         r = r or None
         yield SpecialPrimeRecord(

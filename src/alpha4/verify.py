@@ -481,7 +481,7 @@ def check_special_set(ctx: dict) -> dict:
 
 
 # series.sigma4_windows charges one block of tail windows at most this much:
-# 426 primes at x = 10^6. Its Python ints cost more RSS than traced bytes:
+# 424 primes at x = 10^6. Its Python ints cost more RSS than traced bytes:
 # 4 MiB (852 primes) peaked tail_identity at 39.0-39.3 MB, above special_set's
 # 39.05 MB; with 2 MiB it stays at the 37.6 MB it holds before its first block
 WINDOW_BLOCK_BYTES = 2 << 20
@@ -493,7 +493,8 @@ ORACLE_WINDOWS = 48
 def _window_block(p_max: int, j_max: int) -> int:
     """How many primes up to p_max one sigma4_windows call takes."""
     from . import series
-    return max(1, WINDOW_BLOCK_BYTES // series.sigma4_window_bytes(1, p_max, j_max))
+    sieving = series.sigma4_window_bytes(0, p_max, j_max)
+    return max(1, (WINDOW_BLOCK_BYTES - sieving) // (series.sigma4_window_bytes(1, p_max, j_max) - sieving))
 
 
 def check_tail_identity(ctx: dict) -> dict:
@@ -522,20 +523,21 @@ def check_tail_identity(ctx: dict) -> dict:
     for p, window in zip(primes, windows):
         # the four leading terms, with tail_expansion's primality and 6/p guards
         exp = series.tail_expansion(p, sigma4=window)
-        lead, bound = exp.leading_sum(), exp.remainder_bound
+        # lead / d4 and bound_a / (bound_b d4), d4 = p (p+1) (p+2) (p+3)
+        (lead, d4), (bound_a, bound_b) = exp.leading_pair(), exp.bound
         # one Horner pass: the sum from p+4, continued to the sum from p over den = p ... (p+j_max)
         part, d = series.factorial_series(window[4:], p + 4)
         whole, den = series.factorial_series(window[:4], p, part, d)
-        if (whole - part) * lead.denominator != lead.numerator * den:
-            return {"ok": False, "failed_p": p, "gap": float(Fraction(whole - part, den) - lead)}
+        if (whole - part) * d4 != lead * den:
+            return {"ok": False, "failed_p": p, "gap": float(Fraction(whole - part, den) - Fraction(lead, d4))}
         # terms[0] = sigma_4(p)/p, and terms[0] - p^3 = 1/p says sigma_4(p) = p^4 + 1
         if window[0] != p**4 + 1:
             return {"ok": False, "failed_p": p, "reason": "p-term residual is not 1/p"}
         # the exact terms j = 4..j_max and the bound past j_max, rem_a / (rem_b den),
         # stay under the bound for everything from p+4: this reads the other window values
         rem_a, rem_b = series.tail_remainder_scaled(p, j_max + 1)
-        top = (part * rem_b + rem_a) * bound.denominator
-        bottom = bound.numerator * den * rem_b
+        top = (part * rem_b + rem_a) * bound_b * d4
+        bottom = bound_a * den * rem_b
         # int / int rounds once, and rounding keeps the order, so worst is the largest ratio rounded
         ratio = top / bottom
         if top > bottom:

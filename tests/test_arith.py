@@ -166,6 +166,41 @@ def test_factor_many_splits_cofactors_beyond_2_32():
     ]
 
 
+# run starts: at 1 and 2; runs from 100, 119 and 124 straddle 11^2 = 121 and
+# 5^3 = 125, with q below the width (41) and above it (1, 2, 3); those from
+# 2190 and 148860 straddle 47^2 = 2209 and 53^3 = 148877 for q above it at
+# every width; the last two pass 2^32, where the splitter takes the prime
+# and the semiprime 65537 * 65539 that start them
+RUN_STARTS = [1, 2, 100, 119, 121, 124, 2190, 2208, 148860, 148876, 4294967311, 65537 * 65539]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 41])
+def test_factor_many_factors_runs(width, monkeypatch):
+    split = []
+    real = arith._cofactor_pairs
+    monkeypatch.setattr(arith, "_cofactor_pairs", lambda n: split.append(n) or real(n))
+    b = arith.factor_many(RUN_STARTS, width)
+    values = [n + j for n in RUN_STARTS for j in range(width)]
+    assert b.values.tolist() == values
+    assert b.pairs(range(len(b))) == _oracle_pairs(values)
+    assert 4294967311 in split and 65537 * 65539 in split
+
+
+def test_factor_many_refuses_exponents_that_do_not_multiply_back(monkeypatch):
+    # the stripping is right, the exponent collected into the batch is not
+    real = arith.strip_exponents
+
+    def one_too_many(rem, hit, q):
+        e = real(rem, hit, q)
+        if q == 3:
+            e[0] += 1
+        return e
+
+    monkeypatch.setattr(arith, "strip_exponents", one_too_many)
+    with pytest.raises(PreconditionError, match="multiply"):
+        arith.factor_many([101], 41)
+
+
 def test_factor_many_edges():
     assert len(arith.factor_many([])) == 0
     assert arith.factor_many([1]).pairs([0]) == [()]

@@ -1,5 +1,7 @@
 """The divisor-power series, its tail expansion, and the near-integer statistic."""
 
+import ast
+import inspect
 import math
 import random
 import tracemalloc
@@ -106,7 +108,7 @@ def test_tail_expansion_leading_term():
 def test_tail_expansion_remainder_majorizes_exact_tail():
     for p in (11, 13, 101):
         te = series.tail_expansion(p)
-        exact_tail = series.factorial_tail_exact(p, p + 60) - te.leading_sum()
+        exact_tail = series.factorial_tail_exact(p, p + 60) - Fraction(*te.leading_pair())
         assert 0 < exact_tail < te.remainder_bound, p
 
 
@@ -114,7 +116,7 @@ def test_tail_partial_refines_the_bound():
     p = 13
     te = series.tail_expansion(p)
     mid, rest = series.tail_partial(p, 12)
-    exact_tail = series.factorial_tail_exact(p, p + 60) - te.leading_sum()
+    exact_tail = series.factorial_tail_exact(p, p + 60) - Fraction(*te.leading_pair())
     assert mid < exact_tail < mid + rest
     assert rest < te.remainder_bound
 
@@ -229,7 +231,7 @@ def test_tail_sums_against_term_by_term_oracle(j_max):
         assert part == naive - oracles.factorial_tail_exact(p, p + 3), p
         num, den = series.tail_sum_pair(p, 4, j_max)
         assert den == math.prod(range(p, p + j_max + 1)) and Fraction(num, den) == part, p
-        assert series.factorial_tail_exact(p, p + j_max) == te.leading_sum() + part, p
+        assert series.factorial_tail_exact(p, p + j_max) == Fraction(*te.leading_pair()) + part, p
 
 
 @pytest.mark.parametrize("j_max", [4, 5, 40])
@@ -252,7 +254,7 @@ def test_tail_identity_block_stays_under_its_charge_cap(desk_records):
     block = verify._window_block(p_max, 40)
     assert series.sigma4_window_bytes(block, p_max, 40) <= verify.WINDOW_BLOCK_BYTES
     assert series.sigma4_window_bytes(block + 1, p_max, 40) > verify.WINDOW_BLOCK_BYTES
-    assert block == 426
+    assert block == 424
 
 
 def _tail_identity_with(monkeypatch, edit):
@@ -337,11 +339,20 @@ def test_sigma4_run_sieve_splits_a_leftover_past_2_32(monkeypatch):
     # p itself is a prime past 2^32, so its leftover goes to the splitter
     p = 4294967311
     split = []
-    real = series._cofactor_pairs
-    monkeypatch.setattr(series, "_cofactor_pairs", lambda n: split.append(n) or real(n))
+    real = arith._cofactor_pairs
+    monkeypatch.setattr(arith, "_cofactor_pairs", lambda n: split.append(n) or real(n))
     window = series.sigma4_windows([p], 8)[0]
     assert p in split
     assert window == [oracles.sigma_k(n, 4) for n in range(p, p + 9)]
+
+
+def test_sigma4_windows_read_no_private_name_of_arith():
+    # the run sieve is arith.sieve_runs: series consumes its yields and
+    # reaches into none of the loop's pieces
+    tree = ast.parse(inspect.getsource(series))
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "arith"
+             for a in node.names]
+    assert "sieve_runs" in names and not [name for name in names if name.startswith("_")]
 
 
 def test_sigma4_run_sieve_matches_factor_many_on_the_desk_windows(desk_records):
@@ -354,7 +365,7 @@ def test_sigma4_run_sieve_matches_factor_many_on_the_desk_windows(desk_records):
 
 def test_sigma4_run_sieve_refuses_exponents_that_do_not_multiply_back(monkeypatch):
     # the stripping is right, the exponent fed to the accumulation is not
-    real = series.strip_exponents
+    real = arith.strip_exponents
 
     def one_too_many(rem, hit, q):
         e = real(rem, hit, q)
@@ -362,18 +373,19 @@ def test_sigma4_run_sieve_refuses_exponents_that_do_not_multiply_back(monkeypatc
             e[0] += 1
         return e
 
-    monkeypatch.setattr(series, "strip_exponents", one_too_many)
+    monkeypatch.setattr(arith, "strip_exponents", one_too_many)
     with pytest.raises(PreconditionError, match="multiply"):
         series.sigma4_windows([101], 40)
 
 
 def test_sigma4_window_peaks_stay_under_their_charge(monkeypatch):
-    # the charge per value grows with its bits; it must cover the traced
-    # peak without overstating it by half, for a small and a large p
+    # the charge must cover the traced peak without overstating it by half,
+    # for a small and a large p, and for a short window past 2^32, whose
+    # peak is the 6,542 sieving primes to 2^16
     charges = []
     monkeypatch.setattr(series, "require_budget", lambda need, what: charges.append(need))
     series.sigma4_windows([13], 10)  # so the peak holds no first-use import
-    for p, j_max in ((13, 5000), (10**6 + 3, 20000)):
+    for p, j_max in ((13, 5000), (10**6 + 3, 20000), (1000000000039, 40)):
         tracemalloc.start()
         try:
             series.sigma4_windows([p], j_max)

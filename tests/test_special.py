@@ -7,12 +7,14 @@ import inspect
 import json
 import math
 import os
+import subprocess
 import sys
 import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,7 @@ from alpha4 import arith, cli, sieve, special, verify
 from alpha4.errors import PreconditionError
 
 X4 = 10**4
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def params_at_1e4():
@@ -496,21 +499,55 @@ def test_enumerate_jsonl_memory_follows_the_segment():
     assert csv <= 1.1 * one, (one, csv)
 
 
-def test_enumerate_json_charges_the_text_it_holds(monkeypatch):
+# `special enumerate --x X --format FMT` in a fresh process, after the same
+# warm-up walk as _enumerate_peak: prints its tracemalloc peak and every charge
+# of its json output
+_CHILD_PEAK = """
+import contextlib, os, sys, tracemalloc
+from alpha4 import arith, cli, sieve, special
+special.enumerate_S(sieve.make_scale_params(10**4))
+charged = []
+real = arith.require_budget
+
+def spy(need, what):
+    if what == "the json output of special enumerate":
+        charged.append(need)
+    real(need, what)
+
+arith.require_budget = spy
+args = cli.build_parser().parse_args(["special", "enumerate", "--x", sys.argv[1], "--format", sys.argv[2]])
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    tracemalloc.start()
+    assert cli.cmd_special_enumerate(args) == 0
+    peak = tracemalloc.get_traced_memory()[1]
+print(peak, *charged)
+"""
+
+
+def _enumerate_peaks_in_children(x: int, *fmts: str) -> list[list[int]]:
+    """For each format, [the traced peak, then each json charge] of `special
+    enumerate` at x, each in a fresh process (run side by side), so what
+    earlier tests left behind cannot move a peak."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    children = [subprocess.Popen([sys.executable, "-c", _CHILD_PEAK, str(x), fmt], env=env, text=True,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE) for fmt in fmts]
+    out = []
+    for child in children:
+        stdout, stderr = child.communicate(timeout=300)
+        assert child.returncode == 0, stderr
+        out.append([int(v) for v in stdout.split()])
+    return out
+
+
+def test_enumerate_json_charges_the_text_it_holds():
     # json holds each row's text until the rows end: the charge is their
     # measured size, each with its list slot, and it must cover json's traced
-    # growth over jsonl at the same x without overstating it by half
+    # growth over jsonl at the same x without overstating it by half; each
+    # peak is taken in its own process
     x = 2 * 10**6
-    charged = []
-    real = arith.require_budget
-
-    def spy(need, what):
-        if what == "the json output of special enumerate":
-            charged.append(need)
-        real(need, what)
-
-    monkeypatch.setattr(arith, "require_budget", spy)
-    grown = _enumerate_peak(x, "json") - _enumerate_peak(x, "jsonl")
+    (json_peak, *charged), (jsonl_peak, *none) = _enumerate_peaks_in_children(x, "json", "jsonl")
+    assert none == []
+    grown = json_peak - jsonl_peak
     rows = map(cli._enumerate_row, special.iter_S(sieve.make_scale_params(x)))
     assert charged[-1] == sum(sys.getsizeof(json.dumps(row, sort_keys=True)) + 8 for row in rows)
     assert grown <= charged[-1] <= 1.5 * grown, (grown, charged[-1])
