@@ -756,6 +756,9 @@ FROZEN_OUTPUT = {
         "2f25060a0a1d78119ce92887278c46ba1da4136d26ea0912e50221338f28205a",
     "expsum weyl --A 278310081342/1048576 --B 683474/1048576 --hi 2000 --K 8 --L 8":
         "ccc2ab2ac680e0d5c2073ebb00762427b18001ffc4019db3cf286e9401ed127b",
+    # the progression oracle and a two-chunk lemma61 sum
+    "expsum lemma61 --h 3 --m 99991 --r 101 --hi 5000 --check-rewrite":
+        "886df1afa3e72e2bcaa1b0c1445493f519ca53d11a57616f7b6430fb8b6f4b45",
 }
 
 
