@@ -10,17 +10,19 @@ Every exact phase comes from one integer core: _phase_ratio(spec) does
 the per-spec work once and returns n -> (N, D), phase(n) = N/D, with no
 gcd. A residue is the double N % D / D; int/int true division is
 correctly rounded, so it is the double float(phase % 1) would give.
-_sum_e adds the unit vectors e(t) with compensated (Neumaier) addition.
-The exact engine of eval_phase sums each fixed 4096-term chunk that way
-and combines the chunk partials by a fixed-order pairwise tree, so its
-result does not depend on the worker count. The Weyl inner sums S_k and
-S_{k,l} difference one table of residue pairs (N mod D, D) over products
-of denominators, and lemma61_ap_oracle feeds its own phase formula to
-_sum_e. The mpf engine runs one core, _phase_raw, which replays on
-signed (mantissa, exponent) integer pairs the libmp calls the mpf
-operator form makes, each rounded as libmp rounds it
-(arith.round_nearest_int). mpmath is imported by the functions that
-compute with it, so the exact and Weyl sums never load it.
+_sum_e is the one e(t) kernel: it takes residue pairs (a, d) meaning
+a/d, turns each into the double TAU * (a / d) once, and adds the cosines
+and the sines with math.fsum, so each part is the correctly rounded sum
+of its terms. The exact engine of eval_phase sums each fixed 4096-term
+chunk that way and combines the chunk partials by a fixed-order pairwise
+tree, so its result does not depend on the worker count. The Weyl inner
+sums S_k and S_{k,l} difference one table of residue pairs (N mod D, D)
+over products of denominators, and lemma61_ap_oracle feeds the pairs of
+its own phase formula to _sum_e. The mpf engine runs one core,
+_phase_raw, which replays on signed (mantissa, exponent) integer pairs
+the libmp calls the mpf operator form makes, each rounded as libmp
+rounds it (arith.round_nearest_int). mpmath is imported by the functions
+that compute with it, so the exact and Weyl sums never load it.
 """
 
 from __future__ import annotations
@@ -339,25 +341,17 @@ def required_prec_bits(spec: PhaseSpec) -> int:
 # -- deterministic summation ------------------------------------------------
 
 
-def _sum_e(residues) -> complex:
-    """Neumaier-compensated sum of e(t) over residues t (rationals or floats)."""
-    sr = cr = si = ci = 0.0
-    for t in residues:
-        t = float(t)
-        x = math.cos(TAU * t)
-        y = math.sin(TAU * t)
-        u = sr + x
-        cr += (sr - u) + x if abs(sr) >= abs(x) else (x - u) + sr
-        sr = u
-        u = si + y
-        ci += (si - u) + y if abs(si) >= abs(y) else (y - u) + si
-        si = u
-    return complex(sr + cr, si + ci)
+def _sum_e(pairs) -> complex:
+    """The sum of e(a/d) over residue pairs (a, d), 0 <= a < d: each term's
+    angle is TAU * (a / d), and each part is its terms correctly rounded
+    (math.fsum). It holds one float a term."""
+    ts = [TAU * (a / d) for a, d in pairs]
+    return complex(math.fsum(map(math.cos, ts)), math.fsum(map(math.sin, ts)))
 
 
 def _chunk_exact(args) -> complex:
     spec, a, b = args
-    return _sum_e(N % D / D for N, D in map(_phase_ratio(spec), range(a + 1, b + 1)))
+    return _sum_e((N % D, D) for N, D in map(_phase_ratio(spec), range(a + 1, b + 1)))
 
 
 def _tree_reduce(parts: list[complex]) -> complex:
@@ -389,8 +383,8 @@ def eval_phase(
     """Sum e(phase(n)) over n in (lo, hi].
 
     engine "exact" reduces each integer phase pair (N, D) to the correctly
-    rounded double N % D / D and sums unit vectors in compensated double
-    precision. Engine "mpf" works at 1 <= prec_bits <= MAX_PREC_BITS
+    rounded double N % D / D and sums the unit vectors with _sum_e, each
+    part correctly rounded. Engine "mpf" works at 1 <= prec_bits <= MAX_PREC_BITS
     (default: enough for the largest phase plus 64 guard bits, refused
     past the cap too) on integer (mantissa, exponent) pairs, round-nearest:
     the phase from _phase_raw, its fraction 2 (ph - floor ph) rounded as
@@ -497,16 +491,17 @@ def lemma61_ap_oracle(spec: PhaseSpec) -> float:
         raise PreconditionError("the progression oracle needs a lemma61 spec")
     A, B, lin, _ = spec.coefficients
     ns = (spec.v + spec.r * l for l in range(spec.lo + 1, spec.hi + 1))
-    return abs(_sum_e((A * (Fraction(n**2) + Fraction(1, n**2)) + (B + lin) * n) % 1 for n in ns))
+    return abs(_sum_e(((A * (Fraction(n**2) + Fraction(1, n**2)) + (B + lin) * n) % 1).as_integer_ratio()
+                      for n in ns))
 
 
 # -- differencing ------------------------------------------------------------
 
 
-def _diff_mod1(R: list, k: int) -> list:
-    """[(R[i+k] - R[i]) mod 1] for residue pairs (a, d) meaning a/d, 0 <= a < d,
-    each over the product of its two denominators (twice: over four), no gcd."""
-    return [((b * d - a * e) % (d * e), d * e) for (a, d), (b, e) in zip(R, R[k:])]
+def _diff_mod1(R: list, k: int):
+    """(R[i+k] - R[i]) mod 1, one at a time, for residue pairs (a, d) meaning a/d,
+    0 <= a < d, each over the product of its two denominators (twice: over four), no gcd."""
+    return (((b * d - a * e) % (d * e), d * e) for (a, d), (b, e) in zip(R, R[k:]))
 
 
 def weyl_difference_check(spec: PhaseSpec, K: int, L: int | None = None) -> dict:
@@ -532,21 +527,21 @@ def weyl_difference_check(spec: PhaseSpec, K: int, L: int | None = None) -> dict
     require_work(inner, f"{inner} inner terms of the Weyl sums")
     ratio = _phase_ratio(spec)
     # one table of N pairs of b-bit ints lives beside one of S_k's 2b-bit pairs
-    # and, with L, one of S_{k,l}'s 4b-bit pairs; a pair holds a list slot, a
-    # tuple and two ints of 28 + 4 ceil(w / 30) bytes (CPython, tracemalloc)
+    # and _sum_e's N floats; S_{k,l}'s pairs stream into those floats. A pair
+    # holds a list slot, a tuple and two ints of 28 + 4 ceil(w / 30) bytes, a
+    # float 24 bytes and its slot (CPython, tracemalloc)
     b = max(ratio(n)[1].bit_length() for n in (spec.lo + 1, spec.hi))
-    widths = (b, 2 * b, 4 * b) if L is not None else (b, 2 * b)
-    require_budget(N * sum(120 + 8 * -(-w // 30) for w in widths), f"Weyl residue tables of {N} terms")
+    require_budget(N * (32 + sum(120 + 8 * -(-w // 30) for w in (b, 2 * b))), f"Weyl residue tables of {N} terms")
     S = abs(eval_phase(spec).value)
     # R[i]: the residue of n = lo+1+i as (N mod D, D)
     R = [(N % D, D) for N, D in map(ratio, range(spec.lo + 1, spec.hi + 1))]
     sum_sk = 0.0
     max_skl = 0.0
     for k in range(1, K + 1):
-        Rk = _diff_mod1(R, k)
-        sum_sk += 2 * abs(_sum_e(a / d for a, d in Rk))  # |S_-k| = |S_k|
+        Rk = list(_diff_mod1(R, k))  # each S_{k,l} reads it
+        sum_sk += 2 * abs(_sum_e(Rk))  # |S_-k| = |S_k|
         for l in range(1, (L or 0) + 1):
-            max_skl = max(max_skl, abs(_sum_e(a / d for a, d in _diff_mod1(Rk, l))))
+            max_skl = max(max_skl, abs(_sum_e(_diff_mod1(Rk, l))))
         del Rk  # so the next S_k's table is not built beside this one
     lhs2 = S**2
     rhs2 = 3 * (N**2 / K + (N / K) * sum_sk)

@@ -13,6 +13,7 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp, from_rational, mpf_mul_int, mpf_neg, mpf_pow_int, mpf_rdiv_int, round_nearest
 
 import oracles
+import peaks
 from alpha4 import cli, expsums, verify
 from alpha4.arith import round_nearest_int
 from alpha4.errors import BudgetError, PreconditionError
@@ -113,13 +114,13 @@ def test_phase_ratio_matches_oracle(spec):
         R.append((N % D, D))
     # Weyl terms from the integer pairs, against the oracle's Fraction differences
     for k in (1, 2, 5):
-        Rk = expsums._diff_mod1(R, k)
+        Rk = list(expsums._diff_mod1(R, k))
         assert len(Rk) == len(R) - k
         for i, (a, d) in enumerate(Rk):
             assert 0 <= a < d
             assert (a / d).hex() == float((oracle[i + k] - oracle[i]) % 1).hex(), (k, i)
         for l in (1, 3, 4):
-            Rkl = expsums._diff_mod1(Rk, l)
+            Rkl = list(expsums._diff_mod1(Rk, l))
             assert len(Rkl) == len(R) - k - l
             for i, (a, d) in enumerate(Rkl):
                 want = (oracle[i + k + l] - oracle[i + k] - oracle[i + l] + oracle[i]) % 1
@@ -129,6 +130,26 @@ def test_phase_ratio_matches_oracle(spec):
 def test_phase_ratio_preconditions():
     with pytest.raises(PreconditionError):
         expsums._phase_ratio(expsums.make_basic_phase(1, 1, 0, 10))(0)
+
+
+def _seeded_pairs(seed: int, n: int) -> list[tuple[int, int]]:
+    rng = random.Random(seed)
+    return [(rng.randrange(d), d) for d in (rng.randrange(1, 2**40 + 1) for _ in range(n))]
+
+
+@pytest.mark.parametrize(
+    # the cosines 1 + cos(pi/2) - 1 add to 0.0 left to right; rounded once,
+    # to cos(pi/2) = 6.123233995736766e-17
+    "pairs", [[(0, 1), (1, 4), (1, 2)], *(_seeded_pairs(seed, 500) for seed in range(4))],
+    ids=["cancelling", *(f"seed{seed}" for seed in range(4))],
+)
+def test_sum_e_rounds_each_part_once(pairs):
+    # each part is the exact sum of the same math.cos and math.sin values,
+    # rounded once
+    ts = [expsums.TAU * (a / d) for a, d in pairs]
+    got = expsums._sum_e(pairs)
+    assert got.real == float(sum(map(Fraction, map(math.cos, ts))))
+    assert got.imag == float(sum(map(Fraction, map(math.sin, ts))))
 
 
 # -- engines ------------------------------------------------------------------
@@ -527,7 +548,8 @@ def test_weyl_matches_frozen_values(spec, K, L, frozen):
     abs_sum, first_rhs, first_ratio, max_inner, second_ratio = frozen
     assert (rep["abs_sum"], rep["first_rhs"], rep["first_ratio"]) == (abs_sum, first_rhs, first_ratio)
     if L is not None:
-        # the compensated inner sums may move the last bit of max |S_{k,l}|
+        # frozen from the per-term evaluation, whose rounding of each phase
+        # may move the last bit of max |S_{k,l}|
         assert rep["max_inner_abs"] == pytest.approx(max_inner, rel=1e-12)
         assert rep["second_ratio"] == pytest.approx(second_ratio, rel=1e-12)
 
@@ -548,23 +570,39 @@ def test_weyl_evaluates_each_phase_at_most_twice(monkeypatch):
     assert sorted(calls) == sorted([*range(spec.lo + 1, spec.hi + 1)] * 2 + [spec.lo + 1, spec.hi])
 
 
-def test_weyl_tables_stay_under_their_charge(monkeypatch):
-    # the charge, from the bit sizes of the table's pairs, covers the traced
-    # peak without overstating it by half: with S_k alone, and with S_{k,l}
-    charges = []
-    monkeypatch.setattr(expsums, "require_budget", lambda need, what: charges.append(need))
-    long_sums = (Fraction(278310081342, 2**20), Fraction(683474, 2**20))  # WEYL_FROZEN's basic512
-    for (A, B), K, L in (((Fraction(1, 7), 0), 1, None), (long_sums, 2, 2)):
-        for n in (5000, 20000):
-            spec = expsums.make_basic_phase(A, B, 0, n)
-            expsums.weyl_difference_check(spec, K, L)  # so the peak holds no first-use import
-            tracemalloc.start()
-            try:
-                expsums.weyl_difference_check(spec, K, L)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= charges[-1] <= 1.5 * peak, (A, B, K, L, n)
+def _peaks_stay_under_their_charges(snippet: str, cases: int) -> None:
+    """Run snippet in one fresh process; each line it prints is a case, its
+    traced peak and its charge last, and each charge must cover its peak
+    without overstating it by half."""
+    (out,) = peaks.in_children(snippet, [])
+    rows = [line.split() for line in out.splitlines()]
+    assert len(rows) == cases
+    for *case, peak, charge in rows:
+        assert int(peak) <= int(charge) <= 1.5 * int(peak), case
+
+
+_WEYL_PEAKS = """
+import tracemalloc
+from fractions import Fraction
+from alpha4 import expsums
+charges = []
+expsums.require_budget = lambda need, what: charges.append(need)
+expsums.weyl_difference_check(expsums.make_basic_phase(Fraction(1, 7), 0, 0, 100), 1, 1)  # no first-use import
+long_sums = (Fraction(278310081342, 2**20), Fraction(683474, 2**20))  # WEYL_FROZEN's basic512
+tracemalloc.start()
+for (A, B), K, L in (((Fraction(1, 7), 0), 1, None), (long_sums, 2, 2)):
+    for n in (5000, 20000):
+        tracemalloc.reset_peak()
+        expsums.weyl_difference_check(expsums.make_basic_phase(A, B, 0, n), K, L)
+        print(A, K, L, n, tracemalloc.get_traced_memory()[1], charges[-1])
+"""
+
+
+def test_weyl_tables_stay_under_their_charge():
+    # the charge, from the bit sizes of the table's pairs and one float a
+    # term, covers the traced peak without overstating it by half: with S_k
+    # alone, and with S_{k,l} streamed
+    _peaks_stay_under_their_charges(_WEYL_PEAKS, 4)
 
 
 # -- the amplitude function f_l ---------------------------------------------
@@ -664,21 +702,27 @@ def test_cancellation_scan_lemma61_family_runs():
         assert row["normalized_modulus"] <= 1
 
 
-def test_scan_rows_stay_under_their_charge(monkeypatch):
+_SCAN_PEAKS = """
+import tracemalloc
+from alpha4 import expsums
+charges = []
+expsums.require_budget = lambda need, what: charges.append(need)
+FAMILIES = ("random", "resonant", "lemma61")
+for family in FAMILIES:
+    expsums.cancellation_scan(family, count=2, qs=(16,))  # no first-use import
+tracemalloc.start()
+for family in FAMILIES:
+    for count in (100, 400):
+        tracemalloc.reset_peak()
+        expsums.cancellation_scan(family, count=count, qs=(16,))
+        print(family, count, tracemalloc.get_traced_memory()[1], charges[-1])
+"""
+
+
+def test_scan_rows_stay_under_their_charge():
     # one constant per family covers the traced peak of its rows without
     # overstating it by half
-    charges = []
-    monkeypatch.setattr(expsums, "require_budget", lambda need, what: charges.append(need))
-    for family in ("random", "resonant", "lemma61"):
-        expsums.cancellation_scan(family, count=2, qs=(16,))  # so the peak holds no first-use import
-        for count in (100, 400):
-            tracemalloc.start()
-            try:
-                expsums.cancellation_scan(family, count=count, qs=(16,))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= charges[-1] <= 1.5 * peak, (family, count)
+    _peaks_stay_under_their_charges(_SCAN_PEAKS, 6)
 
 
 def test_cancellation_scan_rejects_unknown_family():

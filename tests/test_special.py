@@ -7,23 +7,21 @@ import inspect
 import json
 import math
 import os
-import subprocess
 import sys
 import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
-from pathlib import Path
 
 import pytest
 
 import oracles
+import peaks
 from alpha4 import arith, cli, sieve, special, verify
 from alpha4.errors import PreconditionError
 
 X4 = 10**4
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def params_at_1e4():
@@ -524,28 +522,14 @@ print(peak, *charged)
 """
 
 
-def _enumerate_peaks_in_children(x: int, *fmts: str) -> list[list[int]]:
-    """For each format, [the traced peak, then each json charge] of `special
-    enumerate` at x, each in a fresh process (run side by side), so what
-    earlier tests left behind cannot move a peak."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    children = [subprocess.Popen([sys.executable, "-c", _CHILD_PEAK, str(x), fmt], env=env, text=True,
-                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE) for fmt in fmts]
-    out = []
-    for child in children:
-        stdout, stderr = child.communicate(timeout=300)
-        assert child.returncode == 0, stderr
-        out.append([int(v) for v in stdout.split()])
-    return out
-
-
 def test_enumerate_json_charges_the_text_it_holds():
     # json holds each row's text until the rows end: the charge is their
     # measured size, each with its list slot, and it must cover json's traced
     # growth over jsonl at the same x without overstating it by half; each
     # peak is taken in its own process
     x = 2 * 10**6
-    (json_peak, *charged), (jsonl_peak, *none) = _enumerate_peaks_in_children(x, "json", "jsonl")
+    outs = peaks.in_children(_CHILD_PEAK, [str(x), "json"], [str(x), "jsonl"])
+    (json_peak, *charged), (jsonl_peak, *none) = ([int(v) for v in out.split()] for out in outs)
     assert none == []
     grown = json_peak - jsonl_peak
     rows = map(cli._enumerate_row, special.iter_S(sieve.make_scale_params(x)))
