@@ -11,7 +11,7 @@ increasing prime order. A single n is factored by trial division to
 integers (width 1 takes any values), is factored by one numpy loop,
 sieve_runs, which strips each small prime from a column of remainders at
 the runs' multiples of it. factor_many collects its pairs into a
-FactorBatch: checked numpy columns, from which sigma_k, the least and
+FactorBatch: checked numpy columns, from which sigma_4, the least and
 greatest prime factors, squarefreeness and each value's pair tuple are
 read; series.sigma4_windows multiplies them into sigma_4 columns. Both
 loops finish cofactors above 2^32 with a Brent-cycle splitter, so
@@ -334,7 +334,7 @@ class FactorBatch:
     multiply back to n) in one numpy pass, and the columns are read-only
     afterwards.
 
-    Readers: sigma(k) as exact ints; the least, greatest and squarefree
+    Readers: sigma4(rows) as exact ints; the least, greatest and squarefree
     columns (least = greatest = 1 for n = 1, which has no prime factor);
     pairs(rows), each value's pair tuple as factorize returns it.
     """
@@ -396,32 +396,22 @@ class FactorBatch:
         offsets, pairs = self._lists
         return [tuple(pairs[offsets[i] : offsets[i + 1]]) for i in rows]
 
-    def sigma(self, k: int, rows=None) -> list[int]:
-        """sigma_k of each value, or of values[rows] for distinct rows, as exact ints."""
-        if k < 0:
-            raise PreconditionError("divisor-power exponent must be nonnegative")
-        idx, q, e = self.index, self.primes, self.exps
-        count = len(self)
-        if rows is not None:
-            import numpy as np
-            rows = np.asarray(rows, dtype=np.int64)
-            sel = np.zeros(count, dtype=bool)
-            sel[rows] = True
-            keep = sel[idx]
-            # renumber the kept pairs by their position in rows
-            pos = np.zeros(count, dtype=np.int64)
-            pos[rows] = np.arange(rows.size)
-            idx, q, e, count = pos[idx[keep]], q[keep], e[keep], rows.size
-        out = [1] * count
-        if k == 0:
-            for i, ei in zip(idx.tolist(), e.tolist()):
-                out[i] *= ei + 1
-            return out
+    def sigma4(self, rows) -> list[int]:
+        """sigma_4 of values[rows], for distinct rows, as exact ints."""
+        import numpy as np
+        rows = np.asarray(rows, dtype=np.int64)
+        sel = np.zeros(len(self), dtype=bool)
+        sel[rows] = True
+        keep = sel[self.index]
+        # renumber the kept pairs by their position in rows
+        pos = np.zeros(len(self), dtype=np.int64)
+        pos[rows] = np.arange(rows.size)
+        out = [1] * rows.size
         # one Python step per pair: a memo dict, an object array and int64
         # terms with math.prod each took as long or longer
-        for i, qi, ei in zip(idx.tolist(), q.tolist(), e.tolist()):
-            qk = qi**k
-            out[i] *= qk + 1 if ei == 1 else (qk ** (ei + 1) - 1) // (qk - 1)
+        for i, q, e in zip(pos[self.index[keep]].tolist(), self.primes[keep].tolist(), self.exps[keep].tolist()):
+            q4 = q**4
+            out[i] *= q4 + 1 if e == 1 else (q4 ** (e + 1) - 1) // (q4 - 1)
         return out
 
     @cached_property

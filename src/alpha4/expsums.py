@@ -526,12 +526,15 @@ def weyl_difference_check(spec: PhaseSpec, K: int, L: int | None = None) -> dict
     inner = K * N * (1 + (L or 0))  # at most N terms in each S_k and S_{k,l}
     require_work(inner, f"{inner} inner terms of the Weyl sums")
     ratio = _phase_ratio(spec)
-    # one table of N pairs of b-bit ints lives beside one of S_k's 2b-bit pairs
-    # and _sum_e's N floats; S_{k,l}'s pairs stream into those floats. A pair
-    # holds a list slot, a tuple and two ints of 28 + 4 ceil(w / 30) bytes, a
-    # float 24 bytes and its slot (CPython, tracemalloc)
+    # one table of N pairs of b-bit ints lives beside one of S_k's 2b-bit pairs,
+    # its Rk[l:] slice and _sum_e's N floats; S_{k,l}'s pairs stream into those
+    # floats. A pair holds a list slot, a tuple and two ints of 28 + 4 ceil(w / 30)
+    # bytes, a float 24 bytes and its slot, a slice slot 8 (CPython, tracemalloc).
+    # The fixed 64 KiB covers the frames, fsum's partials and the tuples CPython's
+    # free list keeps from an earlier sum in the same process
     b = max(ratio(n)[1].bit_length() for n in (spec.lo + 1, spec.hi))
-    require_budget(N * (32 + sum(120 + 8 * -(-w // 30) for w in (b, 2 * b))), f"Weyl residue tables of {N} terms")
+    need = N * (40 + sum(120 + 8 * -(-w // 30) for w in (b, 2 * b))) + (1 << 16)
+    require_budget(need, f"Weyl residue tables of {N} terms")
     S = abs(eval_phase(spec).value)
     # R[i]: the residue of n = lo+1+i as (N mod D, D)
     R = [(N % D, D) for N, D in map(ratio, range(spec.lo + 1, spec.hi + 1))]

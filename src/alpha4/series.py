@@ -7,8 +7,9 @@ a small fractional part, and the four leading terms of that tail admit
 an exact expansion whose residuals this module tracks term by term.
 
 sigma_k of a single n comes from arith.sigma_k, which reads the (prime,
-exponent) pairs of factorize; the sigma_4 windows of the tail sums are
-arith.sieve_runs' runs, their pairs multiplied into sigma_4 columns. The
+exponent) pairs of factorize. Every sigma_4 near a prime that the tail
+sums read comes from sigma4_windows: arith.sieve_runs' runs, their pairs
+multiplied into sigma_4 columns, one window per prime. The
 near-integer statistic is written once, in prop1_ratio, as an integer
 pair, and the four-term expansion holds integers, building Fractions
 only when they are read. Only alpha_k computes in mpf, so only it
@@ -36,7 +37,6 @@ __all__ = [
     "tail_expansion",
     "tail_partial",
     "factorial_tail_exact",
-    "tail_sum_pair",
     "factorial_series",
     "tail_remainder_bound",
     "tail_remainder_scaled",
@@ -160,64 +160,62 @@ def sigma4_window_bytes(count: int, p_max: int, j_max: int) -> int:
     return count * (j_max + 1) * 120 + 48 * math.ceil(1.25506 * top / math.log(top))
 
 
-def sigma4_windows(primes, j_max: int) -> list[list[int]]:
-    """For each p in primes, [sigma_4(p), sigma_4(p+1), ..., sigma_4(p+j_max)]:
-    every value the tail sums at p read, p + j_max < 2^63. The windows are
+# sigma4_windows sieves a block of primes whose windows it charges at most
+# this much: 424 primes at p <= 10^6 and j_max = 40. Their Python ints cost
+# more RSS than traced bytes: 4 MiB (852 primes) peaked tail_identity at
+# 39.0-39.3 MB, above special_set's 39.05 MB; with 2 MiB it stays at the
+# 37.6 MB it holds before its first block
+WINDOW_BLOCK_BYTES = 2 << 20
+
+
+def sigma4_windows(primes: list[int], j_max: int):
+    """For each p in primes, in order, [sigma_4(p), sigma_4(p+1), ...,
+    sigma_4(p+j_max)]: every value the tail sums at p read, p + j_max < 2^63.
+    The windows are sieved a block of primes at a time, as many as
+    WINDOW_BLOCK_BYTES of charge holds (at least one), each block as
     arith.sieve_runs' runs: each (q, e) it yields multiplies sigma_4(q^e)
-    into its value's column, and the primes it leaves give q^4 + 1. The
-    (q, e) must multiply back to every value (require_products), or
+    into its value's column, and each prime q it leaves q^4 + 1. The (q, e)
+    must multiply back to every value (require_products), or
     PreconditionError."""
     import numpy as np
-    width, top = j_max + 1, max(primes, default=0) + j_max
-    require_budget(sigma4_window_bytes(len(primes), top - j_max, j_max), f"sigma_4 windows of {len(primes) * width} values")
-    if min(primes, default=1) < 1 or top >= 2**63:
-        raise PreconditionError(f"sigma4_windows needs 1 <= p, p + j_max < 2^63; got {min(primes)}..{top - j_max}")
-    values = (np.array(primes, dtype=np.int64)[:, None] + np.arange(width)).ravel()
-    acc = np.ones(values.size, dtype=object)  # sigma_4 of the pairs found so far
-    back, mag = np.ones_like(values), np.ones(values.size)  # their product, as require_products reads it
-    for rows, q, e in sieve_runs(values, width):
-        back[rows] *= q**e
-        mag[rows] *= np.float64(q) ** e
-        if isinstance(q, int):  # the last yield's q is an int64 column, the primes left over
-            q4 = q**4
-            acc[rows] *= np.array([(q4 ** (k + 1) - 1) // (q4 - 1) for k in range(e.max() + 1)], dtype=object)[e]
-    require_products(back, mag, values)
-    del values, back, mag, e  # so the peak holds the sigma_4 columns and not these
-    last = np.zeros(acc.size, dtype=object)  # 0^4 + 1 = 1 = sigma_4(1)
-    last[rows] = q  # the last yield's primes, each once
-    del rows, q
-    last **= 4  # in place, so each new term replaces its prime
-    last += 1
-    acc *= last
-    return acc.reshape(-1, width).tolist()
+    width, p_max = j_max + 1, max(primes, default=0)
+    sieving = sigma4_window_bytes(0, p_max, j_max)
+    block = max(1, (WINDOW_BLOCK_BYTES - sieving) // (sigma4_window_bytes(1, p_max, j_max) - sieving))
+    count = min(block, len(primes))
+    require_budget(sigma4_window_bytes(count, p_max, j_max), f"sigma_4 windows of {count * width} values")
+    if min(primes, default=1) < 1 or p_max + j_max >= 2**63:
+        raise PreconditionError(f"sigma4_windows needs 1 <= p, p + j_max < 2^63; got {min(primes)}..{p_max}")
+    for i in range(0, len(primes), block):
+        values = (np.array(primes[i : i + block], dtype=np.int64)[:, None] + np.arange(width)).ravel()
+        acc = np.ones(values.size, dtype=object)  # sigma_4 of the pairs found so far
+        back, mag = np.ones_like(values), np.ones(values.size)  # their product, as require_products reads it
+        for rows, q, e in sieve_runs(values, width):
+            back[rows] *= q**e
+            mag[rows] *= np.float64(q) ** e
+            if isinstance(q, int):
+                q4 = q**4
+                acc[rows] *= np.array([(q4 ** (k + 1) - 1) // (q4 - 1) for k in range(e.max() + 1)], dtype=object)[e]
+            else:  # the primes left over, each once, as an int64 column; 0 where none is
+                left = np.zeros_like(values)
+                left[rows] = q
+        require_products(back, mag, values)
+        del values, back, mag  # so the peak holds the sigma_4 columns and not these
+        left = left.astype(object)
+        left **= 4  # in place, so each new term replaces its prime
+        left += 1  # 0^4 + 1 = 1 = sigma_4(1)
+        acc *= left
+        del left
+        yield from acc.reshape(-1, width).tolist()
 
 
-def _sigma4_run(p: int, j_lo: int, j_hi: int, sigma4: list[int] | None) -> list[int]:
-    """sigma_4(p+j) for j = j_lo..j_hi, read from p's sigma4_windows entry when given."""
-    if sigma4 is None:
-        sigma4 = sigma4_windows([p], j_hi)[0]
-    if len(sigma4) <= j_hi:
-        raise PreconditionError(f"sigma4 window ends at p+{len(sigma4) - 1}, p+{j_hi} needed")
-    return sigma4[j_lo : j_hi + 1]
-
-
-def tail_sum_pair(p: int, j_lo: int, j_hi: int, sigma4: list[int] | None = None) -> tuple[int, int]:
-    """(num, den) with den = p (p+1) ... (p+j_hi) and num/den =
-    (p-1)! * sum_{n=p+j_lo}^{p+j_hi} sigma_4(n)/n!, no gcd taken, so sums
-    over one p share den (sigma4 as in factorial_tail_exact)."""
-    num, d = factorial_series(_sigma4_run(p, j_lo, j_hi, sigma4), p + j_lo)
-    return num, d * math.prod(range(p, p + j_lo))
-
-
-def factorial_tail_exact(p: int, n1: int, sigma4: list[int] | None = None) -> Fraction:
-    """Exact (p-1)! * sum_{n=p}^{n1} sigma_4(n)/n!.
+def factorial_tail_exact(p: int, n1: int) -> Fraction:
+    """Exact (p-1)! * sum_{n=p}^{n1} sigma_4(n)/n!, from p's sigma_4 window.
 
     (p-1)!/n! collapses to 1/(p(p+1)...n), so no large factorials appear.
-    sigma4, p's sigma4_windows entry reaching n1, replaces the factoring.
     """
     if p < 2 or n1 < p:
         raise PreconditionError("factorial_tail_exact needs 2 <= p <= n1")
-    return Fraction(*tail_sum_pair(p, 0, n1 - p, sigma4))
+    return Fraction(*factorial_series(next(sigma4_windows([p], n1 - p)), p))
 
 
 def tail_remainder_bound(p: int, j_from: int) -> Fraction:
@@ -279,21 +277,29 @@ class TailExpansion:
 
 
 def tail_expansion(p: int, sigma4: list[int] | None = None) -> TailExpansion:
-    """The four-term expansion at a prime p >= 11 (sigma4 as in
-    factorial_tail_exact)."""
+    """The four-term expansion at a prime p >= 11, read from sigma4, p's
+    sigma4_windows entry (sieved here when not given). p is prime exactly
+    when sigma_4(p) = p^4 + 1, since any other divisor d adds d^4."""
     if p < 11:
         raise PreconditionError(f"tail_expansion needs p >= 11, got {p}")
-    if not is_prime(p):
+    if sigma4 is None:
+        sigma4 = next(sigma4_windows([p], 3))
+    if sigma4[0] != p**4 + 1:
         raise PreconditionError(f"tail_expansion needs a prime, got {p}")
-    return TailExpansion(p=p, sigma4=tuple(_sigma4_run(p, 0, 3, sigma4)), bound=tail_remainder_scaled(p, 4))
+    return TailExpansion(p=p, sigma4=tuple(sigma4[:4]), bound=tail_remainder_scaled(p, 4))
 
 
 def tail_partial(p: int, j_max: int, sigma4: list[int] | None = None) -> tuple[Fraction, Fraction]:
-    """Exact sum of tail terms j = 4..j_max, plus a bound for j > j_max
-    (sigma4 as in factorial_tail_exact)."""
+    """Exact sum of tail terms j = 4..j_max, plus a bound for j > j_max,
+    read from sigma4, p's sigma4_windows entry (sieved here when not given)."""
     if j_max < 4:
         raise PreconditionError("tail_partial needs j_max >= 4")
-    return Fraction(*tail_sum_pair(p, 4, j_max, sigma4)), tail_remainder_bound(p, j_max + 1)
+    if sigma4 is None:
+        sigma4 = next(sigma4_windows([p], j_max))
+    if len(sigma4) <= j_max:
+        raise PreconditionError(f"sigma4 window ends at p+{len(sigma4) - 1}, p+{j_max} needed")
+    num, d = factorial_series(sigma4[4 : j_max + 1], p + 4)
+    return Fraction(num, d * math.prod(range(p, p + 4))), tail_remainder_bound(p, j_max + 1)
 
 
 # -- the near-integer statistic ---------------------------------------------
@@ -360,9 +366,11 @@ def expansion_residuals(p: int, r: int | None = None, j_max: int = 32) -> list[d
     """
     _require_prime(p, r)
     rows: list[dict] = []
+    # sigma_4(p..p+j_max), to p+3 at least for the leading terms; tail_partial refuses j_max < 4
+    window = next(sigma4_windows([p], max(j_max, 3)))
 
     # n = p: sigma_4(p) = p^4 + 1, so the term is p^3 + 1/p on the nose
-    v0 = Fraction(sigma_k(p, 4), p) - p**3
+    v0 = Fraction(window[0], p) - p**3
     if v0 != Fraction(1, p):
         raise PreconditionError("sigma_4(p)/p - p^3 != 1/p; p is not prime")
     rows.append({"label": "p_term", "value": v0, "bound": Fraction(1, p)})
@@ -370,13 +378,13 @@ def expansion_residuals(p: int, r: int | None = None, j_max: int = 32) -> list[d
     # n = p+3: for p = 3 mod 4, (p+3)/2 is odd and sigma_4(p+3) = 17 sigma_4((p+3)/2)
     if p % 4 == 3:
         m = (p + 3) // 2
-        v3 = Fraction(sigma_k(p + 3, 4), math.prod(range(p, p + 4))) - Fraction(17, 16)
+        v3 = Fraction(window[3], math.prod(range(p, p + 4))) - Fraction(17, 16)
         defect = _divisor_defect_bound(m)
         b3 = Fraction(17, 16) * (ZETA4_UPPER * Fraction(8, p) + defect)
         rows.append({"label": "seventeen_sixteenths", "value": v3, "bound": b3})
 
     # n = p+2: replacing 1/(p(p+1)(p+2)) by (p+2)^-3 + 3(p+2)^-4
-    s4p2 = sigma_k(p + 2, 4)
+    s4p2 = window[2]
     split = (
         Fraction(1, p * (p + 1) * (p + 2))
         - Fraction(1, (p + 2) ** 3)
@@ -416,7 +424,7 @@ def expansion_residuals(p: int, r: int | None = None, j_max: int = 32) -> list[d
     )
 
     # everything from n = p+4: exact partial plus remainder, against the majorant
-    part, rem = tail_partial(p, j_max)
+    part, rem = tail_partial(p, j_max, window)
     rows.append(
         {
             "label": "tail_majorant",

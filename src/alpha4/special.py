@@ -131,7 +131,7 @@ class _Segment:
 
     def sigma4_p1(self, rows: np.ndarray) -> dict[int, int]:
         """sigma_4(p+1) for the candidate rows given, keyed by row."""
-        return dict(zip(rows.tolist(), self.f.sigma(4, 2 * rows)))
+        return dict(zip(rows.tolist(), self.f.sigma4(2 * rows)))
 
 
 def _walk(params: ScaleParams):

@@ -480,21 +480,9 @@ def check_special_set(ctx: dict) -> dict:
 # -- 11: the exact tail identity over S ------------------------------------------------
 
 
-# series.sigma4_windows charges one block of tail windows at most this much:
-# 424 primes at x = 10^6. Its Python ints cost more RSS than traced bytes:
-# 4 MiB (852 primes) peaked tail_identity at 39.0-39.3 MB, above special_set's
-# 39.05 MB; with 2 MiB it stays at the 37.6 MB it holds before its first block
-WINDOW_BLOCK_BYTES = 2 << 20
 # how many primes' windows tail_identity recomputes by the oracle's trial
 # division: 1,968 values, about 16 ms at 10^6
 ORACLE_WINDOWS = 48
-
-
-def _window_block(p_max: int, j_max: int) -> int:
-    """How many primes up to p_max one sigma4_windows call takes."""
-    from . import series
-    sieving = series.sigma4_window_bytes(0, p_max, j_max)
-    return max(1, (WINDOW_BLOCK_BYTES - sieving) // (series.sigma4_window_bytes(1, p_max, j_max) - sieving))
 
 
 def check_tail_identity(ctx: dict) -> dict:
@@ -512,16 +500,13 @@ def check_tail_identity(ctx: dict) -> dict:
     p_max = max(primes, default=0)
     sample = set(random.Random(20261020).sample(primes, min(ORACLE_WINDOWS, len(primes))))
     oracle_primes = _tf_primes(math.isqrt(p_max + j_max))
-    block = _window_block(p_max, j_max)
-    # one sigma_4 window per prime feeds both sides of the identity; the
-    # windows are sieved a block of primes at a time
-    windows = (
-        w
-        for i in range(0, len(primes), block)
-        for w in series.sigma4_windows(primes[i : i + block], j_max)
-    )
-    for p, window in zip(primes, windows):
-        # the four leading terms, with tail_expansion's primality and 6/p guards
+    # one sigma_4 window per prime feeds both sides of the identity
+    for p, window in zip(primes, series.sigma4_windows(primes, j_max)):
+        # terms[0] = sigma_4(p)/p, and terms[0] - p^3 = 1/p says sigma_4(p) = p^4 + 1:
+        # a data failure here, before tail_expansion refuses a p that is not prime
+        if window[0] != p**4 + 1:
+            return {"ok": False, "failed_p": p, "reason": "p-term residual is not 1/p"}
+        # the four leading terms, with tail_expansion's 6/p guard
         exp = series.tail_expansion(p, sigma4=window)
         # lead / d4 and bound_a / (bound_b d4), d4 = p (p+1) (p+2) (p+3)
         (lead, d4), (bound_a, bound_b) = exp.leading_pair(), exp.bound
@@ -530,9 +515,6 @@ def check_tail_identity(ctx: dict) -> dict:
         whole, den = series.factorial_series(window[:4], p, part, d)
         if (whole - part) * d4 != lead * den:
             return {"ok": False, "failed_p": p, "gap": float(Fraction(whole - part, den) - Fraction(lead, d4))}
-        # terms[0] = sigma_4(p)/p, and terms[0] - p^3 = 1/p says sigma_4(p) = p^4 + 1
-        if window[0] != p**4 + 1:
-            return {"ok": False, "failed_p": p, "reason": "p-term residual is not 1/p"}
         # the exact terms j = 4..j_max and the bound past j_max, rem_a / (rem_b den),
         # stay under the bound for everything from p+4: this reads the other window values
         rem_a, rem_b = series.tail_remainder_scaled(p, j_max + 1)

@@ -225,21 +225,21 @@ def test_factor_batch_columns_match_oracle():
     b = arith.factor_many(small + big)
     factors = [oracles.factor(n) for n in small + big]
     assert b.values.tolist() == small + big
-    for k in (0, 1, 4):
-        want = [oracles.sigma_k(n, k) for n in small] + [_sigma_from(f, k) for f in factors[len(small):]]
-        assert b.sigma(k) == want, k
+    want = [oracles.sigma_k(n, 4) for n in small] + [_sigma_from(f, 4) for f in factors[len(small):]]
+    assert b.sigma4(range(len(b))) == want
     assert b.least.tolist() == [min(f, default=1) for f in factors]
     assert b.greatest.tolist() == [max(f, default=1) for f in factors]
     assert b.squarefree.tolist() == [all(e == 1 for e in f.values()) for f in factors]
     rows = [4999, 0, len(small) + 1]
-    assert b.sigma(4, rows) == [b.sigma(4)[i] for i in rows]
+    assert b.sigma4(rows) == [want[i] for i in rows]
 
 
 def test_factor_batch_check_refuses_corrupt_pairs():
     b = arith.factor_many([360, 97, 2 * 1000003 * 1000033])
     cols = {"values": b.values, "index": b.index, "primes": b.primes, "exps": b.exps}
     # the multiply-back check runs on construction, whatever is built later
-    assert arith.FactorBatch(**cols).sigma(1) == b.sigma(1)
+    assert arith.FactorBatch(**cols).sigma4([2, 0]) == [_sigma_from(oracles.factor(2 * 1000003 * 1000033), 4),
+                                                        oracles.sigma_k(360, 4)]
     last = int(b.offsets[-1]) - 1  # the second cofactor prime of the last value
     forged = [
         ("exps", 0, 4),  # 2^4 * 3^2 * 5 = 720, not 360
@@ -269,7 +269,7 @@ def test_factor_batch_check_refuses_a_product_that_wraps():
 def test_factor_batch_check_takes_one_beside_other_values():
     # n = 1 has no pairs, so its product is the empty one, not a reduceat slice
     b = arith.FactorBatch([12, 1, 7, 1], [0, 0, 2], [2, 3, 7], [2, 1, 1])
-    assert b.sigma(1) == [28, 1, 8, 1]
+    assert b.sigma4(range(4)) == [oracles.sigma_k(n, 4) for n in (12, 1, 7, 1)]
     assert b.pairs(range(4)) == [((2, 2), (3, 1)), (), ((7, 1),), ()]
     with pytest.raises(PreconditionError):
         arith.FactorBatch([12, 2, 7], [0, 0, 2], [2, 3, 7], [2, 1, 1])

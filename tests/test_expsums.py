@@ -590,8 +590,9 @@ expsums.require_budget = lambda need, what: charges.append(need)
 expsums.weyl_difference_check(expsums.make_basic_phase(Fraction(1, 7), 0, 0, 100), 1, 1)  # no first-use import
 long_sums = (Fraction(278310081342, 2**20), Fraction(683474, 2**20))  # WEYL_FROZEN's basic512
 tracemalloc.start()
-for (A, B), K, L in (((Fraction(1, 7), 0), 1, None), (long_sums, 2, 2)):
-    for n in (5000, 20000):
+for (A, B), K, L, ns in (((Fraction(1, 7), 0), 1, None, (5000, 20000)), (long_sums, 2, 2, (5000, 20000)),
+                         ((Fraction(1, 3), Fraction(1, 5)), 1, 1, (1000,))):
+    for n in ns:
         tracemalloc.reset_peak()
         expsums.weyl_difference_check(expsums.make_basic_phase(A, B, 0, n), K, L)
         print(A, K, L, n, tracemalloc.get_traced_memory()[1], charges[-1])
@@ -599,10 +600,11 @@ for (A, B), K, L in (((Fraction(1, 7), 0), 1, None), (long_sums, 2, 2)):
 
 
 def test_weyl_tables_stay_under_their_charge():
-    # the charge, from the bit sizes of the table's pairs and one float a
-    # term, covers the traced peak without overstating it by half: with S_k
-    # alone, and with S_{k,l} streamed
-    _peaks_stay_under_their_charges(_WEYL_PEAKS, 4)
+    # the charge, from the bit sizes of the table's pairs, one float and one
+    # slice slot a term and a fixed part, covers the traced peak without
+    # overstating it by half: with S_k alone, with S_{k,l} streamed, and on
+    # a short run, where the fixed part counts
+    _peaks_stay_under_their_charges(_WEYL_PEAKS, 5)
 
 
 # -- the amplitude function f_l ---------------------------------------------

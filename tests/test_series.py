@@ -2,15 +2,14 @@
 
 import ast
 import inspect
-import math
 import random
-import tracemalloc
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
 import oracles
+import peaks
 from alpha4 import arith, series, sieve, special, verify
 from alpha4.bigreal import _exact_fraction
 from alpha4.errors import PreconditionError
@@ -136,9 +135,10 @@ def test_factorial_tail_exact_matches_direct_sum():
 
 
 def test_tail_expansion_rejects_small_or_composite():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^tail_expansion needs p >= 11, got 7$"):
         series.tail_expansion(7)
-    with pytest.raises(PreconditionError):
+    # sigma_4(15) = 15^4 + 3^4 + 5^4 + 1, not 15^4 + 1
+    with pytest.raises(PreconditionError, match="^tail_expansion needs a prime, got 15$"):
         series.tail_expansion(15)
 
 
@@ -229,31 +229,33 @@ def test_tail_sums_against_term_by_term_oracle(j_max):
         te = series.tail_expansion(p)
         part, _ = series.tail_partial(p, j_max)
         assert part == naive - oracles.factorial_tail_exact(p, p + 3), p
-        num, den = series.tail_sum_pair(p, 4, j_max)
-        assert den == math.prod(range(p, p + j_max + 1)) and Fraction(num, den) == part, p
         assert series.factorial_tail_exact(p, p + j_max) == Fraction(*te.leading_pair()) + part, p
 
 
 @pytest.mark.parametrize("j_max", [4, 5, 40])
 def test_tail_sums_read_one_sigma4_window(j_max):
-    # a shared window gives the same three values as factoring per sum
+    # a window given gives the same expansion and partial sum as one sieved per call
     for p in [11, 13] + _random_primes(j_max + 7, 3):
-        window = series.sigma4_windows([p], j_max)[0]
+        window = next(series.sigma4_windows([p], j_max))
         assert window == [oracles.sigma_k(n, 4) for n in range(p, p + j_max + 1)]
-        assert series.factorial_tail_exact(p, p + j_max, sigma4=window) == (
-            series.factorial_tail_exact(p, p + j_max)
-        )
         assert series.tail_expansion(p, sigma4=window) == series.tail_expansion(p)
         assert series.tail_partial(p, j_max, sigma4=window) == series.tail_partial(p, j_max)
 
 
-def test_tail_identity_block_stays_under_its_charge_cap(desk_records):
-    # the charge formula of sigma4_windows, not a traced run: the block is
+def test_tail_identity_block_stays_under_its_charge_cap(desk_records, monkeypatch):
+    # the charge formula of sigma4_windows, not a traced run: a block is
     # the most primes whose windows it charges at most WINDOW_BLOCK_BYTES
-    p_max = max(rec.p for rec in desk_records)
-    block = verify._window_block(p_max, 40)
-    assert series.sigma4_window_bytes(block, p_max, 40) <= verify.WINDOW_BLOCK_BYTES
-    assert series.sigma4_window_bytes(block + 1, p_max, 40) > verify.WINDOW_BLOCK_BYTES
+    primes = [rec.p for rec in desk_records]
+    p_max = max(primes)
+    sieved = []
+    real = series.sieve_runs
+    monkeypatch.setattr(series, "sieve_runs", lambda values, width: sieved.append(values.size // width)
+                        or real(values, width))
+    assert sum(1 for _ in series.sigma4_windows(primes, 40)) == len(primes) == 4110
+    block = sieved[0]
+    assert sieved == [block] * (len(primes) // block) + [len(primes) % block]
+    assert series.sigma4_window_bytes(block, p_max, 40) <= series.WINDOW_BLOCK_BYTES
+    assert series.sigma4_window_bytes(block + 1, p_max, 40) > series.WINDOW_BLOCK_BYTES
     assert block == 424
 
 
@@ -262,10 +264,9 @@ def _tail_identity_with(monkeypatch, edit):
     real = series.sigma4_windows
 
     def edited(primes, j_max):
-        windows = real(primes, j_max)
-        for p, w in zip(primes, windows):
+        for p, w in zip(primes, real(primes, j_max)):
             edit(p, w)
-        return windows
+            yield w
 
     monkeypatch.setattr(series, "sigma4_windows", edited)
     return verify.run_check("tail_identity", {"params": sieve.make_scale_params(10**5)})
@@ -311,9 +312,23 @@ def test_tail_identity_counts_the_oracle_values():
     assert res.details["oracle_window_values"] == 41 * n
 
 
+def test_tail_identity_sieves_once_and_runs_no_primality_test(monkeypatch):
+    # the walk of S certified each p, and the window's sigma_4(p) = p^4 + 1
+    # is the guard tail_expansion reads: one sieve, no Miller-Rabin test
+    tests, sieves = [], []
+    real_is_prime, real_windows = arith.is_prime, series.sigma4_windows
+    for module in (arith, series):
+        monkeypatch.setattr(module, "is_prime", lambda n: tests.append(n) or real_is_prime(n))
+    monkeypatch.setattr(series, "sigma4_windows", lambda primes, j_max: sieves.append(len(primes))
+                        or real_windows(primes, j_max))
+    res = verify.run_check("tail_identity", {"params": sieve.make_scale_params(10**5)})
+    assert res.ok
+    assert tests == [] and sieves == [res.details["primes_checked"]]
+
+
 def test_sigma4_windows_build_no_factorization():
     primes = [101, 103, 10007]
-    windows = series.sigma4_windows(primes, 40)
+    windows = list(series.sigma4_windows(primes, 40))
     assert windows == [[oracles.sigma_k(n, 4) for n in range(p, p + 41)] for p in primes]
 
 
@@ -326,12 +341,12 @@ SIEVE_RUNS = [(2, 40), (11, 40), (13, 40), (115, 20), (2200, 20), (148870, 20),
 
 @pytest.mark.parametrize("start, j_max", SIEVE_RUNS)
 def test_sigma4_run_sieve_matches_the_oracle(start, j_max):
-    window = series.sigma4_windows([start], j_max)[0]
+    window = next(series.sigma4_windows([start], j_max))
     assert window == [oracles.sigma_k(n, 4) for n in range(start, start + j_max + 1)]
 
 
 def test_sigma4_run_sieve_matches_the_oracle_on_a_wide_run():
-    window = series.sigma4_windows([13], 20000)[0]
+    window = next(series.sigma4_windows([13], 20000))
     assert window == [oracles.sigma_k(n, 4) for n in range(13, 20014)]
 
 
@@ -341,7 +356,7 @@ def test_sigma4_run_sieve_splits_a_leftover_past_2_32(monkeypatch):
     split = []
     real = arith._cofactor_pairs
     monkeypatch.setattr(arith, "_cofactor_pairs", lambda n: split.append(n) or real(n))
-    window = series.sigma4_windows([p], 8)[0]
+    window = next(series.sigma4_windows([p], 8))
     assert p in split
     assert window == [oracles.sigma_k(n, 4) for n in range(p, p + 9)]
 
@@ -357,10 +372,9 @@ def test_sigma4_windows_read_no_private_name_of_arith():
 
 def test_sigma4_run_sieve_matches_factor_many_on_the_desk_windows(desk_records):
     primes = [rec.p for rec in desk_records]
-    windows = series.sigma4_windows(primes, 40)
-    flat = [v for w in windows for v in w]
+    flat = [v for w in series.sigma4_windows(primes, 40) for v in w]
     assert len(flat) == 168510
-    assert flat == arith.factor_many(p + j for p in primes for j in range(41)).sigma(4)
+    assert flat == arith.factor_many(p + j for p in primes for j in range(41)).sigma4(range(len(flat)))
 
 
 def test_sigma4_run_sieve_refuses_exponents_that_do_not_multiply_back(monkeypatch):
@@ -375,45 +389,55 @@ def test_sigma4_run_sieve_refuses_exponents_that_do_not_multiply_back(monkeypatc
 
     monkeypatch.setattr(arith, "strip_exponents", one_too_many)
     with pytest.raises(PreconditionError, match="multiply"):
-        series.sigma4_windows([101], 40)
+        next(series.sigma4_windows([101], 40))
 
 
-def test_sigma4_window_peaks_stay_under_their_charge(monkeypatch):
+_WINDOW_PEAKS = """
+import tracemalloc
+from alpha4 import series
+charges = []
+series.require_budget = lambda need, what: charges.append(need)
+next(series.sigma4_windows([13], 10))  # so the peak holds no first-use import
+tracemalloc.start()
+for p, j_max in ((13, 5000), (10**6 + 3, 20000), (1000000000039, 40)):
+    tracemalloc.reset_peak()
+    next(series.sigma4_windows([p], j_max))
+    print(p, tracemalloc.get_traced_memory()[1], charges[-1])
+"""
+
+
+def test_sigma4_window_peaks_stay_under_their_charge():
     # the charge must cover the traced peak without overstating it by half,
     # for a small and a large p, and for a short window past 2^32, whose
     # peak is the 6,542 sieving primes to 2^16
-    charges = []
-    monkeypatch.setattr(series, "require_budget", lambda need, what: charges.append(need))
-    series.sigma4_windows([13], 10)  # so the peak holds no first-use import
-    for p, j_max in ((13, 5000), (10**6 + 3, 20000), (1000000000039, 40)):
-        tracemalloc.start()
-        try:
-            series.sigma4_windows([p], j_max)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= charges[-1] <= 1.5 * peak, p
+    (out,) = peaks.in_children(_WINDOW_PEAKS, [])
+    rows = [line.split() for line in out.splitlines()]
+    assert len(rows) == 3
+    for p, peak, charge in rows:
+        assert int(peak) <= int(charge) <= 1.5 * int(peak), p
+
+
+_RESIDUAL_PEAK = """
+import tracemalloc
+from alpha4 import series
+series.expansion_residuals(13, j_max=50)
+tracemalloc.start()
+series.expansion_residuals(13, j_max=10**4)
+print(tracemalloc.get_traced_memory()[1])
+"""
 
 
 def test_expansion_residuals_hold_memory_linear_in_j_max():
     # the remainder bound multiplies p..p+j_max once; it kept every partial
     # product, 71 MB at j_max = 10^4 and 310 MB at 2 * 10^4
-    series.expansion_residuals(13, j_max=50)
-    tracemalloc.start()
-    try:
-        series.expansion_residuals(13, j_max=10**4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    (out,) = peaks.in_children(_RESIDUAL_PEAK, [])
+    assert int(out) < 8 * 2**20
 
 
 def test_short_sigma4_window_is_refused():
-    window = series.sigma4_windows([101], 10)[0]
+    window = next(series.sigma4_windows([101], 10))
     with pytest.raises(PreconditionError, match="p\\+11 needed"):
         series.tail_partial(101, 11, sigma4=window)
-    with pytest.raises(PreconditionError):
-        series.factorial_tail_exact(101, 112, sigma4=window)
 
 
 def test_factorial_tail_exact_splits_at_any_point():
