@@ -1,5 +1,6 @@
 """The delay-equation solution, its quadrature cross-check, and smooth counts."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp
 
 import oracles
-from alpha4 import arith, dickman, sieve
+from alpha4 import arith, cli, dickman, sieve
 from alpha4.errors import BudgetError, PreconditionError
 
 # frozen from the certified marching run (err <= 6.5e-35); parse at high
@@ -247,3 +248,19 @@ def test_smooth_count_bundles_both_routes():
     assert sc.exact == 12165
     rel = abs(sc.exact / float(sc.approx.value) - 1)
     assert rel < 4 * sc.band
+
+
+# SHA-256 of whole `psi` outputs, frozen before the exact count walked the
+# smooth numbers instead of sieving 1..x: one with y < sqrt(x), one above it
+FROZEN_OUTPUT = {
+    "psi --x 10000000 --y 125.89": "a679b7519ff4558cffa6ded42172f35aeb45c879714f0e78f412044ad74a4636",
+    "psi --x 1000000 --y 5000": "4116c197d3141adadfd848858d35cf0c8ecbe7a203252821e858525a17e39a54",
+}
+
+
+@pytest.mark.parametrize("line", list(FROZEN_OUTPUT))
+def test_psi_output_is_frozen(line, capsys):
+    rc = cli.dispatch(line.split())
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_OUTPUT[line]
