@@ -180,12 +180,13 @@ def cmd_prop1(args) -> int | None:
     if args.r is not None:
         payload["r"] = args.r
         payload["stat_r"] = series.prop1_statistic_exact(p, args.r)
+    window = next(series.sigma4_windows([p], max(args.j_max, 3))) if args.expansion and args.residuals else None
     if args.expansion and p >= 11:
-        exp = series.tail_expansion(p)
+        exp = series.tail_expansion(p, sigma4=window)
         payload["expansion_terms"] = list(exp.terms)
         payload["remainder_bound"] = exp.remainder_bound
     if args.residuals:
-        rows = series.expansion_residuals(p, r=args.r, j_max=args.j_max)
+        rows = series.expansion_residuals(p, r=args.r, j_max=args.j_max, sigma4=window)
         payload["residuals"] = [
             {
                 **row,

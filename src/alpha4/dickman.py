@@ -8,23 +8,24 @@ constant term. Dickman's rho is the single equation u rho'(u) =
 -rho(u-1), rho = 1 on [0,1]; sieve's limit functions F and f read a pair.
 1 - log u on [1,2] and a direct quadrature at u = 10/3 cross-check rho.
 
-Exact counts Psi(x, y) walk 1..x in fixed windows of uint32 residuals
-(1 MB each, whatever x is): in each window, vectorized slice operations
-divide out the prime powers of the primes <= min(y, sqrt x), and what is
-left at most y is a smooth number.
+Exact counts Psi(x, y) walk the smooth numbers, never 1..x: each product m
+of primes in (13, min(y, sqrt x)] reads the 13-smooth numbers <= x // m
+from one sorted table, and each prime q in (sqrt x, y] adds x // q; only
+that last sum sieves, so numpy loads only when y > sqrt x.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp
 
-from .arith import add_nearest_int, int_pair, primes_upto, require_budget, round_nearest_int
+from .arith import PrimeRange, add_nearest_int, int_pair, is_prime, require_budget, round_nearest_int
 from .bigreal import BigRealWithError
 from .errors import PreconditionError
 
@@ -47,7 +48,9 @@ HILDEBRAND_U_MAX = 10
 
 _SERIES_TERMS = 72
 _WORK_DPS = 40
-_WINDOW = 2**18  # psi_exact's residuals per window: 1 MB of uint32
+_LEAF_PRIMES = (2, 3, 5, 7, 11, 13)
+_LEAVES = 38_168  # the 13-smooth numbers below 2^32: the most psi_exact's leaf table holds
+_LEAF_BYTES, _NODE_BYTES = 48, 160  # a table entry with its sort buffer; a walk prime with its stack entry
 _ROW_BYTES = 512  # a rho table row in memory (about 260) and while printed (about 230 more)
 
 
@@ -237,16 +240,18 @@ class SmoothCount:
 
 
 def psi_exact(x: int, y: float) -> int:
-    """Exact Psi(x, y) by a segmented sieve over 1..x.
+    """Exact Psi(x, y) by walking the smooth numbers, never sieving 1..x.
 
-    The residuals are uint32 (so x < 2^32), held _WINDOW at a time: one
-    window, 1 MB whatever x is, is the memory charged to the budget. In
-    each window, every prime power q = p^k <= x of the primes
-    p <= min(y, isqrt(x)) is divided out of the window's multiples of q.
-    A residual above 1 then has only prime factors above the last p: for
-    y < sqrt(x) it exceeds y, and otherwise it is one prime (two would
-    exceed x), smooth exactly when it is <= y. So m <= x is y-smooth
-    exactly when its residual is <= y.
+    With z = min(y, isqrt(x)), Psi(x, y) = Psi(x, z) + sum x // q over the
+    primes sqrt(x) < q <= min(y, x), as n <= x has at most one prime factor
+    above sqrt(x). Psi(x, z) sums, over the m <= x built from the walk
+    primes (13, z], the leaf count of x // m (the numbers <= x // m built
+    from the primes <= min(z, 13)), bisected in one sorted table. A node
+    t = x // m on the walk's stack adds the leaf counts of all its children
+    t // p and pushes those that can still hold a walk prime, so the stack
+    holds at most one entry per walk prime (pending siblings on the path
+    cover disjoint ranges of primes). Table, stack and the segment sieved
+    when y > sqrt(x) are charged before they are built.
     """
     x = int(x)
     if x < 1:
@@ -256,26 +261,34 @@ def psi_exact(x: int, y: float) -> int:
     if y < 1:
         raise PreconditionError(f"psi_exact needs y >= 1, got {y}")
     if x >= 2**32:
-        raise PreconditionError(f"psi_exact keeps residuals in uint32, so x must be < 2^32, got {x}")
-    require_budget(4 * min(x, _WINDOW), f"psi_exact window at x={x}")
-    if y < 2:
-        return 1  # only n = 1 has no prime factor
-    import numpy as np
-    limit = min(math.floor(y), x)
-    primes = primes_upto(min(limit, math.isqrt(x))).tolist()
-    count, res = 0, None
-    for lo in range(1, x + 1, _WINDOW):
-        size = min(_WINDOW, x + 1 - lo)
-        del res  # free the last window first: the allocator reuses its pages
-        res = np.arange(lo, lo + size, dtype=np.uint32)
-        for p in primes:
-            q = p
-            while q <= x:
-                first = (-lo) % q  # the offset of the first multiple of q >= lo
-                if first < size:  # a q above the window's size often has none
-                    res[first::q] //= p
-                q *= p
-        count += int(np.count_nonzero(res <= limit))
+        raise PreconditionError(f"psi_exact walks primes below 2^16, so x must be < 2^32, got {x}")
+    limit, r = min(math.floor(y), x), math.isqrt(x)
+    z = min(limit, r)
+    walk = [p for p in range(_LEAF_PRIMES[-1] + 2, z + 1, 2) if is_prime(p)]
+    segment = 4 * min(max(limit - r, 0), PrimeRange.segment)  # its mask and prime arrays
+    require_budget(_LEAF_BYTES * _LEAVES + _NODE_BYTES * len(walk) + segment, f"psi_exact walk at x={x}")
+    leaves = [1]
+    for p in (q for q in _LEAF_PRIMES if q <= z):
+        for i in range(len(leaves)):  # times each power of p, in place
+            m = leaves[i] * p
+            while m <= x:
+                leaves.append(m)
+                m *= p
+    leaves.sort()
+    count, stack = bisect_right(leaves, x), [(x, 0)]
+    while stack:
+        t, i = stack.pop()
+        k = max(i, bisect_right(walk, math.isqrt(t)))  # walk[i:k] can be followed by a walk prime
+        for j in range(i, k):
+            s = t // walk[j]
+            count += bisect_right(leaves, s)
+            stack.append((s, j))
+        end = bisect_right(walk, t)
+        if k < end:  # the leaf children p = walk[k:end] add, for each leaf l, the p <= t // l
+            n = bisect_right(leaves, t // walk[k])
+            count += sum(min(bisect_right(walk, t // leaf), end) for leaf in leaves[:n]) - k * n
+    if limit > r:
+        count += sum(int((x // seg).sum()) for seg in PrimeRange(r, limit).segments())
     return count
 
 

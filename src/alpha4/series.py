@@ -350,8 +350,9 @@ def _divisor_defect_bound(m: int) -> Fraction:
     return Fraction(1, q0**4) + Fraction(1, 3 * q0**3)
 
 
-def expansion_residuals(p: int, r: int | None = None, j_max: int = 32) -> list[dict]:
-    """Labeled residuals of the four-term expansion at a prime p.
+def expansion_residuals(p: int, r: int | None = None, j_max: int = 32, sigma4: list[int] | None = None) -> list[dict]:
+    """Labeled residuals of the four-term expansion at a prime p, read from
+    sigma4, p's sigma4_windows entry to p + max(j_max, 3) (sieved here when not given).
 
     Each row is {label, value, bound} with exact rational value and, for
     all rows except the reported-only one, an explicit rational bound
@@ -367,7 +368,7 @@ def expansion_residuals(p: int, r: int | None = None, j_max: int = 32) -> list[d
     _require_prime(p, r)
     rows: list[dict] = []
     # sigma_4(p..p+j_max), to p+3 at least for the leading terms; tail_partial refuses j_max < 4
-    window = next(sigma4_windows([p], max(j_max, 3)))
+    window = next(sigma4_windows([p], max(j_max, 3))) if sigma4 is None else sigma4
 
     # n = p: sigma_4(p) = p^4 + 1, so the term is p^3 + 1/p on the nose
     v0 = Fraction(window[0], p) - p**3

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import signal
@@ -121,6 +122,34 @@ def test_prop1_residuals_within(capsys):
             assert row["within"], row["label"]
 
 
+# SHA-256 of `prop1 --expansion --residuals` outputs, frozen before the two
+# readers shared one sigma_4 window
+PROP1_EXPANSION = {
+    "13": "cc37625c31a36bc212626830b9c73225f80ec40f0f497b475d26685131d9d58f",
+    "13 --r 3": "c1d5ac3664ce6cb2536656b2b3b0dbf8a7f89f15a601d615ea6f288c90b1eb4b",
+    "50051": "9ec8bcecb918661059ab796c4b95ae0a704d54a62d588f0462d9356785208305",
+    "1000003": "474bd5b709714cfa288049906ac859025c8913abb659f978ca99806c110b0752",
+    "4294967311": "3fc9315b11e7b1e402d4fa1534fac89227c5bed5e2f835b921e62a269019ff57",
+}
+
+
+@pytest.mark.parametrize("p", list(PROP1_EXPANSION))
+def test_prop1_expansion_and_residuals_sieve_one_window(p, capsys, monkeypatch):
+    from alpha4 import series
+    calls = []
+    real = series.sigma4_windows
+
+    def spy(primes, j_max):
+        calls.append((list(primes), j_max))
+        return real(primes, j_max)
+
+    monkeypatch.setattr(series, "sigma4_windows", spy)
+    rc, out, _ = run(["prop1", "--p", *p.split(), "--expansion", "--residuals"], capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PROP1_EXPANSION[p]
+    assert calls == [([int(p.split()[0])], 32)]
+
+
 def test_rho_value_and_routes(capsys):
     rc, payload = run_json(["rho", "--u", "2.5"], capsys)
     assert rc == 0
@@ -147,7 +176,7 @@ def test_psi_payload(capsys):
 
 
 def test_psi_budget_exit_code(capsys):
-    # the count holds one 1 MB window whatever x is, so only a budget below it refuses
+    # the leaf table is charged at its most, about 2 MB whatever x is, so a budget below it refuses
     rc, _, err = run(["psi", "--x", "1000000000", "--y", "100", "--budget-mb", "0"], capsys)
     assert rc == 2
     assert "budget" in err.lower()
@@ -557,7 +586,7 @@ def test_expsum_scan_options_end_cleanly_on_edge_values(capsys):
 
 
 # expsum's summing subcommands, one sound argv per phase kind and engine; each
-# sums under 16,384 terms, so no swept --threads value can start a pool
+# sums under 2^18 terms, so no swept --threads value can start a pool
 _EXPSUM_BASES = {
     "basic": [["--A", "1/7", "--B", "1/3", "--hi", "60"], ["--A", "1/7", "--B", "1/3", "--hi", "60", "--engine", "mpf"]],
     "lemma61": [["--h", "2", "--m", "97", "--r", "13", "--hi", "60"],

@@ -10,6 +10,7 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp
 
 import oracles
+import peaks
 from alpha4 import arith, cli, dickman, sieve
 from alpha4.errors import BudgetError, PreconditionError
 
@@ -172,26 +173,62 @@ def test_psi_exact_matches_brute_force():
 
 
 def test_psi_exact_matches_buchstab_across_window_edges():
-    # x around one and three windows of 2^18; y on both sides of sqrt(x),
-    # where the sieve stops dividing and starts counting lone primes
+    # x around one and three of the old sieve's windows of 2^18; y on both
+    # sides of sqrt(x), where the walk stops and the lone primes q > sqrt(x) start
     for x in (2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 5, 10**6):
         r = math.isqrt(x)
         for y in (2, 2.5, 7, 512, 513, r - 1, r, r + 1, 10**5, x, 10**12):
             assert dickman.psi_exact(x, y) == oracles.psi_buchstab(x, y), (x, y)
     assert dickman.psi_exact(10**7, 125.89) == oracles.psi_buchstab(10**7, 125.89) == 362933
+    # y on both sides of the leaf primes (those <= 13, read from the table)
+    # and of the first walk prime 17
+    for x in (10**5, 2**20 + 7):
+        for y in (11, 12, 13, 16, 17, 18.5):
+            assert dickman.psi_exact(x, y) == oracles.psi_buchstab(x, y), (x, y)
+    # x at the square of a prime p and its neighbours, where p turns from a
+    # lone prime past sqrt(x) into the last walk prime, with y at, below and
+    # above p and past sqrt(x); the oracle takes about 2 s a count at
+    # 10007^2, so that square is read at y = p only
+    for x in (1009**2 - 1, 1009**2, 1009**2 + 1):
+        for y in (1008, 1009, 1010, 10**4):
+            assert dickman.psi_exact(x, y) == oracles.psi_buchstab(x, y), (x, y)
+    assert dickman.psi_exact(10007**2, 10007) == oracles.psi_buchstab(10007**2, 10007)
 
 
-def test_psi_exact_memory_is_one_window():
-    import tracemalloc
+# psi_exact at each (x, y) in one fresh process, after a small count past
+# sqrt(x) has loaded numpy outside the trace: prints the traced peak and the
+# charge of each
+_PSI_PEAKS = """
+import tracemalloc
+from alpha4 import dickman
+charged = []
+real = dickman.require_budget
 
-    dickman.psi_exact(10, 3)  # numpy and the prime segments loaded outside the trace
-    tracemalloc.start()
-    try:
-        dickman.psi_exact(10**7, 125.89)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20  # a residual per n <= x would be 40 MB
+def spy(need, what):
+    charged.append(need)
+    real(need, what)
+
+dickman.require_budget = spy
+dickman.psi_exact(100, 50)
+tracemalloc.start()
+for x, y in ((10**7, 125.89), (10**9, 100), (10**7, 3 * 10**6), (2**32 - 1, 100)):
+    tracemalloc.reset_peak()
+    dickman.psi_exact(x, y)
+    print(x, y, tracemalloc.get_traced_memory()[1], charged[-1])
+"""
+
+
+def test_psi_exact_peaks_stay_under_their_charges():
+    # the leaf table is charged at its most, the 38,168 13-smooth numbers
+    # below 2^32, so the largest x fills it; (10^7, 3*10^6) also sieves
+    # three prime segments past sqrt(x)
+    (out,) = peaks.in_children(_PSI_PEAKS, [])
+    rows = [line.split() for line in out.splitlines()]
+    assert len(rows) == 4, out
+    for x, y, peak, charge in rows:
+        assert int(peak) <= int(charge), (x, y, peak, charge)
+    _, _, peak, charge = rows[-1]
+    assert int(charge) <= 1.5 * int(peak), (peak, charge)
 
 
 def test_psi_exact_frozen_desk_values():
@@ -209,20 +246,20 @@ def test_psi_dyadic_window():
 
 
 def test_psi_budget_refusal(monkeypatch):
-    # the count holds one 1 MB window whatever x is, so only a budget below it refuses
+    # the leaf table is charged at its most, about 2 MB whatever x is, so a budget below it refuses
     monkeypatch.setattr(arith, "budget_mb", 0)
     with pytest.raises(BudgetError):
         dickman.psi_exact(10**9, 100)
 
 
-def test_psi_refuses_x_beyond_uint32_residuals(monkeypatch):
+def test_psi_refuses_x_from_2_to_the_32_before_its_budget(monkeypatch):
     # refused before the budget is consulted or anything is allocated
     monkeypatch.setattr(arith, "budget_mb", 2**20)
     with pytest.raises(PreconditionError, match="2\\^32"):
         dickman.psi_exact(2**32, 100)
     # one below, the budget is what refuses
     monkeypatch.setattr(arith, "budget_mb", 0)
-    with pytest.raises(BudgetError, match="needs 1 MB"):
+    with pytest.raises(BudgetError, match="needs 2 MB"):
         dickman.psi_exact(2**32 - 1, 100)
 
 

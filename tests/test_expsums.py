@@ -5,7 +5,6 @@ import dataclasses
 import hashlib
 import math
 import random
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -181,7 +180,8 @@ def test_engines_agree_on_the_same_phase():
 
 
 def test_eval_phase_threads_bitwise_deterministic():
-    spec = expsums.make_basic_phase(Fraction(3, 17), Fraction(1, 5), 0, 40000)
+    # past the pool's start at 2^18 terms, so threads=2 forks it
+    spec = expsums.make_basic_phase(Fraction(3, 17), Fraction(1, 5), 0, 270_000)
     one = expsums.eval_phase(spec, threads=1)
     two = expsums.eval_phase(spec, threads=2)
     assert one.value == two.value  # chunk layout is thread-count independent
@@ -272,18 +272,29 @@ def test_eval_phase_refuses_a_precision_below_one_bit(prec_bits):
         expsums.eval_phase(spec, engine="mpf", prec_bits=prec_bits)
 
 
+# eval_phase at the precision argv[1] in a fresh process: prints the traced
+# peak of its refusal, and nothing if it was not refused
+_REFUSAL_PEAK = """
+import sys, tracemalloc
+from fractions import Fraction
+from alpha4 import expsums
+from alpha4.errors import PreconditionError
+spec = expsums.make_basic_phase(Fraction(1, 7), Fraction(1, 3), 0, 5)
+tracemalloc.start()
+try:
+    expsums.eval_phase(spec, engine="mpf", prec_bits=int(sys.argv[1]))
+except PreconditionError as e:
+    assert "prec_bits" in str(e), e
+    print(tracemalloc.get_traced_memory()[1])
+"""
+
+
 @pytest.mark.parametrize("prec_bits", [expsums.MAX_PREC_BITS + 1, 2**20, 2**63])
 def test_eval_phase_refuses_a_precision_past_its_cap_before_allocating(prec_bits):
     # at 2^63 bits the first coefficient's division raised MemoryError
-    spec = expsums.make_basic_phase(Fraction(1, 7), Fraction(1, 3), 0, 5)
-    tracemalloc.start()
-    try:
-        with pytest.raises(PreconditionError, match="prec_bits"):
-            expsums.eval_phase(spec, engine="mpf", prec_bits=prec_bits)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20 // 8  # one integer of 2^20 bits would not fit
+    (out,) = peaks.in_children(_REFUSAL_PEAK, [str(prec_bits)])
+    assert out.strip(), "not refused"
+    assert int(out) < 2**20 // 8  # one integer of 2^20 bits would not fit
 
 
 def test_eval_phase_takes_the_cap_itself():

@@ -57,7 +57,8 @@ def test_arith_imports_neither_mpmath_nor_bigreal():
 
 
 # every command here runs without numpy; a single value (lemma61's m,
-# alpha's prefix, prop1's p+1) is factored in pure Python
+# alpha's prefix, prop1's p+1) is factored in pure Python, and psi's exact
+# count walks the smooth numbers (it sieves only when y > sqrt(x))
 NUMPY_FREE = [
     ["alpha", "--bits", "8192"],
     ["prop1", "--p", "1000003"],
@@ -70,6 +71,8 @@ NUMPY_FREE = [
     ["expsum", "scan", "--count", "2", "--family", "lemma61"],
     ["expsum", "window", "--h-max", "1000"],
     ["psi", "--x", "1000", "--y", "10", "--no-exact"],
+    ["psi", "--x", "100000", "--y", "63"],
+    ["verify-all", "--only", "smooth_counts"],
     ["sieve", "vector", "--tuple", "1", "2", "3", "1", "2", "3"],
     ["rho", "--u", "3.5"],
     ["rho", "--table", "--step", "0.5"],
