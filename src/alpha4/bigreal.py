@@ -43,12 +43,6 @@ def _pad(r: mp.mpf) -> mp.mpf:
     return r * (mp.mpf(1) + mp.ldexp(mp.mpf(1), -16))
 
 
-def _coerce(x) -> "BigRealWithError":
-    if isinstance(x, BigRealWithError):
-        return x
-    return BigRealWithError.exact(x)
-
-
 @dataclass(frozen=True)
 class BigRealWithError:
     """An mpf midpoint and an mpf radius bounding |true - value|."""
@@ -122,7 +116,7 @@ class BigRealWithError:
     # -- arithmetic ---------------------------------------------------
 
     def __mul__(self, other) -> "BigRealWithError":
-        o = _coerce(other)
+        o = BigRealWithError.exact(other)
         v = self.value * o.value
         r = (
             abs(self.value) * o.err

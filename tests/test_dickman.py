@@ -195,40 +195,18 @@ def test_psi_exact_matches_buchstab_across_window_edges():
     assert dickman.psi_exact(10007**2, 10007) == oracles.psi_buchstab(10007**2, 10007)
 
 
-# psi_exact at each (x, y) in one fresh process, after a small count past
-# sqrt(x) has loaded numpy outside the trace: prints the traced peak and the
-# charge of each
-_PSI_PEAKS = """
-import tracemalloc
-from alpha4 import dickman
-charged = []
-real = dickman.require_budget
-
-def spy(need, what):
-    charged.append(need)
-    real(need, what)
-
-dickman.require_budget = spy
-dickman.psi_exact(100, 50)
-tracemalloc.start()
-for x, y in ((10**7, 125.89), (10**9, 100), (10**7, 3 * 10**6), (2**32 - 1, 100)):
-    tracemalloc.reset_peak()
-    dickman.psi_exact(x, y)
-    print(x, y, tracemalloc.get_traced_memory()[1], charged[-1])
-"""
-
-
 def test_psi_exact_peaks_stay_under_their_charges():
     # the leaf table is charged at its most, the 38,168 13-smooth numbers
     # below 2^32, so the largest x fills it; (10^7, 3*10^6) also sieves
-    # three prime segments past sqrt(x)
-    (out,) = peaks.in_children(_PSI_PEAKS, [])
-    rows = [line.split() for line in out.splitlines()]
-    assert len(rows) == 4, out
-    for x, y, peak, charge in rows:
-        assert int(peak) <= int(charge), (x, y, peak, charge)
-    _, _, peak, charge = rows[-1]
-    assert int(charge) <= 1.5 * int(peak), (peak, charge)
+    # three prime segments past sqrt(x). The warm-up count past sqrt(x)
+    # loads numpy outside the trace
+    cases = [(10**7, 125.89), (10**9, 100), (10**7, 3 * 10**6), (2**32 - 1, 100)]
+    setup = "from alpha4 import dickman\ndickman.psi_exact(100, 50)"
+    (rows,) = peaks.traced(setup, [f"dickman.psi_exact({x}, {y})" for x, y in cases])
+    for (x, y), (peak, charges) in zip(cases, rows):
+        charge = charges[f"psi_exact walk at x={x}"]
+        assert peak <= charge, (x, y, peak, charge)
+    assert charge <= 1.5 * peak, (peak, charge)
 
 
 def test_psi_exact_frozen_desk_values():

@@ -272,29 +272,25 @@ def test_eval_phase_refuses_a_precision_below_one_bit(prec_bits):
         expsums.eval_phase(spec, engine="mpf", prec_bits=prec_bits)
 
 
-# eval_phase at the precision argv[1] in a fresh process: prints the traced
-# peak of its refusal, and nothing if it was not refused
-_REFUSAL_PEAK = """
-import sys, tracemalloc
+@pytest.mark.parametrize("prec_bits", [expsums.MAX_PREC_BITS + 1, 2**20, 2**63])
+def test_eval_phase_refuses_a_precision_past_its_cap_before_allocating(prec_bits):
+    # at 2^63 bits the first coefficient's division raised MemoryError
+    setup = """
 from fractions import Fraction
 from alpha4 import expsums
 from alpha4.errors import PreconditionError
 spec = expsums.make_basic_phase(Fraction(1, 7), Fraction(1, 3), 0, 5)
-tracemalloc.start()
+"""
+    case = f"""
 try:
-    expsums.eval_phase(spec, engine="mpf", prec_bits=int(sys.argv[1]))
+    expsums.eval_phase(spec, engine="mpf", prec_bits={prec_bits})
 except PreconditionError as e:
     assert "prec_bits" in str(e), e
-    print(tracemalloc.get_traced_memory()[1])
+else:
+    raise AssertionError("not refused")
 """
-
-
-@pytest.mark.parametrize("prec_bits", [expsums.MAX_PREC_BITS + 1, 2**20, 2**63])
-def test_eval_phase_refuses_a_precision_past_its_cap_before_allocating(prec_bits):
-    # at 2^63 bits the first coefficient's division raised MemoryError
-    (out,) = peaks.in_children(_REFUSAL_PEAK, [str(prec_bits)])
-    assert out.strip(), "not refused"
-    assert int(out) < 2**20 // 8  # one integer of 2^20 bits would not fit
+    (((peak, _),),) = peaks.traced(setup, [case])
+    assert peak < 2**20 // 8  # one integer of 2^20 bits would not fit
 
 
 def test_eval_phase_takes_the_cap_itself():
@@ -581,41 +577,24 @@ def test_weyl_evaluates_each_phase_at_most_twice(monkeypatch):
     assert sorted(calls) == sorted([*range(spec.lo + 1, spec.hi + 1)] * 2 + [spec.lo + 1, spec.hi])
 
 
-def _peaks_stay_under_their_charges(snippet: str, cases: int) -> None:
-    """Run snippet in one fresh process; each line it prints is a case, its
-    traced peak and its charge last, and each charge must cover its peak
-    without overstating it by half."""
-    (out,) = peaks.in_children(snippet, [])
-    rows = [line.split() for line in out.splitlines()]
-    assert len(rows) == cases
-    for *case, peak, charge in rows:
-        assert int(peak) <= int(charge) <= 1.5 * int(peak), case
-
-
-_WEYL_PEAKS = """
-import tracemalloc
-from fractions import Fraction
-from alpha4 import expsums
-charges = []
-expsums.require_budget = lambda need, what: charges.append(need)
-expsums.weyl_difference_check(expsums.make_basic_phase(Fraction(1, 7), 0, 0, 100), 1, 1)  # no first-use import
-long_sums = (Fraction(278310081342, 2**20), Fraction(683474, 2**20))  # WEYL_FROZEN's basic512
-tracemalloc.start()
-for (A, B), K, L, ns in (((Fraction(1, 7), 0), 1, None, (5000, 20000)), (long_sums, 2, 2, (5000, 20000)),
-                         ((Fraction(1, 3), Fraction(1, 5)), 1, 1, (1000,))):
-    for n in ns:
-        tracemalloc.reset_peak()
-        expsums.weyl_difference_check(expsums.make_basic_phase(A, B, 0, n), K, L)
-        print(A, K, L, n, tracemalloc.get_traced_memory()[1], charges[-1])
-"""
-
-
 def test_weyl_tables_stay_under_their_charge():
     # the charge, from the bit sizes of the table's pairs, one float and one
     # slice slot a term and a fixed part, covers the traced peak without
     # overstating it by half: with S_k alone, with S_{k,l} streamed, and on
     # a short run, where the fixed part counts
-    _peaks_stay_under_their_charges(_WEYL_PEAKS, 5)
+    setup = """
+from fractions import Fraction
+from alpha4 import expsums
+weyl = lambda A, B, n, K, L: expsums.weyl_difference_check(expsums.make_basic_phase(A, B, 0, n), K, L)
+weyl(Fraction(1, 7), 0, 100, 1, 1)  # no first-use import
+long_sums = (Fraction(278310081342, 2**20), Fraction(683474, 2**20))  # WEYL_FROZEN's basic512
+"""
+    (rows,) = peaks.traced(setup, [
+        "weyl(Fraction(1, 7), 0, 5000, 1, None)", "weyl(Fraction(1, 7), 0, 20000, 1, None)",
+        "weyl(*long_sums, 5000, 2, 2)", "weyl(*long_sums, 20000, 2, 2)",
+        "weyl(Fraction(1, 3), Fraction(1, 5), 1000, 1, 1)",
+    ])
+    peaks.charges_cover_peaks(rows)
 
 
 # -- the amplitude function f_l ---------------------------------------------
@@ -715,27 +694,18 @@ def test_cancellation_scan_lemma61_family_runs():
         assert row["normalized_modulus"] <= 1
 
 
-_SCAN_PEAKS = """
-import tracemalloc
-from alpha4 import expsums
-charges = []
-expsums.require_budget = lambda need, what: charges.append(need)
-FAMILIES = ("random", "resonant", "lemma61")
-for family in FAMILIES:
-    expsums.cancellation_scan(family, count=2, qs=(16,))  # no first-use import
-tracemalloc.start()
-for family in FAMILIES:
-    for count in (100, 400):
-        tracemalloc.reset_peak()
-        expsums.cancellation_scan(family, count=count, qs=(16,))
-        print(family, count, tracemalloc.get_traced_memory()[1], charges[-1])
-"""
-
-
 def test_scan_rows_stay_under_their_charge():
     # one constant per family covers the traced peak of its rows without
     # overstating it by half
-    _peaks_stay_under_their_charges(_SCAN_PEAKS, 6)
+    families = ("random", "resonant", "lemma61")
+    setup = f"""
+from alpha4 import expsums
+scan = lambda family, count: expsums.cancellation_scan(family, count=count, qs=(16,))
+for family in {families}:
+    scan(family, 2)  # no first-use import
+"""
+    (rows,) = peaks.traced(setup, [f"scan({family!r}, {count})" for family in families for count in (100, 400)])
+    peaks.charges_cover_peaks(rows)
 
 
 def test_cancellation_scan_rejects_unknown_family():

@@ -3,35 +3,19 @@ closed pipe, in fresh processes."""
 
 import importlib
 import json
-import os
 import pkgutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import alpha4
-
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def _env() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    return env
-
-
-def _python(code: str, *args: str) -> str:
-    done = subprocess.run(
-        [sys.executable, "-c", code, *args], env=_env(), capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+import peaks
 
 
 def test_cli_import_loads_neither_numpy_nor_the_process_pool():
-    out = _python("import sys, alpha4.cli; print('numpy' in sys.modules, 'concurrent.futures' in sys.modules)")
+    code = "import sys, alpha4.cli; print('numpy' in sys.modules, 'concurrent.futures' in sys.modules)"
+    (out,) = peaks.in_children(code, [])
     assert out.split() == ["False", "False"]
 
 
@@ -48,11 +32,13 @@ _LOADED = "print(sorted(m for m in sys.modules if m == 'mpmath' or m.startswith(
      ["alpha4.arith", "alpha4.cli", "alpha4.errors", "alpha4.verify"]),
 ], ids=["cli", "verify", "verify-all --list"])
 def test_the_front_ends_load_no_layer_they_do_not_run(code, loaded):
-    assert _python(code + "\n" + _LOADED).strip() == repr(loaded)
+    (out,) = peaks.in_children(code + "\n" + _LOADED, [])
+    assert out.strip() == repr(loaded)
 
 
 def test_arith_imports_neither_mpmath_nor_bigreal():
-    out = _python("import sys, alpha4.arith; print('mpmath' in sys.modules, 'alpha4.bigreal' in sys.modules)")
+    code = "import sys, alpha4.arith; print('mpmath' in sys.modules, 'alpha4.bigreal' in sys.modules)"
+    (out,) = peaks.in_children(code, [])
     assert out.split() == ["False", "False"]
 
 
@@ -94,7 +80,8 @@ def test_numpy_free_commands_never_load_numpy(argv):
         "    rc = cli.dispatch(sys.argv[1:])\n"
         "print(rc, 'numpy' in sys.modules)\n"
     )
-    assert _python(code, *argv).split() == ["0", "False"]
+    (out,) = peaks.in_children(code, argv)
+    assert out.split() == ["0", "False"]
 
 
 # every command here computes without mpmath: the special walk, prop1's
@@ -134,7 +121,8 @@ def test_mpmath_free_commands_never_load_mpmath(argv):
         "    rc = cli.dispatch(sys.argv[1:])\n"
         "print(rc, 'mpmath' in sys.modules, 'alpha4.bigreal' in sys.modules)\n"
     )
-    assert _python(code, *argv).split() == ["0", "False", "False"]
+    (out,) = peaks.in_children(code, argv)
+    assert out.split() == ["0", "False", "False"]
 
 
 @pytest.mark.parametrize("s, name, digits", [
@@ -142,7 +130,7 @@ def test_mpmath_free_commands_never_load_mpmath(argv):
 ])
 def test_sieve_ff_answers_past_four_as_a_whole_process(s, name, digits):
     done = subprocess.run([sys.executable, "-m", "alpha4.cli", "sieve", "Ff", "--s", s],
-                          env=_env(), capture_output=True, text=True, timeout=10)
+                          env=peaks.child_env(), capture_output=True, text=True, timeout=10)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["result"][name].startswith(digits)
 
@@ -174,7 +162,7 @@ def test_closed_stdout_ends_quietly_with_status_141():
     # meets the closed pipe mid-stream
     proc = subprocess.Popen(
         [sys.executable, "-m", "alpha4.cli", "special", "enumerate", "--x", "1000000", "--format", "jsonl"],
-        env=_env(),
+        env=peaks.child_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )

@@ -392,46 +392,23 @@ def test_sigma4_run_sieve_refuses_exponents_that_do_not_multiply_back(monkeypatc
         next(series.sigma4_windows([101], 40))
 
 
-_WINDOW_PEAKS = """
-import tracemalloc
-from alpha4 import series
-charges = []
-series.require_budget = lambda need, what: charges.append(need)
-next(series.sigma4_windows([13], 10))  # so the peak holds no first-use import
-tracemalloc.start()
-for p, j_max in ((13, 5000), (10**6 + 3, 20000), (1000000000039, 40)):
-    tracemalloc.reset_peak()
-    next(series.sigma4_windows([p], j_max))
-    print(p, tracemalloc.get_traced_memory()[1], charges[-1])
-"""
-
-
 def test_sigma4_window_peaks_stay_under_their_charge():
     # the charge must cover the traced peak without overstating it by half,
     # for a small and a large p, and for a short window past 2^32, whose
     # peak is the 6,542 sieving primes to 2^16
-    (out,) = peaks.in_children(_WINDOW_PEAKS, [])
-    rows = [line.split() for line in out.splitlines()]
-    assert len(rows) == 3
-    for p, peak, charge in rows:
-        assert int(peak) <= int(charge) <= 1.5 * int(peak), p
-
-
-_RESIDUAL_PEAK = """
-import tracemalloc
-from alpha4 import series
-series.expansion_residuals(13, j_max=50)
-tracemalloc.start()
-series.expansion_residuals(13, j_max=10**4)
-print(tracemalloc.get_traced_memory()[1])
-"""
+    setup = "from alpha4 import series\nnext(series.sigma4_windows([13], 10))"
+    cases = ["next(series.sigma4_windows([13], 5000))", "next(series.sigma4_windows([10**6 + 3], 20000))",
+             "next(series.sigma4_windows([1000000000039], 40))"]
+    (rows,) = peaks.traced(setup, cases)
+    peaks.charges_cover_peaks(rows)
 
 
 def test_expansion_residuals_hold_memory_linear_in_j_max():
     # the remainder bound multiplies p..p+j_max once; it kept every partial
     # product, 71 MB at j_max = 10^4 and 310 MB at 2 * 10^4
-    (out,) = peaks.in_children(_RESIDUAL_PEAK, [])
-    assert int(out) < 8 * 2**20
+    setup = "from alpha4 import series\nseries.expansion_residuals(13, j_max=50)"
+    (((peak, _),),) = peaks.traced(setup, ["series.expansion_residuals(13, j_max=10**4)"])
+    assert peak < 8 * 2**20
 
 
 def test_short_sigma4_window_is_refused():

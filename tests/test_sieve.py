@@ -2,13 +2,13 @@
 
 import hashlib
 import math
-import tracemalloc
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
 import oracles
+import peaks
 from alpha4 import arith, cli, sieve
 from alpha4.arith import PrimeRange
 from alpha4.errors import BudgetError, PreconditionError
@@ -144,30 +144,22 @@ def test_fundamental_lemma_against_direct_moebius_sum(z, parity):
     assert (rep["min_slack"], rep["max_slack"]) == (min(slacks), max(slacks))
 
 
-def test_sandwich_peaks_stay_under_their_charges(monkeypatch):
+def test_sandwich_peaks_stay_under_their_charges():
     # both comparisons are charged one constant per n, verify_sandwich its
     # weights too; the charge must cover the traced peak without overstating
     # it by half. With z = n_limit nearly every squarefree n is a truncated
     # weight, and those must stream into the comparison, not be kept
-    ws = sieve.beta_sieve_weights(10**4, 100)
-    n = 2 * 10**5
-    few = sieve.FundamentalLemmaTruncation(z=30, R=3, parity="odd")
-    most = sieve.FundamentalLemmaTruncation(z=n, R=3, parity="even")
-    charges = []
-    monkeypatch.setattr(sieve, "require_budget", lambda need, what: charges.append(need))
-    for run in (
-        lambda: sieve.verify_sandwich(ws, n),
-        lambda: sieve.fundamental_lemma_check(few, n),
-        lambda: sieve.fundamental_lemma_check(most, n),
-    ):
-        run()  # so the peak holds no first-use import
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= charges[-1] <= 1.5 * peak
+    setup = """
+from alpha4 import sieve
+ws = sieve.beta_sieve_weights(10**4, 100)
+n = 2 * 10**5
+few = sieve.FundamentalLemmaTruncation(z=30, R=3, parity="odd")
+most = sieve.FundamentalLemmaTruncation(z=n, R=3, parity="even")
+"""
+    cases = ["sieve.verify_sandwich(ws, n)", "sieve.fundamental_lemma_check(few, n)",
+             "sieve.fundamental_lemma_check(most, n)"]
+    (rows,) = peaks.traced(setup + "\n".join(cases), cases)  # each once untraced, so no peak holds an import
+    peaks.charges_cover_peaks(rows)
 
 
 def test_fundamental_lemma_rejects_bad_inputs():
@@ -234,13 +226,9 @@ def test_vector_random_trials_add_up_violations_across_blocks(monkeypatch):
 
 
 def test_vector_random_trials_charge_one_block():
-    sieve.vector_sieve_random_trials(1)  # numpy's import is not the check's
-    tracemalloc.start()
-    try:
-        sieve.vector_sieve_random_trials(10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # the warm-up keeps numpy's import out of the check's peak
+    setup = "from alpha4 import sieve\nsieve.vector_sieve_random_trials(1)"
+    (((peak, _),),) = peaks.traced(setup, ["sieve.vector_sieve_random_trials(10**6)"])
     assert peak <= sieve._TRIAL_BLOCK_BYTES <= 1.5 * peak
 
 

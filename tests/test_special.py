@@ -1,14 +1,11 @@
 """The special prime set, its class split, counters, and diagnostics."""
 
 import ast
-import contextlib
 import hashlib
 import inspect
 import json
 import math
-import os
 import sys
-import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -469,20 +466,21 @@ def test_the_walk_holds_one_segment_at_a_time(walk, monkeypatch):
     assert alive_at_build == [0, 0]
 
 
+# `special enumerate` at each (x, format), each in its own fresh child after a
+# warm-up walk at x = 10^4: the traced peak and charges of each, by (x, format)
+_ENUMERATE_CASES = [(2 * 10**6, "json"), (2 * 10**6, "jsonl"), (4 * 10**6, "jsonl"), (2 * 10**6, "csv")]
+_ENUMERATE_SETUP = """
+from alpha4 import cli, sieve, special
+special.enumerate_S(sieve.make_scale_params(10**4))
+parse = cli.build_parser().parse_args
+"""
+
+
 @cache
-def _enumerate_peak(x: int, fmt: str) -> int:
-    """The tracemalloc peak of `special enumerate --x x --format fmt`, stdout to devnull,
-    after a small walk has loaded numpy outside the trace; one run per x and
-    format in a session."""
-    special.enumerate_S(params_at_1e4())
-    args = cli.build_parser().parse_args(["special", "enumerate", "--x", str(x), "--format", fmt])
-    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        tracemalloc.start()
-        try:
-            assert cli.cmd_special_enumerate(args) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+def _enumerate_peaks() -> dict:
+    run = 'assert cli.cmd_special_enumerate(parse(["special", "enumerate", "--x", "{}", "--format", "{}"])) == 0'
+    children = peaks.traced(_ENUMERATE_SETUP, *([run.format(*case)] for case in _ENUMERATE_CASES))
+    return {case: row for case, (row,) in zip(_ENUMERATE_CASES, children)}
 
 
 def test_enumerate_jsonl_memory_follows_the_segment():
@@ -490,51 +488,25 @@ def test_enumerate_jsonl_memory_follows_the_segment():
     # where holding every record made the second peak 1.5 times the first.
     # csv holds nothing more, so it peaks with jsonl; holding its rows put
     # it 1.23 times above at 2*10^6
-    one = _enumerate_peak(2 * 10**6, "jsonl")
-    two = _enumerate_peak(4 * 10**6, "jsonl")
+    measured = _enumerate_peaks()
+    one, two, csv = (measured[case][0] for case in [(2 * 10**6, "jsonl"), (4 * 10**6, "jsonl"), (2 * 10**6, "csv")])
     assert two <= 1.2 * one, (one, two)
-    csv = _enumerate_peak(2 * 10**6, "csv")
     assert csv <= 1.1 * one, (one, csv)
-
-
-# `special enumerate --x X --format FMT` in a fresh process, after the same
-# warm-up walk as _enumerate_peak: prints its tracemalloc peak and every charge
-# of its json output
-_CHILD_PEAK = """
-import contextlib, os, sys, tracemalloc
-from alpha4 import arith, cli, sieve, special
-special.enumerate_S(sieve.make_scale_params(10**4))
-charged = []
-real = arith.require_budget
-
-def spy(need, what):
-    if what == "the json output of special enumerate":
-        charged.append(need)
-    real(need, what)
-
-arith.require_budget = spy
-args = cli.build_parser().parse_args(["special", "enumerate", "--x", sys.argv[1], "--format", sys.argv[2]])
-with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-    tracemalloc.start()
-    assert cli.cmd_special_enumerate(args) == 0
-    peak = tracemalloc.get_traced_memory()[1]
-print(peak, *charged)
-"""
 
 
 def test_enumerate_json_charges_the_text_it_holds():
     # json holds each row's text until the rows end: the charge is their
     # measured size, each with its list slot, and it must cover json's traced
-    # growth over jsonl at the same x without overstating it by half; each
-    # peak is taken in its own process
+    # growth over jsonl at the same x without overstating it by half
     x = 2 * 10**6
-    outs = peaks.in_children(_CHILD_PEAK, [str(x), "json"], [str(x), "jsonl"])
-    (json_peak, *charged), (jsonl_peak, *none) = ([int(v) for v in out.split()] for out in outs)
-    assert none == []
+    (json_peak, json_charges), (jsonl_peak, jsonl_charges) = (_enumerate_peaks()[x, fmt] for fmt in ("json", "jsonl"))
+    what = "the json output of special enumerate"
+    assert what not in jsonl_charges
+    charge = json_charges[what]
     grown = json_peak - jsonl_peak
     rows = map(cli._enumerate_row, special.iter_S(sieve.make_scale_params(x)))
-    assert charged[-1] == sum(sys.getsizeof(json.dumps(row, sort_keys=True)) + 8 for row in rows)
-    assert grown <= charged[-1] <= 1.5 * grown, (grown, charged[-1])
+    assert charge == sum(sys.getsizeof(json.dumps(row, sort_keys=True)) + 8 for row in rows)
+    assert grown <= charge <= 1.5 * grown, (grown, charge)
 
 
 def test_overrides_config_at_1e6(desk_params):
@@ -580,49 +552,36 @@ def test_histogram_mass_and_ks(desk_records):
     assert rep["edges"][0] == 0 and rep["edges"][-1] == 0.5
 
 
-def test_histogram_bins_stay_under_their_charge(monkeypatch):
+def test_histogram_bins_stay_under_their_charge():
     # a bin's edge, its counts and its `special hist` row are charged one
     # constant; it must cover the traced peak without overstating it by
     # half. jsonl streams the rows, so no JSON document adds to the peak
-    records = special.enumerate_S(params_at_1e4())
-    monkeypatch.setattr(special, "iter_S", lambda params: iter(records))
-    charges = []
-    monkeypatch.setattr(special, "require_budget", lambda need, what: charges.append(need))
-    parse = cli.build_parser().parse_args
-    with open(os.devnull, "w") as sink:
-        monkeypatch.setattr(sys, "stdout", sink)
-        cli.cmd_special_hist(parse(["special", "hist", "--x", "10000", "--bins", "10", "--format", "jsonl"]))
-        for bins in (5000, 20000):
-            args = parse(["special", "hist", "--x", "10000", "--bins", str(bins), "--format", "jsonl"])
-            tracemalloc.start()
-            try:
-                cli.cmd_special_hist(args)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= charges[-1] <= 1.5 * peak, bins
+    setup = """
+from alpha4 import cli, sieve, special
+records = special.enumerate_S(sieve.make_scale_params(10**4))
+special.iter_S = lambda params: iter(records)
+hist = lambda bins: cli.cmd_special_hist(cli.build_parser().parse_args(
+    ["special", "hist", "--x", "10000", "--bins", str(bins), "--format", "jsonl"]))
+hist(10)
+"""
+    (rows,) = peaks.traced(setup, ["hist(5000)", "hist(20000)"])
+    peaks.charges_cover_peaks(rows)
 
 
-def test_histogram_statistics_stay_under_their_charge(monkeypatch):
+def test_histogram_statistics_stay_under_their_charge():
     # the histogram keeps only its two lists of floats from the stream,
     # charged with the bins as they grow
-    from types import SimpleNamespace
-
-    records = [
-        SimpleNamespace(ratio_plain=(k, 2 * 10**4 + 1), ratio_r=(k, 3 * 10**4) if k % 3 == 0 else None)
-        for k in range(10**4)
-    ]
-    charged = {}
-    monkeypatch.setattr(special, "require_budget", lambda need, what: charged.update(last=need))
-    tracemalloc.start()
-    try:
-        rep = special.near_integer_histogram(iter(records), bins=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep["n_plain"] + rep["n_r"] == 13334
-    assert charged["last"] == special._BIN_BYTES + special._VALUE_BYTES * 13334
-    assert peak <= charged["last"] <= 1.5 * peak, (peak, charged["last"])
+    setup = """
+from types import SimpleNamespace
+from alpha4 import special
+records = [SimpleNamespace(ratio_plain=(k, 2 * 10**4 + 1), ratio_r=(k, 3 * 10**4) if k % 3 == 0 else None)
+           for k in range(10**4)]
+"""
+    case = 'rep = special.near_integer_histogram(iter(records), bins=1)\nassert rep["n_plain"] + rep["n_r"] == 13334'
+    (rows,) = peaks.traced(setup, [case])
+    ((_, charges),) = rows
+    assert charges["histogram of 1 bins and its statistics"] == special._BIN_BYTES + special._VALUE_BYTES * 13334
+    peaks.charges_cover_peaks(rows)
 
 
 def test_histogram_empty_r_column():
