@@ -85,7 +85,8 @@ def psi_buchstab(x: int, y: float) -> int:
     with p_i its largest prime factor and m <= t // p_i p_i-smooth. A term
     is t // p_i itself once t // p_i < p_i (every m below p_i is p_i-smooth),
     and Psi(t, 2) = t.bit_length() counts 1, 2, 4, ... <= t. The primes come
-    from a sieve of Eratosthenes of its own.
+    from a sieve of Eratosthenes of its own. Counts at t < 2^16, where the
+    recursion meets the same (t, k) again and again, are kept for this call.
     """
     top = min(math.floor(y), x)
     sieve = bytearray([1]) * max(top + 1, 2)
@@ -94,16 +95,22 @@ def psi_buchstab(x: int, y: float) -> int:
         if sieve[d]:
             sieve[d * d :: d] = bytes(len(sieve[d * d :: d]))
     primes = [n for n in range(2, top + 1) if sieve[n]]
+    small: dict[tuple[int, int], int] = {}
 
     def count(t: int, k: int) -> int:  # Psi(t, primes[k - 1])
         if k == 1:
             return t.bit_length()
+        if t < 2**16 and (t, k) in small:
+            return small[t, k]
         total = 1
         for i, p in enumerate(primes[:k]):
             m = t // p
             if m < p:  # so m < p_j for every later j as well
-                return total + sum(t // q for q in primes[i:k] if q <= t)
+                total += sum(t // q for q in primes[i:k] if q <= t)
+                break
             total += count(m, i + 1)
+        if t < 2**16:
+            small[t, k] = total
         return total
 
     return count(x, len(primes)) if primes else min(x, 1)

@@ -5,10 +5,8 @@ its one-line verdict, asserts the check's own ok flag, and re-asserts
 the headline numbers so a silent weakening of a check would fail here.
 Every details field (all but the wall time) must also equal its frozen
 value in golden/verify_all.json exactly; after a deliberate change,
-
-    PYTHONPATH=src python tests/test_acceptance.py
-
-rewrites that file, and each moved field belongs in the change's notes.
+refreeze.py rewrites that file and names each moved field, which belongs
+in the change's notes.
 """
 
 import json
@@ -179,7 +177,3 @@ def test_details_match_golden(name, shared_ctx):
     want = json.loads(GOLDEN.read_text())[name]
     assert frozen(_run(name, shared_ctx).details) == want
 
-
-if __name__ == "__main__":
-    golden = {n: frozen(verify.run_check(n, {}).details) for n in verify.check_names()}
-    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")

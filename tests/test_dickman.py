@@ -1,6 +1,5 @@
 """The delay-equation solution, its quadrature cross-check, and smooth counts."""
 
-import hashlib
 import math
 import random
 from fractions import Fraction
@@ -11,7 +10,7 @@ from mpmath.libmp import from_man_exp
 
 import oracles
 import peaks
-from alpha4 import arith, cli, dickman, sieve
+from alpha4 import arith, dickman, sieve
 from alpha4.errors import BudgetError, PreconditionError
 
 # frozen from the certified marching run (err <= 6.5e-35); parse at high
@@ -187,8 +186,7 @@ def test_psi_exact_matches_buchstab_across_window_edges():
             assert dickman.psi_exact(x, y) == oracles.psi_buchstab(x, y), (x, y)
     # x at the square of a prime p and its neighbours, where p turns from a
     # lone prime past sqrt(x) into the last walk prime, with y at, below and
-    # above p and past sqrt(x); the oracle takes about 2 s a count at
-    # 10007^2, so that square is read at y = p only
+    # above p and past sqrt(x); the square of 10007 is read at y = p only
     for x in (1009**2 - 1, 1009**2, 1009**2 + 1):
         for y in (1008, 1009, 1010, 10**4):
             assert dickman.psi_exact(x, y) == oracles.psi_buchstab(x, y), (x, y)
@@ -264,18 +262,3 @@ def test_smooth_count_bundles_both_routes():
     rel = abs(sc.exact / float(sc.approx.value) - 1)
     assert rel < 4 * sc.band
 
-
-# SHA-256 of whole `psi` outputs, frozen before the exact count walked the
-# smooth numbers instead of sieving 1..x: one with y < sqrt(x), one above it
-FROZEN_OUTPUT = {
-    "psi --x 10000000 --y 125.89": "a679b7519ff4558cffa6ded42172f35aeb45c879714f0e78f412044ad74a4636",
-    "psi --x 1000000 --y 5000": "4116c197d3141adadfd848858d35cf0c8ecbe7a203252821e858525a17e39a54",
-}
-
-
-@pytest.mark.parametrize("line", list(FROZEN_OUTPUT))
-def test_psi_output_is_frozen(line, capsys):
-    rc = cli.dispatch(line.split())
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_OUTPUT[line]

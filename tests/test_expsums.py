@@ -2,7 +2,6 @@
 
 import cmath
 import dataclasses
-import hashlib
 import math
 import random
 from fractions import Fraction
@@ -13,7 +12,7 @@ from mpmath.libmp import from_man_exp, from_rational, mpf_mul_int, mpf_neg, mpf_
 
 import oracles
 import peaks
-from alpha4 import cli, expsums, verify
+from alpha4 import expsums, verify
 from alpha4.arith import round_nearest_int
 from alpha4.errors import BudgetError, PreconditionError
 
@@ -770,28 +769,3 @@ def test_window_domain():
     with pytest.raises(PreconditionError):
         expsums.smoothing_window(Fraction(1, 1000), 9)
 
-
-# SHA-256 of whole `expsum` outputs, frozen before the engines moved from
-# Fraction residues to integer (N, D) pairs
-A_LONG, B_LONG = "623347347958/1048576", "132344/1048576"
-FROZEN_OUTPUT = {
-    f"expsum basic --A {A_LONG} --B {B_LONG} --hi 20000 --engine mpf --threads 1":
-        "7f3d68a2988431d91d0390960aba6a7eed3ba10022c15e0def77f9fa5981d2de",
-    f"expsum basic --A {A_LONG} --B {B_LONG} --hi 20000 --engine exact --threads 1":
-        "cd6dae9f693ee6c2a574a26b4fe8226adc24302aea3c106e76f4149214c31e69",
-    f"expsum basic --A {A_LONG} --B {B_LONG} --hi 200000 --threads 2":
-        "2f25060a0a1d78119ce92887278c46ba1da4136d26ea0912e50221338f28205a",
-    "expsum weyl --A 278310081342/1048576 --B 683474/1048576 --hi 2000 --K 8 --L 8":
-        "ccc2ab2ac680e0d5c2073ebb00762427b18001ffc4019db3cf286e9401ed127b",
-    # the progression oracle and a two-chunk lemma61 sum
-    "expsum lemma61 --h 3 --m 99991 --r 101 --hi 5000 --check-rewrite":
-        "886df1afa3e72e2bcaa1b0c1445493f519ca53d11a57616f7b6430fb8b6f4b45",
-}
-
-
-@pytest.mark.parametrize("line", list(FROZEN_OUTPUT))
-def test_expsum_output_is_frozen(line, capsys):
-    rc = cli.dispatch(line.split())
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_OUTPUT[line]

