@@ -310,14 +310,14 @@ def _spec_from_args(args) -> expsums.PhaseSpec:
 def cmd_expsum_basic(args) -> int | None:
     from . import expsums
     spec = _spec_from_args(args)
-    res = expsums.eval_phase(spec, threads=args.threads, engine=args.engine, prec_bits=args.prec_bits)
+    res = expsums.eval_phase(spec, threads=args.threads, engine=args.engine)
     emit({"spec": spec, "result": res}, args.fmt, "expsum basic")
 
 
 def cmd_expsum_lemma61(args) -> int | None:
     from . import expsums
     spec = _spec_from_args(args)
-    res = expsums.eval_phase(spec, engine=args.engine, prec_bits=args.prec_bits)
+    res = expsums.eval_phase(spec, engine=args.engine)
     payload = {"spec": spec, "result": res}
     if args.check_rewrite:
         payload["change_of_variables"] = expsums.lemma61_change_of_variables(spec)
@@ -597,13 +597,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = esub.add_parser("basic", help="sum the single-variable phase")
     _add_spec_flags(p, "basic")
     p.add_argument("--engine", choices=("exact", "mpf"), default=None)
-    p.add_argument("--prec-bits", type=int, default=None)
     p.set_defaults(fn=cmd_expsum_basic)
 
     p = esub.add_parser("lemma61", help="sum the progression phase")
     _add_spec_flags(p, "lemma61")
     p.add_argument("--engine", choices=("exact", "mpf"), default=None)
-    p.add_argument("--prec-bits", type=int, default=None)
     p.add_argument("--check-rewrite", action="store_true")
     p.set_defaults(fn=cmd_expsum_lemma61)
 

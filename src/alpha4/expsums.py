@@ -18,11 +18,12 @@ chunk that way and combines the chunk partials by a fixed-order pairwise
 tree, so its result does not depend on the worker count. The Weyl inner
 sums S_k and S_{k,l} difference one table of residue pairs (N mod D, D)
 over products of denominators, and lemma61_ap_oracle feeds the pairs of
-its own phase formula to _sum_e. The mpf engine runs one core,
-_phase_raw, which replays on signed (mantissa, exponent) integer pairs
-the libmp calls the mpf operator form makes, each rounded as libmp
-rounds it (arith.round_nearest_int). mpmath is imported by the functions
-that compute with it, so the exact and Weyl sums never load it.
+its own phase formula to _sum_e. The mpf engine is certified_sum, in
+integers only: it reduces each phase exactly from the coefficients to G
+bits, never through _phase_ratio, evaluates e(t) in fixed point at F
+bits, adds the terms exactly, and returns the sums with a derived radius.
+mpmath is imported by the functions that compute with it, so the exact,
+certified and Weyl sums never load it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .arith import add_nearest_int, exact_rational, int_pair, require_budget, require_work, round_nearest_int, sigma_k
+from .arith import exact_rational, require_budget, require_work, sigma_k
 from .errors import PreconditionError
 
 __all__ = [
@@ -45,7 +46,7 @@ __all__ = [
     "make_lemma62_inner_phase",
     "minus_inverse_residue",
     "phase_fraction",
-    "required_prec_bits",
+    "certified_sum",
     "eval_phase",
     "lemma61_change_of_variables",
     "lemma61_ap_oracle",
@@ -61,7 +62,6 @@ __all__ = [
 
 PHASE_KINDS = ("basic", "lemma61", "lemma62_inner")
 CHUNK = 4096
-MAX_PREC_BITS = 2**16  # eval_phase refuses a finer explicit precision (the checks use 320)
 TAU = 2 * math.pi
 # bytes a cancellation_scan row holds: 7 or 8 fields, and lemma61's 11 (tracemalloc)
 _SCAN_ROW_BYTES = {"random": 448, "resonant": 448, "lemma61": 704}
@@ -239,103 +239,110 @@ def phase_fraction(spec: PhaseSpec, n: int) -> Fraction:
     return Fraction(*_phase_ratio(spec)(n))
 
 
-def _phase_raw(spec: PhaseSpec, prec: int):
-    """n -> the phase at n as a signed (mantissa, exponent) pair at prec
-    bits, round-nearest (the rounding of mpmath's context).
+# -- the certified engine ----------------------------------------------------
 
-    The core of the mpf engine. It reads the coefficients and never
-    _phase_ratio, so the two engines check each other. Each coefficient is
-    rounded once from its exact value, at prec. Every step then replays in integers the
-    libmp call that the mpf operator form of the phase makes, with the
-    same precision and rounding, so the bits are those of the expressions
+G = 96  # a phase's fraction is read as T = floor(2^G frac(phase)), less at most k 2^-G
+F = G + 8  # cos and sin are integers at scale 2^-F
+_QUARTER, _EIGHTH = 1 << (G - 2), 1 << (G - 3)
+_TAU_FIX = 0xC90FDAA22168C234C4C6628B80DC  # 2 pi 2^(F+5), floored: an integer of F + 8 bits
+# The radius of one term, in ulps u = 2^-F, for a phase read with k floors:
+#   floors: T 2^-G lies less than k 2^-G below frac(phase) (mod 1), and e is
+#     2 pi-Lipschitz: < 2 pi 2^(F-G) k u = 1608.5 k u.
+#   the angle: x = floor(w _TAU_FIX 2^-(G+5)) lies below theta 2^F = 2 pi w 2^(F-G)
+#     by < 1 (the floor) + 2^-8 (_TAU_FIX is < 1 short of 2 pi 2^(F+5), times
+#     w 2^-(G+5) <= 2^-8), and cos and sin are 1-Lipschitz: < 1.004 u.
+#   Taylor: t_0 = 2^F, t_1 = x and t_j = floor(t_(j-1) x 2^-F / j). Each floor
+#     (j >= 2) loses < 1 u and reaches the later terms times x u / j' <= (pi/4) / 3
+#     each, so < 1.355 u in all; (pi/4)^28 / 28! < 2^-104 makes t_28 = 0, so
+#     there are at most 27 floors: < 36.6 u.
+#   the remainder: each part alternates with falling terms, so it lies within
+#     its first term left out; t_J = 0, so that is < 1.355 u, and the other
+#     part's < 1.355 (pi/4) / 3 u: < 1.71 u.
+#   the fold, the quadrant's signs and the sums are exact.
+# So a term's error is < 1608.5 k + 1.004 + 36.6 + 1.71 < _PHASE_ULPS k + _E_ULPS.
+_PHASE_ULPS, _E_ULPS = 1609, 40
 
-        basic:         A (n^2 + 1/n^2) + B (n + 1/n^3)
-        lemma61:       A (2 v r n + r^2 n^2 + 1/mpf(v + r n)^2) + (B + lin) r n
-        lemma62_inner: C n
 
-    with n = mpf(n): mpf(int) is from_int(n, prec, rnd), int + mpf adds
-    from_int(int) unrounded, 1/x is mpf_rdiv_int and int * x mpf_mul_int.
-    All but _cube are correctly rounded: the exact result rounded once.
-    Values the operator form computes twice (n^2, and (B + lin) r in every
-    term) are computed once; nothing is reordered or fused.
+def _fraction_bits(spec: PhaseSpec):
+    """(n -> T, k): T 2^-G lies less than k 2^-G below the phase at n, mod 1.
+
+    Each term of the phase is a rational a/d whose fraction is floored at
+    2^-G exactly, ((a mod d) << G) // d, so each loses less than 2^-G:
+
+        basic:         A n^2, A / n^2, B n, B / n^3                   k = 4
+        lemma61:       A (2 v r n + r^2 n^2), A / q^2, (B + lin) r n,
+                       q = v + r n                                    k = 3
+        lemma62_inner: C n                                            k = 1
+
+    It reads the coefficients and never _phase_ratio, so the two engines
+    check each other; the size of the phase does not matter.
     """
-    from mpmath.libmp import from_rational, round_nearest
-    rn, add = round_nearest_int, add_nearest_int
-    A, B, lin, C = (None if x is None else int_pair(from_rational(x.numerator, x.denominator, prec, round_nearest))
-                    for x in spec.coefficients)
+    c, mask = spec.coefficients, (1 << G) - 1
+    if spec.kind == "lemma62_inner":
+        a, d = c.C.numerator, c.C.denominator
+        return (lambda n: (a * n % d << G) // d), 1
+    second = c.B if spec.kind == "basic" else (c.B + c.lin) * spec.r
+    a, d, b, e = c.A.numerator, c.A.denominator, second.numerator, second.denominator
 
-    def mul(x, y):  # mpf_mul
-        return rn(x[0] * y[0], x[1] + y[1], prec)
+    def basic(n):
+        if n == 0:
+            raise PreconditionError("basic phase is undefined at n = 0")
+        n2 = n * n
+        dn, en = d * n2, e * n2 * n
+        return ((a * n2 % d << G) // d + (a % dn << G) // dn + (b * n % e << G) // e + (b % en << G) // en) & mask
 
-    if spec.kind == "basic":
+    v, r = spec.v, spec.r
 
-        def basic(n):
-            if n == 0:
-                raise PreconditionError("basic phase is undefined at n = 0")
-            nn = rn(n, 0, prec)
-            n2 = mul(nn, nn)  # mpf_pow_int(nn, 2) squares exactly, then rounds
-            a_term = mul(A, add(n2, _inv(n2, prec), prec))
-            b_term = mul(B, add(nn, _inv(_cube(nn, prec), prec), prec))
-            return add(a_term, b_term, prec)
+    def lemma61(n):
+        q2 = (v + r * n) ** 2
+        if q2 == 0:
+            raise PreconditionError("progression hits v + r l = 0")
+        dq = d * q2
+        return ((a * (2 * v * r * n + r * r * n * n) % d << G) // d + (a % dq << G) // dq + (b * n % e << G) // e) & mask
 
-        return basic
-    if spec.kind == "lemma61":
-        v, r = spec.v, spec.r
-        slope = mul(add(B, lin, prec), (r, 0))
-
-        def lemma61(n):
-            q = rn(v + r * n, 0, prec)
-            poly = add(_inv(mul(q, q), prec), (2 * v * r * n + r**2 * n**2, 0), prec)
-            return add(mul(A, poly), mul(slope, rn(n, 0, prec)), prec)
-
-        return lemma61
-    return lambda n: mul(C, rn(n, 0, prec))
+    return (basic, 4) if spec.kind == "basic" else (lemma61, 3)
 
 
-def _inv(x, prec: int):
-    """mpf_rdiv_int(1, x): prec + 2 quotient bits and a sticky bit, rounded."""
-    (m, e), k = x, prec + 1 + x[0].bit_length()
-    q, r = divmod(1 << k, abs(m))
-    return round_nearest_int((q << 1 | (r > 0)) * (1 if m > 0 else -1), -e - k - 1, prec)
+def _e_fixed(T: int) -> tuple[int, int]:
+    """(c, s), within _E_ULPS ulps of 2^F e(T 2^-G) for 0 <= T < 2^G.
+
+    The top two bits of T are the quadrant. Past an eighth turn the rest,
+    w, folds to a quarter turn less w with cos and sin swapped, so the
+    angle theta = 2 pi w 2^-G is at most pi/4; its Taylor terms are added
+    until they are 0."""
+    q, w = T >> (G - 2), T & (_QUARTER - 1)
+    fold = w > _EIGHTH
+    if fold:
+        w = _QUARTER - w
+    x = w * _TAU_FIX >> (G + 5)
+    t = 1 << F
+    terms, j = [t], 1
+    while t:
+        t = (t * x >> F) // j
+        terms.append(t)
+        j += 1
+    c = sum(terms[0::4]) - sum(terms[2::4])
+    s = sum(terms[1::4]) - sum(terms[3::4])
+    if fold:
+        c, s = s, c
+    return ((c, s), (-s, c), (-c, -s), (s, -c))[q]
 
 
-def _cube(x, prec: int):
-    """mpf_pow_int(x, 3): exact while the odd part of the mantissa has bc
-    bits, 3 bc < 1000; past that, libmp truncates a^2, then a a^2, to
-    prec + 12 bits before it rounds."""
-    (m, e), w = x, prec + 12
-    if 3 * (m.bit_length() - (m & -m).bit_length() + 1) < 1000:
-        return round_nearest_int(m**3, 3 * e, prec)
-    a = abs(m)
-    k = max((a * a).bit_length() - w, 0)
-    p = a * (a * a >> k)
-    j = max(p.bit_length() - w, 0)
-    return round_nearest_int(p >> j if m > 0 else -(p >> j), 3 * e + k + j, prec)
+def certified_sum(spec: PhaseSpec) -> tuple[int, int, int]:
+    """The sum of e(phase(n)) over n in (lo, hi] as integers (re, im, rad)
+    at scale 2^-F: the sum lies within rad 2^-F of re + i im.
 
-
-def required_prec_bits(spec: PhaseSpec) -> int:
-    """Working precision for the mpf engine: bits of the largest phase plus 64.
-
-    The size is summed as in floats, each input and step rounded once to
-    53 bits, but on mpf, whose exponent has no ceiling; its int(log2) adds
-    the exponent to math.log2 of the mantissa, as math.log2 rounds it."""
-    import mpmath as mp
-    from mpmath.libmp import from_rational, round_nearest
-    hi, c = max(abs(spec.lo) + 1, abs(spec.hi), 1), spec.coefficients
-
-    def d(x):  # float(x) of a Fraction or int
-        return mp.make_mpf(from_rational(x.numerator, x.denominator, 53, round_nearest))
-
-    with mp.workprec(53):
-        if spec.kind == "basic":
-            mag = (abs(d(c.A)) + 1) * d(hi) * d(hi) + (abs(d(c.B)) + 1) * d(hi)
-        elif spec.kind == "lemma61":
-            mag = (abs(d(c.A)) + 1) * d((spec.r * hi + abs(spec.v)) ** 2) + d(abs(spec.h) * spec.m * hi)
-        else:
-            mag = (abs(d(c.C)) + 1) * d(hi)
-        man, exp = (mag + 2).man_exp
-    bc = man.bit_length()
-    return max(64, int(exp + bc - 1 + math.log2(man / 2 ** (bc - 1)))) + 64
+    The engine "mpf" of eval_phase. It works in integers only: each phase
+    is reduced exactly from the coefficients (_fraction_bits), e(t) is
+    evaluated in fixed point (_e_fixed), and the terms add exactly, so the
+    radius is the number of terms times the derived radius of one."""
+    fraction, k = _fraction_bits(spec)
+    re = im = 0
+    for n in range(spec.lo + 1, spec.hi + 1):
+        c, s = _e_fixed(fraction(n))
+        re += c
+        im += s
+    return re, im, spec.n_terms * (_PHASE_ULPS * k + _E_ULPS)
 
 
 # -- deterministic summation ------------------------------------------------
@@ -374,35 +381,21 @@ class ExpSumResult:
     normalized_modulus: float
 
 
-def eval_phase(
-    spec: PhaseSpec,
-    threads: int = 1,
-    engine: str | None = None,
-    prec_bits: int | None = None,
-) -> ExpSumResult:
+def eval_phase(spec: PhaseSpec, threads: int = 1, engine: str | None = None) -> ExpSumResult:
     """Sum e(phase(n)) over n in (lo, hi].
 
     engine "exact" reduces each integer phase pair (N, D) to the correctly
     rounded double N % D / D and sums the unit vectors with _sum_e, each
-    part correctly rounded. Engine "mpf" works at 1 <= prec_bits <= MAX_PREC_BITS
-    (default: enough for the largest phase plus 64 guard bits, refused
-    past the cap too) on integer (mantissa, exponent) pairs, round-nearest:
-    the phase from _phase_raw, its fraction 2 (ph - floor ph) rounded as
-    mpf_sub rounds it, one mpf_cos_sin_pi call (what mp.cospi_sinpi wraps;
-    not correctly rounded, so libmp's) for cos and sin, and two sums
-    rounded as mpf_add rounds them, so the bits are those of the same steps
-    on mpf objects; one mpc is built at the end.
-    Both engines read the same exact coefficients; the default is "exact".
+    part correctly rounded. Engine "mpf" is certified_sum, whose integer
+    sums become one mpc exactly; they lie within about 3e-28 a term of the
+    true sum. Both engines read the same exact coefficients; the default is
+    "exact".
     """
     n = spec.n_terms
     require_work(n, f"{n} terms")
     engine = "exact" if engine is None else engine
     if engine not in ("exact", "mpf"):
         raise PreconditionError(f"engine must be 'exact' or 'mpf', got {engine!r}")
-    prec = required_prec_bits(spec) if engine == "mpf" and prec_bits is None else prec_bits
-    if prec is not None and not 1 <= prec <= MAX_PREC_BITS:
-        given = "" if prec_bits is not None else " (the default for this phase)"
-        raise PreconditionError(f"prec_bits must be between 1 and {MAX_PREC_BITS}, got {prec}{given}")
     if n == 0:
         return ExpSumResult(value=0j, n_terms=0, normalized_modulus=0.0)
 
@@ -419,19 +412,9 @@ def eval_phase(
         mod = abs(total)
     else:
         import mpmath as mp
-        from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, round_nearest
-        rnd, add = round_nearest, add_nearest_int
-        phase = _phase_raw(spec, prec)
-        re = im = (0, 0)
-        for k in range(spec.lo + 1, spec.hi + 1):
-            m, e = phase(k)
-            # ph - floor(ph) is exact unless -1 < ph < 0; mpf_sub rounds it
-            m, e = round_nearest_int(m & ((1 << -e) - 1), e, prec) if e < 0 else (0, 0)
-            c, s = mpf_cos_sin_pi(from_man_exp(m, e + 1), prec, rnd)
-            re = add(re, int_pair(c), prec)
-            im = add(im, int_pair(s), prec)
-        with mp.workprec(prec):
-            total = mp.mpc(mp.make_mpf(from_man_exp(*re)), mp.make_mpf(from_man_exp(*im)))
+        re, im, _ = certified_sum(spec)
+        with mp.workprec(F + n.bit_length() + 1):  # |re|, |im| < n (2^F + _E_ULPS): exact
+            total = mp.mpc(mp.mpf((re, -F)), mp.mpf((im, -F)))
             mod = float(abs(total))
     return ExpSumResult(value=total, n_terms=n, normalized_modulus=min(1.0, mod / n))
 

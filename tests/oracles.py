@@ -234,8 +234,11 @@ def phase_lemma62_inner(h: int, m: int, r: int, j: int, l1: int, l2: int, n: int
 
 
 # -- the mpf phase and the rho Horner through mpf operators ----------------
-# The package runs these on raw libmp tuples; the operator forms below are
-# the references its kernels must match bit for bit.
+# The phase sum is the operator form of the phase, run 320 bits past the
+# phase's size: a containment reference, not a bit-for-bit one, since the
+# package's certified engine must hold it within its derived radius. The rho
+# Horner stays a bit-for-bit reference for the package's panels, which run
+# it on raw libmp tuples.
 
 
 def mpf_coefficient(x):

@@ -133,8 +133,9 @@ def test_vector_sandwich(result):
 def test_phase_engines(result):
     assert result.ok, result.line()
     d = result.details
-    assert float(d["worst_precision_gap"]) < 1e-24
+    assert float(d["worst_certified_radius"]) < 1e-24
     assert float(d["worst_engine_gap"]) < 1e-9
+    assert "first_failing_spec" not in d and "first_failing_weyl" not in d
     assert d["zero_phase_exact"]
     assert d["weyl_all_ok"]
     assert d["weyl_worst_first_ratio"] <= 1

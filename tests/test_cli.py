@@ -313,7 +313,7 @@ def test_expsum_basic_and_lemma61(capsys):
 
 
 def test_mpf_engine_takes_a_coefficient_past_the_float_range(capsys):
-    # its default precision overflowed a float here; the exact engine agrees
+    # 10^3000 is past the float range; both engines reduce it exactly and agree
     argv = ["expsum", "basic", "--A", "1e3000", "--B", "0", "--hi", "3"]
     rc, mpf = run_json([*argv, "--engine", "mpf"], capsys)
     assert rc == 0
@@ -321,10 +321,6 @@ def test_mpf_engine_takes_a_coefficient_past_the_float_range(capsys):
     assert rc == 0
     got, want = mpf["result"]["result"]["value"], exact["result"]["result"]["value"]
     assert abs(complex(float(got["re"]), float(got["im"])) - complex(want["re"], want["im"])) < 1e-9
-    # past MAX_PREC_BITS, the default is refused like an explicit precision
-    rc, out, err = run(["expsum", "basic", "--A", "1e30000", "--B", "0", "--hi", "3", "--engine", "mpf"], capsys)
-    assert (rc, out) == (2, "")
-    assert err.startswith("error: prec_bits must be between 1 and 65536") and err.count("\n") == 1
 
 
 def test_expsum_weyl_exit_codes(capsys):
@@ -447,9 +443,6 @@ def test_a_rational_past_the_int_to_str_limit_is_refused(argv, capsys):
     + [["rho", "--u", "2", "--tol", "nan"]]
     + [["sieve", "weights", "--d", "100", "--z", "10", "--n-limit", "0"]]
     + [["expsum", "scan", "--count", c] for c in ("0", "-1")]
-    + [["expsum", "basic", "--A", "1/7", "--B", "1/3", "--hi", "5", "--engine", "mpf", "--prec-bits", p]
-       for p in ("0", "-5")]
-    + [["expsum", "lemma61", "--h", "2", "--m", "97", "--r", "13", "--hi", "5", "--engine", "mpf", "--prec-bits", "0"]]
     + [["rho", "--table", "--step", s] for s in ("1e-300", "5e-324", "1e-5")]
     + [["--budget-mb", "0", "rho", "--table", "--step", "0.01"]],
     ids=" ".join,

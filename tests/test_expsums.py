@@ -8,12 +8,10 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import from_man_exp, from_rational, mpf_mul_int, mpf_neg, mpf_pow_int, mpf_rdiv_int, round_nearest
 
 import oracles
 import peaks
 from alpha4 import expsums, verify
-from alpha4.arith import round_nearest_int
 from alpha4.errors import BudgetError, PreconditionError
 
 
@@ -201,100 +199,13 @@ def test_eval_phase_rejects_engine_mismatch():
             expsums.eval_phase(spec, engine=engine)
 
 
-def _double_prec_bits(spec) -> int:
-    """required_prec_bits as it was summed in floats, which overflowed past 2^1024."""
-    hi = max(abs(spec.lo) + 1, abs(spec.hi), 1)
-    if spec.kind == "basic":
-        mag = (abs(float(spec.A)) + 1) * hi * hi + (abs(float(spec.B)) + 1) * hi
-    elif spec.kind == "lemma61":
-        a1 = abs(float(spec.coefficients.A))
-        mag = (a1 + 1) * (spec.r * hi + abs(spec.v)) ** 2 + abs(spec.h) * spec.m * hi
-    else:
-        mag = (abs(float(spec.coefficients.C)) + 1) * hi
-    return max(64, int(math.log2(mag + 2))) + 64
-
-
-def _seeded_spec_sweep(rng):
-    """Specs of all three kinds, wide coefficients (dyadic ones of 30 to 300 bits too) and wide ranges."""
-    lo = rng.randrange(10 ** rng.randrange(1, 12))
-    hi = lo + rng.randrange(1000)
-    kind = rng.randrange(3)
-    if kind == 0:
-        A, B = (Fraction(rng.randrange(-(2 ** rng.randrange(1, 300)), 2 ** rng.randrange(1, 300)),
-                         rng.randrange(1, 2 ** rng.randrange(1, 200))) for _ in range(2))
-        if rng.random() < 0.3:
-            with mp.workprec(rng.choice([30, 53, 100, 300])):
-                man, exp = (mp.mpf(A.numerator) / A.denominator).man_exp
-            A = man * Fraction(2) ** exp
-        return expsums.make_basic_phase(A, B, lo, hi)
-    if kind == 1:
-        r = rng.choice([3, 5, 7, 101, 1009])
-        m = rng.randrange(1, 10 ** rng.randrange(1, 15))
-        while math.gcd(m, r) != 1:
-            m += 1
-        return expsums.make_lemma61_phase(rng.randrange(-(10**6), 10**6), m, r, lo, hi)
-    return expsums.make_lemma62_inner_phase(rng.randrange(1, 10**6), rng.randrange(1, 10**8), rng.randrange(1, 200),
-                                            rng.randrange(1, 5), rng.randrange(1, 10**6), rng.randrange(1, 10**6), lo, hi)
-
-
-def test_default_precision_is_the_double_formula_wherever_that_was_finite():
-    specs = verify._seeded_specs(random.Random(20260819), 100)  # phase_engines' specs
-    for seed in range(10):  # the mpf sums of perfbench's long_sums workload at seeds 0..9
-        rng = random.Random(seed)
-        A, B = Fraction(rng.randrange(1, 2**40), 2**20), Fraction(rng.randrange(0, 2**20), 2**20)
-        specs.append(expsums.make_basic_phase(A, B, 0, 20000))
-    rng = random.Random(24)
-    specs += [_seeded_spec_sweep(rng) for _ in range(1500)]
-    # a float sum that rounds up to a power of two, and log2 that rounds up to one
-    specs += [expsums.make_basic_phase(2**e - t, 0, 0, hi)
-              for e in range(62, 140) for t in (3, 5, 2 ** (e - 47), 2 ** (e - 45)) for hi in (1, 2)]
-    for spec in specs:
-        assert expsums.required_prec_bits(spec) == _double_prec_bits(spec), spec
-
-
-def test_default_precision_past_the_float_range():
-    # the float formula overflowed here; the mpf engine now runs, and its cap holds
-    spec = expsums.make_basic_phase(Fraction(10**3000), 0, 0, 3)
-    with pytest.raises(OverflowError):
-        _double_prec_bits(spec)
-    assert expsums.required_prec_bits(spec) == (9 * 10**3000).bit_length() - 1 + 64  # (A + 1) hi^2 + hi
-    assert expsums.eval_phase(spec, engine="mpf").n_terms == 3
-    with pytest.raises(PreconditionError, match="prec_bits must be between 1 and 65536, got 99725 \\(the default"):
-        expsums.eval_phase(expsums.make_basic_phase(Fraction(10**30000), 0, 0, 3), engine="mpf")
-
-
-@pytest.mark.parametrize("prec_bits", [0, -5])
-def test_eval_phase_refuses_a_precision_below_one_bit(prec_bits):
-    # libmp's division spun forever at prec 0 and below
-    spec = expsums.make_basic_phase(Fraction(1, 7), Fraction(1, 3), 0, 5)
-    with pytest.raises(PreconditionError, match="prec_bits"):
-        expsums.eval_phase(spec, engine="mpf", prec_bits=prec_bits)
-
-
-@pytest.mark.parametrize("prec_bits", [expsums.MAX_PREC_BITS + 1, 2**20, 2**63])
-def test_eval_phase_refuses_a_precision_past_its_cap_before_allocating(prec_bits):
-    # at 2^63 bits the first coefficient's division raised MemoryError
-    setup = """
-from fractions import Fraction
-from alpha4 import expsums
-from alpha4.errors import PreconditionError
-spec = expsums.make_basic_phase(Fraction(1, 7), Fraction(1, 3), 0, 5)
-"""
-    case = f"""
-try:
-    expsums.eval_phase(spec, engine="mpf", prec_bits={prec_bits})
-except PreconditionError as e:
-    assert "prec_bits" in str(e), e
-else:
-    raise AssertionError("not refused")
-"""
-    (((peak, _),),) = peaks.traced(setup, [case])
-    assert peak < 2**20 // 8  # one integer of 2^20 bits would not fit
-
-
-def test_eval_phase_takes_the_cap_itself():
-    spec = expsums.make_basic_phase(Fraction(1, 7), Fraction(1, 3), 0, 2)
-    assert expsums.eval_phase(spec, engine="mpf", prec_bits=expsums.MAX_PREC_BITS).n_terms == 2
+def test_mpf_engine_admits_a_phase_past_the_float_range():
+    # the phase is reduced exactly, so the certified engine takes every
+    # phase the exact engine takes, however large
+    for A in (Fraction(10**3000), Fraction(10**30000 + 1, 7)):
+        spec = expsums.make_basic_phase(A, Fraction(1, 3), 0, 3)
+        exact = expsums.eval_phase(spec).value
+        assert abs(complex(expsums.eval_phase(spec, engine="mpf").value) - exact) < 1e-9
 
 
 # -- progression rewrite -------------------------------------------------------
@@ -329,7 +240,7 @@ def _wrong_phase(spec, n):
 def test_mpf_engine_catches_a_wrong_exact_phase(spec, monkeypatch):
     def gap():
         exact = expsums.eval_phase(spec, engine="exact", threads=1).value
-        with_mpf = expsums.eval_phase(spec, engine="mpf", prec_bits=160).value
+        with_mpf = expsums.eval_phase(spec, engine="mpf").value
         return float(abs(exact - with_mpf))
 
     assert gap() < 1e-9
@@ -345,14 +256,51 @@ def test_mpf_engine_catches_a_wrong_exact_phase(spec, monkeypatch):
     assert gap() > 1e-9
 
 
-def _kernel_specs():
-    """Seeded specs of all three kinds, including the dyadic 0.3 and a
-    lemma61 progression with negative l and v beyond 10^5.
+def test_phase_engines_names_the_first_spec_it_fails_on(monkeypatch):
+    target = verify._seeded_specs(random.Random(20260819), 100)[42]
+    right = expsums._phase_ratio
 
-    The negative basic phases (the fourth spec) matter: mpf_cos_sin_pi
-    reduces a positive argument exactly, so dropping the floor from
-    2 (ph - floor ph) changes no bit there, while on negative phases it
-    changes about one cos or sin in a thousand."""
+    def ratio(spec):
+        if spec != target:
+            return right(spec)
+
+        def wrong(n):
+            f = _wrong_phase(spec, n)
+            return f.numerator, f.denominator
+
+        return wrong
+
+    monkeypatch.setattr(expsums, "_phase_ratio", ratio)
+    d = verify.check_phase_engines({})
+    assert not d["ok"]
+    assert d["first_failing_spec"] == {"index": 42, "kind": "lemma61", "failed": "engine_gap"}
+    assert "first_failing_weyl" not in d
+
+
+def test_phase_engines_names_a_wide_radius_and_a_failed_weyl_spec(monkeypatch):
+    certified, weyl = expsums.certified_sum, expsums.weyl_difference_check
+    seen = []
+
+    def wide(spec):
+        re, im, rad = certified(spec)
+        return re, im, rad * 10**8 if spec.kind == "lemma62_inner" else rad  # 5e-19 at 64 terms
+
+    def weyl_fails_fifth(spec, K, L=None):
+        seen.append(spec)
+        return {**weyl(spec, K, L), "second_ok": len(seen) != 5}
+
+    monkeypatch.setattr(expsums, "certified_sum", wide)
+    monkeypatch.setattr(expsums, "weyl_difference_check", weyl_fails_fifth)
+    d = verify.check_phase_engines({})
+    assert not d["ok"]
+    assert d["first_failing_spec"] == {"index": 3, "kind": "lemma62_inner", "failed": "radius"}
+    assert d["first_failing_weyl"] == 4
+
+
+def _kernel_specs():
+    """Seeded specs of all three kinds, including the dyadic 0.3, a
+    lemma61 progression with negative l and v beyond 10^5, negative basic
+    phases (the fourth spec) and basic phases at n >= 2^340, past 2^349."""
     rng = random.Random(4242)
     specs = [
         expsums.make_basic_phase(Fraction(rng.randrange(1, 2**40), 2**20), Fraction(rng.randrange(2**20), 2**20),
@@ -374,36 +322,8 @@ def _kernel_specs():
                                    sigma4_m=oracles.sigma_k(m, 4)))
     specs.append(expsums.make_lemma62_inner_phase(2, 12345, 101, 3, 5, 9, 0, 100))
     specs.append(expsums.make_lemma62_inner_phase(1, 977, 13, 1, 2, 1, 10, 90))
-    return specs
-
-
-@pytest.mark.parametrize("prec", [53, 160, 320])
-def test_mpf_kernel_is_bit_identical_to_mpf_operators(prec):
-    # the raw libmp engine against the same formula on mpf objects:
-    # equal tuples, not nearby values
-    specs = _kernel_specs()
-    for spec in specs:
-        got = expsums.eval_phase(spec, engine="mpf", prec_bits=prec).value
-        assert got._mpc_ == oracles.mpf_phase_sum(spec, prec)._mpc_, spec
-        with mp.workprec(prec):
-            coefficients = tuple(map(oracles.mpf_coefficient, spec.coefficients))
-            for n in (spec.lo + 1, spec.hi):
-                want = oracles.phase_mpf(spec, n, coefficients)
-                assert from_man_exp(*expsums._phase_raw(spec, prec)(n)) == want._mpf_, (spec, n)
-    # one-term sums are each term's cos and sin, which a long sum's
-    # rounding can absorb
-    negative = specs[3]
-    for n in range(1, negative.hi + 1):
-        one = dataclasses.replace(negative, lo=n - 1, hi=n)
-        got = expsums.eval_phase(one, engine="mpf", prec_bits=prec).value
-        assert got._mpc_ == oracles.mpf_phase_sum(one, prec)._mpc_, n
-
-
-def test_mpf_kernel_matches_mpf_operators_past_the_exact_cube():
-    # at n >= 2^340 and 400 bits, n's mantissa has bc >= 334 bits, so
-    # bc * 3 >= 1000 and mpf_pow_int cubes by truncated squaring
     rng = random.Random(340)
-    specs = [
+    specs += [
         expsums.make_basic_phase(Fraction(rng.randrange(2**39, 2**40), 2**381), Fraction(rng.randrange(2**40), 2**380),
                                  lo, lo + 50)
         for lo in (2**340 + 1, 2**340 + rng.getrandbits(339), 2**345 - rng.getrandbits(300) * 2 - 1)
@@ -411,63 +331,62 @@ def test_mpf_kernel_matches_mpf_operators_past_the_exact_cube():
     # mpf("0.3") / 2^342 and mpf("0.7") / 2^340
     specs.append(expsums.make_basic_phase(Fraction(5404319552844595, 2**396), Fraction(3152519739159347, 2**392),
                                           2**341 + 7, 2**341 + 57))
+    return specs
+
+
+def test_tau_is_two_pi_floored_at_its_scale():
+    with mp.workprec(400):
+        assert expsums._TAU_FIX == int(mp.floor(2 * mp.pi * 2 ** (expsums.F + 5)))
+    assert expsums._TAU_FIX.bit_length() == expsums.F + 8
+
+
+def _gap_to_certified(spec, want) -> tuple:
+    """|want - midpoint| and the radius, at the ambient precision."""
+    re, im, rad = expsums.certified_sum(spec)
+    return abs(want - mp.mpc(re, im) / 2**expsums.F), rad * mp.mpf(2) ** -expsums.F
+
+
+def test_certified_sum_contains_the_operator_form_sum():
+    # the oracle runs 320 bits past the largest phase, so its own rounding
+    # stays below 2^-300 a term
+    specs = verify._seeded_specs(random.Random(20260819), 100) + _kernel_specs()
     for spec in specs:
-        got = expsums.eval_phase(spec, engine="mpf", prec_bits=400).value
-        assert got._mpc_ == oracles.mpf_phase_sum(spec, 400)._mpc_, spec
-        assert abs(got) < 40  # the phases spread over the circle
-        with mp.workprec(400):
-            coefficients = tuple(map(oracles.mpf_coefficient, spec.coefficients))
-            for n in range(spec.lo + 1, spec.hi + 1, 7):
-                assert from_man_exp(*expsums._phase_raw(spec, 400)(n)) == oracles.phase_mpf(spec, n, coefficients)._mpf_, n
+        ends = (spec.lo + 1, spec.hi)
+        prec = 320 + max(int(abs(expsums.phase_fraction(spec, n))).bit_length() for n in ends)
+        with mp.workprec(prec):
+            gap, rad = _gap_to_certified(spec, oracles.mpf_phase_sum(spec, prec))
+            assert gap <= rad + mp.mpf(2) ** -300 * spec.n_terms, spec
+        if spec.lo > 2**340:
+            assert abs(mp.mpc(*expsums.certified_sum(spec)[:2])) < 40 * 2**expsums.F  # the phases spread over the circle
 
 
-def test_mpf_kernel_rounds_a_coefficient_once():
-    # 10^100 has 333 bits: rounding it to the working precision before the
-    # division moves the last bit of A at the default 128 bits
-    A = Fraction(10**100, 10**100 + 1)
-    spec = expsums.make_basic_phase(A, 0, 0, 3)
-    assert expsums.required_prec_bits(spec) == 128
-    with mp.workprec(128):
-        # the phase at n = 1 is A (1 + 1), an exact doubling
-        want = mpf_mul_int(from_rational(A.numerator, A.denominator, 128, round_nearest), 2, 128, round_nearest)
-        assert from_man_exp(*expsums._phase_raw(spec, 128)(1)) == want
+def test_e_fixed_is_within_its_bound_at_the_turn_edges():
+    # each eighth of a turn and one ulp of 2^-G either side, so 1 - 2^-G too,
+    # and seeded phases between
+    G, F = expsums.G, expsums.F
+    rng = random.Random(96)
+    Ts = sorted({((k << (G - 3)) + d) % 2**G for k in range(8) for d in (-1, 0, 1)})
+    Ts += [rng.getrandbits(G) for _ in range(1000)]
+    with mp.workprec(200):
+        for T in Ts:
+            want = mp.mpc(*mp.cospi_sinpi(mp.mpf(T) / 2 ** (G - 1)))
+            assert abs(mp.mpc(*expsums._e_fixed(T)) / 2**F - want) <= expsums._E_ULPS * mp.mpf(2) ** -F, T
 
 
-@pytest.mark.parametrize("prec", [53, 160])
-def test_mpf_kernel_rounds_the_fraction_of_a_phase_in_minus_one_to_zero(prec):
-    # ph - floor(ph) = 1 + ph needs more than prec bits there, so mpf_sub rounds it
-    spec = expsums.make_basic_phase(Fraction(-1, 2**13), Fraction(-3, 2**11), 0, 60)
-    assert all(-1 < expsums.phase_fraction(spec, n) < 0 for n in range(1, 61))
-    for n in range(1, 61):
-        one = dataclasses.replace(spec, lo=n - 1, hi=n)
-        got = expsums.eval_phase(one, engine="mpf", prec_bits=prec).value
-        assert got._mpc_ == oracles.mpf_phase_sum(one, prec)._mpc_, n
-
-
-@pytest.mark.parametrize("m", [
-    # mantissas whose cube libmp rounds away from the correctly rounded cube
-    4505477777010006567156597609490429153031917369406270343086960898463974120554243939958904291289046582947,
-    8877298374780324524432489230005949533128709915163447312758510340962282575680149528495710033465364786882528821753,
-], ids=["342 bits", "372 bits"])
-def test_cube_follows_mpf_pow_int_where_it_truncates(m):
-    want = mpf_pow_int(from_man_exp(m, -3), 3, 400, round_nearest)
-    assert from_man_exp(*expsums._cube((m, -3), 400)) == want
-    assert from_man_exp(*expsums._cube((-m, -3), 400)) == mpf_neg(want)
-    assert from_man_exp(*round_nearest_int(m**3, -9, 400)) != want
-
-
-@pytest.mark.parametrize("prec", [1, 2, 53, 136, 320, 400])
-def test_division_and_cube_follow_libmp(prec):
-    # the phase adds 1/n^2 and 1/n^3 to far larger terms, which hides most
-    # of their last bits, so the two kernels are checked on their own
-    rng = random.Random(prec)
-    xs = [(1, 0), (-1, 5), (2**prec - 1, -7), (-(2**prec) + 1, 3), (3, 0), (2 ** (prec - 1) + 1, 0)]
-    xs += [(rng.getrandbits(rng.randrange(1, prec + 1)) | 1, rng.randrange(-60, 60)) for _ in range(400)]
-    for m, e in xs:
-        for x in ((m, e), (-m, e), (m << 3, e - 3)):
-            t = from_man_exp(*x)
-            assert from_man_exp(*expsums._inv(x, prec)) == mpf_rdiv_int(1, t, prec, round_nearest), x
-            assert from_man_exp(*expsums._cube(x, prec)) == mpf_pow_int(t, 3, prec, round_nearest), x
+def test_certified_terms_contain_negative_phases_and_one_over_a_4000_bit_denominator():
+    negative = expsums.make_basic_phase(Fraction(-1, 2**13), Fraction(-3, 2**11), 0, 60)
+    assert all(-1 < expsums.phase_fraction(negative, n) < 0 for n in range(1, 61))
+    rng = random.Random(4000)
+    q = rng.getrandbits(4000) | 1 << 3999 | 1
+    wide = expsums.make_basic_phase(Fraction(rng.getrandbits(4100), q), Fraction(rng.getrandbits(64), 3), 0, 5)
+    assert all(abs(expsums.phase_fraction(wide, n).denominator.bit_length() - 4000) < 8 for n in range(1, 6))
+    with mp.workprec(200):
+        for spec in (negative, wide):
+            for n in range(spec.lo + 1, spec.hi + 1):
+                one = dataclasses.replace(spec, lo=n - 1, hi=n)
+                t = expsums.phase_fraction(spec, n) % 1
+                gap, rad = _gap_to_certified(one, mp.mpc(*mp.cospi_sinpi(2 * mp.mpf(t.numerator) / t.denominator)))
+                assert gap <= rad + mp.mpf(2) ** -190, (spec, n)
 
 
 def test_lemma61_ap_oracle_matches_phase_sum():

@@ -1,6 +1,6 @@
 """The CLI's process-wide settings, each checked in a fresh process: the
-OpenBLAS thread count, and the precision cap, the memory budget and the
-work budget under a memory limit."""
+OpenBLAS thread count, and the memory budget and the work budget under a
+memory limit."""
 
 import os
 import subprocess
@@ -43,20 +43,6 @@ def test_cli_runs_openblas_on_one_thread_unless_the_user_set_a_count(setting):
     assert done.returncode == 0, done.stderr
     want = setting or "1"
     assert done.stdout.split() == [want, str(min(int(want), len(os.sched_getaffinity(0))))]
-
-
-@pytest.mark.parametrize(
-    "kind",
-    [["basic", "--A", "1/7", "--B", "1/3"], ["lemma61", "--h", "2", "--m", "97", "--r", "13"]],
-    ids=["basic", "lemma61"],
-)
-def test_a_precision_past_the_cap_exits_2_under_a_memory_limit(kind):
-    # without the cap, 2^63 bits ended in a MemoryError traceback; the limit
-    # keeps a regression from taking the machine's memory
-    done = _python(_CAPPED_CLI, "expsum", *kind, "--hi", "5", "--engine", "mpf", "--prec-bits", str(2**63))
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert done.stderr.startswith("error: prec_bits") and done.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
 
 import oracles
 import peaks

@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 import peaks
-from alpha4 import arith, cli, sieve, special, verify
+from alpha4 import cli, sieve, special, verify
 from alpha4.errors import PreconditionError
 
 X4 = 10**4
