@@ -299,8 +299,8 @@ def test_phase_engines_names_a_wide_radius_and_a_failed_weyl_spec(monkeypatch):
 
 def _kernel_specs():
     """Seeded specs of all three kinds, including the dyadic 0.3, a
-    lemma61 progression with negative l and v beyond 10^5, negative basic
-    phases (the fourth spec) and basic phases at n >= 2^340, past 2^349."""
+    lemma61 progression with negative l and v beyond 10^5 and negative
+    basic phases (the fourth spec)."""
     rng = random.Random(4242)
     specs = [
         expsums.make_basic_phase(Fraction(rng.randrange(1, 2**40), 2**20), Fraction(rng.randrange(2**20), 2**20),
@@ -322,16 +322,14 @@ def _kernel_specs():
                                    sigma4_m=oracles.sigma_k(m, 4)))
     specs.append(expsums.make_lemma62_inner_phase(2, 12345, 101, 3, 5, 9, 0, 100))
     specs.append(expsums.make_lemma62_inner_phase(1, 977, 13, 1, 2, 1, 10, 90))
-    rng = random.Random(340)
-    specs += [
-        expsums.make_basic_phase(Fraction(rng.randrange(2**39, 2**40), 2**381), Fraction(rng.randrange(2**40), 2**380),
-                                 lo, lo + 50)
-        for lo in (2**340 + 1, 2**340 + rng.getrandbits(339), 2**345 - rng.getrandbits(300) * 2 - 1)
-    ]
-    # mpf("0.3") / 2^342 and mpf("0.7") / 2^340
-    specs.append(expsums.make_basic_phase(Fraction(5404319552844595, 2**396), Fraction(3152519739159347, 2**392),
-                                          2**341 + 7, 2**341 + 57))
     return specs
+
+
+def _one_term_specs():
+    """The one-term sums of the negative basic spec: each is one term's cos
+    and sin, which a long sum's rounding could absorb."""
+    negative = _kernel_specs()[3]
+    return [dataclasses.replace(negative, lo=n - 1, hi=n) for n in range(1, negative.hi + 1)]
 
 
 def test_tau_is_two_pi_floored_at_its_scale():
@@ -346,18 +344,41 @@ def _gap_to_certified(spec, want) -> tuple:
     return abs(want - mp.mpc(re, im) / 2**expsums.F), rad * mp.mpf(2) ** -expsums.F
 
 
-def test_certified_sum_contains_the_operator_form_sum():
+def _assert_contains_the_operator_form_sum(specs):
     # the oracle runs 320 bits past the largest phase, so its own rounding
     # stays below 2^-300 a term
-    specs = verify._seeded_specs(random.Random(20260819), 100) + _kernel_specs()
     for spec in specs:
         ends = (spec.lo + 1, spec.hi)
         prec = 320 + max(int(abs(expsums.phase_fraction(spec, n))).bit_length() for n in ends)
         with mp.workprec(prec):
             gap, rad = _gap_to_certified(spec, oracles.mpf_phase_sum(spec, prec))
             assert gap <= rad + mp.mpf(2) ** -300 * spec.n_terms, spec
-        if spec.lo > 2**340:
-            assert abs(mp.mpc(*expsums.certified_sum(spec)[:2])) < 40 * 2**expsums.F  # the phases spread over the circle
+
+
+@pytest.mark.parametrize("specs", [
+    lambda: verify._seeded_specs(random.Random(20260819), 100),
+    _kernel_specs,
+    _one_term_specs,
+], ids=["seeded", "kernel", "one-term"])
+def test_certified_sum_contains_the_operator_form_sum(specs):
+    _assert_contains_the_operator_form_sum(specs())
+
+
+def test_certified_sum_contains_the_operator_form_sum_past_2_to_the_340():
+    # n^3 and n^2 of n >= 2^340 run past 1000 bits, far beyond the 96 bits
+    # the kernel keeps of each phase's fraction
+    rng = random.Random(340)
+    specs = [
+        expsums.make_basic_phase(Fraction(rng.randrange(2**39, 2**40), 2**381), Fraction(rng.randrange(2**40), 2**380),
+                                 lo, lo + 50)
+        for lo in (2**340 + 1, 2**340 + rng.getrandbits(339), 2**345 - rng.getrandbits(300) * 2 - 1)
+    ]
+    # mpf("0.3") / 2^342 and mpf("0.7") / 2^340
+    specs.append(expsums.make_basic_phase(Fraction(5404319552844595, 2**396), Fraction(3152519739159347, 2**392),
+                                          2**341 + 7, 2**341 + 57))
+    _assert_contains_the_operator_form_sum(specs)
+    for spec in specs:
+        assert abs(mp.mpc(*expsums.certified_sum(spec)[:2])) < 40 * 2**expsums.F  # the phases spread over the circle
 
 
 def test_e_fixed_is_within_its_bound_at_the_turn_edges():
@@ -373,20 +394,32 @@ def test_e_fixed_is_within_its_bound_at_the_turn_edges():
             assert abs(mp.mpc(*expsums._e_fixed(T)) / 2**F - want) <= expsums._E_ULPS * mp.mpf(2) ** -F, T
 
 
-def test_certified_terms_contain_negative_phases_and_one_over_a_4000_bit_denominator():
-    negative = expsums.make_basic_phase(Fraction(-1, 2**13), Fraction(-3, 2**11), 0, 60)
-    assert all(-1 < expsums.phase_fraction(negative, n) < 0 for n in range(1, 61))
+def _assert_each_term_is_contained(spec):
+    with mp.workprec(200):
+        for n in range(spec.lo + 1, spec.hi + 1):
+            one = dataclasses.replace(spec, lo=n - 1, hi=n)
+            t = expsums.phase_fraction(spec, n) % 1
+            gap, rad = _gap_to_certified(one, mp.mpc(*mp.cospi_sinpi(2 * mp.mpf(t.numerator) / t.denominator)))
+            assert gap <= rad + mp.mpf(2) ** -190, (spec, n)
+
+
+@pytest.mark.parametrize("A, B", [
+    (Fraction(-1, 2**13), Fraction(-3, 2**11)),
+    # 1 + phase has bits down to 2^-110, past the kernel's 2^-96 floor
+    (Fraction(-(2**97 + 1), 2**110), Fraction(-3, 2**108)),
+], ids=["13 bits", "110 bits"])
+def test_certified_terms_contain_phases_in_minus_one_to_zero(A, B):
+    spec = expsums.make_basic_phase(A, B, 0, 60)
+    assert all(-1 < expsums.phase_fraction(spec, n) < 0 for n in range(1, 61))
+    _assert_each_term_is_contained(spec)
+
+
+def test_certified_terms_contain_one_over_a_4000_bit_denominator():
     rng = random.Random(4000)
     q = rng.getrandbits(4000) | 1 << 3999 | 1
     wide = expsums.make_basic_phase(Fraction(rng.getrandbits(4100), q), Fraction(rng.getrandbits(64), 3), 0, 5)
     assert all(abs(expsums.phase_fraction(wide, n).denominator.bit_length() - 4000) < 8 for n in range(1, 6))
-    with mp.workprec(200):
-        for spec in (negative, wide):
-            for n in range(spec.lo + 1, spec.hi + 1):
-                one = dataclasses.replace(spec, lo=n - 1, hi=n)
-                t = expsums.phase_fraction(spec, n) % 1
-                gap, rad = _gap_to_certified(one, mp.mpc(*mp.cospi_sinpi(2 * mp.mpf(t.numerator) / t.denominator)))
-                assert gap <= rad + mp.mpf(2) ** -190, (spec, n)
+    _assert_each_term_is_contained(wide)
 
 
 def test_lemma61_ap_oracle_matches_phase_sum():
